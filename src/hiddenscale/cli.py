@@ -10,6 +10,7 @@ code 0 means every check passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import filament as filament_mod
 from . import ftflow, numlab, pertsym, switchback, textform
+from .exprcore import Poly
 from .pertseries import build_bare_series
 from .specfile import ProblemSpec, SpecError, ode_problem, parse_spec
 
@@ -63,6 +65,11 @@ def _write_csv(csv_dir, name, header, rows):
     return path
 
 
+def _floats(spec: ProblemSpec, key: str, default: str) -> list:
+    """The number list validate.<key>, or ``default`` when absent or empty."""
+    return [float(s) for s in (spec.validate.get(key) or default).split()]
+
+
 # ---------------------------------------------------------------------------
 # The hidden-scale pipeline for ODE specs.
 
@@ -72,7 +79,6 @@ def _start_values(spec: ProblemSpec, series):
         return None
     zeroth = [c for c in series.constants if c.order == min(
         cc.order for cc in series.constants)]
-    names = [c.name for c in zeroth if c.kind in ("param", "offset")]
     amp = [c.name for c in zeroth if c.kind == "param"]
     off = [c.name for c in zeroth if c.kind == "offset"]
     if len(amp) != 1 or len(off) != 1:
@@ -82,21 +88,17 @@ def _start_values(spec: ProblemSpec, series):
         return None
     omega = roots[0][1]
 
-    def tok(j):
-        return spec.ics.get(j)
-
     def is_zero(v):
         return v is not None and v.strip() == "0"
 
-    alpha, beta = tok(0), tok(1)
+    alpha, beta = spec.ics.get(0), spec.ics.get(1)
     if spec.constant_style == "amp-sin" and is_zero(alpha) and beta:
         r = beta if not _numeric(beta) else float(beta) / float(omega)
         if _numeric(beta) or omega == 1:
             return {amp[0]: r, off[0]: 0}
     if spec.constant_style == "amp-cos" and is_zero(beta) and alpha:
-        if _numeric(alpha) or True:
-            return {amp[0]: alpha if not _numeric(alpha) else float(alpha),
-                    off[0]: 0}
+        return {amp[0]: alpha if not _numeric(alpha) else float(alpha),
+                off[0]: 0}
     return None
 
 
@@ -124,8 +126,6 @@ def hidden_scale_pipeline(spec: ProblemSpec):
 
 
 def derive_ode(spec: ProblemSpec, rep: Report):
-    if spec.options.get("scripted") == "filament":
-        return derive_filament(spec, rep)
     prob, series, painted, ft, flows, uniform = hidden_scale_pipeline(spec)
     dep = spec.dependent
     rep.add("-- bare series --")
@@ -160,7 +160,7 @@ def _derive_cgo_comparison(spec: ProblemSpec, rep: Report, painted, ft):
                                  parameter=spec.parameter)
     rep.add(f"-- comparison: split series at {x0} with the limit "
             f"{spec.variable} -> {x0} --")
-    for i, e in enumerate(res.equations):
+    for e in res.equations:
         rep.add(f"0 = {textform.expr_text(e)}")
     rep.add("underdetermined" if res.underdetermined
             else "determined with series and first derivative")
@@ -209,7 +209,7 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
     return rhs, n
 
 
-def _uniform_env(spec: ProblemSpec, flows, uniform, params):
+def _uniform_env(spec: ProblemSpec, params):
     """Numeric environment: parameter values plus tilde start values."""
     env = dict(params)
     for key, v in spec.options.items():
@@ -242,33 +242,27 @@ def _ic_vector(spec, uniform, env, x0: float, nord: int):
     return out
 
 
-def validate_ode(spec: ProblemSpec, rep: Report, csv_dir):
-    if spec.options.get("scripted") == "filament":
-        return validate_filament(spec, rep)
-    name = spec.name
+def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     prob, series, painted, ft, flows, uniform = derive_ode(spec, rep)
     rep.add("-- validation --")
-    lo, hi, npts = (spec.validate.get("grid") or "0 15 301").split()
-    grid = np.linspace(float(lo), float(hi), int(npts))
+    lo, hi, npts = _floats(spec, "grid", "0 15 301")
+    grid = np.linspace(lo, hi, int(npts))
+    if "scaling_order" in spec.validate:
+        return _validate_scaling(spec, rep, csv_dir, grid, series)
     params = dict(spec.params)
-
-    env = _uniform_env(spec, flows, uniform, params)
+    env = _uniform_env(spec, params)
     for c in series.constants:
         if c.name not in [u.name for u in ft.unknowns]:
             env.setdefault(c.name, 0.0)
-
-    if "scaling_order" in spec.validate:
-        return _validate_scaling(spec, rep, csv_dir, grid, series)
 
     rhs, nord = _ode_rhs(spec, params)
     y0 = _ic_vector(spec, uniform, env, float(grid[0]), nord)
     ref = numlab.solve_ivp(rhs, y0, (float(grid[0]), float(grid[-1])),
                            "rk45-adaptive", tol=1e-11, t_eval=grid)
     uvals = np.array([uniform.evaluate(float(t), env) for t in grid])
-    err = numlab.ErrorReport.from_samples(grid, ref.at_nodes(), uvals,
-                                          params)
+    err = numlab.ErrorReport.from_samples(grid, ref.at_nodes(), uvals)
     rep.add(f"sup error vs oracle: {_fmt(err.sup_error)}")
-    _write_csv(csv_dir, f"{name}_uniform.csv",
+    _write_csv(csv_dir, f"{spec.name}_uniform.csv",
                [spec.variable, "y_numeric", "y_uniform", "abs_error"],
                err.table)
 
@@ -297,9 +291,8 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir):
                   f"{_fmt(err.sup_error)} <= {cmax} * {_fmt(c_half)} "
                   f"* eps^{kk}")
     if "textbook_ratio_max" in spec.validate:
-        _validate_kdv_textbook(spec, rep, csv_dir, grid, uniform, env, ref,
-                               err)
-    return rep
+        _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows,
+                               uniform, env, ref, err)
 
 
 def _fit_tildes_to_ics(uniform, spec, env, ics, x0: float = 0.0):
@@ -327,16 +320,12 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
     displayed closed form, so the pipeline is re-run at
     validate.scaling_order before fitting the convergence order.
     """
-    import dataclasses
-    order2 = int(spec.validate["scaling_order"])
-    spec2 = dataclasses.replace(spec, order=order2)
-    prob2, series2, painted2, ft2, flows2, uniform2 = \
-        hidden_scale_pipeline(spec2)
-    params = dict(spec.params)
-    epsv = params[spec.parameter]
+    spec2 = dataclasses.replace(spec,
+                                order=int(spec.validate["scaling_order"]))
+    uniform2 = hidden_scale_pipeline(spec2)[-1]
+    epsv = spec.params[spec.parameter]
     ics = [float(spec.ics.get(0, "0")), float(spec.ics.get(1, "0"))]
-    sweep = [float(s) for s in
-             (spec.validate.get("sweep") or "0.05 0.1 0.2").split()]
+    sweep = _floats(spec, "sweep", "0.05 0.1 0.2")
     step = float(spec.validate.get("oracle_step", "1e-3"))
     bare = series.full()
     errs = []
@@ -377,8 +366,7 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
                [spec.variable, "y_numeric", "y_bare", "y_uniform",
                 "err_bare", "err_uniform"], table_rows)
     p = numlab.convergence_order(errs)
-    lo_p, hi_p = [float(s) for s in
-                  (spec.validate.get("order_band") or "1.7 2.3").split()]
+    lo_p, hi_p = _floats(spec, "order_band", "1.7 2.3")
     rep.add("eps sweep: " + "; ".join(f"eps={e}: {_fmt(s)}" for e, s in errs))
     rep.check("uniform-solution error order", lo_p <= p <= hi_p,
               f"p = {p:.3f} in [{lo_p}, {hi_p}]")
@@ -393,17 +381,16 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
               bare_end >= ratio_min * uni_end,
               f"bare {_fmt(bare_end)} >= {ratio_min} x uniform "
               f"{_fmt(uni_end)}")
-    return rep
 
 
-def _validate_kdv_textbook(spec, rep, csv_dir, grid, uniform, env, ref, err):
+def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, uniform,
+                           env, ref, err):
     """Compare against the strained coordinate with the textbook exponent."""
-    from .exprcore import Poly
-    prob, series, painted, ft, flows, _ = hidden_scale_pipeline(spec)
     qp = (Poly.sym("A1", 2) * Poly.sym("eps", 2) * Poly.sym("k", -5)
           * Poly.sym("delta", -4)).scale(Fraction(27, 16))
-    flows.flows["phi"].drift_poly = -qp
-    textbook = ftflow.assemble_uniform(painted, flows)
+    phi = dataclasses.replace(flows.flows["phi"], drift_poly=-qp)
+    textbook = ftflow.assemble_uniform(painted, dataclasses.replace(
+        flows, flows={**flows.flows, "phi": phi}, _cache={}))
     tvals = np.array([textbook.evaluate(float(t), env) for t in grid])
     terr = float(np.max(np.abs(tvals - ref.at_nodes())))
     ratio_max = float(spec.validate.get("textbook_ratio_max", "0.5"))
@@ -416,22 +403,19 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, uniform, env, ref, err):
     rep.check("hidden-scale error at most half the textbook error",
               err.sup_error <= ratio_max * terr,
               f"{_fmt(err.sup_error)} <= {ratio_max} * {_fmt(terr)}")
-    return rep
 
 
-def validate_filament(spec: ProblemSpec, rep: Report):
+def validate_filament(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     d = derive_filament(spec, rep)
     rep.add("-- validation --")
     for i in ("1", "2"):
         ok = d.amplitude_rhs[f"A{i}"] == filament_mod.amplitude_target(i)
         rep.check(f"amplitude equation A{i}'' exact", ok)
-    lo, hi = [float(s) for s in
-              (spec.validate.get("exponent_band") or "0.3 0.7").split()]
+    lo, hi = _floats(spec, "exponent_band", "0.3 0.7")
     rep.check("declared order assumption verified a posteriori",
               lo <= d.order_assumption_exponent <= hi,
               f"fitted exponent {d.order_assumption_exponent:.3f} "
               f"in [{lo}, {hi}] (declared 1/2)")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +455,7 @@ def derive_switchback(spec: ProblemSpec, rep: Report):
     return series
 
 
-def validate_switchback(spec: ProblemSpec, rep: Report, csv_dir):
+def validate_switchback(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     series = derive_switchback(spec, rep)
     p = _switchback_problem(spec)
     rep.add("-- validation --")
@@ -526,7 +510,6 @@ def validate_switchback(spec: ProblemSpec, rep: Report, csv_dir):
                   f"{_fmt(e1)} <= {tol}")
     _write_csv(csv_dir, f"{spec.name}_profiles.csv", header,
                np.column_stack(rows))
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +536,16 @@ def derive_pertsym(spec: ProblemSpec, rep: Report):
         float(spec.options.get("offset", "0.4")))
     rep.add("-- finite transformation of the s-flow --")
     rep.add(f"{spec.dependent} = {closed.text()}")
-    return series, gen, closed
 
 
-def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir):
-    series, gen, closed = derive_pertsym(spec, rep)
+def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
+    derive_pertsym(spec, rep)
     rep.add("-- validation --")
-    lo, hi, npts = (spec.validate.get("grid") or "0 20 201").split()
-    grid = np.linspace(float(lo), float(hi), int(npts))
+    lo, hi, npts = _floats(spec, "grid", "0 20 201")
+    grid = np.linspace(lo, hi, int(npts))
     amp = float(spec.options.get("amplitude", "1"))
     off = float(spec.options.get("offset", "0.4"))
-    sweep = [float(s) for s in
-             (spec.validate.get("sweep") or "0.05 0.1 0.2").split()]
+    sweep = _floats(spec, "sweep", "0.05 0.1 0.2")
     step = float(spec.validate.get("oracle_step", "1e-4"))
     # one stacked fixed-step integration covers the whole sweep
     uforms = [pertsym.underdamped_uniform(ev, amp, off) for ev in sweep]
@@ -586,18 +567,15 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir):
                                              - ref.at_nodes(2 * i))))))
     rep.add("eps sweep: " + "; ".join(f"eps={e}: {_fmt(s)}" for e, s in errs))
     p = numlab.convergence_order(errs)
-    lo_p, hi_p = [float(s) for s in
-                  (spec.validate.get("order_band") or "2.6 3.4").split()]
+    lo_p, hi_p = _floats(spec, "order_band", "2.6 3.4")
     rep.check("closed-form error order", lo_p <= p <= hi_p,
               f"p = {p:.3f} in [{lo_p}, {hi_p}]")
     by_eps = dict(errs)
     if 0.1 in by_eps and 0.2 in by_eps:
-        lo_r, hi_r = [float(s) for s in
-                      (spec.validate.get("ratio_band") or "6 10").split()]
+        lo_r, hi_r = _floats(spec, "ratio_band", "6 10")
         r = by_eps[0.2] / by_eps[0.1]
         rep.check("halving ratio consistent with third-order error",
                   lo_r <= r <= hi_r, f"err(0.2)/err(0.1) = {r:.2f}")
-    return rep
 
 
 def derive_burgers(spec: ProblemSpec, rep: Report):
@@ -609,16 +587,15 @@ def derive_burgers(spec: ProblemSpec, rep: Report):
     rep.add("integral from H(u) to x of dz/U'(z) = eps*t*u")
     rep.add("-- closed form for U = log(1+x) --")
     rep.add("u = (x+1)^2/(2*eps*t) - W[(1/(eps*t))*exp((x+1)^2/(eps*t))]/2")
-    return gen
 
 
-def validate_burgers(spec: ProblemSpec, rep: Report, csv_dir, seed: int = 0):
+def validate_burgers(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     derive_burgers(spec, rep)
     rep.add("-- validation --")
     epsv = float(spec.params.get("eps", 0.1))
-    times = [float(s) for s in (spec.validate.get("times") or "1 10 20").split()]
-    lo, hi, npts = (spec.validate.get("x_range") or "0 5 201").split()
-    xs = np.linspace(float(lo), float(hi), int(npts))
+    times = _floats(spec, "times", "1 10 20")
+    lo, hi, npts = _floats(spec, "x_range", "0 5 201")
+    xs = np.linspace(lo, hi, int(npts))
     prof = pertsym.Log1pProfile()
 
     rng = np.random.default_rng(seed or 7)
@@ -626,14 +603,14 @@ def validate_burgers(spec: ProblemSpec, rep: Report, csv_dir, seed: int = 0):
     worst = 0.0
     for _ in range(100):
         t_ = float(rng.uniform(0.5, 20.0))
-        x_ = float(rng.uniform(float(lo), float(hi)))
+        x_ = float(rng.uniform(lo, hi))
         worst = max(worst, abs(pertsym.burgers_ft_solve(prof, t_, x_, epsv)
                                - pertsym.burgers_closed_form(t_, x_, epsv)))
     rep.check("closed form agrees with the implicit-relation root",
               worst <= agree_tol, f"worst |diff| = {worst:.2e}")
 
     field = numlab.solve_burgers_mol(lambda x: np.log1p(x), epsv, times,
-                                     np.linspace(float(lo), float(hi), 401))
+                                     np.linspace(lo, hi, 401))
     sup_tol = float(spec.validate.get("sup_tol", "5e-2"))
     last_sym = last_bare = None
     for i, t_ in enumerate(times):
@@ -657,22 +634,32 @@ def validate_burgers(spec: ProblemSpec, rep: Report, csv_dir, seed: int = 0):
               last_sym <= sup_tol < last_bare,
               f"symmetry {_fmt(last_sym)} <= {sup_tol} < bare {_fmt(last_bare)}"
               f" (ratio {last_bare / last_sym:.2f})")
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # Command drivers.
 
-def run_derive(spec: ProblemSpec, check: bool, csv_dir=None) -> Report:
+# spec kind, or the scripted derivation named by options.scripted ->
+# (derive(spec, rep), validate(spec, rep, csv_dir, seed))
+HANDLERS = {
+    "ode-hidden-scale": (derive_ode, validate_ode),
+    "filament": (derive_filament, validate_filament),
+    "switchback": (derive_switchback, validate_switchback),
+    "perturbation-symmetry": (derive_pertsym, validate_pertsym),
+    "burgers": (derive_burgers, validate_burgers),
+}
+
+
+def _handlers(spec: ProblemSpec):
+    key = spec.options.get("scripted", spec.kind)
+    if key not in HANDLERS:
+        raise SpecError(f"unknown options.scripted {key!r}")
+    return HANDLERS[key]
+
+
+def run_derive(spec: ProblemSpec, check: bool) -> Report:
     rep = Report(spec)
-    if spec.kind == "ode-hidden-scale":
-        derive_ode(spec, rep)
-    elif spec.kind == "switchback":
-        derive_switchback(spec, rep)
-    elif spec.kind == "perturbation-symmetry":
-        derive_pertsym(spec, rep)
-    elif spec.kind == "burgers":
-        derive_burgers(spec, rep)
+    _handlers(spec)[0](spec, rep)
     if check:
         golden = Path(spec.path).parent / "golden" / f"{spec.name}.golden.txt"
         if not golden.exists():
@@ -685,20 +672,13 @@ def run_derive(spec: ProblemSpec, check: bool, csv_dir=None) -> Report:
 
 def run_validate(spec: ProblemSpec, csv_dir, seed: int = 0) -> Report:
     rep = Report(spec)
-    if spec.kind == "ode-hidden-scale":
-        validate_ode(spec, rep, csv_dir)
-    elif spec.kind == "switchback":
-        validate_switchback(spec, rep, csv_dir)
-    elif spec.kind == "perturbation-symmetry":
-        validate_pertsym(spec, rep, csv_dir)
-    elif spec.kind == "burgers":
-        validate_burgers(spec, rep, csv_dir, seed)
+    _handlers(spec)[1](spec, rep, csv_dir, seed)
     return rep
 
 
 def run_sweep(spec: ProblemSpec, csv_dir) -> Report:
     rep = Report(spec)
-    sweep = [float(s) for s in (spec.validate.get("sweep") or "").split()]
+    sweep = _floats(spec, "sweep", "")
     if not sweep:
         rep.check("sweep list present", False,
                   "spec has no validate.sweep entry")
@@ -706,9 +686,8 @@ def run_sweep(spec: ProblemSpec, csv_dir) -> Report:
     rep.add(f"sweep over {spec.parameter}: "
             + " ".join(_fmt(s) for s in sweep))
     for ev in sweep:
-        sub = ProblemSpec(**{**spec.__dict__})
-        sub.params = dict(spec.params)
-        sub.params[spec.parameter] = ev
+        sub = dataclasses.replace(
+            spec, params={**spec.params, spec.parameter: ev})
         subrep = run_validate(sub, csv_dir)
         status = "PASS" if subrep.ok else "FAIL"
         rep.add(f"{spec.parameter} = {ev:g}: {status}")
@@ -725,21 +704,24 @@ def main(argv=None) -> int:
     for cmd in ("derive", "validate", "sweep"):
         p = sub.add_parser(cmd)
         p.add_argument("spec", help="problem-spec file")
-        p.add_argument("--csv-dir", default=None,
-                       help="directory for CSV tables")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks")
         if cmd == "derive":
             p.add_argument("--check", action="store_true",
                            help="compare against the golden file")
+        else:
+            p.add_argument("--csv-dir", default=None,
+                           help="directory for CSV tables")
+        if cmd == "validate":
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for randomized checks")
     args = ap.parse_args(argv)
     try:
         spec = parse_spec(args.spec)
+        _handlers(spec)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     if args.command == "derive":
-        rep = run_derive(spec, args.check, args.csv_dir)
+        rep = run_derive(spec, args.check)
     elif args.command == "validate":
         rep = run_validate(spec, args.csv_dir, args.seed)
     else:

@@ -37,16 +37,8 @@ class OutOfClassError(ValueError):
 # ---------------------------------------------------------------------------
 # Gaussian rationals, stored as (re, im) Fraction pairs.
 
-def _qadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def _qmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _qneg(a):
-    return (-a[0], -a[1])
 
 
 def _qdiv(a, b):
@@ -649,13 +641,6 @@ class Expr:
     def eval(self, env: Mapping[str, float]) -> complex:
         return sum((t.eval(env) for t in self.terms), 0j)
 
-    def eval_real(self, env: Mapping[str, float], tol: float = 1e-9) -> float:
-        v = self.eval(env)
-        scale = max(1.0, abs(v))
-        if abs(v.imag) > tol * scale:
-            raise ValueError(f"expression is not numerically real: {v}")
-        return v.real
-
     # -- substitution family ------------------------------------------------------
     def rename(self, old: str, new: str) -> "Expr":
         """Uniform symbol rename across coefficients, powers, rates and phases."""
@@ -918,59 +903,7 @@ def _as_expr(x) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Spec-level convenience operations.
-
-def normalize(e: Expr) -> Expr:
-    """Return the canonical form (idempotent; Expr already normalizes)."""
-    return Expr(e.terms, e.deps)
-
-
-def diff(e: Expr, v: str) -> Expr:
-    return e.diff(v)
-
-
-class FunctionTag:
-    """Opaque function-of-variable marker for ``substitute``."""
-
-    def __init__(self, var: str, prime: "str | None" = None):
-        self.var = var
-        self.prime = prime
-
-
-class PhaseShift:
-    """Linear phase replacement for ``substitute`` on offset symbols."""
-
-    def __init__(self, offs=(), freqs=(), pi_halves: int = 0):
-        self.offs = dict(offs)
-        self.freqs = dict(freqs)
-        self.pi_halves = pi_halves
-
-
-def substitute(e: Expr, sym: str, replacement) -> Expr:
-    """Replace ``sym`` according to the type of ``replacement``.
-
-    str -> rename; Expr/number -> parameter substitution; FunctionTag ->
-    promotion to an opaque function; PhaseShift -> linear phase replacement.
-    Anything that would leave the class raises OutOfClassError.
-    """
-    if isinstance(replacement, str):
-        return e.rename(sym, replacement)
-    if isinstance(replacement, FunctionTag):
-        return e.promote(sym, replacement.var, replacement.prime)
-    if isinstance(replacement, PhaseShift):
-        return e.shift_phase(sym, replacement.offs, replacement.freqs,
-                             replacement.pi_halves)
-    if isinstance(replacement, (int, Fraction, Poly, Expr)):
-        return e.subs_param(sym, replacement if not isinstance(replacement, Poly)
-                            else Expr.from_poly(replacement))
-    raise OutOfClassError(
-        f"replacement of type {type(replacement).__name__} is outside the "
-        "expression class")
-
-
-def collect_order(e: Expr, param: str, j: int) -> Expr:
-    return e.collect_order(param, j)
-
+# Painting.
 
 def classify_divergent(e: Expr, v: str,
                        predicate: "Callable[[Term], bool] | None" = None):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprcore import Expr, Poly
+from .exprcore import Expr
 from .pertseries import (ConstantInfo, LinearOperator, PerturbationSeries,
                          PertTerm, ODEProblem, complementary, solve_order)
 from . import ftflow

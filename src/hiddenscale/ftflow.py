@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exprcore import (Expr, OutOfClassError, P_ONE, Poly, Term, _offs_make,
-                       _qdiv, _slot_make, classify_divergent, paint_term)
+from .exprcore import (Expr, OutOfClassError, Poly, Term, _offs_make, _qdiv,
+                       _slot_make, classify_divergent, paint_term)
 from .pertseries import (ConstantInfo, PerturbationSeries, LinearOperator,
                          particular_integral, _expr_at_zero)
 
@@ -69,7 +69,6 @@ class PaintedSeries:
 
 
 def paint(series: PerturbationSeries, n_derivs: int,
-          classifier: Optional[Callable[[Term], bool]] = None,
           mu: str = "mu") -> PaintedSeries:
     """Paint the series and its first ``n_derivs`` derivatives.
 
@@ -86,7 +85,7 @@ def paint(series: PerturbationSeries, n_derivs: int,
     pmap = []
     from . import textform
     for i, e in enumerate(exprs):
-        div, conv = classify_divergent(e, v, classifier)
+        div, conv = classify_divergent(e, v)
         newt = [paint_term(t, v, mu) for t in div.terms]
         pmap.extend((i, textform.expr_text(Expr([t]))) for t in div.terms)
         painted.append(Expr(list(conv.terms) + newt, e.deps))
@@ -302,17 +301,15 @@ class FTSystem:
     unknowns: list                 # [ConstantInfo]
     equations: dict                # name -> Expr rhs
     determined_orders: dict        # name -> highest parameter order solved
-    order_assumptions: dict = field(default_factory=dict)
     asymptotic_only: bool = False
     raw_equations: list = field(default_factory=list)
 
     def unknown_names(self):
         return [c.name for c in self.unknowns]
 
-    def rhs_callable(self, param_values: dict, extra: Optional[dict] = None):
+    def rhs_callable(self, param_values: dict):
         names = self.unknown_names()
         base = dict(param_values)
-        base.update(extra or {})
         exprs = [self.equations[n] for n in names]
         def f(mu_val, y):
             env = dict(base)
@@ -358,9 +355,7 @@ def _split_linear_in_primes(eq: Expr, primes):
     return coeffs, rest
 
 
-def derive_ft_system(ps: PaintedSeries, k: int,
-                     unknowns: Optional[Sequence[ConstantInfo]] = None,
-                     order_assumptions: Optional[dict] = None) -> FTSystem:
+def derive_ft_system(ps: PaintedSeries, k: int) -> FTSystem:
     """Derive the flow equations for the integration constants.
 
     Writes each dA_i/dmu as a series in the perturbation parameter up to
@@ -369,9 +364,7 @@ def derive_ft_system(ps: PaintedSeries, k: int,
     when no flow satisfies an equation and FTUnderdetermined when the stored
     derivatives do not close the system.
     """
-    series = ps.series
-    if unknowns is None:
-        unknowns = series.min_order_constants()
+    unknowns = ps.series.min_order_constants()
     if not unknowns:
         raise FTError("no integration constants to flow")
     eps = ps.parameter
@@ -426,8 +419,7 @@ def derive_ft_system(ps: PaintedSeries, k: int,
         equations[c.name] = Expr(rhs.terms)   # drop promotion bookkeeping
         determined[c.name] = d
     ft = FTSystem(ps.mu, ps.variable, eps, k, list(unknowns), equations,
-                  determined, dict(order_assumptions or {}),
-                  ps.asymptotic_only, [eq for eq, _ in scalar])
+                  determined, ps.asymptotic_only, [eq for eq, _ in scalar])
     _verify_ft(ps, ft)
     return ft
 
@@ -561,9 +553,6 @@ class ConstantFlows:
     numeric_names: list = field(default_factory=list)
     _cache: dict = field(default_factory=dict)
 
-    def tilde_names(self):
-        return {n: n + TILDE_SUFFIX for n in self.ft.unknown_names()}
-
     def values(self, x: float, env: dict) -> dict:
         """Constant values at mu = 0 for start point ``x``.
 
@@ -629,7 +618,6 @@ def _as_poly(e: Expr) -> Optional[Poly]:
 
 
 def integrate_orbits(ft: FTSystem, x_symbol: str,
-                     k: Optional[int] = None,
                      tilde_values: Optional[dict] = None) -> ConstantFlows:
     """Integrate the flow equations from mu = x down to mu = 0.
 
@@ -641,7 +629,6 @@ def integrate_orbits(ft: FTSystem, x_symbol: str,
     truncation.  If any constant fits no pattern the whole system falls back
     to numeric tabulation.
     """
-    k = ft.order if k is None else k
     names = ft.unknown_names()
     name_set = set(names)
     tildes = {n: n + TILDE_SUFFIX for n in names}
@@ -660,7 +647,7 @@ def integrate_orbits(ft: FTSystem, x_symbol: str,
             if (refs - {n}) - set(solved):
                 continue
             flow = _match_flow(ft, n, rhs, solved, flows, tildes, offsets,
-                               x_symbol, k, tvals)
+                               x_symbol, tvals)
             if flow is None:
                 return _numeric_flows(ft, x_symbol)
             flows[n] = flow
@@ -721,10 +708,8 @@ def _finish_flow(flow: Flow, tvals: dict) -> Flow:
     return flow
 
 
-def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, k,
-                tvals=None):
-    tvals = tvals or {}
-    mu, eps = ft.mu, ft.parameter
+def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
+    mu, eps, k = ft.mu, ft.parameter, ft.order
     til = Expr.sym(tildes[n])
     if rhs.is_zero():
         return _finish_flow(Flow(n, tildes[n], "const", value0=til), tvals)
@@ -1018,12 +1003,3 @@ def cgo_rg_equation(split_series: Expr, derivs: Sequence[Expr], x: str,
     if under and free:
         msg += f" (free symbols present: {', '.join(free)})"
     return CGOResult(eqs, primes, under, msg)
-
-
-def _cgo_param(e: Expr, constants, primes, x0) -> str:
-    """The perturbation parameter is the remaining non-constant symbol."""
-    rest = e.symbols() - set(constants) - set(primes) - {x0}
-    for s in sorted(rest):
-        if s == "eps":
-            return s
-    return sorted(rest)[0] if rest else "eps"

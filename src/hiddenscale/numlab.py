@@ -8,7 +8,7 @@ independent of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp as _scipy_ivp
@@ -202,17 +202,13 @@ class ErrorReport:
     sup_error: float
     l2_error: float
     table: np.ndarray          # columns: x, oracle, approx, abs error
-    parameters: dict = field(default_factory=dict)
-    oracle_settings: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_samples(x, oracle, approx, parameters=None, oracle_settings=None):
+    def from_samples(x, oracle, approx):
         x = np.asarray(x, dtype=float)
         oracle = np.asarray(oracle, dtype=float)
         approx = np.asarray(approx, dtype=float)
         err = np.abs(oracle - approx)
         table = np.column_stack([x, oracle, approx, err])
         return ErrorReport(float(err.max()),
-                           float(np.sqrt(np.mean(err ** 2))),
-                           table, dict(parameters or {}),
-                           dict(oracle_settings or {}))
+                           float(np.sqrt(np.mean(err ** 2))), table)

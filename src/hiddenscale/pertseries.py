@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exprcore import (Expr, OutOfClassError, P_ONE, Poly, Term,
-                       _qdiv, _qmul, _qpow)
+from .exprcore import Expr, Poly, Term, _qdiv, _qmul, _qpow
 
 ZERO = Fraction(0)
 
@@ -67,13 +66,6 @@ class LinearOperator:
                 d = d.diff(self.var)
             if c:
                 out = out + d.scale(c)
-        return out
-
-    def char_value(self, z):
-        """Characteristic polynomial at Gaussian-rational z = (re, im)."""
-        out = (ZERO, ZERO)
-        for m, c in enumerate(self.coeffs):
-            out = (out[0] + c * _qpow(z, m)[0], out[1] + c * _qpow(z, m)[1])
         return out
 
     def multiplicity(self, z) -> int:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exprcore import Expr, Poly, Term
+from .exprcore import Expr
 from .pertseries import PerturbationSeries
 
 

@@ -143,10 +143,6 @@ class SwExpr:
             total += v
         return total
 
-    def subs(self, env: dict) -> "SwExpr":
-        return SwExpr([SwTerm(t.coeff.subs_num(env), t.xpow, t.erate,
-                              t.e1pows) for t in self.terms])
-
     def text(self) -> str:
         from .textform import poly_text
         if not self.terms:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exprcore import (Expr, OutOfClassError, P_ONE, Poly, Term)
+from .exprcore import Expr, OutOfClassError, Poly, Term
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hiddenscale import cli
-from hiddenscale.specfile import parse_spec
+from hiddenscale.specfile import KINDS, parse_spec
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ALL_SPECS = sorted(p.stem for p in CORPUS.glob("*.spec"))
@@ -40,11 +40,25 @@ def test_validate_is_deterministic():
     assert a == b
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     r = run_cli("derive", str(CORPUS / "overdamped.spec"), "--check")
     assert r.returncode == 0, r.stdout + r.stderr
     r2 = run_cli("derive", "/nonexistent.spec")
     assert r2.returncode == 2
+    r3 = run_cli("derive", str(CORPUS / "overdamped.spec"), "--csv-dir", "x")
+    assert r3.returncode == 2
+    odd = tmp_path / "odd.spec"
+    odd.write_text((CORPUS / "overdamped.spec").read_text()
+                   + "options.scripted = nosuch\n")
+    r4 = run_cli("validate", str(odd))
+    assert r4.returncode == 2
+    assert r4.stderr == "spec error: unknown options.scripted 'nosuch'\n"
+
+
+def test_every_kind_has_handlers():
+    for kind in KINDS:
+        derive, validate = cli.HANDLERS[kind]
+        assert callable(derive) and callable(validate)
 
 
 def test_csv_emission(tmp_path):

@@ -1,0 +1,104 @@
+"""Dead-code guard: an AST scan of ``src/hiddenscale``.
+
+Fails when a function, class or method is referenced nowhere in ``src/``
+except inside its own definition, or when a module other than ``__init__``
+imports a name it never uses.  References are matched by name (a bare name,
+an attribute, an imported name, or a name inside a string annotation), so a
+method counts as used when any attribute of that name is read anywhere.
+Dunder methods are called by the language and are not checked.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hiddenscale"
+
+# Reference helpers kept for the tests that compare against them.
+TEST_FACING = {"expand_hierarchy", "most_divergent_partial_sum",
+               "radius_of_convergence"}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _annotation_names(tree):
+    """Names inside string annotations such as ``"Poly | None"``."""
+    out = Counter()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out.update(n.id for n in ast.walk(ast.parse(sub.value,
+                                                            mode="eval"))
+                           if isinstance(n, ast.Name))
+    return out
+
+
+def _references(tree):
+    """Every name a subtree mentions, counted."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out + _annotation_names(tree)
+
+
+def _definitions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def unreferenced_definitions():
+    trees = {p.name: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    total = sum((_references(t) for t in trees.values()), Counter())
+    out = []
+    for mod, tree in trees.items():
+        for node in _definitions(tree):
+            own = _references(node)[node.name]
+            if total[node.name] - own <= 0 and node.name not in TEST_FACING:
+                out.append(f"{mod}:{node.lineno} {node.name}")
+    return out
+
+
+def unused_imports():
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        used = Counter(n.id for n in ast.walk(tree)
+                       if isinstance(n, ast.Name)) + _annotation_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    name = (a.asname or a.name).split(".")[0]
+                    if not used[name]:
+                        out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions() == []
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
