@@ -18,10 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import filament as filament_mod
 from . import ftflow, numlab, pertsym, switchback, textform
-from .exprcore import Poly
+from .exprcore import Expr, Poly
 from .pertseries import build_bare_series
 from .specfile import ProblemSpec, SpecError, ode_problem, parse_spec
 
@@ -182,14 +183,25 @@ def derive_filament(spec: ProblemSpec, rep: Report):
 
 
 def _ode_rhs(spec: ProblemSpec, params: dict):
-    """First-order system for the full perturbed ODE at numeric parameters."""
+    """First-order system for the full perturbed ODE at numeric parameters.
+
+    When every perturbation term is linear in the derivatives with a
+    coefficient free of the variable, the system is constant-coefficient
+    linear and comes back as a ``numlab.LinearRHS`` whose columns are the
+    closure's values at the unit vectors.
+    """
     prob = ode_problem(spec)
     n = prob.operator.order
     coeffs = [float(c) for c in prob.operator.coeffs]
-    pert = [(pt.eps_power, pt.coeff, pt.deriv_powers)
-            for pt in prob.perturbations]
     epsv = params[spec.parameter]
     var = spec.variable
+    # A coefficient free of the variable is evaluated once here; one that
+    # depends on it (e.g. 2*eps*cos(t)) stays an Expr, evaluated per call.
+    pert = [(pt.eps_power,
+             pt.coeff if var in pt.coeff.symbols()
+             else pt.coeff.eval(params).real * epsv ** pt.eps_power,
+             pt.deriv_powers)
+            for pt in prob.perturbations]
 
     def rhs(t, y):
         top = 0.0
@@ -198,7 +210,10 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
         env = dict(params)
         env[var] = float(t)
         for p, coeff, dp in pert:
-            val = coeff.eval(env).real * epsv ** p
+            if isinstance(coeff, Expr):
+                val = coeff.eval(env).real * epsv ** p
+            else:
+                val = coeff
             for m, q in dp:
                 val *= y[m] ** q
             top += val
@@ -206,6 +221,10 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
         out[:-1] = y[1:]
         out[-1] = -top / coeffs[-1]
         return out
+    if all(not isinstance(c, Expr) and sum(q for _m, q in dp) == 1
+           for _p, c, dp in pert):
+        return numlab.LinearRHS(
+            np.column_stack([rhs(0.0, e) for e in np.eye(n)])), n
     return rhs, n
 
 
@@ -295,8 +314,8 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
                                uniform, env, ref, err)
 
 
-def _fit_tildes_to_ics(uniform, spec, env, ics, x0: float = 0.0):
-    """Solve the two tilde constants from y(x0) and y'(x0) (linear fit)."""
+def _fit_tildes_to_ics(uniform, env, ics):
+    """Solve the two tilde constants from y(0) and y'(0) (linear fit)."""
     names = [n for n in (uniform.symbolic.symbols() if uniform.symbolic
              is not None else []) if n.endswith(ftflow.TILDE_SUFFIX)]
     names = sorted(names)
@@ -305,9 +324,9 @@ def _fit_tildes_to_ics(uniform, spec, env, ics, x0: float = 0.0):
     for n in names:
         e = {**env, **{m: 0.0 for m in names}}
         e[n] = 1.0
-        cols.append([uniform.evaluate(x0, e),
-                     (uniform.evaluate(x0 + h, e)
-                      - uniform.evaluate(x0 - h, e)) / (2 * h)])
+        cols.append([uniform.evaluate(0.0, e),
+                     (uniform.evaluate(h, e)
+                      - uniform.evaluate(-h, e)) / (2 * h)])
     M = np.array(cols).T
     vals = np.linalg.solve(M, np.array(ics))
     return dict(zip(names, vals))
@@ -333,7 +352,7 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
     bare_end = uni_end = None
     for ev in sorted(set(sweep + [epsv])):
         env = {spec.parameter: ev}
-        tvals = _fit_tildes_to_ics(uniform2, spec2, env, ics)
+        tvals = _fit_tildes_to_ics(uniform2, env, ics)
         env.update(tvals)
         rhs, _n = _ode_rhs(spec, {spec.parameter: ev})
         ref = numlab.solve_ivp(rhs, ics, (float(grid[0]), float(grid[-1])),
@@ -553,12 +572,9 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     h = 1e-6
     for u in uforms:
         y0 += [u.evaluate(0.0), (u.evaluate(h) - u.evaluate(-h)) / (2 * h)]
-    evs = np.array(sweep)
-
-    def rhs(t, y):
-        z = y.reshape(-1, 2)
-        return np.column_stack([z[:, 1], -z[:, 0] - evs * z[:, 1]]).ravel()
-
+    # y'' + eps*y' + y = 0 per sweep value, one 2x2 block each
+    rhs = numlab.LinearRHS(block_diag(*([[0.0, 1.0], [-1.0, -ev]]
+                                        for ev in sweep)))
     ref = numlab.solve_ivp(rhs, y0, (grid[0], grid[-1]), "rk4-fixed",
                            step=step, t_eval=grid)
     errs = []

@@ -84,7 +84,7 @@ def test_criterion_2_overdamped_error_scaling():
         bare_end = uni_end = None
         for i, ev in enumerate(sweep):
             env = {"eps": float(ev)}
-            env.update(cli._fit_tildes_to_ics(uniform, spec2, env, ics))
+            env.update(cli._fit_tildes_to_ics(uniform, env, ics))
             uvals = np.array([uniform.evaluate(float(t), env) for t in grid])
             errs.append((float(ev), float(np.max(np.abs(
                 uvals - ref.at_nodes(2 * i))))))

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hiddenscale import cli
+from hiddenscale import cli, numlab
 from hiddenscale.specfile import KINDS, parse_spec
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -94,3 +95,26 @@ def test_sweep_command():
     spec = parse_spec(CORPUS / "underdamped.spec")
     rep = cli.run_sweep(spec, None)
     assert any(name.startswith("sweep point") for name, _ok, _d in rep.checks)
+
+
+def test_ode_rhs_linear_only_when_constant_coefficient():
+    # overdamped: y'' + y' + eps*y = 0 is constant-coefficient linear
+    spec = parse_spec(CORPUS / "overdamped.spec")
+    rng = np.random.default_rng(3)
+    for ev in (0.05, 0.2):
+        rhs, n = cli._ode_rhs(spec, {"eps": ev})
+        assert isinstance(rhs, numlab.LinearRHS) and n == 2
+        for _ in range(20):
+            t, y = rng.uniform(0.0, 15.0), rng.uniform(-3.0, 3.0, 2)
+            np.testing.assert_allclose(rhs(t, y), [y[1], -(y[1] + ev * y[0])],
+                                       rtol=0, atol=1e-12)
+    # mathieu's 2*eps*cos(t)*y depends on t; kdv's y*Dy is nonlinear
+    y = np.array([0.7, -0.4, 0.3])
+    mathieu = parse_spec(CORPUS / "mathieu.spec")
+    rhs, _n = cli._ode_rhs(mathieu, dict(mathieu.params))
+    assert not isinstance(rhs, numlab.LinearRHS)
+    assert rhs(0.0, y[:2])[1] != rhs(1.0, y[:2])[1]
+    kdv = parse_spec(CORPUS / "kdv.spec")
+    rhs, _n = cli._ode_rhs(kdv, dict(kdv.params))
+    assert not isinstance(rhs, numlab.LinearRHS)
+    assert rhs(0.0, 2 * y)[2] != 2 * rhs(0.0, y)[2]

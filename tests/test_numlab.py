@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hiddenscale.numlab import (ErrorReport, SolverError, convergence_order,
-                                solve_bvp_shooting, solve_burgers_mol,
-                                solve_ivp)
+from scipy.linalg import block_diag
+
+from hiddenscale.numlab import (ErrorReport, LinearRHS, SolverError,
+                                convergence_order, solve_bvp_shooting,
+                                solve_burgers_mol, solve_ivp)
 
 
 class TestIVP:
@@ -52,6 +54,38 @@ class TestIVP:
             solve_ivp(lambda t, y: np.full_like(
                           y, math.inf if 0.42 < t < 0.43 else -1.0),
                       [1.0], (0, 1), "rk4-fixed", step=0.01, t_eval=[0, 1])
+
+
+class TestLinearRHS:
+    """The stability-polynomial path of "rk4-fixed" against the step loop."""
+
+    @pytest.mark.parametrize("M, y0, t1, step, npts", [
+        # overdamped oracle, y'' + y' + 0.2*y = 0
+        ([[0.0, 1.0], [-0.2, -1.0]], [3.0, 1.0], 15.0, 1e-3, 301),
+        # the same at h = 0.1, where every term of R(hM) shows above 1e-10
+        ([[0.0, 1.0], [-0.2, -1.0]], [3.0, 1.0], 15.0, 0.1, 16),
+        # stacked underdamped sweep, y'' + eps*y' + y = 0 per block
+        (block_diag(*([[0.0, 1.0], [-1.0, -ev]] for ev in (0.05, 0.1, 0.2))),
+         [0.39, 0.92] * 3, 20.0, 1e-4, 201),
+    ], ids=["overdamped", "overdamped-coarse", "underdamped-stack"])
+    def test_matches_step_loop(self, M, y0, t1, step, npts):
+        M = np.asarray(M)
+        grid = np.linspace(0.0, t1, npts)
+        fast = solve_ivp(LinearRHS(M), y0, (0.0, t1), "rk4-fixed", step=step,
+                         t_eval=grid)
+        slow = solve_ivp(lambda t, y: M @ y, y0, (0.0, t1), "rk4-fixed",
+                         step=step, t_eval=grid)
+        assert np.max(np.abs(fast.states - slow.states)) < 1e-10
+        assert np.max(np.abs(fast.derivs - slow.derivs)) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_raises(self):
+        # each step multiplies the state by R(0.8) = 2.2224, which passes
+        # the float range at step 889
+        with pytest.raises(SolverError, match=r"^NaN/Inf in rk4-fixed state "
+                           r"at t=0\.889$"):
+            solve_ivp(LinearRHS([[800.0]]), [1.0], (0, 1), "rk4-fixed",
+                      step=1e-3)
 
 
 class TestShooting:
