@@ -462,7 +462,7 @@ def derive_switchback(spec: ProblemSpec, rep: Report):
         rep.add(f"u = {closed.text()}")
         rep.add(f"radius of convergence: a* = e1(eps)/e1(x)")
         hs = switchback.terrible_hidden_scale(p.eps, p.a)
-        ftsys = switchback.terrible_ft_equations(p.eps, p.a)
+        ftsys = switchback.terrible_ft_equations()
         rep.add("-- hidden-scale route in tau = e1(x) --")
         for n in ftsys.unknown_names():
             rep.add(f"{n}' = {textform.expr_text(ftsys.equations[n])}")

@@ -23,7 +23,6 @@ import cmath
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-Rat = Fraction
 RatLike = Union[int, Fraction]
 
 ZERO = Fraction(0)
@@ -934,3 +933,179 @@ def paint_term(t: Term, v: str, mu: str) -> Term:
     del d[v]
     d[mu] = d.get(mu, 0) + k
     return Term(t.coeff, tuple(sorted(d.items())), t.rates, t.freqs, t.offs)
+
+
+# ---------------------------------------------------------------------------
+# Exact linear systems with Expr coefficients.
+
+def _div_single(e: Expr, t: Term) -> Expr:
+    if not any(p for _, p in t.vpows):
+        return e * Expr([t]).inverse()
+    # variable powers present: divide term by term
+    m = t.coeff.single()
+    if m is None:
+        raise OutOfClassError("division by multi-term coefficient")
+    pows, re_c, im_c = m
+    inv_c = Poly([(tuple((s, -k) for s, k in pows),
+                   *_qdiv((ONE, ZERO), (re_c, im_c)))])
+    out = []
+    for a in e.terms:
+        vp = dict(a.vpows)
+        for v, p in t.vpows:
+            np_ = vp.get(v, 0) - p
+            if np_ < 0:
+                raise OutOfClassError("inexact division by variable power")
+            if np_:
+                vp[v] = np_
+            else:
+                vp.pop(v, None)
+        rates = dict(a.rates)
+        for v, p in t.rates:
+            rates[v] = rates.get(v, Poly()) - p
+        freqs = dict(a.freqs)
+        for v, p in t.freqs:
+            freqs[v] = freqs.get(v, Poly()) - p
+        offs = dict(a.offs)
+        for s, c in t.offs:
+            offs[s] = offs.get(s, ZERO) - c
+        out.append(Term(a.coeff * inv_c,
+                        tuple(sorted((v, p) for v, p in vp.items() if p)),
+                        _slot_make(rates), _slot_make(freqs), _offs_make(offs)))
+    return Expr(out, e.deps)
+
+
+def _atoms(e: Expr):
+    """Terms split to single-monomial coefficients, in canonical order."""
+    out = []
+    for t in e.terms:
+        for m in t.coeff.monos:
+            out.append(Term(Poly([m]), t.vpows, t.rates, t.freqs, t.offs))
+    out.sort(key=Term.sort_key)
+    return out
+
+
+def _natoms(e: Expr) -> int:
+    return sum(len(t.coeff.monos) for t in e.terms)
+
+
+def div_exact(num: Expr, den: Expr) -> Expr:
+    """Exact division num/den; raises OutOfClassError when not representable."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by zero expression")
+    t = den.single_term()
+    if t is not None and t.coeff.single() is not None:
+        return _div_single(num, t)
+    # greedy multivariate division against leading atoms
+    den_atoms = _atoms(den)
+    quotient = Expr.zero()
+    rem = num
+    guard = 4 * (_natoms(num) + 1) * (_natoms(den) + 1)
+    while not rem.is_zero() and guard:
+        guard -= 1
+        progressed = False
+        rem_atoms = _atoms(rem)
+        for pick_r in (rem_atoms[-1], rem_atoms[0]):
+            for pick_d in (den_atoms[-1], den_atoms[0]):
+                try:
+                    q = _div_single(Expr([pick_r]), pick_d)
+                except OutOfClassError:
+                    continue
+                new_rem = rem - q * den
+                if _natoms(new_rem) < _natoms(rem) + _natoms(den):
+                    quotient = quotient + q
+                    rem = new_rem
+                    progressed = True
+                    break
+            if progressed:
+                break
+        if not progressed:
+            raise OutOfClassError("inexact or unsupported expression division")
+    if not rem.is_zero():
+        raise OutOfClassError("inexact expression division")
+    return quotient
+
+
+class LinEq:
+    """One equation sum(coeffs[k] * k) + const = 0 in the unknown keys k."""
+
+    __slots__ = ("coeffs", "const", "label")
+
+    def __init__(self, coeffs: dict, const: Expr, label: str = ""):
+        self.coeffs = coeffs          # unknown key -> Expr
+        self.const = const
+        self.label = label
+
+    def prune(self):
+        self.coeffs = {k: c for k, c in self.coeffs.items() if not c.is_zero()}
+        return self
+
+
+def _pivot_quality(c: Expr):
+    t = c.single_term()
+    if t is None:
+        return (2, len(c.terms))
+    if not t.vpows and not t.rates and not t.freqs and not t.offs \
+            and t.coeff.is_number() is not None:
+        return (0, 0)
+    return (1, 0)
+
+
+def solve_linear_system(eqs: Sequence[LinEq]):
+    """Solve sum(coeff*unknown) + const = 0 by symbolic elimination.
+
+    Returns (solution, free, leftovers): the solution dict, the unknowns that
+    enter a pivot row but are never determined (the solution takes them as
+    zero; sorted by ``str``), and the constraints left once every unknown is
+    eliminated (nonzero ones are inconsistent).  Pivots prefer rational
+    numbers, then invertible single terms; otherwise a fraction-free step
+    keeps everything polynomial and exact division is used at
+    back-substitution.
+    """
+    eqs = [LinEq(dict(e.coeffs), e.const, e.label).prune() for e in eqs]
+    solved_rows = []          # (key, coeffs-of-others, const, pivot Expr)
+    while True:
+        best = None
+        for i, e in enumerate(eqs):
+            for k, c in e.coeffs.items():
+                q = _pivot_quality(c)
+                cand = (q, len(e.coeffs), str(k), i)
+                if best is None or cand < best[0]:
+                    best = (cand, i, k)
+        if best is None:
+            break
+        (_q, _n, _s, _i), i, k = best
+        pivot_eq = eqs.pop(i)
+        pivot_c = pivot_eq.coeffs.pop(k)
+        solved_rows.append((k, pivot_eq.coeffs, pivot_eq.const, pivot_c,
+                            pivot_eq.label))
+        new_eqs = []
+        for e in eqs:
+            c = e.coeffs.pop(k, None)
+            if c is None or c.is_zero():
+                new_eqs.append(e.prune())
+                continue
+            try:
+                factor = div_exact(c, pivot_c)
+                coeffs = {kk: e.coeffs.get(kk, Expr.zero())
+                          - factor * pivot_eq.coeffs.get(kk, Expr.zero())
+                          for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
+                const = e.const - factor * pivot_eq.const
+            except OutOfClassError:
+                coeffs = {kk: pivot_c * e.coeffs.get(kk, Expr.zero())
+                          - c * pivot_eq.coeffs.get(kk, Expr.zero())
+                          for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
+                const = pivot_c * e.const - c * pivot_eq.const
+            new_eqs.append(LinEq(coeffs, const, e.label).prune())
+        eqs = new_eqs
+    solution = {}
+    free = set()
+    for k, others, const, pivot_c, _label in reversed(solved_rows):
+        val = const
+        for kk, c in others.items():
+            if kk in solution:
+                val = val + c * solution[kk]
+            elif not c.is_zero():
+                free.add(kk)
+        solution[k] = -div_exact(val, pivot_c)
+    leftovers = [e for e in eqs if not e.const.is_zero() or e.coeffs]
+    return solution, sorted(free, key=str), leftovers

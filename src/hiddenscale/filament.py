@@ -16,7 +16,7 @@ import numpy as np
 
 from .exprcore import Expr
 from .pertseries import (ConstantInfo, LinearOperator, PerturbationSeries,
-                         PertTerm, ODEProblem, complementary, solve_order)
+                         complementary, solve_order)
 from . import ftflow
 
 
@@ -34,18 +34,6 @@ class FilamentDerivation:
 
 def operator() -> LinearOperator:
     return LinearOperator.make([1, 0, 2, 0, 1], "v")
-
-
-def problem(order: int = 1) -> ODEProblem:
-    """The pattern equation as L[W] - delta*(v*W' + v^2/2*W'') = 0."""
-    v = Expr.var("v")
-    return ODEProblem(operator(),
-                      [PertTerm(1, -v, ((1, 1),)),
-                       PertTerm(1, (v * v).scale(Fraction(-1, 2)), ((2, 1),))],
-                      "delta", order,
-                      constants_policy="fresh-per-order",
-                      constant_names={0: ["A1", "A2", "alpha1", "alpha2"],
-                                      1: ["c1", "c2", "c3", "c4"]})
 
 
 def build_series() -> PerturbationSeries:

@@ -17,8 +17,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exprcore import (Expr, OutOfClassError, Poly, Term, _offs_make, _qdiv,
-                       _slot_make, classify_divergent, paint_term)
+from .exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
+                       classify_divergent, div_exact, paint_term,
+                       solve_linear_system)
 from .pertseries import (ConstantInfo, PerturbationSeries, LinearOperator,
                          particular_integral, _expr_at_zero)
 
@@ -46,7 +47,6 @@ class PaintedSeries:
     painted: Expr
     painted_derivs: list
     mu: str
-    painting_map: list
     asymptotic_only: bool = False
 
     @property
@@ -82,14 +82,11 @@ def paint(series: PerturbationSeries, n_derivs: int,
     for _ in range(n_derivs):
         exprs.append(exprs[-1].diff(v))
     painted = []
-    pmap = []
-    from . import textform
-    for i, e in enumerate(exprs):
+    for e in exprs:
         div, conv = classify_divergent(e, v)
         newt = [paint_term(t, v, mu) for t in div.terms]
-        pmap.extend((i, textform.expr_text(Expr([t]))) for t in div.terms)
         painted.append(Expr(list(conv.terms) + newt, e.deps))
-    ps = PaintedSeries(series, painted[0], painted[1:], mu, pmap,
+    ps = PaintedSeries(series, painted[0], painted[1:], mu,
                        getattr(series, "asymptotic_only", False))
     if ps.restored() != exprs[0]:
         raise FTError("painting round trip failed")
@@ -111,176 +108,6 @@ def most_divergent_filter(series: PerturbationSeries) -> PerturbationSeries:
                              series.variable)
     out.asymptotic_only = True
     return out
-
-
-# ---------------------------------------------------------------------------
-# Symbolic linear systems (Expr coefficients).
-
-def _div_single(e: Expr, t: Term) -> Expr:
-    if not any(p for _, p in t.vpows):
-        return e * Expr([t]).inverse()
-    # variable powers present: divide term by term
-    m = t.coeff.single()
-    if m is None:
-        raise OutOfClassError("division by multi-term coefficient")
-    pows, re_c, im_c = m
-    inv_c = Poly([(tuple((s, -k) for s, k in pows),
-                   *_qdiv((Fraction(1), Fraction(0)), (re_c, im_c)))])
-    out = []
-    for a in e.terms:
-        vp = dict(a.vpows)
-        for v, p in t.vpows:
-            np_ = vp.get(v, 0) - p
-            if np_ < 0:
-                raise OutOfClassError("inexact division by variable power")
-            if np_:
-                vp[v] = np_
-            else:
-                vp.pop(v, None)
-        rates = dict(a.rates)
-        for v, p in t.rates:
-            rates[v] = rates.get(v, Poly()) - p
-        freqs = dict(a.freqs)
-        for v, p in t.freqs:
-            freqs[v] = freqs.get(v, Poly()) - p
-        offs = dict(a.offs)
-        for s, c in t.offs:
-            offs[s] = offs.get(s, Fraction(0)) - c
-        out.append(Term(a.coeff * inv_c,
-                        tuple(sorted((v, p) for v, p in vp.items() if p)),
-                        _slot_make(rates), _slot_make(freqs), _offs_make(offs)))
-    return Expr(out, e.deps)
-
-
-def _atoms(e: Expr):
-    """Terms split to single-monomial coefficients, in canonical order."""
-    out = []
-    for t in e.terms:
-        for m in t.coeff.monos:
-            out.append(Term(Poly([m]), t.vpows, t.rates, t.freqs, t.offs))
-    out.sort(key=Term.sort_key)
-    return out
-
-
-def _natoms(e: Expr) -> int:
-    return sum(len(t.coeff.monos) for t in e.terms)
-
-
-def div_exact(num: Expr, den: Expr) -> Expr:
-    """Exact division num/den; raises OutOfClassError when not representable."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero expression")
-    t = den.single_term()
-    if t is not None and t.coeff.single() is not None:
-        return _div_single(num, t)
-    # greedy multivariate division against leading atoms
-    den_atoms = _atoms(den)
-    quotient = Expr.zero()
-    rem = num
-    guard = 4 * (_natoms(num) + 1) * (_natoms(den) + 1)
-    while not rem.is_zero() and guard:
-        guard -= 1
-        progressed = False
-        rem_atoms = _atoms(rem)
-        for pick_r in (rem_atoms[-1], rem_atoms[0]):
-            for pick_d in (den_atoms[-1], den_atoms[0]):
-                try:
-                    q = _div_single(Expr([pick_r]), pick_d)
-                except OutOfClassError:
-                    continue
-                new_rem = rem - q * den
-                if _natoms(new_rem) < _natoms(rem) + _natoms(den):
-                    quotient = quotient + q
-                    rem = new_rem
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
-            raise OutOfClassError("inexact or unsupported expression division")
-    if not rem.is_zero():
-        raise OutOfClassError("inexact expression division")
-    return quotient
-
-
-@dataclass
-class LinEq:
-    coeffs: dict          # unknown key -> Expr
-    const: Expr
-    label: str = ""
-
-    def prune(self):
-        self.coeffs = {k: c for k, c in self.coeffs.items() if not c.is_zero()}
-        return self
-
-
-def _pivot_quality(c: Expr):
-    t = c.single_term()
-    if t is None:
-        return (2, len(c.terms))
-    if not t.vpows and not t.rates and not t.freqs and not t.offs \
-            and t.coeff.is_number() is not None:
-        return (0, 0)
-    return (1, 0)
-
-
-def solve_linear_system(eqs: Sequence[LinEq]):
-    """Solve sum(coeff*unknown) + const = 0 by symbolic elimination.
-
-    Returns (solution dict, unsolved unknown keys, leftover constraints).
-    Pivots prefer rational numbers, then invertible single terms; otherwise a
-    fraction-free step keeps everything polynomial and exact division is used
-    at back-substitution.
-    """
-    eqs = [LinEq(dict(e.coeffs), e.const, e.label).prune() for e in eqs]
-    solved_rows = []          # (key, coeffs-of-others, const, pivot Expr)
-    while True:
-        best = None
-        for i, e in enumerate(eqs):
-            for k, c in e.coeffs.items():
-                q = _pivot_quality(c)
-                cand = (q, len(e.coeffs), str(k), i)
-                if best is None or cand < best[0]:
-                    best = (cand, i, k)
-        if best is None:
-            break
-        (_q, _n, _s, _i), i, k = best
-        pivot_eq = eqs.pop(i)
-        pivot_c = pivot_eq.coeffs.pop(k)
-        solved_rows.append((k, pivot_eq.coeffs, pivot_eq.const, pivot_c,
-                            pivot_eq.label))
-        new_eqs = []
-        for e in eqs:
-            c = e.coeffs.pop(k, None)
-            if c is None or c.is_zero():
-                new_eqs.append(e.prune())
-                continue
-            try:
-                factor = div_exact(c, pivot_c)
-                coeffs = {kk: e.coeffs.get(kk, Expr.zero())
-                          - factor * pivot_eq.coeffs.get(kk, Expr.zero())
-                          for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
-                const = e.const - factor * pivot_eq.const
-            except OutOfClassError:
-                coeffs = {kk: pivot_c * e.coeffs.get(kk, Expr.zero())
-                          - c * pivot_eq.coeffs.get(kk, Expr.zero())
-                          for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
-                const = pivot_c * e.const - c * pivot_eq.const
-            new_eqs.append(LinEq(coeffs, const, e.label).prune())
-        eqs = new_eqs
-    solution = {}
-    for k, others, const, pivot_c, _label in reversed(solved_rows):
-        val = const
-        for kk, c in others.items():
-            if kk in solution:
-                val = val + c * solution[kk]
-            elif not c.is_zero():
-                raise FTUnderdetermined(
-                    f"unknown {kk} enters the pivot row for {k} but was never "
-                    "determined")
-        solution[k] = -div_exact(val, pivot_c)
-    leftovers = [e for e in eqs if not e.const.is_zero() or e.coeffs]
-    return solution, leftovers
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +214,11 @@ def derive_ft_system(ps: PaintedSeries, k: int) -> FTSystem:
             const = rest.collect_order(eps, m)
             if slot_coeffs or not const.is_zero():
                 lineqs.append(LinEq(slot_coeffs, const, f"{label} @order {m}"))
-    try:
-        solution, leftovers = solve_linear_system(lineqs)
-    except FTUnderdetermined as exc:
+    solution, free, leftovers = solve_linear_system(lineqs)
+    if free:
         raise FTUnderdetermined(
-            f"{exc}; add painted derivatives to close the system") from exc
+            f"unknowns {free} enter a pivot row but were never determined; "
+            "add painted derivatives to close the system")
     for e in leftovers:
         if e.coeffs:
             continue  # equations purely in undetermined higher slots
@@ -468,7 +295,9 @@ def derive_ft_exact(ps: PaintedSeries,
                 Fraction(max_grade) - Fraction(grades.get(p, 0)))
                 for p, c in coeffs.items()}
         eqs.append(LinEq({(p,): c for p, c in coeffs.items()}, rest, label))
-    solution, leftovers = solve_linear_system(eqs)
+    solution, free, leftovers = solve_linear_system(eqs)
+    if free:
+        raise FTUnderdetermined(f"primes {free} never determined")
     for e in leftovers:
         if not e.coeffs and not e.const.is_zero():
             raise FTInconsistent(f"residual equation {e.label} does not vanish")
@@ -906,8 +735,7 @@ def assemble_uniform(ps: PaintedSeries, flows: ConstantFlows) -> UniformSolution
             else:
                 symbolic = None
 
-    prov = {"flows": flows.flows, "special": special,
-            "asymptotic_only": ps.asymptotic_only}
+    prov = {"flows": flows.flows}
     if symbolic is not None:
         ev = None
         uni = UniformSolution(symbolic, x, ps.parameter, prov, ev)
@@ -990,12 +818,12 @@ def cgo_rg_equation(split_series: Expr, derivs: Sequence[Expr], x: str,
     under = False
     msg = ""
     try:
-        sol, leftovers = solve_linear_system(lineqs)
+        sol, _free, _leftovers = solve_linear_system(lineqs)
         missing = [p for p in primes if (p,) not in sol]
         if missing:
             under = True
             msg = f"underdetermined: no unique flow for {', '.join(missing)}"
-    except (FTUnderdetermined, OutOfClassError) as exc:
+    except OutOfClassError as exc:
         under = True
         msg = f"underdetermined: {exc}"
     free = sorted(set().union(*[set(e.symbols()) for e in eqs]) -

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exprcore import Expr, Poly, Term, _qdiv, _qmul, _qpow
+from .exprcore import (Expr, LinEq, Poly, Term, _qdiv, _qmul, _qpow,
+                       solve_linear_system)
 
 ZERO = Fraction(0)
 
@@ -433,10 +434,6 @@ def complementary(L: LinearOperator, names: Sequence[str], style: str,
     return cf, infos, offsets
 
 
-def constants_needed(L: LinearOperator) -> int:
-    return L.order
-
-
 def _expr_at_zero(e: Expr, var: str) -> Expr:
     out = []
     for t in e.terms:
@@ -454,9 +451,8 @@ def solve_order(L: LinearOperator, f: Expr, ics=None,
                 base_offsets: Optional[dict] = None):
     """Solve L[y] = f exactly: complementary function plus particular integral.
 
-    ``ics`` is None (keep fresh constants), "zero" (y and its first n-1
-    derivatives vanish at 0) or a list of (deriv order, value Expr).  With
-    explicit ics the fresh constants are solved out (rect style only).
+    ``ics`` is None (keep fresh constants) or "zero" (y and its first n-1
+    derivatives vanish at 0, and the fresh constants are solved out).
     Returns (Expr, [ConstantInfo], offsets).
     """
     n = L.order
@@ -467,76 +463,25 @@ def solve_order(L: LinearOperator, f: Expr, ics=None,
         return cf + pi, infos, offsets
     cf, infos, _ = complementary(L, [f"_c{i}" for i in range(n)], "rect")
     y = cf + pi
-    if ics == "zero":
-        ics = [(m, Expr.zero()) for m in range(n)]
-    var = L.var
-    # linear system over the fresh constants
+    consts = [c.name for c in infos]
     eqs = []
     d = y
-    derivs = [y]
-    for _ in range(max(m for m, _ in ics)):
-        d = d.diff(var)
-        derivs.append(d)
-    consts = [c.name for c in infos]
-    for m, val in ics:
-        expr0 = _expr_at_zero(derivs[m], var) - val
-        row = []
+    for m in range(n):
+        if m:
+            d = d.diff(L.var)
+        rest = _expr_at_zero(d, L.var)
+        coeffs = {}
         for cn in consts:
-            c, expr0 = expr0.coeff_linear(cn)
-            num = None
-            if c.is_zero():
-                num = (ZERO, ZERO)
-            else:
-                tt = c.single_term()
-                if tt is not None and not tt.vpows and not tt.rates \
-                        and not tt.freqs and not tt.offs:
-                    num = tt.coeff.is_number()
-            if num is None or num[1] != 0:
-                raise SolveError("initial conditions are not linear-rational "
-                                 "in the fresh constants")
-            row.append(num[0])
-        eqs.append((row, -expr0))
-    # rational Gaussian elimination with Expr right-hand sides
-    mrows = [list(r) for r, _ in eqs]
-    rhs = [v for _, v in eqs]
-    sol = {c: None for c in consts}
-    rowi = 0
-    for col in range(len(consts)):
-        piv = next((i for i in range(rowi, len(mrows)) if mrows[i][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        mrows[rowi], mrows[piv] = mrows[piv], mrows[rowi]
-        rhs[rowi], rhs[piv] = rhs[piv], rhs[rowi]
-        p = mrows[rowi][col]
-        mrows[rowi] = [c / p for c in mrows[rowi]]
-        rhs[rowi] = rhs[rowi].scale(Fraction(1, 1) / p)
-        for i in range(len(mrows)):
-            if i != rowi and mrows[i][col] != 0:
-                fac = mrows[i][col]
-                mrows[i] = [a - fac * b for a, b in zip(mrows[i], mrows[rowi])]
-                rhs[i] = rhs[i] - rhs[rowi].scale(fac)
-        rowi += 1
-    # back-substitute (matrix is now reduced row echelon)
-    for i, row in enumerate(mrows):
-        nz = [j for j, c in enumerate(row) if c != 0]
-        if not nz:
-            if not rhs[i].is_zero():
-                raise SolveError("inconsistent initial conditions")
-            continue
-        lead = nz[0]
-        val = rhs[i]
-        for j in nz[1:]:
-            if sol[consts[j]] is None:
-                raise SolveError("underdetermined initial conditions")
-            val = val - sol[consts[j]].scale(row[j])
-        sol[consts[lead]] = val
-    for c in consts:
-        if sol[c] is None:
-            sol[c] = Expr.zero()
+            coeffs[cn], rest = rest.coeff_linear(cn)
+        eqs.append(LinEq(coeffs, rest))
+    sol, free, leftovers = solve_linear_system(eqs)
+    if free:
+        raise SolveError("underdetermined initial conditions")
+    if leftovers:
+        raise SolveError("inconsistent initial conditions")
     out = y
     for c in consts:
-        out = out.subs_param(c, sol[c])
+        out = out.subs_param(c, sol.get(c, Expr.zero()))
     if not (L.apply(out) - f).is_zero():
         raise SolveError("ic solve failed verification")
     return out, [], {}
@@ -581,7 +526,7 @@ def build_bare_series(p: ODEProblem) -> PerturbationSeries:
         f = Expr.zero() if j == 0 else _forcing_at_order(p, orders, j)
         fresh = (j == 0) or (p.constants_policy == "fresh-per-order")
         if fresh:
-            n = constants_needed(p.operator)
+            n = p.operator.order
             names = p.names_for(j, n)
             style = p.constant_style if j == 0 or base_offsets else "rect"
             y, infos, offs = solve_order(p.operator, f, None, names, style,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprcore import Expr
+from .exprcore import Expr, LinEq, solve_linear_system
 from .pertseries import PerturbationSeries
 
 
@@ -77,29 +77,35 @@ class Generator:
         return self.components.get((direction, order), Expr.zero())
 
 
-def _collect_rows(e: Expr, weights: set):
-    """Rows of the linear system: basis function x parameter monomial."""
+def _collect_rows(e: Expr, weights):
+    """Linear equations: basis function x parameter monomial x re/im part."""
     rows: dict = {}
     for t in e.terms:
         shape = t.shape()
         for pows, re_c, im_c in t.coeff.monos:
             wsyms = [(s, k) for s, k in pows if s in weights]
             rest = tuple((s, k) for s, k in pows if s not in weights)
-            key = (shape, rest)
-            row = rows.setdefault(key, {})
             if not wsyms:
-                row["_const"] = row.get("_const", (Fraction(0), Fraction(0)))
-                row["_const"] = (row["_const"][0] + re_c,
-                                 row["_const"][1] + im_c)
+                w = None
             elif len(wsyms) == 1 and wsyms[0][1] == 1:
                 w = wsyms[0][0]
-                row[w] = row.get(w, (Fraction(0), Fraction(0)))
-                row[w] = (row[w][0] + re_c, row[w][1] + im_c)
             else:
                 raise DeterminingError(
                     "ansatz weights must enter the determining equation "
                     "linearly")
-    return rows
+            row = rows.setdefault((shape, rest), {})
+            c = row.get(w, (Fraction(0), Fraction(0)))
+            row[w] = (c[0] + re_c, c[1] + im_c)
+    return [LinEq({w: Expr.num(c[part]) for w, c in row.items()
+                   if w is not None},
+                  Expr.num(row.get(None, (0, 0))[part]))
+            for row in rows.values() for part in (0, 1)]
+
+
+def _number(e: Expr) -> Fraction:
+    """The rational value of an expression that is a real number."""
+    t = e.single_term()
+    return t.coeff.is_number()[0] if t is not None else Fraction(0)
 
 
 def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
@@ -114,7 +120,6 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
     dep = ansatz.dependent
     sw = ansatz.switch
     weights = {}
-    wsyms = set()
 
     def weighted(direction: str, order: int) -> Expr:
         shapes = ansatz.directions.get(direction, {}).get(order, [])
@@ -122,7 +127,6 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
         for i, shape in enumerate(shapes):
             w = f"w_{direction}_{order}_{i}"
             weights[w] = (direction, order, i, shape)
-            wsyms.add(w)
             out = out + Expr.sym(w) * shape
         return out
 
@@ -151,76 +155,33 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
                 xi = xi.subs_param(dep, series_with_s)
                 E = E - (eps ** j) * xi * dseries[sw]
 
-    rows = []
+    eqs = []
     for j in range(k + 1):
-        Ej = E.collect_order(parameter, j)
-        rows.extend(_collect_rows(Ej, wsyms).items())
-
-    # rational Gaussian elimination (real and imaginary parts as equations)
-    names = sorted(wsyms)
-    idx = {w: i for i, w in enumerate(names)}
-    mat = []
-    for _key, row in rows:
-        for part in (0, 1):
-            r = [Fraction(0)] * (len(names) + 1)
-            nonzero = False
-            for w, (re_c, im_c) in row.items():
-                v = (re_c, im_c)[part]
-                if w == "_const":
-                    r[-1] = v
-                else:
-                    r[idx[w]] = v
-                nonzero = nonzero or v != 0
-            if nonzero:
-                mat.append(r)
-    sol = [None] * len(names)
-    rowi = 0
-    for col in range(len(names)):
-        piv = next((i for i in range(rowi, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rowi], mat[piv] = mat[piv], mat[rowi]
-        pv = mat[rowi][col]
-        mat[rowi] = [c / pv for c in mat[rowi]]
-        for i in range(len(mat)):
-            if i != rowi and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rowi])]
-        rowi += 1
-    free = []
-    for i, r in enumerate(mat):
-        lead = next((j for j, c in enumerate(r[:-1]) if c != 0), None)
-        if lead is None:
-            if r[-1] != 0:
-                raise DeterminingError(
-                    "no symmetry in the ansatz span: inconsistent determining "
-                    f"equation (residual {r[-1]})")
-            continue
-        rest = [j for j in range(lead + 1, len(names)) if r[j] != 0]
-        if rest:
-            free.extend(names[j] for j in rest)
-        sol[lead] = -r[-1]
-    for i, v in enumerate(sol):
-        if v is None:
-            if names[i] not in free:
-                free.append(names[i])
-            sol[i] = Fraction(0)
+        eqs.extend(_collect_rows(E.collect_order(parameter, j), weights))
+    solution, _, leftovers = solve_linear_system(eqs)
+    if leftovers:
+        raise DeterminingError(
+            "no symmetry in the ansatz span: inconsistent determining "
+            f"equation (residual {_number(leftovers[0].const)})")
+    # weights the system leaves undetermined, free or absent, are zero
+    sol = {w: _number(solution[w]) if w in solution else Fraction(0)
+           for w in weights}
 
     comps: dict = {}
     for w, (direction, order, i, shape) in weights.items():
-        c = sol[idx[w]]
+        c = sol[w]
         if c:
             key = (direction, order)
             comps[key] = comps.get(key, Expr.zero()) + shape.scale(c)
-    gen = Generator(comps, parameter, sorted(free))
-    _verify_generator(E, weights, sol, idx, parameter, k)
+    gen = Generator(comps, parameter, sorted(set(weights) - set(solution)))
+    _verify_generator(E, sol, parameter, k)
     return gen
 
 
-def _verify_generator(E: Expr, weights, sol, idx, parameter, k):
+def _verify_generator(E: Expr, sol: dict, parameter, k):
     res = E
-    for w in weights:
-        res = res.subs_param(w, sol[idx[w]])
+    for w, c in sol.items():
+        res = res.subs_param(w, c)
     for j in range(k + 1):
         if not res.collect_order(parameter, j).is_zero():
             raise DeterminingError(
@@ -281,10 +242,6 @@ def underdamped_uniform(eps: float, amplitude: float,
     at s = 1 the unperturbed solution A*sin(t0 + theta) becomes the strained
     exponential form (errors of third order in eps).
     """
-    # dt/ds = c*s*t with c = eps^2/4 integrates to t = t0*exp(c*s^2/2)
-    c = eps * eps / 4.0
-    strain = math.exp(-c / 2.0)          # t0 = t*exp(-eps^2/8) at s = 1
-    assert abs(strain - math.exp(-eps ** 2 / 8)) < 1e-15
     return ExpStrainedForm(eps, amplitude, offset)
 
 
@@ -346,9 +303,6 @@ class Log1pProfile:
 
     def U(self, x):
         return np.log1p(x)
-
-    def Ux(self, x):
-        return 1.0 / (1.0 + x)
 
     def H(self, u):
         return np.expm1(u)

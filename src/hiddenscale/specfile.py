@@ -216,7 +216,11 @@ def parse_spec(path) -> ProblemSpec:
         if nm and not _NAME_RE.match(nm):
             raise SpecError(f"bad symbol name {nm!r} in {path.name}")
 
-    spec.order = int(spec.get("method.order", "1"))
+    order, lineno = raw.get("method.order", ("1", 0))
+    if not order.isdecimal() or int(order) < 1:
+        raise SpecError(f"line {lineno}: method.order must be an integer "
+                        f">= 1, got {order!r}")
+    spec.order = int(order)
     spec.derivatives = int(spec.get("method.derivatives", "1"))
     spec.constants_policy = spec.get("method.constants_policy",
                                      "fresh-at-zeroth-order")

@@ -335,7 +335,6 @@ class LogClosedForm:
     eps: float
     a: float
     s: float                      # coefficient of e1(x) inside the logarithm
-    route: str
 
     def text(self) -> str:
         return "1 + log(1 + s*e1(x)) with s = (exp(-a) - 1)/e1(eps)"
@@ -361,7 +360,7 @@ def most_divergent_sum(p: SwitchbackProblem) -> LogClosedForm:
         raise ValueError("the most-divergent sum targets the n=2, delta=1 problem")
     # u = 1 + log(1 + a*B*e1(x)); u(eps) = 1 - a  =>  a*B = (exp(-a)-1)/e1(eps)
     s = math.expm1(-p.a) / exp_integral(1, p.eps)
-    return LogClosedForm(p.eps, p.a, s, route="series-sum")
+    return LogClosedForm(p.eps, p.a, s)
 
 
 def most_divergent_partial_sum(z: float, nterms: int) -> float:
@@ -381,22 +380,13 @@ def terrible_hidden_scale(eps: float, a: float) -> LogClosedForm:
     """
     if not (0 < a <= 1):
         raise ValueError("switching parameter must lie in (0, 1]")
-    tau = Expr.var("tauv")
-    A, B = Expr.sym("A"), Expr.sym("B")
-    orders = [Expr.num(1), A + B * tau,
-              (B ** 2 * tau ** 2).scale(Fraction(-1, 2))]
-    series = PerturbationSeries(orders, [ConstantInfo("A", 1, "param"),
-                                         ConstantInfo("B", 1, "param")],
-                                "a", "tauv")
-    series.asymptotic_only = True
-    ps = ftflow.paint(series, n_derivs=1)
-    ft = ftflow.derive_ft_system(ps, 2)
+    ps, ft = _tau_flow_system()
     flows = ftflow.integrate_orbits(ft, "tauv")
     fB, fA = flows.flows["B"], flows.flows["A"]
     if fB.kind != "powerlaw" or fA.kind != "quad":
         raise AssertionError("unexpected flow structure for the tau series")
     special = ps.special_solution()
-    if special != Expr.num(1) + Expr.sym("a") * A:
+    if special != Expr.num(1) + Expr.sym("a") * Expr.sym("A"):
         raise AssertionError("unexpected special solution for the tau series")
     # u = 1 + a*(A~ + scale*log(1 + inner*tau)); a*scale must reduce to 1
     prefactor = Expr.sym("a") * fA.scale
@@ -406,7 +396,7 @@ def terrible_hidden_scale(eps: float, a: float) -> LogClosedForm:
     # 1 + log(1 + a*B~*e1(eps)) = 1 - a pins a*B~ (independent Newton solve)
     e1e = exp_integral(1, eps)
     s = _solve_log_bc(e1e, a)
-    return LogClosedForm(eps, a, s, route="hidden-scale")
+    return LogClosedForm(eps, a, s)
 
 
 def _solve_log_bc(e1e: float, a: float) -> float:
@@ -429,8 +419,9 @@ def _solve_log_bc(e1e: float, a: float) -> float:
     return s
 
 
-def terrible_ft_equations(eps: float = 1e-4, a: float = 1.0):
-    """The flow system for the tau-variable series (for inspection/tests)."""
+def _tau_flow_system():
+    """Painted series u = 1 + a*(A + B*tau) - a^2/2*B^2*tau^2 in tau = e1(x)
+    and its flow system."""
     tau = Expr.var("tauv")
     A, B = Expr.sym("A"), Expr.sym("B")
     orders = [Expr.num(1), A + B * tau,
@@ -438,5 +429,11 @@ def terrible_ft_equations(eps: float = 1e-4, a: float = 1.0):
     series = PerturbationSeries(orders, [ConstantInfo("A", 1, "param"),
                                          ConstantInfo("B", 1, "param")],
                                 "a", "tauv")
+    series.asymptotic_only = True
     ps = ftflow.paint(series, n_derivs=1)
-    return ftflow.derive_ft_system(ps, 2)
+    return ps, ftflow.derive_ft_system(ps, 2)
+
+
+def terrible_ft_equations():
+    """The flow system for the tau-variable series (for inspection/tests)."""
+    return _tau_flow_system()[1]

@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiddenscale.exprcore import (Expr, OutOfClassError, Poly,
-                                  classify_divergent, paint_term)
+from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
+                                  classify_divergent, paint_term,
+                                  solve_linear_system)
 from hiddenscale.textform import expr_text
 
 
@@ -142,6 +143,17 @@ class TestClassify:
         div, conv = classify_divergent(e, "tau",
                                        predicate=lambda t: bool(t.rates))
         assert div == Expr.sym("B") * exp_t()
+
+
+def test_underdetermined_system_reports_free_unknowns():
+    # x + y = 3 leaves y undetermined; it is reported and taken as zero
+    A = Expr.sym("A")
+    eqs = [LinEq({"x": Expr.num(1), "y": Expr.num(1)}, Expr.num(-3)),
+           LinEq({"z": Expr.num(2)}, -2 * A)]
+    sol, free, leftovers = solve_linear_system(eqs)
+    assert free == ["y"]
+    assert sol == {"x": Expr.num(3), "z": A}
+    assert leftovers == []
 
 
 # ---------------------------------------------------------------------------

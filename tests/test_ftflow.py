@@ -5,12 +5,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hiddenscale.exprcore import Expr, Poly
-from hiddenscale.ftflow import (FTInconsistent, FTUnderdetermined, LinEq,
+from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
+                                 div_exact, solve_linear_system)
+from hiddenscale.ftflow import (FTInconsistent, FTUnderdetermined,
                                 assemble_uniform, cgo_rg_equation,
-                                derive_ft_system, div_exact, integrate_orbits,
-                                most_divergent_filter, paint,
-                                solve_linear_system)
+                                derive_ft_system, integrate_orbits,
+                                most_divergent_filter, paint)
 from hiddenscale.pertseries import (ConstantInfo, LinearOperator, ODEProblem,
                                     PertTerm, PerturbationSeries,
                                     build_bare_series)
@@ -322,7 +322,6 @@ class TestLinearSolver:
         assert div_exact(q * den, den) == q
 
     def test_inexact_division_raises(self):
-        from hiddenscale.exprcore import OutOfClassError
         with pytest.raises(OutOfClassError):
             div_exact(Expr.sym("A"), Expr.var("mu"))
 
@@ -332,7 +331,8 @@ class TestLinearSolver:
                LinEq({y: Expr.num(2)}, Expr.num(4)),
                LinEq({x: Expr.num(1), y: Expr.num(1)},
                      -Expr.sym("A") + Expr.num(2))]
-        sol, leftovers = solve_linear_system(eqs)
+        sol, free, leftovers = solve_linear_system(eqs)
         assert sol[x] == Expr.sym("A")
         assert sol[y] == Expr.num(-2)
+        assert free == []
         assert not leftovers

@@ -2,10 +2,15 @@
 
 Fails when a function, class or method is referenced nowhere in ``src/``
 except inside its own definition, or when a module other than ``__init__``
-imports a name it never uses.  References are matched by name (a bare name,
-an attribute, an imported name, or a name inside a string annotation), so a
-method counts as used when any attribute of that name is read anywhere.
-Dunder methods are called by the language and are not checked.
+imports a name it never uses.  A module-level function or class is resolved
+by module: it counts as used only through a bare name in its own module
+(outside its own definition, string annotations included), a
+``from .mod import name``, or ``alias.name`` after
+``from . import mod [as alias]``.  Methods and nested functions are matched
+by name (a bare name, an attribute, an imported name, or a name inside a
+string annotation), so a method counts as used when any attribute of that
+name is read anywhere.  Dunder methods are called by the language and are
+not checked.
 """
 
 import ast
@@ -44,6 +49,34 @@ def _annotation_names(tree):
     return out
 
 
+def _bare_names(tree):
+    """Bare names a subtree mentions, string annotations included, counted."""
+    return Counter(n.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Name)) + _annotation_names(tree)
+
+
+def _module_imports(trees):
+    """(module, name) pairs that one module reaches in another: through
+    ``from .mod import name`` or ``alias.name`` after
+    ``from . import mod [as alias]``."""
+    out = set()
+    for tree in trees.values():
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module:
+                        out.add((node.module, a.name))
+                    else:
+                        aliases[a.asname or a.name] = a.name
+        out.update((aliases[node.value.id], node.attr)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in aliases)
+    return out
+
+
 def _references(tree):
     """Every name a subtree mentions, counted."""
     out = Counter()
@@ -65,14 +98,22 @@ def _definitions(tree):
 
 
 def unreferenced_definitions():
-    trees = {p.name: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    trees = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
     total = sum((_references(t) for t in trees.values()), Counter())
+    imported = _module_imports(trees)
     out = []
     for mod, tree in trees.items():
+        bare = _bare_names(tree)
         for node in _definitions(tree):
-            own = _references(node)[node.name]
-            if total[node.name] - own <= 0 and node.name not in TEST_FACING:
-                out.append(f"{mod}:{node.lineno} {node.name}")
+            if node.name in TEST_FACING:
+                continue
+            if node in tree.body:
+                used = bare[node.name] > _bare_names(node)[node.name] \
+                    or (mod, node.name) in imported
+            else:
+                used = total[node.name] > _references(node)[node.name]
+            if not used:
+                out.append(f"{mod}.py:{node.lineno} {node.name}")
     return out
 
 
@@ -82,8 +123,7 @@ def unused_imports():
         if path.name == "__init__.py":
             continue
         tree = _parse(path)
-        used = Counter(n.id for n in ast.walk(tree)
-                       if isinstance(n, ast.Name)) + _annotation_names(tree)
+        used = _bare_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) \
                     and node.module == "__future__":

@@ -38,6 +38,21 @@ class TestDetermining:
         assert gen.component("y", 2).is_zero()
         assert gen.free_weights == []
 
+    def test_duplicate_shape_reports_free_weights(self):
+        # t*y listed twice: the copy's weights stay free and are set to zero
+        ansatz = GeneratorAnsatz.oscillator(2)
+        t, y, s = Expr.var("t"), Expr.sym("y"), Expr.var("s")
+        for direction in ("t", "y"):
+            for shapes in ansatz.directions[direction].values():
+                shapes.append(t * y)
+        gen = solve_determining(with_switch(underdamped_series(), "s"),
+                                ansatz, 2)
+        assert gen.component("y", 1) == (t * y).scale(F(-1, 2))
+        assert gen.component("t", 2) == (s * t).scale(F(1, 4))
+        assert set(gen.components) == {("y", 1), ("t", 2)}
+        assert gen.free_weights == [f"w_{d}_{j}_7" for d in "ty"
+                                    for j in range(3)]
+
     def test_zeroth_order_is_identity(self):
         gen = solve_determining(with_switch(underdamped_series(), "s"),
                                 GeneratorAnsatz.oscillator(0), 0)

@@ -67,6 +67,14 @@ class TestGrammar:
             parse_spec(write_spec(tmp_path, bad))
         assert "zero.two" in str(exc.value)
 
+    @pytest.mark.parametrize("order", ["two", "-3", "0"])
+    def test_bad_method_order_rejected(self, tmp_path, order):
+        bad = MINIMAL.replace("method.order = 1", f"method.order = {order}")
+        with pytest.raises(SpecError) as exc:
+            parse_spec(write_spec(tmp_path, bad))
+        assert str(exc.value).startswith("line 8: method.order")
+        assert repr(order) in str(exc.value)
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(SpecError) as exc:
             parse_spec(write_spec(tmp_path, MINIMAL + "mystery.key = 1\n"))
