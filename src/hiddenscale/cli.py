@@ -311,7 +311,7 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
                   f"* eps^{kk}")
     if "textbook_ratio_max" in spec.validate:
         _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows,
-                               uniform, env, ref, err)
+                               env, ref, err)
 
 
 def _fit_tildes_to_ics(uniform, env, ics):
@@ -402,8 +402,8 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
               f"{_fmt(uni_end)}")
 
 
-def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, uniform,
-                           env, ref, err):
+def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
+                           ref, err):
     """Compare against the strained coordinate with the textbook exponent."""
     qp = (Poly.sym("A1", 2) * Poly.sym("eps", 2) * Poly.sym("k", -5)
           * Poly.sym("delta", -4)).scale(Fraction(27, 16))
@@ -416,9 +416,8 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, uniform,
     rep.add(f"textbook-exponent sup error: {_fmt(terr)}")
     _write_csv(csv_dir, f"{spec.name}_fig5.csv",
                [spec.variable, "W_numeric", "W_hidden", "W_textbook"],
-               np.column_stack([grid, ref.at_nodes(),
-                                [uniform.evaluate(float(t), env)
-                                 for t in grid], tvals]))
+               np.column_stack([grid, ref.at_nodes(), err.table[:, 2],
+                                tvals]))
     rep.check("hidden-scale error at most half the textbook error",
               err.sup_error <= ratio_max * terr,
               f"{_fmt(err.sup_error)} <= {ratio_max} * {_fmt(terr)}")
@@ -455,14 +454,13 @@ def derive_switchback(spec: ProblemSpec, rep: Report):
     m = p.n - 1
     rep.add(f"u(1) = A + B*e{m}(x) with A = 0, B = -1/e{m}(eps)")
     if p.order >= 2:
-        rep.add(f"u(2) = {series.orders[2].text()}")
+        rep.add(f"u(2) = {switchback.sw_text(series.orders[2])}")
     if p.n == 2 and p.delta == 1:
         closed = switchback.most_divergent_sum(p)
         rep.add("-- most-divergent sum --")
         rep.add(f"u = {closed.text()}")
         rep.add(f"radius of convergence: a* = e1(eps)/e1(x)")
-        hs = switchback.terrible_hidden_scale(p.eps, p.a)
-        ftsys = switchback.terrible_ft_equations()
+        hs, ftsys = switchback.terrible_hidden_scale(p.eps, p.a)
         rep.add("-- hidden-scale route in tau = e1(x) --")
         for n in ftsys.unknown_names():
             rep.add(f"{n}' = {textform.expr_text(ftsys.equations[n])}")

@@ -1055,11 +1055,11 @@ def solve_linear_system(eqs: Sequence[LinEq]):
 
     Returns (solution, free, leftovers): the solution dict, the unknowns that
     enter a pivot row but are never determined (the solution takes them as
-    zero; sorted by ``str``), and the constraints left once every unknown is
-    eliminated (nonzero ones are inconsistent).  Pivots prefer rational
-    numbers, then invertible single terms; otherwise a fraction-free step
-    keeps everything polynomial and exact division is used at
-    back-substitution.
+    zero; sorted by ``str``), and the inconsistent equations.  Elimination
+    runs until no equation has a coefficient left, so every leftover is a
+    bare nonzero constant.  Pivots prefer rational numbers, then invertible
+    single terms; otherwise a fraction-free step keeps everything polynomial
+    and exact division is used at back-substitution.
     """
     eqs = [LinEq(dict(e.coeffs), e.const, e.label).prune() for e in eqs]
     solved_rows = []          # (key, coeffs-of-others, const, pivot Expr)
@@ -1107,5 +1107,5 @@ def solve_linear_system(eqs: Sequence[LinEq]):
             elif not c.is_zero():
                 free.add(kk)
         solution[k] = -div_exact(val, pivot_c)
-    leftovers = [e for e in eqs if not e.const.is_zero() or e.coeffs]
+    leftovers = [e for e in eqs if not e.const.is_zero()]
     return solution, sorted(free, key=str), leftovers

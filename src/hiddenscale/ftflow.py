@@ -47,7 +47,6 @@ class PaintedSeries:
     painted: Expr
     painted_derivs: list
     mu: str
-    asymptotic_only: bool = False
 
     @property
     def variable(self) -> str:
@@ -86,8 +85,7 @@ def paint(series: PerturbationSeries, n_derivs: int,
         div, conv = classify_divergent(e, v)
         newt = [paint_term(t, v, mu) for t in div.terms]
         painted.append(Expr(list(conv.terms) + newt, e.deps))
-    ps = PaintedSeries(series, painted[0], painted[1:], mu,
-                       getattr(series, "asymptotic_only", False))
+    ps = PaintedSeries(series, painted[0], painted[1:], mu)
     if ps.restored() != exprs[0]:
         raise FTError("painting round trip failed")
     return ps
@@ -96,7 +94,7 @@ def paint(series: PerturbationSeries, n_derivs: int,
 def most_divergent_filter(series: PerturbationSeries) -> PerturbationSeries:
     """Keep only the fastest-growing terms at each order.
 
-    The result is flagged asymptotic-only: the derived symmetry retains full
+    The result is asymptotic-only: the derived symmetry retains full
     validity only in the region where the dropped terms are negligible.
     """
     v = series.variable
@@ -104,10 +102,8 @@ def most_divergent_filter(series: PerturbationSeries) -> PerturbationSeries:
     for e in series.orders:
         rank = max((t.vpow(v) for t in e.terms), default=0)
         orders.append(Expr([t for t in e.terms if t.vpow(v) == rank], e.deps))
-    out = PerturbationSeries(orders, list(series.constants), series.parameter,
-                             series.variable)
-    out.asymptotic_only = True
-    return out
+    return PerturbationSeries(orders, list(series.constants),
+                              series.parameter, series.variable)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +124,6 @@ class FTSystem:
     unknowns: list                 # [ConstantInfo]
     equations: dict                # name -> Expr rhs
     determined_orders: dict        # name -> highest parameter order solved
-    asymptotic_only: bool = False
     raw_equations: list = field(default_factory=list)
 
     def unknown_names(self):
@@ -219,13 +214,10 @@ def derive_ft_system(ps: PaintedSeries, k: int) -> FTSystem:
         raise FTUnderdetermined(
             f"unknowns {free} enter a pivot row but were never determined; "
             "add painted derivatives to close the system")
-    for e in leftovers:
-        if e.coeffs:
-            continue  # equations purely in undetermined higher slots
-        if not e.const.is_zero():
-            raise FTInconsistent(
-                f"no hidden-scale symmetry for this painting: residual "
-                f"equation {e.label} does not vanish")
+    if leftovers:
+        raise FTInconsistent(
+            f"no hidden-scale symmetry for this painting: residual "
+            f"equation {leftovers[0].label} does not vanish")
 
     determined = {}
     equations = {}
@@ -246,7 +238,7 @@ def derive_ft_system(ps: PaintedSeries, k: int) -> FTSystem:
         equations[c.name] = Expr(rhs.terms)   # drop promotion bookkeeping
         determined[c.name] = d
     ft = FTSystem(ps.mu, ps.variable, eps, k, list(unknowns), equations,
-                  determined, ps.asymptotic_only, [eq for eq, _ in scalar])
+                  determined, [eq for eq, _ in scalar])
     _verify_ft(ps, ft)
     return ft
 
@@ -298,9 +290,9 @@ def derive_ft_exact(ps: PaintedSeries,
     solution, free, leftovers = solve_linear_system(eqs)
     if free:
         raise FTUnderdetermined(f"primes {free} never determined")
-    for e in leftovers:
-        if not e.coeffs and not e.const.is_zero():
-            raise FTInconsistent(f"residual equation {e.label} does not vanish")
+    if leftovers:
+        raise FTInconsistent(
+            f"residual equation {leftovers[0].label} does not vanish")
     out = {}
     for c in unknowns:
         key = (primes[c.name],)

@@ -2,8 +2,8 @@
 
 The model problem is u'' + (n-1)/x u' + u u' + delta*(u')**2 = 0 with
 u(eps) = 1 - a, u(inf) = 1, expanded in the switching parameter a.  The
-series lives in a small dedicated basis of exponentials and exponential
-integrals e_n(j*x); the second-order remainder is built by explicit
+series lives in the basis x^p * exp(r*x) * prod e_1(j*x)^m, written as an
+exprcore Poly; the second-order remainder is built by explicit
 integrating-factor quadratures and verified symbolically against the
 order-two equation.
 """
@@ -20,6 +20,7 @@ from scipy import special as _sp
 
 from .exprcore import Expr, Poly
 from .pertseries import ConstantInfo, PerturbationSeries
+from .textform import atom_text, join_signed
 from . import ftflow
 
 
@@ -40,175 +41,121 @@ def exp_integral(n: int, x):
 
 
 # ---------------------------------------------------------------------------
-# Small closed basis: coeff * x^p * exp(r*x) * prod e_1(j*x)^m.
+# Small closed basis: coeff * x^p * exp(r*x) * prod e_1(j*x)^m, stored as a
+# Laurent Poly in the coefficient symbols and the basis symbols "x" (x),
+# "ex" (exp(x)) and "e1_<j>" (e_1(j*x)).
 
-@dataclass(frozen=True)
-class SwTerm:
-    coeff: Poly
-    xpow: int
-    erate: int
-    e1pows: tuple          # tuple[(scale j, power m), ...] sorted
+def sw_atom(coeff, xpow=0, erate=0, e1pows=()) -> Poly:
+    """coeff * x^xpow * exp(erate*x) * prod e1(j*x)^m for (j, m) in e1pows.
 
-    def key(self):
-        return (self.xpow, self.erate, self.e1pows, self.coeff.key())
+    A Poly coeff is shifted monomial by monomial, not multiplied out.
+    """
+    c = coeff if isinstance(coeff, Poly) else Poly.num(Fraction(coeff))
+    shift = [("x", xpow), ("ex", erate)] + [(f"e1_{j}", m) for j, m in e1pows]
+    out = []
+    for cp, re, im in c.monos:
+        d = dict(cp)
+        for s, k in shift:
+            d[s] = d.get(s, 0) + k
+        out.append((tuple(sorted((s, k) for s, k in d.items() if k)), re, im))
+    return Poly(out)
 
 
-class SwExpr:
-    """Canonical sum of SwTerm; closed under +, *, d/dx."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc = {}
-        for t in terms:
-            if t.coeff.is_zero():
-                continue
-            k = (t.xpow, t.erate, t.e1pows)
-            if k in acc:
-                acc[k] = SwTerm(acc[k].coeff + t.coeff, *k)
+def _groups(e: Poly):
+    """[((xpow, erate, e1pows), coeff Poly)] in print order."""
+    acc = {}
+    for pows, re, im in e.monos:
+        xpow = erate = 0
+        e1, cp = [], []
+        for s, k in pows:
+            if s == "x":
+                xpow = k
+            elif s == "ex":
+                erate = k
+            elif s.startswith("e1_"):
+                e1.append((int(s[3:]), k))
             else:
-                acc[k] = t
-        self.terms = tuple(sorted((t for t in acc.values()
-                                   if not t.coeff.is_zero()),
-                                  key=SwTerm.key))
+                cp.append((s, k))
+        acc.setdefault((xpow, erate, tuple(sorted(e1))), []).append(
+            (tuple(cp), re, im))
+    return [(k, Poly(ms)) for k, ms in sorted(acc.items())]
 
-    @staticmethod
-    def num(q) -> "SwExpr":
-        return SwExpr([SwTerm(Poly.num(Fraction(q)), 0, 0, ())])
 
-    @staticmethod
-    def sym(name: str) -> "SwExpr":
-        return SwExpr([SwTerm(Poly.sym(name), 0, 0, ())])
+def sw_diff(e: Poly) -> Poly:
+    """d/dx, with d/dx e1(j*x) = -exp(-j*x)/x."""
+    out = e.diff("x") + sw_atom(e.diff("ex"), 0, 1)
+    for s in sorted(e.symbols()):
+        if s.startswith("e1_"):
+            out = out - sw_atom(e.diff(s), -1, -int(s[3:]))
+    return out
 
-    @staticmethod
-    def atom(coeff=1, xpow=0, erate=0, e1pows=()) -> "SwExpr":
-        c = coeff if isinstance(coeff, Poly) else Poly.num(Fraction(coeff))
-        return SwExpr([SwTerm(c, xpow, erate, tuple(sorted(e1pows)))])
 
-    def __add__(self, other):
-        return SwExpr(self.terms + other.terms)
-
-    def __neg__(self):
-        return SwExpr([SwTerm(-t.coeff, t.xpow, t.erate, t.e1pows)
-                       for t in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                d = dict(a.e1pows)
-                for j, m in b.e1pows:
-                    d[j] = d.get(j, 0) + m
-                out.append(SwTerm(a.coeff * b.coeff, a.xpow + b.xpow,
-                                  a.erate + b.erate,
-                                  tuple(sorted((j, m) for j, m in d.items()
-                                               if m))))
-        return SwExpr(out)
-
-    def __eq__(self, other):
-        return isinstance(other, SwExpr) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def diff(self) -> "SwExpr":
-        out = []
-        for t in self.terms:
-            if t.xpow:
-                out.append(SwTerm(t.coeff.scale(t.xpow), t.xpow - 1, t.erate,
-                                  t.e1pows))
-            if t.erate:
-                out.append(SwTerm(t.coeff.scale(t.erate), t.xpow, t.erate,
-                                  t.e1pows))
-            for j, m in t.e1pows:
-                # d/dx e1(j*x) = -exp(-j*x)/x
-                d = dict(t.e1pows)
-                if m == 1:
-                    del d[j]
-                else:
-                    d[j] = m - 1
-                out.append(SwTerm(t.coeff.scale(-m), t.xpow - 1, t.erate - j,
-                                  tuple(sorted(d.items()))))
-        return SwExpr(out)
-
-    def eval(self, x: float, env: dict) -> float:
+def sw_eval(e: Poly, xs, env: dict) -> np.ndarray:
+    """Values at the points xs, coefficients evaluated once from env."""
+    groups = [(c.eval(env).real, p, r, e1) for (p, r, e1), c in _groups(e)]
+    out = []
+    for x in xs:
+        x = float(x)
         total = 0.0
-        for t in self.terms:
-            v = t.coeff.eval(env).real * x ** t.xpow * math.exp(t.erate * x)
-            for j, m in t.e1pows:
+        for c, p, r, e1 in groups:
+            v = c * x ** p * math.exp(r * x)
+            for j, m in e1:
                 v *= exp_integral(1, j * x) ** m
             total += v
-        return total
-
-    def text(self) -> str:
-        from .textform import poly_text
-        if not self.terms:
-            return "0"
-        parts = []
-        for t in self.terms:
-            fs = []
-            if t.xpow:
-                fs.append("x" if t.xpow == 1 else f"x^{t.xpow}")
-            if t.erate:
-                fs.append(f"exp({t.erate}*x)" if t.erate != -1 else "exp(-x)")
-            for j, m in t.e1pows:
-                base = f"e1({j}*x)" if j != 1 else "e1(x)"
-                fs.append(base if m == 1 else base + f"^{m}")
-            c = poly_text(t.coeff)
-            if fs and c == "1":
-                txt = "*".join(fs)
-            elif fs and c == "-1":
-                txt = "-" + "*".join(fs)
-            elif fs:
-                cc = c if t.coeff.single() is not None else "(" + c + ")"
-                txt = cc + "*" + "*".join(fs)
-            else:
-                txt = c if t.coeff.single() is not None else "(" + c + ")"
-            if parts:
-                parts.append(" - " + txt[1:] if txt.startswith("-")
-                             else " + " + txt)
-            else:
-                parts.append(txt)
-        return "".join(parts)
+        out.append(total)
+    return np.array(out)
 
 
-def sw_antiderivative(e: SwExpr) -> SwExpr:
+def sw_text(e: Poly) -> str:
+    """Text with terms ordered by (xpow, erate, e1 powers)."""
+    parts = []
+    for (p, r, e1), c in _groups(e):
+        fs = []
+        if p:
+            fs.append("x" if p == 1 else f"x^{p}")
+        if r:
+            fs.append(f"exp({r}*x)" if r != -1 else "exp(-x)")
+        for j, m in e1:
+            base = f"e1({j}*x)" if j != 1 else "e1(x)"
+            fs.append(base if m == 1 else base + f"^{m}")
+        parts.append(atom_text(c, fs))
+    return join_signed(parts)
+
+
+def sw_antiderivative(e: Poly) -> Poly:
     """Antiderivative via a closed rule table; raises on unknown shapes."""
     out = []
-    for t in e.terms:
-        c, p, r, e1 = t.coeff, t.xpow, t.erate, dict(t.e1pows)
+    for (p, r, e1pows), c in _groups(e):
+        e1 = dict(e1pows)
         if not e1:
             if r == 0 and p >= 0:
-                out.append(SwTerm(c.scale(Fraction(1, p + 1)), p + 1, 0, ()))
+                out.append(sw_atom(c.scale(Fraction(1, p + 1)), p + 1))
                 continue
             if r != 0 and p == 0:
-                out.append(SwTerm(c.scale(Fraction(1, r)), 0, r, ()))
+                out.append(sw_atom(c.scale(Fraction(1, r)), 0, r))
                 continue
             if r != 0 and p == -1:
                 # int exp(r*x)/x dx = -e1(-r*x) for r < 0
                 if r < 0:
-                    out.append(SwTerm(-c, 0, 0, ((-r, 1),)))
+                    out.append(sw_atom(-c, 0, 0, ((-r, 1),)))
                     continue
         elif e1 == {1: 1}:
             if r == 0 and p == 0:
                 # int e1 = x*e1(x) - exp(-x)
-                out.append(SwTerm(c, 1, 0, ((1, 1),)))
-                out.append(SwTerm(-c, 0, -1, ()))
+                out += [sw_atom(c, 1, 0, ((1, 1),)), sw_atom(-c, 0, -1)]
                 continue
             if r == -1 and p == 0:
                 # int e1*exp(-x) = -e1(x)*exp(-x) + e1(2x)
-                out.append(SwTerm(-c, 0, -1, ((1, 1),)))
-                out.append(SwTerm(c, 0, 0, ((2, 1),)))
+                out += [sw_atom(-c, 0, -1, ((1, 1),)),
+                        sw_atom(c, 0, 0, ((2, 1),))]
                 continue
             if r == -1 and p == -1:
                 # int e1*exp(-x)/x = -e1(x)^2/2
-                out.append(SwTerm(c.scale(Fraction(-1, 2)), 0, 0, ((1, 2),)))
+                out.append(sw_atom(c.scale(Fraction(-1, 2)), 0, 0, ((1, 2),)))
                 continue
-        raise ValueError(f"no antiderivative rule for term {SwExpr([t]).text()}")
-    return SwExpr(out)
+        raise ValueError("no antiderivative rule for term "
+                         + sw_text(sw_atom(c, p, r, e1pows)))
+    return Poly(m for q in out for m in q.monos)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +195,7 @@ class SwitchbackSeries:
     """Orders in a; order 0 is the constant 1."""
 
     problem: SwitchbackProblem
-    orders: list                  # SwExpr for n=2; callables for n=3
+    orders: list                  # basis Polys for n=2; callables for n=3
     constants: dict               # fixed constant values per order
 
     def evaluate(self, x, a: Optional[float] = None):
@@ -259,44 +206,41 @@ class SwitchbackSeries:
             if callable(term):
                 vals = np.array([term(float(xx)) for xx in np.atleast_1d(x)])
             else:
-                vals = np.array([term.eval(float(xx), self.constants)
-                                 for xx in np.atleast_1d(x)])
+                vals = sw_eval(term, np.atleast_1d(x), self.constants)
             total = total + a ** j * vals.reshape(np.shape(total))
         return float(total) if total.ndim == 0 else total
 
 
-def second_order_remainder(eps: float):
+def second_order_remainder():
     """Symbolic order-two solution for n=2, delta=1 with constants A, B, C2, C3.
 
     Built by two integrating-factor quadratures from the substituted
     first-order solution u1 = A + B*e1(x); verified against the order-two
     equation exactly.
     """
-    A, B = SwExpr.sym("A"), SwExpr.sym("B")
-    u1 = A + B * SwExpr.atom(e1pows=((1, 1),))
-    du1 = u1.diff()
+    u1 = Poly.sym("A") + sw_atom(Poly.sym("B"), e1pows=((1, 1),))
+    du1 = sw_diff(u1)
     rhs2 = -(u1 * du1) - du1 * du1
     # v' + (1 + 1/x) v = rhs2; integrating factor x*exp(x)
-    xfac = SwExpr.atom(xpow=1, erate=1)
-    g = sw_antiderivative(rhs2 * xfac)
-    v = (g + SwExpr.sym("C2")) * SwExpr.atom(xpow=-1, erate=-1)
-    u2 = sw_antiderivative(v) + SwExpr.sym("C3")
+    g = sw_antiderivative(sw_atom(rhs2, 1, 1))
+    v = sw_atom(g + Poly.sym("C2"), -1, -1)
+    u2 = sw_antiderivative(v) + Poly.sym("C3")
     # exact verification of the order-2 equation
-    du2 = u2.diff()
-    residual = (du2.diff() + SwExpr.atom(xpow=-1) * du2 + du2) - rhs2
+    du2 = sw_diff(u2)
+    residual = (sw_diff(du2) + sw_atom(du2, -1) + du2) - rhs2
     if not residual.is_zero():
         raise AssertionError("second-order quadrature failed verification")
     return u2
 
 
-def _fix_second_order_constants(u2: SwExpr, eps: float, aval: float):
+def _fix_second_order_constants(u2: Poly, eps: float):
     """Boundary conditions u2(eps) = 0, u2(inf) = 0 pin C2, C3."""
     e1e = exp_integral(1, eps)
     env = {"A": 0.0, "B": -1.0 / e1e, "C3": 0.0, "C2": 0.0}
     # all non-constant basis functions vanish at infinity, so C3 = 0
-    base = u2.eval(eps, env)
+    base = float(sw_eval(u2, [eps], env)[0])
     env["C2"] = base / e1e          # u2 contains -C2*e1(x)
-    if abs(u2.eval(eps, env)) > 1e-10 * max(1.0, abs(base)):
+    if abs(sw_eval(u2, [eps], env)[0]) > 1e-10 * max(1.0, abs(base)):
         raise AssertionError("second-order boundary fit failed")
     return env
 
@@ -307,20 +251,20 @@ def switchback_series(p: SwitchbackProblem) -> SwitchbackSeries:
         raise ValueError("switchback series implemented to order 2")
     if p.order == 2 and not (p.n == 2 and p.delta == 1):
         raise ValueError("order 2 is implemented for the n=2, delta=1 problem")
-    orders = [SwExpr.num(1) if p.n == 2 else (lambda x: 1.0)]
+    orders = [Poly.num(1) if p.n == 2 else (lambda x: 1.0)]
     constants = {}
     if p.order >= 1:
         m = p.n - 1
         scale = -1.0 / exp_integral(m, p.eps)
         if p.n == 2:
-            orders.append(SwExpr.atom(Poly.sym("B"), e1pows=((1, 1),))
-                          + SwExpr.sym("A"))
+            orders.append(sw_atom(Poly.sym("B"), e1pows=((1, 1),))
+                          + Poly.sym("A"))
             constants.update({"A": 0.0, "B": scale})
         else:
             orders.append(lambda x, s=scale: s * exp_integral(2, x))
     if p.order >= 2:
-        u2 = second_order_remainder(p.eps)
-        constants.update(_fix_second_order_constants(u2, p.eps, p.a))
+        u2 = second_order_remainder()
+        constants.update(_fix_second_order_constants(u2, p.eps))
         orders.append(u2)
     return SwitchbackSeries(p, orders, constants)
 
@@ -371,16 +315,25 @@ def most_divergent_partial_sum(z: float, nterms: int) -> float:
     return total
 
 
-def terrible_hidden_scale(eps: float, a: float) -> LogClosedForm:
+def terrible_hidden_scale(eps: float, a: float):
     """Derive the closed form by the hidden-scale route in tau = e1(x).
 
     Builds the most-divergent series u = 1 + a*(A + B*tau) - a^2/2*B^2*tau^2,
     paints, derives the flow equations, integrates them in closed form and
     imposes the boundary conditions on the transported special solution.
+    Returns (LogClosedForm, flow system).
     """
     if not (0 < a <= 1):
         raise ValueError("switching parameter must lie in (0, 1]")
-    ps, ft = _tau_flow_system()
+    tau = Expr.var("tauv")
+    A, B = Expr.sym("A"), Expr.sym("B")
+    orders = [Expr.num(1), A + B * tau,
+              (B ** 2 * tau ** 2).scale(Fraction(-1, 2))]
+    series = PerturbationSeries(orders, [ConstantInfo("A", 1, "param"),
+                                         ConstantInfo("B", 1, "param")],
+                                "a", "tauv")
+    ps = ftflow.paint(series, n_derivs=1)
+    ft = ftflow.derive_ft_system(ps, 2)
     flows = ftflow.integrate_orbits(ft, "tauv")
     fB, fA = flows.flows["B"], flows.flows["A"]
     if fB.kind != "powerlaw" or fA.kind != "quad":
@@ -396,7 +349,7 @@ def terrible_hidden_scale(eps: float, a: float) -> LogClosedForm:
     # 1 + log(1 + a*B~*e1(eps)) = 1 - a pins a*B~ (independent Newton solve)
     e1e = exp_integral(1, eps)
     s = _solve_log_bc(e1e, a)
-    return LogClosedForm(eps, a, s)
+    return LogClosedForm(eps, a, s), ft
 
 
 def _solve_log_bc(e1e: float, a: float) -> float:
@@ -418,22 +371,3 @@ def _solve_log_bc(e1e: float, a: float) -> float:
         raise RuntimeError("boundary solve for the log coefficient failed")
     return s
 
-
-def _tau_flow_system():
-    """Painted series u = 1 + a*(A + B*tau) - a^2/2*B^2*tau^2 in tau = e1(x)
-    and its flow system."""
-    tau = Expr.var("tauv")
-    A, B = Expr.sym("A"), Expr.sym("B")
-    orders = [Expr.num(1), A + B * tau,
-              (B ** 2 * tau ** 2).scale(Fraction(-1, 2))]
-    series = PerturbationSeries(orders, [ConstantInfo("A", 1, "param"),
-                                         ConstantInfo("B", 1, "param")],
-                                "a", "tauv")
-    series.asymptotic_only = True
-    ps = ftflow.paint(series, n_derivs=1)
-    return ps, ftflow.derive_ft_system(ps, 2)
-
-
-def terrible_ft_equations():
-    """The flow system for the tau-variable series (for inspection/tests)."""
-    return _tau_flow_system()[1]

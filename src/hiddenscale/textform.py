@@ -54,20 +54,21 @@ def _mono_text(pows, re_c: Fraction, im_c: Fraction) -> str:
     return f"{_frac_text(coeff)}*{body}"
 
 
-def poly_text(p: Poly) -> str:
-    if not p.monos:
-        return "0"
-    parts = []
-    for pows, re_c, im_c in p.monos:
-        t = _mono_text(pows, re_c, im_c)
-        if parts:
-            if t.startswith("-"):
-                parts.append(" - " + t[1:])
-            else:
-                parts.append(" + " + t)
+def join_signed(parts) -> str:
+    """Join signed term texts with " + " / " - "; "0" when there are none."""
+    out = ""
+    for t in parts:
+        if not out:
+            out = t
+        elif t.startswith("-"):
+            out += " - " + t[1:]
         else:
-            parts.append(t)
-    return "".join(parts)
+            out += " + " + t
+    return out or "0"
+
+
+def poly_text(p: Poly) -> str:
+    return join_signed(_mono_text(*m) for m in p.monos)
 
 
 def _linear_arg_text(freqs, offs) -> str:
@@ -94,18 +95,10 @@ def _linear_arg_text(freqs, offs) -> str:
             parts.append("-" + s)
         else:
             parts.append(f"{_frac_text(c)}*{s}")
-    out = ""
-    for t in parts:
-        if not out:
-            out = t
-        elif t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out or "0"
+    return join_signed(parts)
 
 
-def _atom_text(coeff: Poly, factors) -> str:
+def atom_text(coeff: Poly, factors) -> str:
     """coeff * factor strings, eliding unit coefficients."""
     num = coeff.is_number()
     if not factors:
@@ -150,7 +143,7 @@ def expr_text(e: Expr) -> str:
     groups: dict = {}
     for t in e.terms:
         if not t.freqs and not t.offs:
-            plain.append((t.sort_key(), _atom_text(t.coeff, _base_factors(t))))
+            plain.append((t.sort_key(), atom_text(t.coeff, _base_factors(t))))
             continue
         pos = _phase_positive(t)
         rep = t if pos else t.conj()
@@ -172,22 +165,12 @@ def expr_text(e: Expr) -> str:
         csin = (cp - dm).scale(0, 1)
         if not ccos.is_zero():
             atoms.append((rep.sort_key() + ("cos",),
-                          _atom_text(ccos, base + [f"cos({arg})"])))
+                          atom_text(ccos, base + [f"cos({arg})"])))
         if not csin.is_zero():
             atoms.append((rep.sort_key() + ("sin",),
-                          _atom_text(csin, base + [f"sin({arg})"])))
-    if not atoms:
-        return "0"
+                          atom_text(csin, base + [f"sin({arg})"])))
     atoms.sort(key=lambda kv: kv[0])
-    out = ""
-    for _, t in atoms:
-        if not out:
-            out = t
-        elif t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+    return join_signed(t for _, t in atoms)
 
 
 # ---------------------------------------------------------------------------

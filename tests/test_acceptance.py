@@ -170,7 +170,7 @@ def test_criterion_5_terrible_problem():
         eps, a = 1e-4, 1.0
         r1 = switchback.most_divergent_sum(
             switchback.SwitchbackProblem(2, 1, eps, a))
-        r2 = switchback.terrible_hidden_scale(eps, a)
+        r2, _ = switchback.terrible_hidden_scale(eps, a)
         assert r1.text() == r2.text()
         assert abs(r1.s - r2.s) <= 1e-12 * abs(r1.s)
         # closed form equals ln(e + (1-e) e1(x)/e1(eps)) at a = 1

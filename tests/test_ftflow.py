@@ -103,7 +103,6 @@ class TestMostDivergent:
                                "a", "tauv")
         f = most_divergent_filter(s)
         assert f.orders[2] == (B ** 2 * tau ** 2).scale(F(-1, 2))
-        assert f.asymptotic_only
 
     def test_single_term_unchanged(self):
         s = PerturbationSeries([Expr.sym("A")],

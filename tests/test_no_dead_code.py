@@ -10,7 +10,9 @@ by module: it counts as used only through a bare name in its own module
 by name (a bare name, an attribute, an imported name, or a name inside a
 string annotation), so a method counts as used when any attribute of that
 name is read anywhere.  Dunder methods are called by the language and are
-not checked.
+not checked.  ``TEST_FACING`` lists the definitions kept only for the tests,
+each with its reason; a listed name must still be defined in ``src/`` and
+still be unused there.
 """
 
 import ast
@@ -19,9 +21,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hiddenscale"
 
-# Reference helpers kept for the tests that compare against them.
-TEST_FACING = {"expand_hierarchy", "most_divergent_partial_sum",
-               "radius_of_convergence"}
+# Definitions kept only for the tests, name -> why.
+TEST_FACING = {
+    "expand_hierarchy": "reference helper: the tests read each order's "
+                        "forcing from it",
+    "most_divergent_partial_sum": "reference helper: the tests sum the "
+                                  "series behind the logarithm with it",
+    "radius_of_convergence": "method the tests compare against the closed "
+                             "form's convergence radius",
+}
 
 
 def _parse(path):
@@ -97,7 +105,8 @@ def _definitions(tree):
             and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
-def unreferenced_definitions():
+def definitions():
+    """(module, line, name, used in src) for every checked definition."""
     trees = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
     total = sum((_references(t) for t in trees.values()), Counter())
     imported = _module_imports(trees)
@@ -105,16 +114,18 @@ def unreferenced_definitions():
     for mod, tree in trees.items():
         bare = _bare_names(tree)
         for node in _definitions(tree):
-            if node.name in TEST_FACING:
-                continue
             if node in tree.body:
                 used = bare[node.name] > _bare_names(node)[node.name] \
                     or (mod, node.name) in imported
             else:
                 used = total[node.name] > _references(node)[node.name]
-            if not used:
-                out.append(f"{mod}.py:{node.lineno} {node.name}")
+            out.append((mod, node.lineno, node.name, used))
     return out
+
+
+def unreferenced_definitions():
+    return [f"{mod}.py:{line} {name}" for mod, line, name, used
+            in definitions() if not used and name not in TEST_FACING]
 
 
 def unused_imports():
@@ -138,6 +149,15 @@ def unused_imports():
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == []
+
+
+def test_allowlist_names_are_defined_and_unused():
+    defs = definitions()
+    missing = sorted(set(TEST_FACING) - {name for _, _, name, _ in defs})
+    used = sorted({name for _, _, name, u in defs
+                   if u and name in TEST_FACING})
+    assert missing == [], "allowlisted but no longer defined in src/"
+    assert used == [], "allowlisted but now used in src/"
 
 
 def test_every_import_is_used():

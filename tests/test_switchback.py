@@ -7,11 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 from hiddenscale.exprcore import Expr
-from hiddenscale.switchback import (LogClosedForm, SwExpr, SwitchbackProblem,
+from hiddenscale.switchback import (LogClosedForm, SwitchbackProblem,
                                     exp_integral, most_divergent_partial_sum,
                                     most_divergent_sum, second_order_remainder,
-                                    sw_antiderivative, switchback_series,
-                                    terrible_ft_equations,
+                                    sw_antiderivative, sw_atom, sw_diff,
+                                    sw_text, switchback_series,
                                     terrible_hidden_scale)
 from hiddenscale.numlab import solve_bvp_shooting
 
@@ -53,23 +53,23 @@ class TestExpIntegral:
 
 class TestSwBasis:
     def test_antiderivative_rules_verify(self):
-        samples = [SwExpr.atom(3, 0, 0), SwExpr.atom(1, 0, -1),
-                   SwExpr.atom(2, -1, -1), SwExpr.atom(1, 0, 0, ((1, 1),)),
-                   SwExpr.atom(1, 0, -1, ((1, 1),)),
-                   SwExpr.atom(1, -1, -1, ((1, 1),))]
+        samples = [sw_atom(3, 0, 0), sw_atom(1, 0, -1),
+                   sw_atom(2, -1, -1), sw_atom(1, 0, 0, ((1, 1),)),
+                   sw_atom(1, 0, -1, ((1, 1),)),
+                   sw_atom(1, -1, -1, ((1, 1),))]
         for e in samples:
             F = sw_antiderivative(e)
-            assert F.diff() == e
+            assert sw_diff(F) == e
 
     def test_unknown_pattern_raises(self):
         with pytest.raises(ValueError):
-            sw_antiderivative(SwExpr.atom(1, 0, 0, ((1, 3),)))
+            sw_antiderivative(sw_atom(1, 0, 0, ((1, 3),)))
 
     def test_second_order_solves_equation(self):
         # construction self-verifies the order-2 equation; smoke call
-        u2 = second_order_remainder(1e-4)
+        u2 = second_order_remainder()
         assert not u2.is_zero()
-        assert "e1(x)^2" in u2.text()
+        assert "e1(x)^2" in sw_text(u2)
 
 
 class TestSeries:
@@ -122,18 +122,18 @@ class TestMostDivergentSum:
 
 class TestHiddenScaleRoute:
     def test_ft_equations(self):
-        ft = terrible_ft_equations()
+        _, ft = terrible_hidden_scale(1e-4, 1.0)
         assert ft.equations["B"] == Expr.sym("a") * Expr.sym("B") ** 2
         assert ft.equations["A"] == -Expr.sym("B")
 
     def test_two_routes_agree(self):
         r1 = most_divergent_sum(SwitchbackProblem(2, 1, 1e-4, 1.0))
-        r2 = terrible_hidden_scale(1e-4, 1.0)
+        r2, _ = terrible_hidden_scale(1e-4, 1.0)
         assert r1.text() == r2.text()
         assert abs(r1.s - r2.s) <= 1e-12 * abs(r1.s)
 
     def test_a_to_zero_limit(self):
-        r = terrible_hidden_scale(1e-4, 1e-9)
+        r, _ = terrible_hidden_scale(1e-4, 1e-9)
         xs = np.array([1e-3, 0.1, 1.0])
         assert np.allclose(r.evaluate(xs), 1.0, atol=1e-7)
 
