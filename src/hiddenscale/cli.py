@@ -570,9 +570,9 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     h = 1e-6
     for u in uforms:
         y0 += [u.evaluate(0.0), (u.evaluate(h) - u.evaluate(-h)) / (2 * h)]
-    # y'' + eps*y' + y = 0 per sweep value, one 2x2 block each
-    rhs = numlab.LinearRHS(block_diag(*([[0.0, 1.0], [-1.0, -ev]]
-                                        for ev in sweep)))
+    # the spec's equation per sweep value, one block each
+    rhs = numlab.LinearRHS(block_diag(
+        *(_ode_rhs(spec, {spec.parameter: ev})[0].M for ev in sweep)))
     ref = numlab.solve_ivp(rhs, y0, (grid[0], grid[-1]), "rk4-fixed",
                            step=step, t_eval=grid)
     errs = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RatLike = Union[int, Fraction]
 
@@ -388,15 +388,12 @@ class Term:
 # ---------------------------------------------------------------------------
 # Expressions.
 
-Deps = tuple  # tuple[tuple[sym, (var, prime)], ...]
-
-
 class Expr:
-    """Canonical sum of terms, plus the registry of promoted function symbols."""
+    """Canonical sum of terms."""
 
-    __slots__ = ("terms", "deps", "_hash")
+    __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Iterable[Term] = (), deps: Deps = ()):
+    def __init__(self, terms: Iterable[Term] = ()):
         merged: dict = {}
         for t in terms:
             if t.coeff.is_zero():
@@ -410,10 +407,6 @@ class Expr:
         out = [t for t in merged.values() if not t.coeff.is_zero()]
         out.sort(key=Term.sort_key)
         self.terms = tuple(out)
-        if deps:
-            syms = self.symbols()
-            deps = tuple(sorted((s, d) for s, d in dict(deps).items() if s in syms))
-        self.deps = deps
         self._hash = None
 
     # -- constructors ---------------------------------------------------------
@@ -477,9 +470,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_real(self) -> bool:
-        return self == self.conj()
-
     def symbols(self) -> set:
         out = set()
         for t in self.terms:
@@ -490,23 +480,14 @@ class Expr:
         return self.terms[0] if len(self.terms) == 1 else None
 
     # -- ring ops --------------------------------------------------------------
-    def _merge_deps(self, other: "Expr") -> Deps:
-        d = dict(self.deps)
-        for s, dep in other.deps:
-            if s in d and d[s] != dep:
-                raise OutOfClassError(f"conflicting promotions for symbol {s!r}")
-            d[s] = dep
-        return tuple(sorted(d.items()))
-
     def __add__(self, other) -> "Expr":
-        other = _as_expr(other)
-        return Expr(self.terms + other.terms, self._merge_deps(other))
+        return Expr(self.terms + _as_expr(other).terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
         return Expr([Term(-t.coeff, t.vpows, t.rates, t.freqs, t.offs)
-                     for t in self.terms], self.deps)
+                     for t in self.terms])
 
     def __sub__(self, other) -> "Expr":
         return self + (-_as_expr(other))
@@ -516,8 +497,7 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = _as_expr(other)
-        return Expr([a.mul(b) for a in self.terms for b in other.terms],
-                    self._merge_deps(other))
+        return Expr([a.mul(b) for a in self.terms for b in other.terms])
 
     __rmul__ = __mul__
 
@@ -531,7 +511,7 @@ class Expr:
 
     def scale(self, re: RatLike, im: RatLike = 0) -> "Expr":
         return Expr([Term(t.coeff.scale(re, im), t.vpows, t.rates, t.freqs, t.offs)
-                     for t in self.terms], self.deps)
+                     for t in self.terms])
 
     def inverse(self) -> "Expr":
         t = self.single_term()
@@ -542,10 +522,10 @@ class Expr:
         c = t.coeff ** (-1)
         return Expr([Term(c, (), tuple((v, -p) for v, p in t.rates),
                           tuple((v, -p) for v, p in t.freqs),
-                          tuple((s, -c2) for s, c2 in t.offs))], self.deps)
+                          tuple((s, -c2) for s, c2 in t.offs))])
 
     def conj(self) -> "Expr":
-        return Expr([t.conj() for t in self.terms], self.deps)
+        return Expr([t.conj() for t in self.terms])
 
     def real(self) -> "Expr":
         return (self + self.conj()).scale(Fraction(1, 2))
@@ -554,8 +534,7 @@ class Expr:
         return (self - self.conj()).scale(0, Fraction(-1, 2))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Expr) and self.terms == other.terms
-                and dict(self.deps) == dict(other.deps))
+        return isinstance(other, Expr) and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
@@ -568,18 +547,21 @@ class Expr:
         return f"Expr({textform.expr_text(self)})"
 
     # -- calculus ---------------------------------------------------------------
-    def diff(self, s: str) -> "Expr":
+    def diff(self, s: str, chain: Mapping[str, str] = ()) -> "Expr":
         """Exact derivative with respect to a variable, parameter or offset.
 
-        Promoted symbols (see ``promote``) contribute chain-rule terms with
-        their primed derivative symbols.
+        ``chain`` maps each symbol that is an opaque function of ``s`` to the
+        symbol of its derivative; each contributes its chain-rule term.
         """
-        deps = dict(self.deps)
-        chain = {u: prime for u, (var, prime) in deps.items() if var == s}
-        parts = []
+        out = self._partial(s)
+        for u, prime in dict(chain).items():
+            out = out + Expr.sym(prime) * self._partial(u)
+        return out
+
+    def _partial(self, s: str) -> "Expr":
+        """Derivative with every symbol other than ``s`` held fixed."""
+        out = []
         for t in self.terms:
-            base = Expr([t])
-            # polynomial powers of s
             k = t.vpow(s)
             if k:
                 d = dict(t.vpows)
@@ -587,55 +569,25 @@ class Expr:
                     del d[s]
                 else:
                     d[s] = k - 1
-                parts.append(Expr([Term(t.coeff.scale(k), tuple(sorted(d.items())),
-                                        t.rates, t.freqs, t.offs)]))
-            # coefficient: direct parameter dependence and promoted symbols
+                out.append(Term(t.coeff.scale(k), tuple(sorted(d.items())),
+                                t.rates, t.freqs, t.offs))
             dc = t.coeff.diff(s)
             if not dc.is_zero():
-                parts.append(Expr([Term(dc, t.vpows, t.rates, t.freqs, t.offs)]))
-            for u, prime in chain.items():
-                dc = t.coeff.diff(u)
-                if not dc.is_zero():
-                    parts.append(Expr([Term(dc * Poly.sym(prime), t.vpows, t.rates,
-                                            t.freqs, t.offs)]))
-            # exponential rates
-            factor = Expr.zero()
-            r = t.rate(s)
-            if not r.is_zero():
-                factor = factor + Expr.from_poly(r)
-            for v, p in t.rates:
-                dp = p.diff(s)
-                if not dp.is_zero():
-                    factor = factor + Expr.from_poly(dp) * Expr.var(v)
-                for u, prime in chain.items():
-                    du = p.diff(u)
-                    if not du.is_zero():
-                        factor = factor + Expr.from_poly(du * Poly.sym(prime)) * Expr.var(v)
-            # phases
-            f = t.freq(s)
-            if not f.is_zero():
-                factor = factor + Expr.from_poly(f).scale(0, 1)
-            for v, p in t.freqs:
-                dp = p.diff(s)
-                if not dp.is_zero():
-                    factor = factor + (Expr.from_poly(dp) * Expr.var(v)).scale(0, 1)
-                for u, prime in chain.items():
-                    du = p.diff(u)
-                    if not du.is_zero():
-                        factor = factor + (Expr.from_poly(du * Poly.sym(prime))
-                                           * Expr.var(v)).scale(0, 1)
-            offd = dict(t.offs)
-            if s in offd:
-                factor = factor + Expr.num(0, offd[s])
-            for u, prime in chain.items():
-                if u in offd:
-                    factor = factor + Expr.sym(prime).scale(0, offd[u])
-            if not factor.is_zero():
-                parts.append(base * factor)
-        out = Expr.zero()
-        for p in parts:
-            out = out + p
-        return Expr(out.terms, self.deps)
+                out.append(Term(dc, t.vpows, t.rates, t.freqs, t.offs))
+            # d/ds of the exponent as (factor, variable or None) pairs; the
+            # phase pieces carry a factor i
+            grads = [(t.rate(s), None)] + [(p.diff(s), v) for v, p in t.rates]
+            phase = [(t.freq(s), None)] + [(p.diff(s), v) for v, p in t.freqs]
+            c = dict(t.offs).get(s)
+            if c:
+                phase.append((Poly.num(c), None))
+            grads += [(g.scale(0, 1), v) for g, v in phase if not g.is_zero()]
+            for g, v in grads:
+                if not g.is_zero():
+                    vpows = _pows_mul(t.vpows, ((v, 1),)) if v else t.vpows
+                    out.append(Term(t.coeff * g, vpows, t.rates, t.freqs,
+                                    t.offs))
+        return Expr(out)
 
     def eval(self, env: Mapping[str, float]) -> complex:
         return sum((t.eval(env) for t in self.terms), 0j)
@@ -666,8 +618,7 @@ class Expr:
             out.append(Term(t.coeff.rename(old, new),
                             tuple(sorted((v, p) for v, p in vp.items() if p)),
                             _slot_make(rates), _slot_make(freqs), _offs_make(offs)))
-        deps = tuple((new if s == old else s, d) for s, d in self.deps)
-        return Expr(out, deps)
+        return Expr(out)
 
     def subs_param(self, sym: str, value) -> "Expr":
         """Replace a parameter symbol by an in-class expression.
@@ -694,15 +645,17 @@ class Expr:
                     continue
                 piece = Expr([Term(c, t.vpows, t.rates, t.freqs, t.offs)])
                 out = out + piece * (value ** j)
-        deps = tuple((s, d) for s, d in self.deps if s != sym)
-        return Expr(out.terms, out._merge_deps(Expr((), deps)))
+        return out
 
     def _subs_param_num(self, sym: str, q: Fraction) -> "Expr":
         out = []
         for t in self.terms:
             coeff = t.coeff.subs_num({sym: q})
-            rates = _slot_make({v: p.subs_num({sym: q}) for v, p in t.rates})
-            freqs = _slot_make({v: p.subs_num({sym: q}) for v, p in t.freqs})
+            # variable-style use at zero: exp(rate*0) = 1 drops the slot
+            rates = _slot_make({v: p.subs_num({sym: q}) for v, p in t.rates
+                                if q or v != sym})
+            freqs = _slot_make({v: p.subs_num({sym: q}) for v, p in t.freqs
+                                if q or v != sym})
             offs = dict(t.offs)
             if sym in offs:
                 if q != 0:
@@ -712,21 +665,7 @@ class Expr:
             if q == 0 and dict(t.vpows).get(sym):
                 continue  # variable-style use: power of zero kills the term
             out.append(Term(coeff, t.vpows, rates, freqs, _offs_make(offs)))
-        deps = tuple((s, d) for s, d in self.deps if s != sym)
-        return Expr(out, deps)
-
-    def promote(self, sym: str, var: str, prime: "str | None" = None) -> "Expr":
-        """Mark ``sym`` as an opaque function of ``var``.
-
-        Subsequent differentiation by ``var`` applies the chain rule and
-        introduces the fresh symbol ``prime`` (default: sym + "'").
-        """
-        prime = prime if prime is not None else sym + "'"
-        d = dict(self.deps)
-        if sym in d and d[sym] != (var, prime):
-            raise OutOfClassError(f"symbol {sym!r} already promoted differently")
-        d[sym] = (var, prime)
-        return Expr(self.terms, tuple(sorted(d.items())))
+        return Expr(out)
 
     def shift_phase(self, sym: str, offs: Mapping[str, RatLike] = (),
                     freqs: Mapping[str, "Poly | RatLike"] = (),
@@ -759,7 +698,7 @@ class Expr:
                 add = p.scale(c)
                 fd[v] = fd[v] + add if v in fd else add
             out.append(Term(coeff, t.vpows, t.rates, _slot_make(fd), _offs_make(od)))
-        return Expr(out, self.deps)
+        return Expr(out)
 
     # -- order bookkeeping ---------------------------------------------------------
     def collect_order(self, param: str, j: int) -> "Expr":
@@ -780,7 +719,7 @@ class Expr:
                 if not c.is_zero():
                     out.append(Term(c, term.vpows, term.rates, term.freqs,
                                     term.offs))
-        return Expr(out, self.deps)
+        return Expr(out)
 
     def truncate_order(self, param: str, k: int) -> "Expr":
         """Sum of param**j * collect_order(j) for j = 0..k."""
@@ -788,7 +727,7 @@ class Expr:
         p = Expr.sym(param)
         for j in range(k + 1):
             out = out + (p ** j) * self.collect_order(param, j)
-        return Expr(out.terms, self.deps)
+        return out
 
     # -- structure helpers -----------------------------------------------------------
     def coeff_linear(self, sym: str):
@@ -804,7 +743,7 @@ class Expr:
                 c.append(Term(cc, t.vpows, t.rates, t.freqs, t.offs))
             if not dd.is_zero():
                 d.append(Term(dd, t.vpows, t.rates, t.freqs, t.offs))
-        return Expr(c, self.deps), Expr(d, self.deps)
+        return Expr(c), Expr(d)
 
     def split_basis(self, basis_vars: Sequence[str]):
         """Group terms by their basis function over the given variables.
@@ -827,7 +766,7 @@ class Expr:
         out = []
         for shape in sorted(groups):
             basis, rests = groups[shape]
-            out.append((basis, Expr(rests, self.deps)))
+            out.append((basis, Expr(rests)))
         return out
 
     def factor_out_unit_phase(self) -> "Expr":
@@ -844,7 +783,7 @@ class Expr:
             return self
         unit = Expr([Term(P_ONE, (), (),
                           tuple((v, -p) for v, p in best.freqs),
-                          tuple((s, -c) for s, c in best.offs))], self.deps)
+                          tuple((s, -c) for s, c in best.offs))])
         return self * unit
 
 
@@ -904,24 +843,16 @@ def _as_expr(x) -> Expr:
 # ---------------------------------------------------------------------------
 # Painting.
 
-def classify_divergent(e: Expr, v: str,
-                       predicate: "Callable[[Term], bool] | None" = None):
+def classify_divergent(e: Expr, v: str):
     """Partition terms into (divergent, convergent) with respect to ``v``.
 
-    Default rule: a term is divergent iff it carries a positive polynomial
-    power of ``v`` (a secular factor multiplying a bounded envelope).  A
-    predicate overrides the default for non-polynomial divergences.
+    A term is divergent iff it carries a positive polynomial power of ``v``
+    (a secular factor multiplying a bounded envelope).
     """
-    test = predicate if predicate is not None else (lambda t: t.vpow(v) >= 1)
     div, conv = [], []
     for t in e.terms:
-        r = test(t)
-        if r is None:
-            from . import textform
-            raise ValueError("divergence classifier abstained on term "
-                             f"{textform.expr_text(Expr([t]))}")
-        (div if r else conv).append(t)
-    return Expr(div, e.deps), Expr(conv, e.deps)
+        (div if t.vpow(v) else conv).append(t)
+    return Expr(div), Expr(conv)
 
 
 def paint_term(t: Term, v: str, mu: str) -> Term:
@@ -971,7 +902,7 @@ def _div_single(e: Expr, t: Term) -> Expr:
         out.append(Term(a.coeff * inv_c,
                         tuple(sorted((v, p) for v, p in vp.items() if p)),
                         _slot_make(rates), _slot_make(freqs), _offs_make(offs)))
-    return Expr(out, e.deps)
+    return Expr(out)
 
 
 def _atoms(e: Expr):

@@ -21,7 +21,7 @@ from .exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
                        classify_divergent, div_exact, paint_term,
                        solve_linear_system)
 from .pertseries import (ConstantInfo, PerturbationSeries, LinearOperator,
-                         particular_integral, _expr_at_zero)
+                         SolveError, particular_integral)
 
 
 class FTError(RuntimeError):
@@ -64,7 +64,7 @@ class PaintedSeries:
 
     def special_solution(self) -> Expr:
         """The painted series at mu = 0: every divergent term is gone."""
-        return _expr_at_zero(self.painted, self.mu)
+        return self.painted.subs_param(self.mu, 0)
 
 
 def paint(series: PerturbationSeries, n_derivs: int,
@@ -84,7 +84,7 @@ def paint(series: PerturbationSeries, n_derivs: int,
     for e in exprs:
         div, conv = classify_divergent(e, v)
         newt = [paint_term(t, v, mu) for t in div.terms]
-        painted.append(Expr(list(conv.terms) + newt, e.deps))
+        painted.append(Expr(list(conv.terms) + newt))
     ps = PaintedSeries(series, painted[0], painted[1:], mu)
     if ps.restored() != exprs[0]:
         raise FTError("painting round trip failed")
@@ -101,7 +101,7 @@ def most_divergent_filter(series: PerturbationSeries) -> PerturbationSeries:
     orders = []
     for e in series.orders:
         rank = max((t.vpow(v) for t in e.terms), default=0)
-        orders.append(Expr([t for t in e.terms if t.vpow(v) == rank], e.deps))
+        orders.append(Expr([t for t in e.terms if t.vpow(v) == rank]))
     return PerturbationSeries(orders, list(series.constants),
                               series.parameter, series.variable)
 
@@ -145,9 +145,7 @@ class FTSystem:
 
 
 def total_mu_derivative(e: Expr, mu: str, unknowns: Sequence[ConstantInfo]) -> Expr:
-    for c in unknowns:
-        e = e.promote(c.name, mu, c.name + PRIME_SUFFIX)
-    return e.diff(mu)
+    return e.diff(mu, {c.name: c.name + PRIME_SUFFIX for c in unknowns})
 
 
 def _scalar_equations(ps: PaintedSeries, unknowns):
@@ -235,7 +233,7 @@ def derive_ft_system(ps: PaintedSeries, k: int) -> FTSystem:
         ep = Expr.sym(eps)
         for j in range(d + 1):
             rhs = rhs + (ep ** j) * solution[(c.name, j)]
-        equations[c.name] = Expr(rhs.terms)   # drop promotion bookkeeping
+        equations[c.name] = rhs
         determined[c.name] = d
     ft = FTSystem(ps.mu, ps.variable, eps, k, list(unknowns), equations,
                   determined, [eq for eq, _ in scalar])
@@ -298,7 +296,7 @@ def derive_ft_exact(ps: PaintedSeries,
         key = (primes[c.name],)
         if key not in solution:
             raise FTUnderdetermined(f"prime {primes[c.name]} undetermined")
-        out[c.name] = Expr(solution[key].terms)
+        out[c.name] = solution[key]
     return out
 
 
@@ -323,7 +321,7 @@ def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
             if g <= max_grade:
                 out.append(Term(Poly([(pows, re_c, im_c)]), t.vpows, t.rates,
                                 t.freqs, t.offs))
-    return Expr(out, e.deps)
+    return Expr(out)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +567,7 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
             try:
                 anti = particular_integral(LinearOperator.make([0, 1], mu),
                                            expr)
-                integral = _expr_at_zero(anti, mu) - anti.rename(mu, x_symbol)
+                integral = anti.subs_param(mu, 0) - anti.rename(mu, x_symbol)
                 # integral == -int_0^x rhs dmu, so A(0) = tilde + integral
                 integral = _subst_tilde_values(integral, tvals)
                 if n in offsets:
@@ -581,7 +579,7 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
                 return _finish_flow(
                     Flow(n, tildes[n], "quad-expr", value0=til + integral),
                     tvals)
-            except Exception:
+            except (OutOfClassError, SolveError):
                 pass
         # (iii-b) logarithm quadrature against one power-law flow
         pl_refs = [m for m in refs if flows.get(m) is not None
@@ -791,17 +789,14 @@ def cgo_rg_equation(split_series: Expr, derivs: Sequence[Expr], x: str,
     in hand calculations.
     """
     primes = [c + PRIME_SUFFIX for c in constants]
+    chain = dict(zip(constants, primes))
     eqs = []
     for e in [split_series] + list(derivs):
-        d = e
-        for c in constants:
-            d = d.promote(c, x0, c + PRIME_SUFFIX)
-        d = d.diff(x0)
-        d = d.rename(x, x0)
+        d = e.diff(x0, chain).rename(x, x0)
         if truncate_order is not None:
             d = grade_truncate(d, {p: 1 for p in primes}, parameter,
                                truncate_order)
-        eqs.append(Expr(d.terms))
+        eqs.append(d)
     lineqs = []
     for i, eq in enumerate(eqs):
         coeffs, rest = _split_linear_in_primes(eq, primes)

@@ -87,8 +87,9 @@ class LinearOperator:
     def char_roots(self):
         """All characteristic roots as ((re, im), multiplicity).
 
-        Supports rational roots plus quadratic factors with rational or pure
-        square-root-rational conjugate pairs; anything else is rejected.
+        Supports rational roots plus conjugate pairs with rational real and
+        imaginary parts (a pure-imaginary pair may be double); anything else
+        is rejected.
         """
         cs = list(self.coeffs)
         roots = []
@@ -155,22 +156,17 @@ class LinearOperator:
                 roots.append(((found, ZERO), mult))
                 continue
             if len(cs) == 3:
+                # the search above removed every rational root, so only a
+                # complex pair with rational parts can remain
                 a, b, c2 = cs[2], cs[1], cs[0]
                 disc = b * b - 4 * a * c2
-                if disc < 0:
-                    s = _sqrt_fraction(-disc)
-                    if s is not None:
-                        re = -b / (2 * a)
-                        im = s / (2 * a)
-                        roots.append(((re, abs(im)), 1))
-                        roots.append(((re, -abs(im)), 1))
-                        break
-                else:
-                    s = _sqrt_fraction(disc)
-                    if s is not None:
-                        roots.append((((-b + s) / (2 * a), ZERO), 1))
-                        roots.append((((-b - s) / (2 * a), ZERO), 1))
-                        break
+                s = _sqrt_fraction(-disc)
+                if s is not None:
+                    re = -b / (2 * a)
+                    im = s / (2 * a)
+                    roots.append(((re, abs(im)), 1))
+                    roots.append(((re, -abs(im)), 1))
+                    break
                 raise SolveError("operator has non-rational characteristic roots")
             # try biquadratic-style repeated complex pair, e.g. (1 + D^2)^2
             if len(cs) == 5:
@@ -288,9 +284,6 @@ class PerturbationSeries:
         for j, e in enumerate(self.orders):
             out = out + (p ** j) * e
         return out
-
-    def constant_names(self):
-        return [c.name for c in self.constants]
 
     def min_order_constants(self):
         """Constants introduced at the lowest populated order."""
@@ -434,18 +427,6 @@ def complementary(L: LinearOperator, names: Sequence[str], style: str,
     return cf, infos, offsets
 
 
-def _expr_at_zero(e: Expr, var: str) -> Expr:
-    out = []
-    for t in e.terms:
-        if t.vpow(var):
-            continue
-        rates = tuple((v, p) for v, p in t.rates if v != var)
-        freqs = tuple((v, p) for v, p in t.freqs if v != var)
-        out.append(Term(t.coeff, tuple((v, p) for v, p in t.vpows if v != var),
-                        rates, freqs, t.offs))
-    return Expr(out, e.deps)
-
-
 def solve_order(L: LinearOperator, f: Expr, ics=None,
                 names: Optional[Sequence[str]] = None, style: str = "rect",
                 base_offsets: Optional[dict] = None):
@@ -469,7 +450,7 @@ def solve_order(L: LinearOperator, f: Expr, ics=None,
     for m in range(n):
         if m:
             d = d.diff(L.var)
-        rest = _expr_at_zero(d, L.var)
+        rest = d.subs_param(L.var, 0)
         coeffs = {}
         for cn in consts:
             coeffs[cn], rest = rest.coeff_linear(cn)

@@ -40,12 +40,15 @@ class GeneratorAnsatz:
 
     ``directions`` maps a tangent direction (an independent variable name,
     the dependent symbol, or the switch) to {order: [shape Expr]}.  The
-    switch direction is implicitly 1 at order zero.
+    switch direction is implicitly 1 at order zero.  ``chain`` maps a
+    direction to the symbols that are opaque functions of it, each with the
+    symbol of its derivative (the chain rule of ``Expr.diff``).
     """
 
     directions: dict
     dependent: str = "y"
     switch: str = "s"
+    chain: dict = field(default_factory=dict)
 
     @staticmethod
     def oscillator(k: int, var: str = "t", dependent: str = "y",
@@ -132,7 +135,7 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
 
     eps = Expr.sym(parameter)
     E = Expr.zero()
-    dseries = {v: series_with_s.diff(v)
+    dseries = {v: series_with_s.diff(v, ansatz.chain.get(v, {}))
                for v in list(ansatz.directions) if v != dep}
     for j in range(k + 1):
         eta = weighted(dep, j)
@@ -190,9 +193,8 @@ def _verify_generator(E: Expr, sol: dict, parameter, k):
 
 def burgers_series_with_switch() -> Expr:
     """u = U - eps*s*t*U*Ux^2 with U an opaque monotone initial profile."""
-    series = (Expr.sym("U") - Expr.sym("eps") * Expr.var("s") * Expr.var("t")
-              * Expr.sym("U") * Expr.sym("Ux") ** 2)
-    return series.promote("U", "x", "Ux").promote("Ux", "x", "Uxx")
+    return (Expr.sym("U") - Expr.sym("eps") * Expr.var("s") * Expr.var("t")
+            * Expr.sym("U") * Expr.sym("Ux") ** 2)
 
 
 def burgers_generator() -> Generator:
@@ -208,7 +210,9 @@ def burgers_generator() -> Generator:
     dirs = {"x": {0: [Expr.num(1), t, y, ux],
                   1: [t * y * ux, t * y, y * ux, t * ux]},
             "s": {}}
-    ansatz = GeneratorAnsatz(dirs, dependent="y", switch="s")
+    # U is a function of x: d/dx U = Ux, d/dx Ux = Uxx
+    ansatz = GeneratorAnsatz(dirs, dependent="y", switch="s",
+                             chain={"x": {"U": "Ux", "Ux": "Uxx"}})
     return solve_determining(series, ansatz, 1)
 
 

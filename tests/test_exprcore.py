@@ -35,8 +35,8 @@ class TestNormalize:
 
     def test_idempotent(self):
         e = Expr.sym("A") + Expr.sym("B") * exp_t()
-        n = Expr(e.terms, e.deps)
-        assert n == e and Expr(n.terms, n.deps) == n
+        n = Expr(e.terms)
+        assert n == e and Expr(n.terms) == n
 
     def test_zero_terms_dropped(self):
         e = Expr.sym("A") - Expr.sym("A")
@@ -65,10 +65,14 @@ class TestDiff:
 
 class TestSubstitute:
     def test_promotion_then_diff(self):
-        e = Expr.sym("A") + Expr.sym("B") * exp_t()
-        p = e.promote("A", "mu")
-        assert p.diff("mu") == Expr([t for t in Expr.sym("A'").terms],
-                                    p.deps)
+        # A and the offset th are functions of mu; B is not
+        e = Expr.sym("A") * Expr.cos({"mu": 1}, {"th": 1}) + Expr.sym("B")
+        d = e.diff("mu", {"A": "A'", "th": "th'"})
+        want = (Expr.sym("A'") * Expr.cos({"mu": 1}, {"th": 1})
+                - Expr.sym("A") * (1 + Expr.sym("th'"))
+                * Expr.sin({"mu": 1}, {"th": 1}))
+        assert d == want
+        assert e.diff("mu") == -Expr.sym("A") * Expr.sin({"mu": 1}, {"th": 1})
 
     def test_painting_single_term(self):
         term = (Expr.sym("eps") * Expr.var("tau") * exp_t()).terms[0]
@@ -80,10 +84,17 @@ class TestSubstitute:
         assert e.shift_phase("phi", offs={"phi": 1}, pi_halves=2) == -e
 
     def test_out_of_class_rejected(self):
-        e = (Expr.sym("A") * Expr.exp("tau", -1)).promote("A", "mu")
-        assert e.promote("A", "mu") == e
+        e = Expr.sym("A") * Expr.exp("tau", Poly.sym("k"))
         with pytest.raises(OutOfClassError):
-            e.promote("A", "tau")
+            e.subs_param("k", Expr.sym("B"))
+        with pytest.raises(OutOfClassError):
+            Expr.cos({}, {"th": 1}).subs_param("th", 1)
+
+    def test_variable_at_zero(self):
+        # exp(-mu)*cos(mu) -> 1 and the secular mu*exp(-mu) -> 0
+        e = Expr.sym("A") * Expr.exp("mu", -1) * (Expr.cos({"mu": 1})
+                                                 + Expr.var("mu"))
+        assert e.subs_param("mu", 0) == Expr.sym("A")
 
     def test_param_to_expr(self):
         e = Expr.sym("A", 2)
@@ -137,12 +148,6 @@ class TestClassify:
         e = Expr.sym("A") + Expr.sym("B") * exp_t()
         div, conv = classify_divergent(e, "tau")
         assert div.is_zero() and conv == e
-
-    def test_user_predicate(self):
-        e = Expr.sym("A") + Expr.sym("B") * exp_t()
-        div, conv = classify_divergent(e, "tau",
-                                       predicate=lambda t: bool(t.rates))
-        assert div == Expr.sym("B") * exp_t()
 
 
 def test_underdetermined_system_reports_free_unknowns():

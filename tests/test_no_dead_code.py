@@ -6,11 +6,13 @@ imports a name it never uses.  A module-level function or class is resolved
 by module: it counts as used only through a bare name in its own module
 (outside its own definition, string annotations included), a
 ``from .mod import name``, or ``alias.name`` after
-``from . import mod [as alias]``.  Methods and nested functions are matched
-by name (a bare name, an attribute, an imported name, or a name inside a
-string annotation), so a method counts as used when any attribute of that
-name is read anywhere.  Dunder methods are called by the language and are
-not checked.  ``TEST_FACING`` lists the definitions kept only for the tests,
+``from . import mod [as alias]``.  A method (a ``def`` directly in a class
+body) counts as used only through an attribute read ``obj.name`` or an
+imported name anywhere outside its own definition; a bare local name or
+parameter of the same name does not count.  Nested functions and nested
+classes are matched by name (a bare name, an attribute, an imported name, or
+a name inside a string annotation).  Dunder methods are called by the
+language and are not checked.  ``TEST_FACING`` lists the definitions kept only for the tests,
 each with its reason; a listed name must still be defined in ``src/`` and
 still be unused there.
 """
@@ -29,6 +31,9 @@ TEST_FACING = {
                                   "series behind the logarithm with it",
     "radius_of_convergence": "method the tests compare against the closed "
                              "form's convergence radius",
+    "truncate_order": "method criterion 9 and the kernel-battery benchmark "
+                      "workload check against collect_order",
+    "component": "method the generator tests read solved components with",
 }
 
 
@@ -98,6 +103,24 @@ def _references(tree):
     return out + _annotation_names(tree)
 
 
+def _attribute_reads(tree):
+    """Attributes a subtree reads (``obj.name``) or imports, counted."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def _methods(tree):
+    """The ``def`` nodes directly in a class body."""
+    return {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
 def _definitions(tree):
     return [node for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -109,14 +132,18 @@ def definitions():
     """(module, line, name, used in src) for every checked definition."""
     trees = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
     total = sum((_references(t) for t in trees.values()), Counter())
+    reads = sum((_attribute_reads(t) for t in trees.values()), Counter())
     imported = _module_imports(trees)
     out = []
     for mod, tree in trees.items():
         bare = _bare_names(tree)
+        methods = _methods(tree)
         for node in _definitions(tree):
             if node in tree.body:
                 used = bare[node.name] > _bare_names(node)[node.name] \
                     or (mod, node.name) in imported
+            elif node in methods:
+                used = reads[node.name] > _attribute_reads(node)[node.name]
             else:
                 used = total[node.name] > _references(node)[node.name]
             out.append((mod, node.lineno, node.name, used))

@@ -59,6 +59,20 @@ class TestHierarchy:
         assert pairs[1][1] == want
 
 
+def test_char_roots_rational_search():
+    one, zero = F(1), F(0)
+    # D^2 - 1: the search finds both simple roots
+    assert LinearOperator.make([-1, 0, 1], "x").char_roots() == [
+        ((one, zero), 1), ((-one, zero), 1)]
+    # (D + 1)^3: deflation counts the multiplicity
+    assert LinearOperator.make([1, 3, 3, 1], "x").char_roots() == [
+        ((-one, zero), 3)]
+    # D^2 - 2: irrational roots leave the class
+    with pytest.raises(SolveError,
+                       match="operator has non-rational characteristic roots"):
+        LinearOperator.make([-2, 0, 1], "x").char_roots()
+
+
 class TestSolveOrder:
     def test_resonant_double_mode(self):
         L = LinearOperator.make([0, 1, 1], "tau")
