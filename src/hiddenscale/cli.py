@@ -87,7 +87,7 @@ def _start_values(spec: ProblemSpec, series):
     roots = [z for z, _m in spec.operator.char_roots() if z[1] > 0]
     if len(roots) != 1:
         return None
-    omega = roots[0][1]
+    omega = Fraction(roots[0][1], roots[0][2])
 
     def is_zero(v):
         return v is not None and v.strip() == "0"

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence, Union
 
 RatLike = Union[int, Fraction]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class OutOfClassError(ValueError):
@@ -34,98 +32,185 @@ class OutOfClassError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals, stored as (re, im) Fraction pairs.
+# Gaussian rationals, stored as integer triples (re, im, den) meaning
+# (re + i*im)/den with den > 0 and gcd(re, im, den) == 1, so that equal
+# values are equal triples.  Each operation reduces its result once.
+
+Q_ZERO = (0, 0, 1)
+Q_ONE = (1, 0, 1)
+_I_POWERS = ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))   # i**n, n mod 4
+
+
+def _qreduce(re: int, im: int, den: int):
+    g = gcd(re, im, den)
+    if g == 1:
+        return (re, im, den)
+    return (re // g, im // g, den // g)
+
+
+def _qnum(re: RatLike, im: RatLike = 0):
+    """The triple of re + i*im for integer or Fraction parts."""
+    rd, id_ = re.denominator, im.denominator
+    if rd == id_:
+        return (re.numerator, im.numerator, rd)
+    return _qreduce(re.numerator * id_, im.numerator * rd, rd * id_)
+
+
+def _qadd(a, b):
+    ar, ai, ad = a
+    br, bi, bd = b
+    if ad == bd:
+        if ad == 1:
+            return (ar + br, ai + bi, 1)
+        return _qreduce(ar + br, ai + bi, ad)
+    return _qreduce(ar * bd + br * ad, ai * bd + bi * ad, ad * bd)
+
 
 def _qmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    ar, ai, ad = a
+    br, bi, bd = b
+    if ai or bi:
+        return _qreduce(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
+    re, den = ar * br, ad * bd
+    g = gcd(re, den)
+    return (re // g, 0, den // g) if g != 1 else (re, 0, den)
 
 
 def _qdiv(a, b):
-    d = b[0] * b[0] + b[1] * b[1]
-    if d == 0:
+    ar, ai, ad = a
+    br, bi, bd = b
+    if bi:
+        # a/b = a*conj(b)*bd / (ad*|b*bd|^2)
+        n = br * br + bi * bi
+        return _qreduce((ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd,
+                        ad * n)
+    if not br:
         raise ZeroDivisionError("division by zero Gaussian rational")
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+    if br < 0:
+        br, bd = -br, -bd
+    return _qreduce(ar * bd, ai * bd, ad * br)
 
 
 def _qpow(a, n: int):
     if n < 0:
-        return _qdiv((ONE, ZERO), _qpow(a, -n))
-    out = (ONE, ZERO)
+        return _qdiv(Q_ONE, _qpow(a, -n))
+    if not a[1]:
+        return (a[0] ** n, 0, a[2] ** n)   # coprime parts stay coprime
+    out = Q_ONE
     for _ in range(n):
         out = _qmul(out, a)
     return out
 
 
-I_UNIT = (ZERO, ONE)
+def _rat_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))``: "n" or "n/d" in lowest terms."""
+    if not num:
+        return "0"
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+# ---------------------------------------------------------------------------
+# Symbol-sorted (symbol, value) tuples: powers, rates, frequencies, offsets.
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Sum of two symbol-sorted tuples; zero sums are dropped."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        sa, sb = a[i][0], b[j][0]
+        if sa < sb:
+            out.append(a[i])
+            i += 1
+        elif sb < sa:
+            out.append(b[j])
+            j += 1
+        else:
+            v = a[i][1] + b[j][1]
+            if v:
+                out.append((sa, v))
+            i += 1
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def _lookup(pairs: tuple, s: str, default=0):
+    for k, v in pairs:
+        if k == s:
+            return v
+    return default
+
+
+def _without(pairs: tuple, s: str) -> tuple:
+    return tuple(kv for kv in pairs if kv[0] != s)
+
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials over parameter symbols.
 
 Pows = tuple  # tuple[tuple[str, int], ...], sorted, no zero exponents
-Mono = tuple  # (Pows, re: Fraction, im: Fraction)
-
-
-def _pows_mul(a: Pows, b: Pows) -> Pows:
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for s, k in b:
-        n = d.get(s, 0) + k
-        if n:
-            d[s] = n
-        else:
-            del d[s]
-    return tuple(sorted(d.items()))
+Mono = tuple  # (Pows, (re, im, den))
 
 
 class Poly:
     """Laurent polynomial in parameter symbols, Gaussian-rational coefficients."""
 
-    __slots__ = ("monos", "_hash")
+    __slots__ = ("monos", "_hash", "_key")
 
     def __init__(self, monos: Iterable[Mono] = ()):
         acc: dict = {}
-        for pows, re, im in monos:
-            if any(k == 0 for _, k in pows):
-                d = {}
-                for s, k in pows:
-                    n = d.get(s, 0) + k
-                    d[s] = n
-                pows = tuple(sorted((s, k) for s, k in d.items() if k))
-            c = acc.get(pows)
-            if c is None:
-                acc[pows] = (re, im)
-            else:
-                acc[pows] = (c[0] + re, c[1] + im)
-        self.monos = tuple(
-            (p, c[0], c[1]) for p, c in sorted(acc.items()) if c[0] or c[1]
-        )
+        for m in monos:
+            p = m[0]
+            c = acc.get(p)
+            acc[p] = m if c is None else (p, _qadd(c[1], m[1]))
+        self.monos = tuple(m for _, m in sorted(acc.items())
+                           if m[1][0] or m[1][1])
         self._hash = None
+        self._key = None
+
+    @staticmethod
+    def _canonical(monos: tuple) -> "Poly":
+        """Wrap monomials that are already sorted, distinct and nonzero."""
+        p = Poly.__new__(Poly)
+        p.monos = monos
+        p._hash = None
+        p._key = None
+        return p
 
     # -- construction -------------------------------------------------------
     @staticmethod
     def num(re: RatLike, im: RatLike = 0) -> "Poly":
-        return Poly([((), Fraction(re), Fraction(im))])
+        return Poly([((), _qnum(re, im))])
 
     @staticmethod
     def sym(name: str, exp: int = 1) -> "Poly":
-        return Poly([(((name, exp),), ONE, ZERO)])
+        return Poly([(((name, exp),) if exp else (), Q_ONE)])
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.monos
 
+    def __bool__(self) -> bool:
+        return bool(self.monos)
+
     def is_real(self) -> bool:
-        return all(im == 0 for _, _, im in self.monos)
+        return all(not q[1] for _, q in self.monos)
 
     def is_number(self):
-        """Return the Gaussian-rational value if constant, else None."""
+        """Return the Gaussian-rational triple if constant, else None."""
         if not self.monos:
-            return (ZERO, ZERO)
+            return Q_ZERO
         if len(self.monos) == 1 and not self.monos[0][0]:
-            return (self.monos[0][1], self.monos[0][2])
+            return self.monos[0][1]
         return None
 
     def single(self):
@@ -134,45 +219,56 @@ class Poly:
 
     def symbols(self) -> set:
         out = set()
-        for pows, _, _ in self.monos:
+        for pows, _ in self.monos:
             out.update(s for s, _ in pows)
         return out
 
     # -- ring ops ------------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
+        if not other.monos:
+            return self
+        if not self.monos:
+            return other
         return Poly(self.monos + other.monos)
 
     def __neg__(self) -> "Poly":
-        return Poly([(p, -re, -im) for p, re, im in self.monos])
+        return Poly._canonical(tuple((p, (-q[0], -q[1], q[2]))
+                                     for p, q in self.monos))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out = []
-        for pa, ra, ia in self.monos:
-            for pb, rb, ib in other.monos:
-                re, im = _qmul((ra, ia), (rb, ib))
-                out.append((_pows_mul(pa, pb), re, im))
-        return Poly(out)
+        a, b = self.monos, other.monos
+        if len(a) == 1 and len(b) == 1:
+            # a product of two nonzero monomials is one nonzero monomial
+            return Poly._canonical(((_merge(a[0][0], b[0][0]),
+                                     _qmul(a[0][1], b[0][1])),))
+        return Poly([(_merge(pa, pb), _qmul(qa, qb))
+                     for pa, qa in a for pb, qb in b])
+
+    def times(self, q) -> "Poly":
+        """Every coefficient multiplied by the Gaussian-rational triple q."""
+        if not (q[0] or q[1]):
+            return P_ZERO
+        return Poly._canonical(tuple((p, _qmul(c, q)) for p, c in self.monos))
 
     def scale(self, re: RatLike, im: RatLike = 0) -> "Poly":
-        q = (Fraction(re), Fraction(im))
-        return Poly([(p, *_qmul((r, i), q)) for p, r, i in self.monos])
+        return self.times(_qnum(re, im))
 
     def conj(self) -> "Poly":
-        return Poly([(p, re, -im) for p, re, im in self.monos])
+        return Poly._canonical(tuple((p, (q[0], -q[1], q[2]))
+                                     for p, q in self.monos))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             m = self.single()
             if m is None:
                 raise OutOfClassError("cannot invert a multi-term polynomial")
-            pows, re, im = m
-            cre, cim = _qdiv((ONE, ZERO), (re, im))
-            inv = Poly([(tuple((s, -k) for s, k in pows), cre, cim)])
+            pows, q = m
+            inv = Poly([(tuple((s, -k) for s, k in pows), _qdiv(Q_ONE, q))])
             return inv ** (-n)
-        out = Poly.num(1)
+        out = P_ONE
         for _ in range(n):
             out = out * self
         return out
@@ -188,69 +284,57 @@ class Poly:
     # -- calculus / structure -------------------------------------------------
     def diff(self, sym: str) -> "Poly":
         out = []
-        for pows, re, im in self.monos:
-            d = dict(pows)
-            k = d.get(sym, 0)
-            if not k:
-                continue
-            if k == 1:
-                del d[sym]
-            else:
-                d[sym] = k - 1
-            out.append((tuple(sorted(d.items())), k * re, k * im))
+        for pows, q in self.monos:
+            k = _lookup(pows, sym)
+            if k:
+                out.append((_merge(pows, ((sym, -1),)), _qmul(q, (k, 0, 1))))
         return Poly(out)
 
     def order_range(self, sym: str):
         """(min, max) exponent of sym across monomials (0 if absent)."""
         if not self.monos:
             return (0, 0)
-        ks = [dict(p).get(sym, 0) for p, _, _ in self.monos]
+        ks = [_lookup(p, sym) for p, _ in self.monos]
         return (min(ks), max(ks))
 
     def coeff_of(self, sym: str, j: int) -> "Poly":
         """Coefficient polynomial of sym**j (sym removed)."""
-        out = []
-        for pows, re, im in self.monos:
-            d = dict(pows)
-            if d.get(sym, 0) == j:
-                d.pop(sym, None)
-                out.append((tuple(sorted(d.items())), re, im))
-        return Poly(out)
+        return Poly([(_without(pows, sym), q) for pows, q in self.monos
+                     if _lookup(pows, sym) == j])
 
     def split_by(self, sym: str):
         """Split into (free of sym, containing sym)."""
         free, dep = [], []
         for m in self.monos:
-            (dep if dict(m[0]).get(sym, 0) else free).append(m)
+            (dep if _lookup(m[0], sym) else free).append(m)
         return Poly(free), Poly(dep)
 
     def subs_num(self, env: Mapping[str, RatLike]) -> "Poly":
         out = []
-        for pows, re, im in self.monos:
-            q = (re, im)
+        for pows, q in self.monos:
             keep = []
             for s, k in pows:
                 if s in env:
-                    q = _qmul(q, _qpow((Fraction(env[s]), ZERO), k))
+                    q = _qmul(q, _qpow(_qnum(env[s]), k))
                 else:
                     keep.append((s, k))
-            out.append((tuple(keep), q[0], q[1]))
+            out.append((tuple(keep), q))
         return Poly(out)
 
     def rename(self, old: str, new: str) -> "Poly":
         out = []
-        for pows, re, im in self.monos:
+        for pows, q in self.monos:
             d = {}
             for s, k in pows:
                 s2 = new if s == old else s
                 d[s2] = d.get(s2, 0) + k
-            out.append((tuple(sorted((s, k) for s, k in d.items() if k)), re, im))
+            out.append((tuple(sorted((s, k) for s, k in d.items() if k)), q))
         return Poly(out)
 
     def eval(self, env: Mapping[str, float]) -> complex:
         total = 0j
-        for pows, re, im in self.monos:
-            v = complex(re) + 1j * complex(im)
+        for pows, (re, im, den) in self.monos:
+            v = complex(re / den, im / den)
             for s, k in pows:
                 try:
                     v *= env[s] ** k
@@ -260,7 +344,11 @@ class Poly:
         return total
 
     def key(self):
-        return tuple((p, str(re), str(im)) for p, re, im in self.monos)
+        """Sort key: per monomial its powers and the texts of re and im."""
+        if self._key is None:
+            self._key = tuple((p, _rat_text(re, den), _rat_text(im, den))
+                              for p, (re, im, den) in self.monos)
+        return self._key
 
     def __repr__(self):
         from . import textform
@@ -278,24 +366,27 @@ SlotPolys = tuple  # tuple[tuple[str, Poly], ...] sorted by symbol
 
 
 def _slot_make(d: Mapping[str, Poly]) -> SlotPolys:
-    return tuple(sorted((v, p) for v, p in d.items() if not p.is_zero()))
+    return tuple(sorted((v, p) for v, p in d.items() if p))
 
 
-def _slot_add(a: SlotPolys, b: SlotPolys) -> SlotPolys:
-    d = dict(a)
-    for v, p in b:
-        d[v] = d[v] + p if v in d else p
-    return _slot_make(d)
+def _weight(c: RatLike) -> RatLike:
+    """A phase-offset weight: an int when integral, else a Fraction.
+
+    Both compare, hash and print alike; the int is cheaper to compare.
+    """
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
-def _offs_make(d: Mapping[str, Fraction]) -> tuple:
-    return tuple(sorted((s, c) for s, c in d.items() if c))
+def _offs_make(d: Mapping[str, RatLike]) -> tuple:
+    return tuple(sorted((s, _weight(c)) for s, c in d.items() if c))
 
 
 class Term:
     """One canonical summand; compare/merge on everything but the coefficient."""
 
-    __slots__ = ("coeff", "vpows", "rates", "freqs", "offs", "_key", "_hash")
+    __slots__ = ("coeff", "vpows", "rates", "freqs", "offs", "_shape", "_key",
+                 "_hash")
 
     def __init__(self, coeff: Poly, vpows: Pows = (), rates: SlotPolys = (),
                  freqs: SlotPolys = (), offs: tuple = ()):
@@ -307,15 +398,31 @@ class Term:
         self.rates = rates
         self.freqs = freqs
         self.offs = offs
+        self._shape = None
         self._key = None
         self._hash = None
 
+    def with_coeff(self, coeff: Poly) -> "Term":
+        """The same basis function with another coefficient."""
+        t = Term.__new__(Term)
+        t.coeff = coeff
+        t.vpows = self.vpows
+        t.rates = self.rates
+        t.freqs = self.freqs
+        t.offs = self.offs
+        t._shape = self._shape
+        t._key = None
+        t._hash = None
+        return t
+
     def shape(self):
         """Everything that identifies the basis function of this term."""
-        return (self.vpows,
-                tuple((v, p.key()) for v, p in self.rates),
-                tuple((v, p.key()) for v, p in self.freqs),
-                self.offs)
+        if self._shape is None:
+            self._shape = (self.vpows,
+                           tuple((v, p.key()) for v, p in self.rates),
+                           tuple((v, p.key()) for v, p in self.freqs),
+                           self.offs)
+        return self._shape
 
     def sort_key(self):
         if self._key is None:
@@ -332,22 +439,20 @@ class Term:
         return self._hash
 
     def vpow(self, v: str) -> int:
-        return dict(self.vpows).get(v, 0)
+        return _lookup(self.vpows, v)
 
     def rate(self, v: str) -> Poly:
-        return dict(self.rates).get(v, P_ZERO)
+        return _lookup(self.rates, v, P_ZERO)
 
     def freq(self, v: str) -> Poly:
-        return dict(self.freqs).get(v, P_ZERO)
+        return _lookup(self.freqs, v, P_ZERO)
 
     def mul(self, other: "Term") -> "Term":
         return Term(self.coeff * other.coeff,
-                    _pows_mul(self.vpows, other.vpows),
-                    _slot_add(self.rates, other.rates),
-                    _slot_add(self.freqs, other.freqs),
-                    _offs_make({**dict(self.offs),
-                                **{s: dict(self.offs).get(s, ZERO) + c
-                                   for s, c in other.offs}}))
+                    _merge(self.vpows, other.vpows),
+                    _merge(self.rates, other.rates),
+                    _merge(self.freqs, other.freqs),
+                    _merge(self.offs, other.offs))
 
     def conj(self) -> "Term":
         return Term(self.coeff.conj(), self.vpows,
@@ -396,16 +501,14 @@ class Expr:
     def __init__(self, terms: Iterable[Term] = ()):
         merged: dict = {}
         for t in terms:
-            if t.coeff.is_zero():
+            if not t.coeff.monos:
                 continue
             sh = t.shape()
-            if sh in merged:
-                merged[sh] = Term(merged[sh].coeff + t.coeff, t.vpows, t.rates,
-                                  t.freqs, t.offs)
-            else:
-                merged[sh] = t
-        out = [t for t in merged.values() if not t.coeff.is_zero()]
-        out.sort(key=Term.sort_key)
+            u = merged.get(sh)
+            merged[sh] = t if u is None else u.with_coeff(u.coeff + t.coeff)
+        out = [t for t in merged.values() if t.coeff.monos]
+        if len(out) > 1:
+            out.sort(key=Term.sort_key)
         self.terms = tuple(out)
         self._hash = None
 
@@ -443,7 +546,7 @@ class Expr:
                offs: Mapping[str, RatLike]) -> Term:
         fs = {v: (p if isinstance(p, Poly) else Poly.num(p)) for v, p in freqs.items()}
         return Term(P_ONE, (), (), _slot_make(fs),
-                    _offs_make({s: Fraction(c) for s, c in offs.items()}))
+                    _offs_make(offs))
 
     @staticmethod
     def cis(freqs: Mapping[str, "Poly | RatLike"] = (),
@@ -455,16 +558,15 @@ class Expr:
     def cos(freqs: Mapping[str, "Poly | RatLike"] = (),
             offs: Mapping[str, RatLike] = ()) -> "Expr":
         t = Expr._phase(dict(freqs or {}), dict(offs or {}))
-        half = Term(Poly.num(Fraction(1, 2)))
-        return Expr([half.mul(t), half.mul(t.conj())])
+        half = Poly([((), (1, 0, 2))])
+        return Expr([t.with_coeff(half), t.conj().with_coeff(half)])
 
     @staticmethod
     def sin(freqs: Mapping[str, "Poly | RatLike"] = (),
             offs: Mapping[str, RatLike] = ()) -> "Expr":
         t = Expr._phase(dict(freqs or {}), dict(offs or {}))
-        mih = Term(Poly.num(0, Fraction(-1, 2)))   # -i/2
-        pih = Term(Poly.num(0, Fraction(1, 2)))
-        return Expr([mih.mul(t), pih.mul(t.conj())])
+        return Expr([t.with_coeff(Poly([((), (0, -1, 2))])),    # -i/2
+                     t.conj().with_coeff(Poly([((), (0, 1, 2))]))])
 
     # -- predicates -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -481,13 +583,17 @@ class Expr:
 
     # -- ring ops --------------------------------------------------------------
     def __add__(self, other) -> "Expr":
-        return Expr(self.terms + _as_expr(other).terms)
+        other = _as_expr(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return Expr(self.terms + other.terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr([Term(-t.coeff, t.vpows, t.rates, t.freqs, t.offs)
-                     for t in self.terms])
+        return Expr([t.with_coeff(-t.coeff) for t in self.terms])
 
     def __sub__(self, other) -> "Expr":
         return self + (-_as_expr(other))
@@ -510,8 +616,8 @@ class Expr:
         return out
 
     def scale(self, re: RatLike, im: RatLike = 0) -> "Expr":
-        return Expr([Term(t.coeff.scale(re, im), t.vpows, t.rates, t.freqs, t.offs)
-                     for t in self.terms])
+        q = _qnum(re, im)
+        return Expr([t.with_coeff(t.coeff.times(q)) for t in self.terms])
 
     def inverse(self) -> "Expr":
         t = self.single_term()
@@ -564,27 +670,23 @@ class Expr:
         for t in self.terms:
             k = t.vpow(s)
             if k:
-                d = dict(t.vpows)
-                if k == 1:
-                    del d[s]
-                else:
-                    d[s] = k - 1
-                out.append(Term(t.coeff.scale(k), tuple(sorted(d.items())),
+                out.append(Term(t.coeff.times((k, 0, 1)),
+                                _merge(t.vpows, ((s, -1),)),
                                 t.rates, t.freqs, t.offs))
             dc = t.coeff.diff(s)
-            if not dc.is_zero():
-                out.append(Term(dc, t.vpows, t.rates, t.freqs, t.offs))
+            if dc:
+                out.append(t.with_coeff(dc))
             # d/ds of the exponent as (factor, variable or None) pairs; the
             # phase pieces carry a factor i
             grads = [(t.rate(s), None)] + [(p.diff(s), v) for v, p in t.rates]
             phase = [(t.freq(s), None)] + [(p.diff(s), v) for v, p in t.freqs]
-            c = dict(t.offs).get(s)
+            c = _lookup(t.offs, s)
             if c:
                 phase.append((Poly.num(c), None))
-            grads += [(g.scale(0, 1), v) for g, v in phase if not g.is_zero()]
+            grads += [(g.times(_I_POWERS[1]), v) for g, v in phase if g]
             for g, v in grads:
-                if not g.is_zero():
-                    vpows = _pows_mul(t.vpows, ((v, 1),)) if v else t.vpows
+                if g:
+                    vpows = _merge(t.vpows, ((v, 1),)) if v else t.vpows
                     out.append(Term(t.coeff * g, vpows, t.rates, t.freqs,
                                     t.offs))
         return Expr(out)
@@ -614,7 +716,7 @@ class Expr:
             offs = {}
             for s, c in t.offs:
                 s2 = new if s == old else s
-                offs[s2] = offs.get(s2, ZERO) + c
+                offs[s2] = offs.get(s2, 0) + c
             out.append(Term(t.coeff.rename(old, new),
                             tuple(sorted((v, p) for v, p in vp.items() if p)),
                             _slot_make(rates), _slot_make(freqs), _offs_make(offs)))
@@ -628,7 +730,7 @@ class Expr:
         the replacement is a plain rational number.
         """
         if isinstance(value, (int, Fraction)):
-            return self._subs_param_num(sym, Fraction(value))
+            return self._subs_param_num(sym, value)
         value = _as_expr(value)
         out = Expr.zero()
         for t in self.terms:
@@ -643,28 +745,32 @@ class Expr:
                 c = t.coeff.coeff_of(sym, j)
                 if c.is_zero():
                     continue
-                piece = Expr([Term(c, t.vpows, t.rates, t.freqs, t.offs)])
+                piece = Expr([t.with_coeff(c)])
                 out = out + piece * (value ** j)
         return out
 
-    def _subs_param_num(self, sym: str, q: Fraction) -> "Expr":
+    def _subs_param_num(self, sym: str, q: RatLike) -> "Expr":
         out = []
         for t in self.terms:
-            coeff = t.coeff.subs_num({sym: q})
-            # variable-style use at zero: exp(rate*0) = 1 drops the slot
-            rates = _slot_make({v: p.subs_num({sym: q}) for v, p in t.rates
-                                if q or v != sym})
-            freqs = _slot_make({v: p.subs_num({sym: q}) for v, p in t.freqs
-                                if q or v != sym})
-            offs = dict(t.offs)
-            if sym in offs:
-                if q != 0:
+            if q and _lookup(t.offs, sym):
+                raise OutOfClassError(
+                    f"phase offset {sym!r} can only be set to 0 numerically")
+            # variable-style use: x^k, exp(r*x) and exp(i*w*x) are only in
+            # the class at x = 0, where the power kills the term and the
+            # exponential slot is 1
+            if any(v == sym for v, _ in t.vpows + t.rates + t.freqs):
+                if q:
                     raise OutOfClassError(
-                        f"phase offset {sym!r} can only be set to 0 numerically")
-                del offs[sym]
-            if q == 0 and dict(t.vpows).get(sym):
-                continue  # variable-style use: power of zero kills the term
-            out.append(Term(coeff, t.vpows, rates, freqs, _offs_make(offs)))
+                        f"variable {sym!r} can only be set to 0 numerically")
+                if t.vpow(sym):
+                    continue
+            out.append(Term(
+                t.coeff.subs_num({sym: q}), t.vpows,
+                _slot_make({v: p.subs_num({sym: q}) for v, p in t.rates
+                            if v != sym}),
+                _slot_make({v: p.subs_num({sym: q}) for v, p in t.freqs
+                            if v != sym}),
+                _without(t.offs, sym)))
         return Expr(out)
 
     def shift_phase(self, sym: str, offs: Mapping[str, RatLike] = (),
@@ -688,11 +794,9 @@ class Expr:
             if rot.denominator != 1:
                 raise OutOfClassError(
                     "phase shift leaves the class: non-integer multiple of pi/2")
-            coeff = t.coeff
-            q = _qpow(I_UNIT, int(rot) % 4)
-            coeff = Poly([(p, *_qmul((re, im), q)) for p, re, im in coeff.monos])
+            coeff = t.coeff.times(_I_POWERS[int(rot) % 4])
             for s, w in offs.items():
-                od[s] = od.get(s, ZERO) + c * w
+                od[s] = od.get(s, 0) + c * w
             fd = dict(t.freqs)
             for v, p in freqs.items():
                 add = p.scale(c)
@@ -716,9 +820,8 @@ class Expr:
                 if min_order > j:
                     continue
                 c = term.coeff.coeff_of(param, j)
-                if not c.is_zero():
-                    out.append(Term(c, term.vpows, term.rates, term.freqs,
-                                    term.offs))
+                if c:
+                    out.append(term.with_coeff(c))
         return Expr(out)
 
     def truncate_order(self, param: str, k: int) -> "Expr":
@@ -739,10 +842,10 @@ class Expr:
                 raise OutOfClassError(f"symbol {sym!r} does not occur linearly")
             cc = t.coeff.coeff_of(sym, 1)
             dd = t.coeff.coeff_of(sym, 0)
-            if not cc.is_zero():
-                c.append(Term(cc, t.vpows, t.rates, t.freqs, t.offs))
-            if not dd.is_zero():
-                d.append(Term(dd, t.vpows, t.rates, t.freqs, t.offs))
+            if cc:
+                c.append(t.with_coeff(cc))
+            if dd:
+                d.append(t.with_coeff(dd))
         return Expr(c), Expr(d)
 
     def split_basis(self, basis_vars: Sequence[str]):
@@ -821,11 +924,10 @@ def _series_mul(pieces, v, dep: Poly, param: str, jmax: int, imag: bool):
                 fact *= m
             if order + m * lo > jmax:
                 break
-            c = dep ** m
-            if imag and m % 4:
-                q = _qpow(I_UNIT, m)
-                c = Poly([(pw, *_qmul((re, im), q)) for pw, re, im in c.monos])
-            mono = Term(c.scale(Fraction(1, fact)), ((v, m),) if m else (), (), (), ())
+            # (i*dep)^m/m! for a phase, dep^m/m! for a rate
+            q = _I_POWERS[m % 4] if imag else Q_ONE
+            mono = Term((dep ** m).times(_qdiv(q, (fact, 0, 1))),
+                        ((v, m),) if m else (), (), (), ())
             out.append((order + m * lo, pt.mul(mono)))
     return out
 
@@ -860,10 +962,8 @@ def paint_term(t: Term, v: str, mu: str) -> Term:
     k = t.vpow(v)
     if not k:
         return t
-    d = dict(t.vpows)
-    del d[v]
-    d[mu] = d.get(mu, 0) + k
-    return Term(t.coeff, tuple(sorted(d.items())), t.rates, t.freqs, t.offs)
+    return Term(t.coeff, _merge(_without(t.vpows, v), ((mu, k),)), t.rates,
+                t.freqs, t.offs)
 
 
 # ---------------------------------------------------------------------------
@@ -876,9 +976,7 @@ def _div_single(e: Expr, t: Term) -> Expr:
     m = t.coeff.single()
     if m is None:
         raise OutOfClassError("division by multi-term coefficient")
-    pows, re_c, im_c = m
-    inv_c = Poly([(tuple((s, -k) for s, k in pows),
-                   *_qdiv((ONE, ZERO), (re_c, im_c)))])
+    inv_c = t.coeff ** -1
     out = []
     for a in e.terms:
         vp = dict(a.vpows)
@@ -898,7 +996,7 @@ def _div_single(e: Expr, t: Term) -> Expr:
             freqs[v] = freqs.get(v, Poly()) - p
         offs = dict(a.offs)
         for s, c in t.offs:
-            offs[s] = offs.get(s, ZERO) - c
+            offs[s] = offs.get(s, 0) - c
         out.append(Term(a.coeff * inv_c,
                         tuple(sorted((v, p) for v, p in vp.items() if p)),
                         _slot_make(rates), _slot_make(freqs), _offs_make(offs)))
@@ -910,7 +1008,7 @@ def _atoms(e: Expr):
     out = []
     for t in e.terms:
         for m in t.coeff.monos:
-            out.append(Term(Poly([m]), t.vpows, t.rates, t.freqs, t.offs))
+            out.append(t.with_coeff(Poly._canonical((m,))))
     out.sort(key=Term.sort_key)
     return out
 

@@ -311,7 +311,8 @@ def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
     max_grade = Fraction(max_grade)
     out = []
     for t in e.terms:
-        for pows, re_c, im_c in t.coeff.monos:
+        for m in t.coeff.monos:
+            pows = m[0]
             g = Fraction(0)
             for s, kpow in pows:
                 if s == param:
@@ -319,8 +320,7 @@ def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
                 else:
                     g += Fraction(grades.get(s, 0)) * kpow
             if g <= max_grade:
-                out.append(Term(Poly([(pows, re_c, im_c)]), t.vpows, t.rates,
-                                t.freqs, t.offs))
+                out.append(t.with_coeff(Poly([m])))
     return Expr(out)
 
 

@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .exprcore import (Expr, LinEq, Poly, Term, _qdiv, _qmul, _qpow,
-                       solve_linear_system)
-
-ZERO = Fraction(0)
+from .exprcore import (Expr, LinEq, Poly, Q_ONE, Q_ZERO, Term, _I_POWERS,
+                       _qadd, _qdiv, _qmul, _qnum, _qpow, solve_linear_system)
 
 
 class SolveError(RuntimeError):
@@ -70,22 +68,22 @@ class LinearOperator:
         return out
 
     def multiplicity(self, z) -> int:
-        """Multiplicity of z as a characteristic root (0 if not a root)."""
+        """Multiplicity of the Gaussian rational z as a characteristic root
+        (0 if not a root)."""
         coeffs = list(self.coeffs)
         mult = 0
         while coeffs and len(coeffs) > 1:
-            val = (ZERO, ZERO)
+            val = Q_ZERO
             for m, c in enumerate(coeffs):
-                p = _qpow(z, m)
-                val = (val[0] + c * p[0], val[1] + c * p[1])
-            if val != (ZERO, ZERO):
+                val = _qadd(val, _qmul(_qnum(c), _qpow(z, m)))
+            if val != Q_ZERO:
                 break
             mult += 1
-            coeffs = [Fraction(m) * c for m, c in enumerate(coeffs)][1:]
+            coeffs = [m * c for m, c in enumerate(coeffs)][1:]
         return mult
 
     def char_roots(self):
-        """All characteristic roots as ((re, im), multiplicity).
+        """All characteristic roots as (Gaussian rational, multiplicity).
 
         Supports rational roots plus conjugate pairs with rational real and
         imaginary parts (a pure-imaginary pair may be double); anything else
@@ -98,7 +96,7 @@ class LinearOperator:
             m0 += 1
             cs = cs[1:]
         if m0:
-            roots.append(((ZERO, ZERO), m0))
+            roots.append((Q_ZERO, m0))
 
         def deflate(poly, r):
             # synthetic division by (x - r); poly low-to-high
@@ -135,12 +133,12 @@ class LinearOperator:
                     if q:
                         cands.add(Fraction(p, q))
                         cands.add(Fraction(-p, q))
-            cands.add(ZERO)
+            cands.add(Fraction(0))
             return cands
 
         while len(cs) > 1:
             if len(cs) == 2:
-                roots.append(((-cs[0] / cs[1], ZERO), 1))
+                roots.append((_qnum(-cs[0] / cs[1]), 1))
                 break
             found = None
             for r in sorted(rational_candidates(cs)):
@@ -153,7 +151,7 @@ class LinearOperator:
                                           for m, c in enumerate(cs)) == 0:
                     cs = deflate(cs, found)
                     mult += 1
-                roots.append(((found, ZERO), mult))
+                roots.append((_qnum(found), mult))
                 continue
             if len(cs) == 3:
                 # the search above removed every rational root, so only a
@@ -164,8 +162,8 @@ class LinearOperator:
                 if s is not None:
                     re = -b / (2 * a)
                     im = s / (2 * a)
-                    roots.append(((re, abs(im)), 1))
-                    roots.append(((re, -abs(im)), 1))
+                    roots.append((_qnum(re, abs(im)), 1))
+                    roots.append((_qnum(re, -abs(im)), 1))
                     break
                 raise SolveError("operator has non-rational characteristic roots")
             # try biquadratic-style repeated complex pair, e.g. (1 + D^2)^2
@@ -179,8 +177,8 @@ class LinearOperator:
                         if z2 < 0:
                             s = _sqrt_fraction(-z2)
                             if s is not None:
-                                roots.append(((ZERO, s), 2))
-                                roots.append(((ZERO, -s), 2))
+                                roots.append((_qnum(0, s), 2))
+                                roots.append((_qnum(0, -s), 2))
                                 break
             raise SolveError("unsupported operator factorization")
         merged = {}
@@ -189,8 +187,11 @@ class LinearOperator:
         total = sum(merged.values())
         if total != self.order:
             raise SolveError("operator has non-rational characteristic roots")
-        return sorted(merged.items(), key=lambda zm: (zm[0][1] != 0, -zm[0][0],
-                                                      zm[0][1]))
+        # real roots first, then by decreasing real and increasing
+        # imaginary part
+        return sorted(merged.items(), key=lambda zm: (
+            zm[0][1] != 0, Fraction(-zm[0][0], zm[0][2]),
+            Fraction(zm[0][1], zm[0][2])))
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,7 @@ def _term_mode(t: Term, var: str):
         raise SolveError(
             "forcing has a non-rational exponential rate or frequency in the "
             "solve variable")
-    z = (rn[0], wn[0])
+    z = _qadd(rn, _qmul(_I_POWERS[1], wn))
     d = t.vpow(var)
     rates = tuple((v, p) for v, p in t.rates if v != var)
     freqs = tuple((v, p) for v, p in t.freqs if v != var)
@@ -320,11 +321,10 @@ def _shifted_coeffs(L: LinearOperator, z):
     n = L.order
     betas = []
     for j in range(n + 1):
-        b = (ZERO, ZERO)
+        b = Q_ZERO
         for m in range(j, n + 1):
-            c = L.coeffs[m] * comb(m, j)
-            p = _qpow(z, m - j)
-            b = (b[0] + c * p[0], b[1] + c * p[1])
+            c = _qnum(L.coeffs[m] * comb(m, j))
+            b = _qadd(b, _qmul(c, _qpow(z, m - j)))
         betas.append(b)
     return betas
 
@@ -337,8 +337,8 @@ def particular_integral(L: LinearOperator, f: Expr) -> Expr:
         z, d, factor = _term_mode(t, var)
         mult = L.multiplicity(z)
         betas = _shifted_coeffs(L, z)
-        if any(betas[j] != (ZERO, ZERO) for j in range(mult)) or \
-                betas[mult] == (ZERO, ZERO):
+        if any(betas[j] != Q_ZERO for j in range(mult)) or \
+                betas[mult] == Q_ZERO:
             raise SolveError("resonance classification failed (internal)")
         # solve L(D+z)[sum_e u_e v^(e+mult)] = v^d
         fact = [1]
@@ -348,26 +348,27 @@ def particular_integral(L: LinearOperator, f: Expr) -> Expr:
         for e in range(d, -1, -1):
             # coefficient of v^(e): contributions from u_e (j=mult) and u_e'
             # with e' > e (j = mult + e' - e)
-            acc = (ZERO, ZERO)
+            # the factorial ratios are integers: e2 > e and mult >= 0
+            acc = Q_ZERO
             for e2 in range(e + 1, d + 1):
                 j = mult + e2 - e
                 if j >= len(betas):
                     continue
-                c = Fraction(fact[e2 + mult], fact[e])
-                contrib = _qmul(betas[j], u[e2])
-                acc = (acc[0] + c * contrib[0], acc[1] + c * contrib[1])
-            target = (Fraction(1) if e == d else ZERO, ZERO)
-            rhs = (target[0] - acc[0], target[1] - acc[1])
-            denom = _qmul(betas[mult], (Fraction(fact[e + mult], fact[e]), ZERO))
+                c = (fact[e2 + mult] // fact[e], 0, 1)
+                acc = _qadd(acc, _qmul(c, _qmul(betas[j], u[e2])))
+            rhs = _qadd(Q_ONE if e == d else Q_ZERO, (-acc[0], -acc[1], acc[2]))
+            denom = _qmul(betas[mult], (fact[e + mult] // fact[e], 0, 1))
             u[e] = _qdiv(rhs, denom)
         trial = Expr.zero()
         for e, ue in enumerate(u):
-            if ue == (ZERO, ZERO):
+            if ue == Q_ZERO:
                 continue
-            mono = Term(Poly.num(ue[0], ue[1]), ((var, e + mult),)
+            mono = Term(Poly([((), ue)]), ((var, e + mult),)
                         if e + mult else (),
-                        (((var, Poly.num(z[0])),) if z[0] else ()),
-                        (((var, Poly.num(z[1])),) if z[1] else ()), ())
+                        (((var, Poly.num(Fraction(z[0], z[2]))),)
+                         if z[0] else ()),
+                        (((var, Poly.num(Fraction(z[1], z[2]))),)
+                         if z[1] else ()), ())
             trial = trial + Expr([mono])
         out = out + Expr([factor]) * trial
     # exact verification
@@ -390,7 +391,7 @@ def complementary(L: LinearOperator, names: Sequence[str], style: str,
     infos = []
     offsets = {}
     for z, mult in L.char_roots():
-        re_z, im_z = z
+        re_z, im_z = Fraction(z[0], z[2]), Fraction(z[1], z[2])
         if im_z < 0:
             continue
         for j in range(mult):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprcore import Expr, LinEq, solve_linear_system
+from .exprcore import Expr, LinEq, Q_ZERO, _qadd, solve_linear_system
 from .pertseries import PerturbationSeries
 
 
@@ -85,7 +85,7 @@ def _collect_rows(e: Expr, weights):
     rows: dict = {}
     for t in e.terms:
         shape = t.shape()
-        for pows, re_c, im_c in t.coeff.monos:
+        for pows, q in t.coeff.monos:
             wsyms = [(s, k) for s, k in pows if s in weights]
             rest = tuple((s, k) for s, k in pows if s not in weights)
             if not wsyms:
@@ -97,18 +97,24 @@ def _collect_rows(e: Expr, weights):
                     "ansatz weights must enter the determining equation "
                     "linearly")
             row = rows.setdefault((shape, rest), {})
-            c = row.get(w, (Fraction(0), Fraction(0)))
-            row[w] = (c[0] + re_c, c[1] + im_c)
-    return [LinEq({w: Expr.num(c[part]) for w, c in row.items()
-                   if w is not None},
-                  Expr.num(row.get(None, (0, 0))[part]))
-            for row in rows.values() for part in (0, 1)]
+            row[w] = _qadd(row.get(w, Q_ZERO), q)
+    return [LinEq({w: _part(q, i) for w, q in row.items() if w is not None},
+                  _part(row.get(None, Q_ZERO), i))
+            for row in rows.values() for i in (0, 1)]
+
+
+def _part(q, i: int) -> Expr:
+    """The real (i = 0) or imaginary (i = 1) part of a triple, as an Expr."""
+    return Expr.num(Fraction(q[i], q[2]))
 
 
 def _number(e: Expr) -> Fraction:
     """The rational value of an expression that is a real number."""
     t = e.single_term()
-    return t.coeff.is_number()[0] if t is not None else Fraction(0)
+    if t is None:
+        return Fraction(0)
+    re, _, den = t.coeff.is_number()
+    return Fraction(re, den)
 
 
 def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,

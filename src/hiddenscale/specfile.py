@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .exprcore import Expr, OutOfClassError
+from .exprcore import Expr, OutOfClassError, Poly
 from .pertseries import LinearOperator, ODEProblem, PertTerm
 from .textform import ExprSyntaxError, parse_expr
 
@@ -126,7 +126,7 @@ def parse_perturbation(text: str, spec: "ProblemSpec", key: str,
             f"line {line}: undeclared symbol {bad[0]!r} in {key}")
     out = []
     for t in e.terms:
-        for pows, re_c, im_c in t.coeff.monos:
+        for pows, q in t.coeff.monos:
             dp = []
             epspow = 0
             restp = []
@@ -147,9 +147,7 @@ def parse_perturbation(text: str, spec: "ProblemSpec", key: str,
             if not dp:
                 raise SpecError(f"line {line}: perturbation term without the "
                                 f"dependent variable in {key}")
-            from .exprcore import Poly, Term
-            coeff_term = Term(Poly([(tuple(restp), re_c, im_c)]), t.vpows,
-                              t.rates, t.freqs, t.offs)
+            coeff_term = t.with_coeff(Poly([(tuple(restp), q)]))
             out.append(PertTerm(epspow, Expr([coeff_term]),
                                 tuple(sorted(dp, key=lambda mp: mp[0]))))
     return out
@@ -242,6 +240,16 @@ def parse_spec(path) -> ProblemSpec:
         elif key.startswith("options."):
             spec.options[key.split(".", 1)[1]] = v
 
+    if kind == "switchback" and spec.params.get("eps", 1) <= 0:
+        raise SpecError(f"line {raw['params.eps'][1]}: params.eps is the "
+                        "inner radius and must be positive for kind = "
+                        f"switchback, got {raw['params.eps'][0]}")
+    if kind == "ode-hidden-scale" and "scripted" not in spec.options \
+            and spec.validate and spec.parameter not in spec.params:
+        key = min((k for k in raw if k.startswith("validate.")),
+                  key=lambda k: raw[k][1])
+        raise SpecError(f"line {raw[key][1]}: {key} needs "
+                        f"params.{spec.parameter}, which is missing")
     if kind in ("ode-hidden-scale", "perturbation-symmetry"):
         opline = raw.get("equation.operator", (None, 0))
         if opline[0] is None:

@@ -53,18 +53,18 @@ def sw_atom(coeff, xpow=0, erate=0, e1pows=()) -> Poly:
     c = coeff if isinstance(coeff, Poly) else Poly.num(Fraction(coeff))
     shift = [("x", xpow), ("ex", erate)] + [(f"e1_{j}", m) for j, m in e1pows]
     out = []
-    for cp, re, im in c.monos:
+    for cp, q in c.monos:
         d = dict(cp)
         for s, k in shift:
             d[s] = d.get(s, 0) + k
-        out.append((tuple(sorted((s, k) for s, k in d.items() if k)), re, im))
+        out.append((tuple(sorted((s, k) for s, k in d.items() if k)), q))
     return Poly(out)
 
 
 def _groups(e: Poly):
     """[((xpow, erate, e1pows), coeff Poly)] in print order."""
     acc = {}
-    for pows, re, im in e.monos:
+    for pows, q in e.monos:
         xpow = erate = 0
         e1, cp = [], []
         for s, k in pows:
@@ -77,7 +77,7 @@ def _groups(e: Poly):
             else:
                 cp.append((s, k))
         acc.setdefault((xpow, erate, tuple(sorted(e1))), []).append(
-            (tuple(cp), re, im))
+            (tuple(cp), q))
     return [(k, Poly(ms)) for k, ms in sorted(acc.items())]
 
 

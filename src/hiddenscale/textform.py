@@ -22,36 +22,34 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exprcore import Expr, OutOfClassError, Poly, Term
+from .exprcore import Expr, OutOfClassError, Poly, Term, _rat_text
 
 
 # ---------------------------------------------------------------------------
 # Printing
 
-def _frac_text(q: Fraction) -> str:
-    return str(q)
-
-
-def _mono_text(pows, re_c: Fraction, im_c: Fraction) -> str:
+def _mono_text(pows, q) -> str:
+    re_c, im_c, den = q
     factors = []
     if im_c == 0:
-        coeff = re_c
+        n = re_c
     elif re_c == 0:
-        coeff = im_c
+        n = im_c
         factors.append("i")
     else:
-        return "(" + _mono_text((), re_c, 0) + " + " + _mono_text((), 0, im_c) + ")*" \
+        return "(" + _mono_text((), (re_c, 0, den)) + " + " \
+            + _mono_text((), (0, im_c, den)) + ")*" \
             + "*".join(f"{s}^{k}" if k != 1 else s for s, k in pows)
     for s, k in pows:
         factors.append(f"{s}^{k}" if k != 1 else s)
     if not factors:
-        return _frac_text(coeff)
+        return _rat_text(n, den)
     body = "*".join(factors)
-    if coeff == 1:
+    if n == den:
         return body
-    if coeff == -1:
+    if n == -den:
         return "-" + body
-    return f"{_frac_text(coeff)}*{body}"
+    return f"{_rat_text(n, den)}*{body}"
 
 
 def join_signed(parts) -> str:
@@ -68,7 +66,7 @@ def join_signed(parts) -> str:
 
 
 def poly_text(p: Poly) -> str:
-    return join_signed(_mono_text(*m) for m in p.monos)
+    return join_signed(_mono_text(pows, q) for pows, q in p.monos)
 
 
 def _linear_arg_text(freqs, offs) -> str:
@@ -76,15 +74,15 @@ def _linear_arg_text(freqs, offs) -> str:
     parts = []
     for v, p in freqs:
         m = p.single()
-        if m is not None and not m[0] and m[2] == 0:
-            q = m[1]
-            if q == 1:
+        if m is not None and not m[0] and m[1][1] == 0:
+            n, _, den = m[1]
+            if n == den:
                 parts.append(v)
-            elif q == -1:
+            elif n == -den:
                 parts.append("-" + v)
             else:
-                parts.append(f"{_frac_text(q)}*{v}")
-        elif m is not None and m[2] == 0:
+                parts.append(f"{_rat_text(n, den)}*{v}")
+        elif m is not None and m[1][1] == 0:
             parts.append(f"{poly_text(p)}*{v}")
         else:
             parts.append(f"({poly_text(p)})*{v}")
@@ -94,7 +92,7 @@ def _linear_arg_text(freqs, offs) -> str:
         elif c == -1:
             parts.append("-" + s)
         else:
-            parts.append(f"{_frac_text(c)}*{s}")
+            parts.append(f"{c}*{s}")
     return join_signed(parts)
 
 
@@ -106,9 +104,9 @@ def atom_text(coeff: Poly, factors) -> str:
             return poly_text(coeff)
         return "(" + poly_text(coeff) + ")"
     body = "*".join(factors)
-    if num == (Fraction(1), Fraction(0)):
+    if num == (1, 0, 1):
         return body
-    if num == (Fraction(-1), Fraction(0)):
+    if num == (-1, 0, 1):
         return "-" + body
     if coeff.single() is not None:
         return poly_text(coeff) + "*" + body
@@ -126,7 +124,7 @@ def _base_factors(t: Term):
 
 def _phase_positive(t: Term) -> bool:
     for _, p in t.freqs:
-        for _, re_c, im_c in p.monos:
+        for _, (re_c, im_c, _den) in p.monos:
             if re_c:
                 return re_c > 0
             if im_c:
@@ -188,6 +186,7 @@ class _Parser:
         self.text = text
         self.variables = set(variables)
         self.toks = []
+        self.cols = []          # 1-based column of each token
         pos = 0
         while pos < len(text):
             m = _TOKEN.match(text, pos)
@@ -197,6 +196,7 @@ class _Parser:
                 break
             pos = m.end()
             self.toks.append(m.group(1) or m.group(2) or m.group(3))
+            self.cols.append(m.start(m.lastindex) + 1)
         self.i = 0
 
     def peek(self):
@@ -239,13 +239,20 @@ class _Parser:
         return e
 
     def _int(self) -> int:
+        """The signed integer after the operator token just taken."""
+        op, col = self.toks[self.i - 1], self.cols[self.i - 1]
         neg = False
         if self.peek() == "-":
             self.take()
             neg = True
-        tok = self.take()
+        tok = self.peek()
+        if tok is None:
+            raise ExprSyntaxError(
+                f"dangling {op!r} at column {col} of {self.text!r}")
         if not tok.isdigit():
-            raise ExprSyntaxError(f"expected integer, got {tok!r}")
+            raise ExprSyntaxError(f"expected an integer after {op!r} at "
+                                  f"column {col} of {self.text!r}, got {tok!r}")
+        self.take()
         return -int(tok) if neg else int(tok)
 
     def factor(self) -> Expr:
@@ -322,7 +329,7 @@ def _deconstruct_linear(arg: Expr, variables):
             m = t.coeff.single()
             if m is None:
                 raise OutOfClassError("exponent argument must be linear")
-            pows, re_c, im_c = m
+            pows, (re_c, im_c, den) = m
             if im_c != 0:
                 raise OutOfClassError("complex weight in exponent argument")
             syms = [s for s, k in pows]
@@ -330,7 +337,7 @@ def _deconstruct_linear(arg: Expr, variables):
                 raise OutOfClassError(
                     "offset piece must be rational*symbol in exponent argument")
             s = syms[0]
-            offs[s] = offs.get(s, Fraction(0)) + re_c
+            offs[s] = offs.get(s, 0) + Fraction(re_c, den)
         elif len(t.vpows) == 1 and t.vpows[0][1] == 1:
             v = t.vpows[0][0]
             freqs[v] = freqs[v] + t.coeff if v in freqs else t.coeff

@@ -54,6 +54,21 @@ def test_exit_codes(tmp_path):
     r4 = run_cli("validate", str(odd))
     assert r4.returncode == 2
     assert r4.stderr == "spec error: unknown options.scripted 'nosuch'\n"
+    # validate without the parameter's value; a dangling "^"
+    overdamped = (CORPUS / "overdamped.spec").read_text()
+    noeps = tmp_path / "noeps.spec"
+    noeps.write_text(overdamped.replace("params.eps = 0.2\n", ""))
+    r5 = run_cli("validate", str(noeps))
+    assert r5.returncode == 2
+    assert r5.stderr == ("spec error: line 21: validate.grid needs "
+                         "params.eps, which is missing\n")
+    caret = tmp_path / "caret.spec"
+    caret.write_text(overdamped.replace("= eps*y\n", "= eps*y^\n"))
+    r6 = run_cli("derive", str(caret))
+    assert r6.returncode == 2
+    assert r6.stderr == ("spec error: line 11: cannot parse "
+                         "equation.perturbation: dangling '^' at column 6 "
+                         "of 'eps*y^'\n")
 
 
 def test_every_kind_has_handlers():

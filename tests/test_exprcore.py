@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
+                                  _qadd, _qdiv, _qmul, _qnum, _qpow, _rat_text,
                                   classify_divergent, paint_term,
                                   solve_linear_system)
 from hiddenscale.textform import expr_text
@@ -95,6 +96,13 @@ class TestSubstitute:
         e = Expr.sym("A") * Expr.exp("mu", -1) * (Expr.cos({"mu": 1})
                                                  + Expr.var("mu"))
         assert e.subs_param("mu", 0) == Expr.sym("A")
+
+    def test_variable_at_nonzero_number_rejected(self):
+        # x^2*exp(-x) at x = 1 leaves the class; it used to come back as is
+        with pytest.raises(OutOfClassError):
+            (Expr.var("x", 2) * Expr.exp("x", -1)).subs_param("x", 1)
+        with pytest.raises(OutOfClassError):
+            Expr.cos({"x": 1}).subs_param("x", 2)
 
     def test_param_to_expr(self):
         e = Expr.sym("A", 2)
@@ -227,3 +235,120 @@ def test_painting_round_trip_property():
         painted = Expr(list(conv.terms)
                        + [paint_term(t, "x", "mu") for t in div.terms])
         assert painted.rename("mu", "x") == e
+
+
+# ---------------------------------------------------------------------------
+# The integer-triple coefficients checked against the Fraction pairs they
+# replace, and the kernel against sympy.
+
+rationals = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+gaussians = st.tuples(rationals, rationals)
+
+
+def _pair(q):
+    """A triple back as its (re, im) Fraction pair, checking it is reduced."""
+    re, im, den = q
+    assert den > 0 and math.gcd(re, im, den) == 1
+    return (F(re, den), F(im, den))
+
+
+@given(gaussians, gaussians)
+@settings(max_examples=300, deadline=None)
+def test_triples_match_fraction_pairs(a, b):
+    qa, qb = _qnum(*a), _qnum(*b)
+    assert _pair(qa) == a and _pair(qb) == b
+    assert _pair(_qadd(qa, qb)) == (a[0] + b[0], a[1] + b[1])
+    assert _pair(_qmul(qa, qb)) == (a[0] * b[0] - a[1] * b[1],
+                                    a[0] * b[1] + a[1] * b[0])
+    n = b[0] * b[0] + b[1] * b[1]
+    if n:
+        assert _pair(_qdiv(qa, qb)) == ((a[0] * b[0] + a[1] * b[1]) / n,
+                                        (a[1] * b[0] - a[0] * b[1]) / n)
+    # the key strings, and so the canonical term order, are str(Fraction)'s
+    assert _rat_text(qa[0], qa[2]) == str(a[0])
+    assert _rat_text(qa[1], qa[2]) == str(a[1])
+    if a != (0, 0):
+        assert Poly.num(*a).key() == (((), str(a[0]), str(a[1])),)
+
+
+@given(gaussians, st.integers(-5, 5))
+@settings(max_examples=200, deadline=None)
+def test_triple_powers_match_fraction_pairs(a, n):
+    if n < 0 and a == (0, 0):
+        return
+    want = (F(1), F(0))
+    base = a if n >= 0 else _pair(_qdiv((1, 0, 1), _qnum(*a)))
+    for _ in range(abs(n)):
+        want = (want[0] * base[0] - want[1] * base[1],
+                want[0] * base[1] + want[1] * base[0])
+    assert _pair(_qpow(_qnum(*a), n)) == want
+
+
+def _criterion9_expr(rng: random.Random) -> Expr:
+    """Criterion 9's generator (tests/test_acceptance.py)."""
+    out = Expr.zero()
+    for _ in range(rng.randint(1, 3)):
+        t = Expr.num(F(rng.randint(-4, 4), rng.randint(1, 3)))
+        if rng.random() < 0.6:
+            t = t * Expr.sym("eps", rng.randint(1, 2))
+        if rng.random() < 0.5:
+            t = t * Expr.var("x", rng.randint(1, 2))
+        if rng.random() < 0.5:
+            t = t * Expr.exp("x", rng.choice([-1, 1, F(1, 2)]))
+        if rng.random() < 0.4:
+            t = t * Expr.cos({"x": F(rng.randint(1, 2), 2)}, {"th": 1})
+        out = out + t
+    return out
+
+
+def _to_ring(e: Expr, sympy, R, shift: int):
+    """e*(z*w*v)**shift in R = Q(i)[x, eps, z, w, v], where z = exp(x/2),
+    w = exp(i*x/2) and v = exp(i*th) (criterion 9's rates and frequencies are
+    multiples of 1/2); the shift clears negative powers."""
+    QQ = sympy.QQ
+
+    def twice(p: Poly) -> int:
+        re, im, den = p.is_number()
+        assert im == 0 and 2 * re % den == 0
+        return 2 * re // den
+
+    out = {}
+    for t in e.terms:
+        kz = shift + sum(twice(p) for _, p in t.rates)
+        kw = shift + sum(twice(p) for _, p in t.freqs)
+        kv = shift + sum(int(c) for _, c in t.offs)
+        for pows, (re, im, den) in t.coeff.monos:
+            monom = (t.vpow("x"), dict(pows).get("eps", 0), kz, kw, kv)
+            out[monom] = sympy.QQ_I(QQ(re, den), QQ(im, den))
+    return R.from_dict(out)
+
+
+def test_kernel_matches_sympy_on_criterion9_expressions():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+    QQ, QQ_I = sympy.QQ, sympy.QQ_I
+    R, x, eps, z, w, v = ring("x eps z w v", QQ_I)
+    n = 8
+    # d/dx of f = e*(z*w*v)^n, with z' = z/2 and w' = i*w/2
+    chain = R(QQ_I(QQ(1, 2), 0)) * z, R(QQ_I(0, QQ(1, 2))) * w
+    shift = R(QQ_I(QQ(n, 2), QQ(n, 2)))
+    env = {"eps": 0.3, "x": 0.7, "th": 1.1}
+    at = {sympy.Symbol("x"): sympy.Float("0.7", 30),
+          sympy.Symbol("eps"): sympy.Float("0.3", 30)}
+    at.update({sympy.Symbol("z"): sympy.exp(at[sympy.Symbol("x")] / 2),
+               sympy.Symbol("w"): sympy.exp(sympy.I * at[sympy.Symbol("x")] / 2),
+               sympy.Symbol("v"): sympy.exp(sympy.I * sympy.Float("1.1", 30))})
+    unshift = (sympy.Symbol("z") * sympy.Symbol("w") * sympy.Symbol("v")) ** -n
+    rng = random.Random(20240811)
+    for _ in range(200):
+        a, b = _criterion9_expr(rng), _criterion9_expr(rng)
+        fa, fb = _to_ring(a, sympy, R, n), _to_ring(b, sympy, R, n)
+        assert _to_ring(a * b, sympy, R, 2 * n) == fa * fb
+        da = a.diff("x")
+        fda = _to_ring(da, sympy, R, n)
+        assert fda == fa.diff(x) + chain[0] * fa.diff(z) \
+            + chain[1] * fa.diff(w) - shift * fa
+        # a has real coefficients; its derivative has complex ones
+        for e, f in ((a, fa), (da, fda)):
+            want = complex((f.as_expr() * unshift).evalf(30, subs=at))
+            assert abs(e.eval(env) - want) <= 1e-13 * max(1.0, abs(want))

@@ -60,13 +60,14 @@ class TestHierarchy:
 
 
 def test_char_roots_rational_search():
-    one, zero = F(1), F(0)
+    # roots are Gaussian-rational triples (re, im, den)
+    one, minus_one = (1, 0, 1), (-1, 0, 1)
     # D^2 - 1: the search finds both simple roots
     assert LinearOperator.make([-1, 0, 1], "x").char_roots() == [
-        ((one, zero), 1), ((-one, zero), 1)]
+        (one, 1), (minus_one, 1)]
     # (D + 1)^3: deflation counts the multiplicity
     assert LinearOperator.make([1, 3, 3, 1], "x").char_roots() == [
-        ((-one, zero), 3)]
+        (minus_one, 3)]
     # D^2 - 2: irrational roots leave the class
     with pytest.raises(SolveError,
                        match="operator has non-rational characteristic roots"):

@@ -110,6 +110,26 @@ class TestGrammar:
             parse_spec(write_spec(tmp_path, bad))
         assert "C" in str(exc.value)
 
+    @pytest.mark.parametrize("eps", ["0", "-1e-4"])
+    def test_switchback_inner_radius_must_be_positive(self, tmp_path, eps):
+        text = (CORPUS / "terrible.spec").read_text().replace(
+            "params.eps = 1e-4", f"params.eps = {eps}")
+        with pytest.raises(SpecError) as exc:
+            parse_spec(write_spec(tmp_path, text))
+        assert str(exc.value).startswith("line 10: params.eps")
+        assert "positive" in str(exc.value)
+
+    def test_validate_keys_need_the_parameter_value(self, tmp_path):
+        text = MINIMAL.replace("params.eps = 0.2\n", "") \
+            + "validate.grid = 0 15 301\n"
+        with pytest.raises(SpecError) as exc:
+            parse_spec(write_spec(tmp_path, text))
+        assert str(exc.value) == \
+            "line 10: validate.grid needs params.eps, which is missing"
+        # derive alone needs no value
+        parse_spec(write_spec(tmp_path, MINIMAL.replace("params.eps = 0.2\n",
+                                                        "")))
+
     def test_ics_keys(self, tmp_path):
         spec = parse_spec(write_spec(tmp_path,
                                      MINIMAL + "ics.y = 3\nics.Dy = 1\n"))

@@ -30,8 +30,8 @@ def test_print_parse_round_trip(text):
 
 def test_exact_rationals_survive():
     e = parse_expr("135/16*A1^2*eps^2*k^-4", ())
-    mono = e.terms[0].coeff.single()
-    assert mono[1] == F(135, 16)
+    pows, (re, im, den) = e.terms[0].coeff.single()
+    assert (F(re, den), im) == (F(135, 16), 0)
 
 
 def test_deterministic_ordering():
