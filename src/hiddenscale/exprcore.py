@@ -164,7 +164,7 @@ Mono = tuple  # (Pows, (re, im, den))
 class Poly:
     """Laurent polynomial in parameter symbols, Gaussian-rational coefficients."""
 
-    __slots__ = ("monos", "_hash", "_key")
+    __slots__ = ("monos", "_key")
 
     def __init__(self, monos: Iterable[Mono] = ()):
         acc: dict = {}
@@ -174,7 +174,6 @@ class Poly:
             acc[p] = m if c is None else (p, _qadd(c[1], m[1]))
         self.monos = tuple(m for _, m in sorted(acc.items())
                            if m[1][0] or m[1][1])
-        self._hash = None
         self._key = None
 
     @staticmethod
@@ -182,14 +181,13 @@ class Poly:
         """Wrap monomials that are already sorted, distinct and nonzero."""
         p = Poly.__new__(Poly)
         p.monos = monos
-        p._hash = None
         p._key = None
         return p
 
     # -- construction -------------------------------------------------------
     @staticmethod
     def num(re: RatLike, im: RatLike = 0) -> "Poly":
-        return Poly([((), _qnum(re, im))])
+        return _constant(_qnum(re, im))
 
     @staticmethod
     def sym(name: str, exp: int = 1) -> "Poly":
@@ -232,6 +230,9 @@ class Poly:
         return Poly(self.monos + other.monos)
 
     def __neg__(self) -> "Poly":
+        q = self.is_number()
+        if q is not None:
+            return _constant((-q[0], -q[1], q[2]))
         return Poly._canonical(tuple((p, (-q[0], -q[1], q[2]))
                                      for p, q in self.monos))
 
@@ -277,9 +278,7 @@ class Poly:
         return isinstance(other, Poly) and self.monos == other.monos
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.monos)
-        return self._hash
+        return hash(self.monos)
 
     # -- calculus / structure -------------------------------------------------
     def diff(self, sym: str) -> "Poly":
@@ -344,16 +343,37 @@ class Poly:
         return total
 
     def key(self):
-        """Sort key: per monomial its powers and the texts of re and im."""
+        """Sort key: per monomial its powers and the text "re im" of its
+        coefficient, flattened into one tuple.
+
+        It orders like the tuples (powers, str(re), str(im)): the texts use
+        only "-", "/" and digits, which all sort after the space.
+        """
         if self._key is None:
-            self._key = tuple((p, _rat_text(re, den), _rat_text(im, den))
-                              for p, (re, im, den) in self.monos)
+            self._key = tuple(
+                x for p, (re, im, den) in self.monos
+                for x in (p, f"{_rat_text(re, den)} {_rat_text(im, den)}"))
         return self._key
 
     def __repr__(self):
         from . import textform
 
         return f"Poly({textform.poly_text(self)})"
+
+
+# Shared constant Polys: the rates and frequencies of exponentials are a few
+# numbers used over and over, so each gets one object and one sort key.
+_CONSTANTS: dict = {}
+
+
+def _constant(q) -> Poly:
+    """The constant Poly with the triple q, shared for the first 1024."""
+    p = _CONSTANTS.get(q)
+    if p is None:
+        p = Poly([((), q)])
+        if len(_CONSTANTS) < 1024:
+            _CONSTANTS[q] = p
+    return p
 
 
 P_ZERO = Poly()
@@ -385,8 +405,7 @@ def _offs_make(d: Mapping[str, RatLike]) -> tuple:
 class Term:
     """One canonical summand; compare/merge on everything but the coefficient."""
 
-    __slots__ = ("coeff", "vpows", "rates", "freqs", "offs", "_shape", "_key",
-                 "_hash")
+    __slots__ = ("coeff", "vpows", "rates", "freqs", "offs", "_shape")
 
     def __init__(self, coeff: Poly, vpows: Pows = (), rates: SlotPolys = (),
                  freqs: SlotPolys = (), offs: tuple = ()):
@@ -399,8 +418,6 @@ class Term:
         self.freqs = freqs
         self.offs = offs
         self._shape = None
-        self._key = None
-        self._hash = None
 
     def with_coeff(self, coeff: Poly) -> "Term":
         """The same basis function with another coefficient."""
@@ -411,32 +428,28 @@ class Term:
         t.freqs = self.freqs
         t.offs = self.offs
         t._shape = self._shape
-        t._key = None
-        t._hash = None
         return t
 
     def shape(self):
-        """Everything that identifies the basis function of this term."""
+        """Everything that identifies the basis function of this term; the
+        rates and frequencies enter as flat (variable, key, ...) tuples."""
         if self._shape is None:
-            self._shape = (self.vpows,
-                           tuple((v, p.key()) for v, p in self.rates),
-                           tuple((v, p.key()) for v, p in self.freqs),
-                           self.offs)
+            self._shape = (
+                self.vpows,
+                tuple(x for v, p in self.rates for x in (v, p.key())),
+                tuple(x for v, p in self.freqs for x in (v, p.key())),
+                self.offs)
         return self._shape
 
     def sort_key(self):
-        if self._key is None:
-            self._key = (self.shape(), self.coeff.key())
-        return self._key
+        return (self.shape(), self.coeff.key())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Term) and self.coeff == other.coeff
                 and self.shape() == other.shape())
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.coeff, self.shape()))
-        return self._hash
+        return hash((self.coeff, self.shape()))
 
     def vpow(self, v: str) -> int:
         return _lookup(self.vpows, v)
@@ -508,7 +521,9 @@ class Expr:
             merged[sh] = t if u is None else u.with_coeff(u.coeff + t.coeff)
         out = [t for t in merged.values() if t.coeff.monos]
         if len(out) > 1:
-            out.sort(key=Term.sort_key)
+            # the shapes are distinct, so they alone give Term.sort_key's
+            # order and no coefficient key is needed
+            out.sort(key=Term.shape)
         self.terms = tuple(out)
         self._hash = None
 
@@ -644,7 +659,7 @@ class Expr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(t.sort_key() for t in self.terms))
+            self._hash = hash(self.terms)
         return self._hash
 
     def __repr__(self):
