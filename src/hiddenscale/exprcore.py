@@ -154,6 +154,16 @@ def _without(pairs: tuple, s: str) -> tuple:
     return tuple(kv for kv in pairs if kv[0] != s)
 
 
+def _negated(pairs: tuple) -> tuple:
+    return tuple((s, -v) for s, v in pairs)
+
+
+def _renamed(pairs: tuple, old: str, new: str) -> tuple:
+    """The tuple with symbol ``old`` renamed ``new``, merging values."""
+    v = _lookup(pairs, old, None)
+    return pairs if v is None else _merge(_without(pairs, old), ((new, v),))
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials over parameter symbols.
 
@@ -321,14 +331,7 @@ class Poly:
         return Poly(out)
 
     def rename(self, old: str, new: str) -> "Poly":
-        out = []
-        for pows, q in self.monos:
-            d = {}
-            for s, k in pows:
-                s2 = new if s == old else s
-                d[s2] = d.get(s2, 0) + k
-            out.append((tuple(sorted((s, k) for s, k in d.items() if k)), q))
-        return Poly(out)
+        return Poly([(_renamed(pows, old, new), q) for pows, q in self.monos])
 
     def eval(self, env: Mapping[str, float]) -> complex:
         total = 0j
@@ -468,10 +471,8 @@ class Term:
                     _merge(self.offs, other.offs))
 
     def conj(self) -> "Term":
-        return Term(self.coeff.conj(), self.vpows,
-                    self.rates,
-                    tuple((v, -p) for v, p in self.freqs),
-                    tuple((s, -c) for s, c in self.offs))
+        return Term(self.coeff.conj(), self.vpows, self.rates,
+                    _negated(self.freqs), _negated(self.offs))
 
     def symbols(self) -> set:
         out = self.coeff.symbols()
@@ -559,9 +560,9 @@ class Expr:
     @staticmethod
     def _phase(freqs: Mapping[str, "Poly | RatLike"],
                offs: Mapping[str, RatLike]) -> Term:
-        fs = {v: (p if isinstance(p, Poly) else Poly.num(p)) for v, p in freqs.items()}
-        return Term(P_ONE, (), (), _slot_make(fs),
-                    _offs_make(offs))
+        fs = {v: (p if isinstance(p, Poly) else Poly.num(p))
+              for v, p in freqs.items()}
+        return Term(P_ONE, (), (), _slot_make(fs), _offs_make(offs))
 
     @staticmethod
     def cis(freqs: Mapping[str, "Poly | RatLike"] = (),
@@ -573,15 +574,15 @@ class Expr:
     def cos(freqs: Mapping[str, "Poly | RatLike"] = (),
             offs: Mapping[str, RatLike] = ()) -> "Expr":
         t = Expr._phase(dict(freqs or {}), dict(offs or {}))
-        half = Poly([((), (1, 0, 2))])
+        half = _constant((1, 0, 2))
         return Expr([t.with_coeff(half), t.conj().with_coeff(half)])
 
     @staticmethod
     def sin(freqs: Mapping[str, "Poly | RatLike"] = (),
             offs: Mapping[str, RatLike] = ()) -> "Expr":
         t = Expr._phase(dict(freqs or {}), dict(offs or {}))
-        return Expr([t.with_coeff(Poly([((), (0, -1, 2))])),    # -i/2
-                     t.conj().with_coeff(Poly([((), (0, 1, 2))]))])
+        return Expr([t.with_coeff(_constant((0, -1, 2))),    # -i/2
+                     t.conj().with_coeff(_constant((0, 1, 2)))])
 
     # -- predicates -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -641,9 +642,8 @@ class Expr:
         if any(p for _, p in t.vpows):
             raise OutOfClassError("cannot invert a variable power inside the class")
         c = t.coeff ** (-1)
-        return Expr([Term(c, (), tuple((v, -p) for v, p in t.rates),
-                          tuple((v, -p) for v, p in t.freqs),
-                          tuple((s, -c2) for s, c2 in t.offs))])
+        return Expr([Term(c, (), _negated(t.rates), _negated(t.freqs),
+                          _negated(t.offs))])
 
     def conj(self) -> "Expr":
         return Expr([t.conj() for t in self.terms])
@@ -712,30 +712,14 @@ class Expr:
     # -- substitution family ------------------------------------------------------
     def rename(self, old: str, new: str) -> "Expr":
         """Uniform symbol rename across coefficients, powers, rates and phases."""
-        out = []
-        for t in self.terms:
-            vp = {}
-            for v, p in t.vpows:
-                v2 = new if v == old else v
-                vp[v2] = vp.get(v2, 0) + p
-            rates = {}
-            for v, p in t.rates:
-                v2 = new if v == old else v
-                p = p.rename(old, new)
-                rates[v2] = rates[v2] + p if v2 in rates else p
-            freqs = {}
-            for v, p in t.freqs:
-                v2 = new if v == old else v
-                p = p.rename(old, new)
-                freqs[v2] = freqs[v2] + p if v2 in freqs else p
-            offs = {}
-            for s, c in t.offs:
-                s2 = new if s == old else s
-                offs[s2] = offs.get(s2, 0) + c
-            out.append(Term(t.coeff.rename(old, new),
-                            tuple(sorted((v, p) for v, p in vp.items() if p)),
-                            _slot_make(rates), _slot_make(freqs), _offs_make(offs)))
-        return Expr(out)
+        def slots(pairs):
+            return _renamed(tuple((v, p.rename(old, new)) for v, p in pairs),
+                            old, new)
+
+        return Expr([Term(t.coeff.rename(old, new),
+                          _renamed(t.vpows, old, new), slots(t.rates),
+                          slots(t.freqs), _renamed(t.offs, old, new))
+                     for t in self.terms])
 
     def subs_param(self, sym: str, value) -> "Expr":
         """Replace a parameter symbol by an in-class expression.
@@ -899,9 +883,8 @@ class Expr:
                                               t.sort_key()))
         if not best.offs and not best.freqs:
             return self
-        unit = Expr([Term(P_ONE, (), (),
-                          tuple((v, -p) for v, p in best.freqs),
-                          tuple((s, -c) for s, c in best.offs))])
+        unit = Expr([Term(P_ONE, (), (), _negated(best.freqs),
+                          _negated(best.offs))])
         return self * unit
 
 
@@ -988,33 +971,16 @@ def _div_single(e: Expr, t: Term) -> Expr:
     if not any(p for _, p in t.vpows):
         return e * Expr([t]).inverse()
     # variable powers present: divide term by term
-    m = t.coeff.single()
-    if m is None:
-        raise OutOfClassError("division by multi-term coefficient")
     inv_c = t.coeff ** -1
     out = []
     for a in e.terms:
-        vp = dict(a.vpows)
-        for v, p in t.vpows:
-            np_ = vp.get(v, 0) - p
-            if np_ < 0:
-                raise OutOfClassError("inexact division by variable power")
-            if np_:
-                vp[v] = np_
-            else:
-                vp.pop(v, None)
-        rates = dict(a.rates)
-        for v, p in t.rates:
-            rates[v] = rates.get(v, Poly()) - p
-        freqs = dict(a.freqs)
-        for v, p in t.freqs:
-            freqs[v] = freqs.get(v, Poly()) - p
-        offs = dict(a.offs)
-        for s, c in t.offs:
-            offs[s] = offs.get(s, 0) - c
-        out.append(Term(a.coeff * inv_c,
-                        tuple(sorted((v, p) for v, p in vp.items() if p)),
-                        _slot_make(rates), _slot_make(freqs), _offs_make(offs)))
+        vpows = _merge(a.vpows, _negated(t.vpows))
+        if any(p < 0 for _, p in vpows):
+            raise OutOfClassError("inexact division by variable power")
+        out.append(Term(a.coeff * inv_c, vpows,
+                        _merge(a.rates, _negated(t.rates)),
+                        _merge(a.freqs, _negated(t.freqs)),
+                        _merge(a.offs, _negated(t.offs))))
     return Expr(out)
 
 
