@@ -277,7 +277,7 @@ class Poly:
             if m is None:
                 raise OutOfClassError("cannot invert a multi-term polynomial")
             pows, q = m
-            inv = Poly([(tuple((s, -k) for s, k in pows), _qdiv(Q_ONE, q))])
+            inv = Poly([(_negated(pows), _qdiv(Q_ONE, q))])
             return inv ** (-n)
         out = P_ONE
         for _ in range(n):

@@ -267,8 +267,14 @@ def test_triples_match_fraction_pairs(a, b):
     # the key strings, and so the canonical term order, are str(Fraction)'s
     assert _rat_text(qa[0], qa[2]) == str(a[0])
     assert _rat_text(qa[1], qa[2]) == str(a[1])
-    if a != (0, 0):
-        assert Poly.num(*a).key() == ((), f"{a[0]} {a[1]}")
+    if a != (0, 0) and b != (0, 0):
+        ka, kb = Poly.num(*a).key(), Poly.num(*b).key()
+        assert ka == ((), f"{a[0]} {a[1]}")
+        assert (ka < kb) == ((str(a[0]), str(a[1])) < (str(b[0]), str(b[1])))
+        if (a[0], b[1]) != (0, 0):    # a tie on the real part
+            kc = Poly.num(a[0], b[1]).key()
+            assert (ka < kc) == ((str(a[0]), str(a[1]))
+                                 < (str(a[0]), str(b[1])))
 
 
 @given(gaussians, st.integers(-5, 5))
