@@ -208,6 +208,7 @@ class Poly:
         return not self.monos
 
     def __bool__(self) -> bool:
+        """Nonzero, so that ``_merge`` drops zero sums of Polys as of ints."""
         return bool(self.monos)
 
     def is_real(self) -> bool:
@@ -389,7 +390,7 @@ SlotPolys = tuple  # tuple[tuple[str, Poly], ...] sorted by symbol
 
 
 def _slot_make(d: Mapping[str, Poly]) -> SlotPolys:
-    return tuple(sorted((v, p) for v, p in d.items() if p))
+    return tuple(sorted((v, p) for v, p in d.items() if not p.is_zero()))
 
 
 def _weight(c: RatLike) -> RatLike:
@@ -689,7 +690,7 @@ class Expr:
                                 _merge(t.vpows, ((s, -1),)),
                                 t.rates, t.freqs, t.offs))
             dc = t.coeff.diff(s)
-            if dc:
+            if not dc.is_zero():
                 out.append(t.with_coeff(dc))
             # d/ds of the exponent as (factor, variable or None) pairs; the
             # phase pieces carry a factor i
@@ -698,9 +699,10 @@ class Expr:
             c = _lookup(t.offs, s)
             if c:
                 phase.append((Poly.num(c), None))
-            grads += [(g.times(_I_POWERS[1]), v) for g, v in phase if g]
+            grads += [(g.times(_I_POWERS[1]), v) for g, v in phase
+                      if not g.is_zero()]
             for g, v in grads:
-                if g:
+                if not g.is_zero():
                     vpows = _merge(t.vpows, ((v, 1),)) if v else t.vpows
                     out.append(Term(t.coeff * g, vpows, t.rates, t.freqs,
                                     t.offs))
@@ -819,7 +821,7 @@ class Expr:
                 if min_order > j:
                     continue
                 c = term.coeff.coeff_of(param, j)
-                if c:
+                if not c.is_zero():
                     out.append(term.with_coeff(c))
         return Expr(out)
 
@@ -841,9 +843,9 @@ class Expr:
                 raise OutOfClassError(f"symbol {sym!r} does not occur linearly")
             cc = t.coeff.coeff_of(sym, 1)
             dd = t.coeff.coeff_of(sym, 0)
-            if cc:
+            if not cc.is_zero():
                 c.append(t.with_coeff(cc))
-            if dd:
+            if not dd.is_zero():
                 d.append(t.with_coeff(dd))
         return Expr(c), Expr(d)
 

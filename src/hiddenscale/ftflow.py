@@ -642,8 +642,7 @@ def _quadratic_part(rhs: Expr, n: str):
     for t in rhs.terms:
         lo, hi = t.coeff.order_range(n)
         if hi == 2 and lo == 2:
-            c = c + Expr([Term(t.coeff.coeff_of(n, 2), t.vpows, t.rates,
-                               t.freqs, t.offs)])
+            c = c + Expr([t.with_coeff(t.coeff.coeff_of(n, 2))])
         else:
             rest = rest + Expr([t])
     return c, rest
