@@ -27,7 +27,6 @@ Q_GRADE = Fraction(1, 2)
 class FilamentDerivation:
     series: PerturbationSeries
     primes: dict                  # exact flow right sides
-    alpha_flows: dict             # alpha_i' after grading
     amplitude_rhs: dict           # A_i'' = rhs
     order_assumption_exponent: float   # fitted exponent for |A'|/|A| vs delta
 
@@ -64,7 +63,6 @@ def derive() -> FilamentDerivation:
     primes = ftflow.derive_ft_exact(ps, unknowns, grades=grades, max_grade=1)
     # the amplitude reduction: A_i' = -alpha_i at leading grade, so
     # A_i'' = -alpha_i'
-    alpha_flows = {}
     amplitude = {}
     for i in ("1", "2"):
         a_rhs = ftflow.grade_truncate(primes[f"A{i}"], grades, "delta",
@@ -72,10 +70,9 @@ def derive() -> FilamentDerivation:
         if a_rhs != -Expr.sym(f"alpha{i}"):
             raise AssertionError(
                 f"leading flow for A{i} is not -alpha{i}: {a_rhs!r}")
-        alpha_flows[f"alpha{i}"] = primes[f"alpha{i}"]
         amplitude[f"A{i}"] = -primes[f"alpha{i}"]
     exponent = verify_order_assumption()
-    return FilamentDerivation(series, primes, alpha_flows, amplitude, exponent)
+    return FilamentDerivation(series, primes, amplitude, exponent)
 
 
 def amplitude_target(i: str) -> Expr:

@@ -144,17 +144,13 @@ class FTSystem:
         return all(self.mu not in e.symbols() for e in self.equations.values())
 
 
-def total_mu_derivative(e: Expr, mu: str, unknowns: Sequence[ConstantInfo]) -> Expr:
-    return e.diff(mu, {c.name: c.name + PRIME_SUFFIX for c in unknowns})
-
-
 def _scalar_equations(ps: PaintedSeries, unknowns):
     """Basis-split, phase-normalized real scalar equations, linear in primes."""
     x = ps.variable
     from . import textform
     eqs = []
     for r, e in enumerate(ps.exprs()):
-        de = total_mu_derivative(e, ps.mu, unknowns)
+        de = e.diff(ps.mu, {c.name: c.name + PRIME_SUFFIX for c in unknowns})
         for basis, coeff in de.split_basis([x]):
             norm = coeff.factor_out_unit_phase()
             label = (f"expr {r}, basis "
@@ -545,13 +541,13 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
             if c2.is_zero() and rest.is_zero() and not c1.is_zero():
                 cpoly = _as_poly(c1)
                 if cpoly is not None and cpoly.is_real() and \
-                        not (set(c1.symbols()) & name_set_of(ft)):
+                        not (set(c1.symbols()) & set(ft.unknown_names())):
                     return _finish_flow(
                         Flow(n, tildes[n], "exp", rate=cpoly,
                              value0=til * Expr.exp(x_symbol, -cpoly)), tvals)
             # (ii) separable power law: A' = c*A^2
             if not c2.is_zero() and c1.is_zero() and rest.is_zero():
-                if not (set(c2.symbols()) & (name_set_of(ft) | {mu})):
+                if not (set(c2.symbols()) & (set(ft.unknown_names()) | {mu})):
                     return _finish_flow(
                         Flow(n, tildes[n], "powerlaw", cexpr=c2), tvals)
     if not self_ref:
@@ -619,10 +615,6 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
         return _finish_flow(Flow(n, tildes[n], "frozen", value0=til - drift),
                             tvals)
     return None
-
-
-def name_set_of(ft: FTSystem) -> set:
-    return set(ft.unknown_names())
 
 
 def _as_poly_in_x(e: Expr, x: str) -> Optional[Poly]:
@@ -770,7 +762,6 @@ def split_from_painted(ps: PaintedSeries, x0: str):
 @dataclass
 class CGOResult:
     equations: list            # Expr residuals, one per supplied expression
-    unknowns: list             # prime symbol names
     underdetermined: bool
     diagnostic: str
 
@@ -816,4 +807,4 @@ def cgo_rg_equation(split_series: Expr, derivs: Sequence[Expr], x: str,
                   set(constants) - set(primes) - {x0})
     if under and free:
         msg += f" (free symbols present: {', '.join(free)})"
-    return CGOResult(eqs, primes, under, msg)
+    return CGOResult(eqs, under, msg)

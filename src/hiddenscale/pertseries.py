@@ -11,30 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .exprcore import (Expr, LinEq, Poly, Q_ONE, Q_ZERO, Term, _I_POWERS,
-                       _qadd, _qdiv, _qmul, _qnum, _qpow, solve_linear_system)
+                       _qadd, _qdiv, _qmul, _qnum, _qpow, _qreduce,
+                       solve_linear_system)
 
 
 class SolveError(RuntimeError):
     pass
-
-
-def _sqrt_fraction(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    def isqrt_exact(n: int) -> Optional[int]:
-        r = int(n ** 0.5)
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c * c == n:
-                return c
-        return None
-    a = isqrt_exact(q.numerator)
-    b = isqrt_exact(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
 
 
 @dataclass(frozen=True)
@@ -85,111 +73,29 @@ class LinearOperator:
     def char_roots(self):
         """All characteristic roots as (Gaussian rational, multiplicity).
 
-        Supports rational roots plus conjugate pairs with rational real and
-        imaginary parts (a pure-imaginary pair may be double); anything else
-        is rejected.
+        ``np.roots`` proposes candidates from the polynomial and its first
+        ``order - 1`` derivatives: a root of multiplicity m is a simple root
+        of the (m-1)-th derivative, where its numeric value is accurate.
+        With integer coefficients, the rational root theorem in the Gaussian
+        integers puts lead * z in Z[i] for every Gaussian-rational root z, so
+        each candidate is rounded to multiples of 1/lead and kept only when
+        the exact ``multiplicity`` is nonzero.  Any other root is rejected.
         """
-        cs = list(self.coeffs)
-        roots = []
-        m0 = 0
-        while cs[0] == 0:
-            m0 += 1
-            cs = cs[1:]
-        if m0:
-            roots.append((Q_ZERO, m0))
-
-        def deflate(poly, r):
-            # synthetic division by (x - r); poly low-to-high
-            hi = list(reversed(poly))
-            out = [hi[0]]
-            for c in hi[1:]:
-                out.append(c + r * out[-1])
-            rem = out.pop()
-            assert rem == 0
-            return list(reversed(out))
-
-        def rational_candidates(poly):
-            lead, const = poly[-1], poly[0]
-            scale = 1
-            for c in poly:
-                scale = scale * c.denominator // __import__("math").gcd(
-                    scale, c.denominator)
-            ip = [int(c * scale) for c in poly]
-            def divisors(n):
-                n = abs(n)
-                out = set()
-                i = 1
-                while i * i <= n:
-                    if n % i == 0:
-                        out.add(i)
-                        out.add(n // i)
-                    i += 1
-                return out or {1}
-            ps = divisors(ip[0]) if ip[0] else {0}
-            qs = divisors(ip[-1])
-            cands = set()
-            for p in ps:
-                for q in qs:
-                    if q:
-                        cands.add(Fraction(p, q))
-                        cands.add(Fraction(-p, q))
-            cands.add(Fraction(0))
-            return cands
-
-        while len(cs) > 1:
-            if len(cs) == 2:
-                roots.append((_qnum(-cs[0] / cs[1]), 1))
-                break
-            found = None
-            for r in sorted(rational_candidates(cs)):
-                if sum(c * r ** m for m, c in enumerate(cs)) == 0:
-                    found = r
-                    break
-            if found is not None:
-                mult = 0
-                while len(cs) > 1 and sum(c * found ** m
-                                          for m, c in enumerate(cs)) == 0:
-                    cs = deflate(cs, found)
-                    mult += 1
-                roots.append((_qnum(found), mult))
-                continue
-            if len(cs) == 3:
-                # the search above removed every rational root, so only a
-                # complex pair with rational parts can remain
-                a, b, c2 = cs[2], cs[1], cs[0]
-                disc = b * b - 4 * a * c2
-                s = _sqrt_fraction(-disc)
-                if s is not None:
-                    re = -b / (2 * a)
-                    im = s / (2 * a)
-                    roots.append((_qnum(re, abs(im)), 1))
-                    roots.append((_qnum(re, -abs(im)), 1))
-                    break
-                raise SolveError("operator has non-rational characteristic roots")
-            # try biquadratic-style repeated complex pair, e.g. (1 + D^2)^2
-            if len(cs) == 5:
-                a, b, c2, d, e = cs[4], cs[3], cs[2], cs[1], cs[0]
-                if b == 0 and d == 0:
-                    # a z^4 + c z^2 + e: quadratic in z^2
-                    disc = c2 * c2 - 4 * a * e
-                    if disc == 0:
-                        z2 = -c2 / (2 * a)
-                        if z2 < 0:
-                            s = _sqrt_fraction(-z2)
-                            if s is not None:
-                                roots.append((_qnum(0, s), 2))
-                                roots.append((_qnum(0, -s), 2))
-                                break
-            raise SolveError("unsupported operator factorization")
-        merged = {}
-        for z, m in roots:
-            merged[z] = merged.get(z, 0) + m
-        total = sum(merged.values())
-        if total != self.order:
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        poly = [int(c * scale) for c in self.coeffs]
+        den = abs(poly[-1])
+        found = {}
+        for _ in range(self.order):
+            for w in np.roots([float(c) for c in reversed(poly)]):
+                z = _qreduce(round(w.real * den), round(w.imag * den), den)
+                if z not in found and (mult := self.multiplicity(z)):
+                    found[z] = mult
+            poly = [m * c for m, c in enumerate(poly)][1:]
+        if sum(found.values()) != self.order:
             raise SolveError("operator has non-rational characteristic roots")
         # real roots first, then by decreasing real and increasing
         # imaginary part
-        return sorted(merged.items(), key=lambda zm: (
+        return sorted(found.items(), key=lambda zm: (
             zm[0][1] != 0, Fraction(-zm[0][0], zm[0][2]),
             Fraction(zm[0][1], zm[0][2])))
 

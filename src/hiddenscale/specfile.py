@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from .exprcore import Expr, OutOfClassError, Poly
-from .pertseries import LinearOperator, ODEProblem, PertTerm
+from .pertseries import LinearOperator, ODEProblem, PertTerm, SolveError
 from .textform import ExprSyntaxError, parse_expr
 
 KINDS = ("ode-hidden-scale", "switchback", "perturbation-symmetry", "burgers")
@@ -83,7 +83,8 @@ def _parse_float(tok: str, key: str, line: int) -> float:
 
 def parse_operator(text: str, var: str, key: str = "equation.operator",
                    line: int = 0) -> LinearOperator:
-    """Sum of c*Dk terms with rational c, e.g. "D2 + D1" or "D2 + 1/4*D0"."""
+    """Sum of c*Dk terms with rational c, e.g. "D2 + D1" or "D2 + 1/4*D0",
+    whose characteristic roots are all Gaussian rationals."""
     text = text.replace("-", "+ -")
     coeffs: dict = {}
     for part in text.split("+"):
@@ -99,8 +100,15 @@ def parse_operator(text: str, var: str, key: str = "equation.operator",
         c = Fraction(m.group(1)) if m.group(1) else Fraction(1)
         k = int(m.group(2))
         coeffs[k] = coeffs.get(k, Fraction(0)) + (-c if neg else c)
+    if not any(coeffs.values()):
+        raise SpecError(f"line {line}: {key} has no nonzero term")
     top = max(coeffs)
-    return LinearOperator.make([coeffs.get(m, 0) for m in range(top + 1)], var)
+    op = LinearOperator.make([coeffs.get(m, 0) for m in range(top + 1)], var)
+    try:
+        op.char_roots()
+    except SolveError as exc:
+        raise SpecError(f"line {line}: {key}: {exc}")
+    return op
 
 
 def parse_perturbation(text: str, spec: "ProblemSpec", key: str,
@@ -151,9 +159,6 @@ def parse_perturbation(text: str, spec: "ProblemSpec", key: str,
             out.append(PertTerm(epspow, Expr([coeff_term]),
                                 tuple(sorted(dp, key=lambda mp: mp[0]))))
     return out
-
-
-_IC_RE = re.compile(r"^(?:D(\d*))?(.+)$")
 
 
 def _ic_order(key: str, dep: str, line: int) -> int:
@@ -226,8 +231,10 @@ def parse_spec(path) -> ProblemSpec:
     spec.most_divergent = spec.get("method.most_divergent", "false") == "true"
     for key, (v, lineno) in raw.items():
         if key.startswith("method.constants.order"):
-            j = int(key.rsplit("order", 1)[1])
-            spec.constant_names[j] = v.split()
+            j = key.rsplit("order", 1)[1]
+            if not j.isdecimal():
+                raise SpecError(f"line {lineno}: bad key {key!r}")
+            spec.constant_names[int(j)] = v.split()
         elif key.startswith("method.fix."):
             cname = key.split(".", 2)[2]
             spec.fixed_constants[cname] = _parse_rational(v, key, lineno)
@@ -263,12 +270,20 @@ def parse_spec(path) -> ProblemSpec:
                                                 "equation.perturbation",
                                                 pline[1])
         declared = set(spec.constants)
-        for j, names in spec.constant_names.items():
-            undeclared = [n for n in names if n not in declared]
+        n = spec.operator.order
+        for key, (v, lineno) in raw.items():
+            if not key.startswith("method.constants.order"):
+                continue
+            names = v.split()
+            undeclared = [nm for nm in names if nm not in declared]
             if undeclared:
                 raise SpecError(
-                    f"constant {undeclared[0]!r} used in method.constants."
-                    f"order{j} but not declared in symbols.constants")
+                    f"line {lineno}: constant {undeclared[0]!r} used in "
+                    f"{key} but not declared in symbols.constants")
+            if len(names) != n:
+                raise SpecError(
+                    f"line {lineno}: {key} needs {n} constant names for "
+                    f"the order-{n} operator, got {len(names)}")
     return spec
 
 

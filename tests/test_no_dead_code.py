@@ -1,8 +1,10 @@
 """Dead-code guard: an AST scan of ``src/hiddenscale``.
 
 Fails when a function, class or method is referenced nowhere in ``src/``
-except inside its own definition, or when a module other than ``__init__``
-imports a name it never uses.  A module-level function or class is resolved
+except inside its own definition, when a module other than ``__init__``
+imports a name it never uses, or when a module-level assignment binds a
+name, dunders apart, that nothing in ``src/`` reads.  A module-level
+function or class is resolved
 by module: it counts as used only through a bare name in its own module
 (outside its own definition, string annotations included), a
 ``from .mod import name``, or ``alias.name`` after
@@ -155,6 +157,32 @@ def unreferenced_definitions():
             in definitions() if not used and name not in TEST_FACING]
 
 
+def unread_module_names():
+    """Module-level assignments no module in ``src/`` reads: not as a bare
+    name in their own module, nor through ``from .mod import name`` or
+    ``alias.name``.  Dunder names are read by the language."""
+    trees = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
+    imported = _module_imports(trees)
+    out = []
+    for mod, tree in trees.items():
+        loads = Counter(n.id for n in ast.walk(tree)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)) \
+            + _annotation_names(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for name in (n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)):
+                if not (name.startswith("__") and name.endswith("__")) \
+                        and not loads[name] \
+                        and (mod, name) not in imported:
+                    out.append(f"{mod}.py:{node.lineno} {name}")
+    return out
+
+
 def unused_imports():
     out = []
     for path in sorted(SRC.glob("*.py")):
@@ -185,6 +213,10 @@ def test_allowlist_names_are_defined_and_unused():
                    if u and name in TEST_FACING})
     assert missing == [], "allowlisted but no longer defined in src/"
     assert used == [], "allowlisted but now used in src/"
+
+
+def test_every_module_name_is_read():
+    assert unread_module_names() == []
 
 
 def test_every_import_is_used():

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hiddenscale.exprcore import Expr, Poly, classify_divergent
+from hiddenscale.exprcore import Expr, Poly, _qnum, classify_divergent
 from hiddenscale.pertseries import (LinearOperator, ODEProblem, PertTerm,
                                     SolveError, build_bare_series,
                                     expand_hierarchy, particular_integral,
@@ -62,16 +63,68 @@ class TestHierarchy:
 def test_char_roots_rational_search():
     # roots are Gaussian-rational triples (re, im, den)
     one, minus_one = (1, 0, 1), (-1, 0, 1)
-    # D^2 - 1: the search finds both simple roots
+    # D^2 - 1: two simple real roots, the larger first
     assert LinearOperator.make([-1, 0, 1], "x").char_roots() == [
         (one, 1), (minus_one, 1)]
-    # (D + 1)^3: deflation counts the multiplicity
+    # (D + 1)^3: one numeric candidate, counted three times by the exact test
     assert LinearOperator.make([1, 3, 3, 1], "x").char_roots() == [
         (minus_one, 3)]
     # D^2 - 2: irrational roots leave the class
     with pytest.raises(SolveError,
                        match="operator has non-rational characteristic roots"):
         LinearOperator.make([-2, 0, 1], "x").char_roots()
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_factored_operator(rng: random.Random, max_degree: int):
+    """Coefficients (low to high) of a scaled product of rational linear and
+    Gaussian-rational quadratic factors, and the roots they generate."""
+    def rational():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    coeffs = [rational() or F(1)]
+    roots = {}
+    while True:
+        mult = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            re, im = rational(), F(0)
+            factor = [-re, F(1)]
+        else:
+            re, im = rational(), abs(rational()) or F(1)
+            factor = [re * re + im * im, -2 * re, F(1)]
+        if len(coeffs) - 1 + mult * (len(factor) - 1) > max_degree:
+            return coeffs, roots
+        if _qnum(re, im) in roots:
+            continue
+        roots[_qnum(re, im)] = mult
+        if im:
+            roots[_qnum(re, -im)] = mult
+        for _ in range(mult):
+            coeffs = _poly_mul(coeffs, factor)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_char_roots_recover_gaussian_rational_factors(seed):
+    rng = random.Random(seed)
+    coeffs, roots = _random_factored_operator(rng, 8)
+    got = LinearOperator.make(coeffs, "x").char_roots()
+    assert dict(got) == roots
+    assert len(got) == len(roots)
+    # one irrational factor z^2 - c puts the operator out of the class
+    c = rng.choice([2, 3, 5, 6, F(1, 2), F(-2), F(-3, 4)])
+    coeffs, _ = _random_factored_operator(rng, 6)
+    with pytest.raises(SolveError,
+                       match="operator has non-rational characteristic roots"):
+        LinearOperator.make(_poly_mul(coeffs, [-F(c), F(0), F(1)]),
+                            "x").char_roots()
 
 
 class TestSolveOrder:

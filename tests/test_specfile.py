@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hiddenscale import cli
 from hiddenscale.exprcore import Expr
 from hiddenscale.specfile import (SpecError, ode_problem, parse_operator,
                                   parse_spec)
@@ -129,6 +130,22 @@ class TestGrammar:
         # derive alone needs no value
         parse_spec(write_spec(tmp_path, MINIMAL.replace("params.eps = 0.2\n",
                                                         "")))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("= D2 + D1", "= D2 - 2*D0", "line 6: equation.operator: operator "
+         "has non-rational characteristic roots"),
+        ("= D2 + D1", "= 0*D1", "line 6: equation.operator has no nonzero "
+         "term"),
+        ("order0 = A B", "order0 = A", "line 9: method.constants.order0 needs "
+         "2 constant names for the order-2 operator, got 1"),
+        ("order0 = A B", "orderx = A B", "line 9: bad key "
+         "'method.constants.orderx'"),
+    ])
+    def test_operator_errors_exit_2(self, tmp_path, capsys, old, new,
+                                    message):
+        path = write_spec(tmp_path, MINIMAL.replace(old, new))
+        assert cli.main(["derive", str(path)]) == 2
+        assert capsys.readouterr().err == f"spec error: {message}\n"
 
     def test_ics_keys(self, tmp_path):
         spec = parse_spec(write_spec(tmp_path,
