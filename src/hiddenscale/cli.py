@@ -192,6 +192,10 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
     """
     prob = ode_problem(spec)
     n = prob.operator.order
+    if any(m >= n for pt in prob.perturbations for m, _q in pt.deriv_powers):
+        raise SpecError("validate needs an explicit equation: the "
+                        "perturbation contains the top derivative of "
+                        f"{spec.dependent} (order {n})")
     coeffs = [float(c) for c in prob.operator.coeffs]
     epsv = params[spec.parameter]
     var = spec.variable
@@ -247,18 +251,11 @@ def _ic_vector(spec, uniform, env, x0: float, nord: int):
             out.append(float(tok) if _numeric(tok)
                        else float(spec.params[tok]))
         return out
-    h = 1e-6
-    out = [uniform.evaluate(x0, env)]
-    if nord > 1:
-        out.append((uniform.evaluate(x0 + h, env)
-                    - uniform.evaluate(x0 - h, env)) / (2 * h))
-    if nord > 2:
-        out.append((uniform.evaluate(x0 + h, env)
-                    - 2 * uniform.evaluate(x0, env)
-                    + uniform.evaluate(x0 - h, env)) / h ** 2)
     if nord > 3:
         raise SpecError("numeric initial conditions required for order > 3")
-    return out
+    h = 1e-6
+    lo, mid, hi = uniform.evaluate(np.array([x0 - h, x0, x0 + h]), env)
+    return [mid, (hi - lo) / (2 * h), (hi - 2 * mid + lo) / h ** 2][:nord]
 
 
 def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
@@ -270,6 +267,11 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
         return _validate_scaling(spec, rep, csv_dir, grid, series)
     params = dict(spec.params)
     env = _uniform_env(spec, params)
+    missing = [f for f in flows.flows.values()
+               if f.tilde not in env and f.tilde not in (f.fixed or {})]
+    if missing:
+        raise SpecError("validate needs start values: " + ", ".join(
+            f"options.tilde_{f.name} for {f.tilde}" for f in missing))
     for c in series.constants:
         if c.name not in [u.name for u in ft.unknowns]:
             env.setdefault(c.name, 0.0)
@@ -278,7 +280,7 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     y0 = _ic_vector(spec, uniform, env, float(grid[0]), nord)
     ref = numlab.solve_ivp(rhs, y0, (float(grid[0]), float(grid[-1])),
                            "rk45-adaptive", tol=1e-11, t_eval=grid)
-    uvals = np.array([uniform.evaluate(float(t), env) for t in grid])
+    uvals = uniform.evaluate(grid, env)
     err = numlab.ErrorReport.from_samples(grid, ref.at_nodes(), uvals)
     rep.add(f"sup error vs oracle: {_fmt(err.sup_error)}")
     _write_csv(csv_dir, f"{spec.name}_uniform.csv",
@@ -297,7 +299,7 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
         z0 = _ic_vector(spec, uniform, e2, float(grid[0]), nord)
         ref2 = numlab.solve_ivp(rhs2, z0, (float(grid[0]), float(grid[-1])),
                                 "rk45-adaptive", tol=1e-11, t_eval=grid)
-        u2 = np.array([uniform.evaluate(float(t), e2) for t in grid])
+        u2 = uniform.evaluate(grid, e2)
         c_full = err.sup_error / epsv ** kk
         c_half = float(np.max(np.abs(u2 - ref2.at_nodes()))) \
             / (epsv / 2) ** kk
@@ -324,9 +326,8 @@ def _fit_tildes_to_ics(uniform, env, ics):
     for n in names:
         e = {**env, **{m: 0.0 for m in names}}
         e[n] = 1.0
-        cols.append([uniform.evaluate(0.0, e),
-                     (uniform.evaluate(h, e)
-                      - uniform.evaluate(-h, e)) / (2 * h)])
+        lo, mid, hi = uniform.evaluate(np.array([-h, 0.0, h]), e)
+        cols.append([mid, (hi - lo) / (2 * h)])
     M = np.array(cols).T
     vals = np.linalg.solve(M, np.array(ics))
     return dict(zip(names, vals))
@@ -357,7 +358,7 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
         rhs, _n = _ode_rhs(spec, {spec.parameter: ev})
         ref = numlab.solve_ivp(rhs, ics, (float(grid[0]), float(grid[-1])),
                                "rk4-fixed", step=step, t_eval=grid)
-        uvals = np.array([uniform2.evaluate(float(t), env) for t in grid])
+        uvals = uniform2.evaluate(grid, env)
         sup = float(np.max(np.abs(uvals - ref.at_nodes())))
         if ev in sweep:
             errs.append((ev, sup))
@@ -373,8 +374,7 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
                 cols.append([bare.eval(e).real, dbare.eval(e).real])
             AB = np.linalg.solve(np.array(cols).T, np.array(ics))
             benv.update(dict(zip(names, AB)))
-            bvals = np.array([bare.eval({**benv, spec.variable: float(t)}).real
-                              for t in grid])
+            bvals = bare.eval({**benv, spec.variable: grid}).real
             table_rows = np.column_stack(
                 [grid, ref.at_nodes(), bvals, uvals,
                  np.abs(bvals - ref.at_nodes()),
@@ -410,7 +410,7 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
     phi = dataclasses.replace(flows.flows["phi"], drift_poly=-qp)
     textbook = ftflow.assemble_uniform(painted, dataclasses.replace(
         flows, flows={**flows.flows, "phi": phi}, _cache={}))
-    tvals = np.array([textbook.evaluate(float(t), env) for t in grid])
+    tvals = textbook.evaluate(grid, env)
     terr = float(np.max(np.abs(tvals - ref.at_nodes())))
     ratio_max = float(spec.validate.get("textbook_ratio_max", "0.5"))
     rep.add(f"textbook-exponent sup error: {_fmt(terr)}")
@@ -569,7 +569,8 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     y0 = []
     h = 1e-6
     for u in uforms:
-        y0 += [u.evaluate(0.0), (u.evaluate(h) - u.evaluate(-h)) / (2 * h)]
+        lo, mid, hi = u.evaluate(np.array([-h, 0.0, h]))
+        y0 += [mid, (hi - lo) / (2 * h)]
     # the spec's equation per sweep value, one block each
     rhs = numlab.LinearRHS(block_diag(
         *(_ode_rhs(spec, {spec.parameter: ev})[0].M for ev in sweep)))
@@ -731,15 +732,15 @@ def main(argv=None) -> int:
     try:
         spec = parse_spec(args.spec)
         _handlers(spec)
+        if args.command == "derive":
+            rep = run_derive(spec, args.check)
+        elif args.command == "validate":
+            rep = run_validate(spec, args.csv_dir, args.seed)
+        else:
+            rep = run_sweep(spec, args.csv_dir)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "derive":
-        rep = run_derive(spec, args.check)
-    elif args.command == "validate":
-        rep = run_validate(spec, args.csv_dir, args.seed)
-    else:
-        rep = run_sweep(spec, args.csv_dir)
     sys.stdout.write(rep.text())
     return 0 if rep.ok else 1
 

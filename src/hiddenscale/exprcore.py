@@ -19,10 +19,11 @@ all operations are pure.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 RatLike = Union[int, Fraction]
 
@@ -499,7 +500,8 @@ class Term:
             arg += 1j * p.eval(env) * env[v]
         for s, c in self.offs:
             arg += 1j * complex(c) * env[s]
-        return val * cmath.exp(arg) if arg else val
+        return val * np.exp(arg) if self.rates or self.freqs or self.offs \
+            else val
 
     def __repr__(self):
         return f"Term({Expr((self,))!r})"

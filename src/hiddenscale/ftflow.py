@@ -368,8 +368,9 @@ class ConstantFlows:
     numeric_names: list = field(default_factory=list)
     _cache: dict = field(default_factory=dict)
 
-    def values(self, x: float, env: dict) -> dict:
-        """Constant values at mu = 0 for start point ``x``.
+    def values(self, x, env: dict) -> dict:
+        """Constant values at mu = 0 for start point ``x``: floats for a
+        scalar ``x``, arrays of its shape for an array.
 
         ``env`` holds parameter values plus the tilde values keyed by the
         tilde symbol names (e.g. "A~").
@@ -381,9 +382,7 @@ class ConstantFlows:
             if f.kind == "numeric":
                 continue
             if f.value0 is not None:
-                e2 = dict(env)
-                e2[self.x_symbol] = x
-                out[n] = f.value0.eval(e2).real
+                out[n] = f.value0.eval({**env, self.x_symbol: x})
             elif f.kind == "powerlaw":
                 til = env[f.tilde]
                 c = f.cexpr.eval(env).real
@@ -397,9 +396,9 @@ class ConstantFlows:
                 out[n] = env[f.tilde] + f.drift_poly.eval(env).real * x
             else:
                 raise FTError(f"flow for {n} not evaluable")
-        return out
+        return {n: _real_at(v, x) for n, v in out.items()}
 
-    def _numeric_values(self, x: float, env: dict) -> dict:
+    def _numeric_values(self, x, env: dict) -> dict:
         from .numlab import solve_ivp
         names = self.ft.unknown_names()
         tilde = [env[n + TILDE_SUFFIX] for n in names]
@@ -409,18 +408,26 @@ class ConstantFlows:
             key = tuple(sorted((kk, round(float(v), 14))
                                for kk, v in env.items()))
             traj = self._cache.get(key)
-            if traj is None or traj.grid[-1] < x:
-                xmax = abs(x) * 1.5 + 1.0
+            if traj is None or traj.grid[-1] < np.max(x):
+                xmax = float(np.max(np.abs(x))) * 1.5 + 1.0
                 f = self.ft.rhs_callable(env)
                 traj = solve_ivp(lambda t, y: -f(t, y), tilde, (0.0, xmax),
                                  "rk45-adaptive", tol=1e-12)
                 self._cache[key] = traj
-            return {n: float(traj(x, i)) for i, n in enumerate(names)}
-        if x == 0:
-            return dict(zip(names, tilde))
+            return {n: traj(x, i) for i, n in enumerate(names)}
         f = self.ft.rhs_callable(env)
-        sol = solve_ivp(f, tilde, (x, 0.0), "rk45-adaptive", tol=1e-12)
-        return {n: float(sol.states[-1, i]) for i, n in enumerate(names)}
+        ends = np.array([solve_ivp(f, tilde, (xv, 0.0), "rk45-adaptive",
+                                   tol=1e-12).states[-1] if xv != 0 else tilde
+                         for xv in np.ravel(x).tolist()])
+        return {n: ends[:, i].reshape(np.shape(x))
+                for i, n in enumerate(names)}
+
+
+def _real_at(val, x):
+    """The real part of ``val`` broadcast to the shape of ``x``: a float for
+    a scalar ``x``, an array for an array."""
+    out = np.broadcast_to(np.real(val), np.shape(x))
+    return float(out) if out.ndim == 0 else out
 
 
 def _as_poly(e: Expr) -> Optional[Poly]:
@@ -661,12 +668,12 @@ class UniformSolution:
     provenance: dict
     _evaluator: Callable = None
 
-    def evaluate(self, x: float, env: dict) -> float:
+    def evaluate(self, x, env: dict):
+        """The solution at ``x``: a float for a scalar ``x``, an array of
+        its shape for an array."""
         if self._evaluator is not None:
             return self._evaluator(x, env)
-        e2 = dict(env)
-        e2[self.variable] = x
-        return self.symbolic.eval(e2).real
+        return _real_at(self.symbolic.eval({**env, self.variable: x}), x)
 
     def text(self) -> str:
         from . import textform
@@ -722,13 +729,9 @@ def assemble_uniform(ps: PaintedSeries, flows: ConstantFlows) -> UniformSolution
         uni = UniformSolution(symbolic, x, ps.parameter, prov, ev)
         return uni
 
-    def evaluator(xv: float, env: dict) -> float:
-        vals = flows.values(xv, env)
-        e2 = dict(env)
-        e2.update(vals)
-        e2[x] = xv
-        e2[ps.mu] = 0.0
-        return special.eval(e2).real
+    def evaluator(xv, env: dict):
+        e2 = {**env, **flows.values(xv, env), x: xv, ps.mu: 0.0}
+        return _real_at(special.eval(e2), xv)
 
     return UniformSolution(None, x, ps.parameter, prov, evaluator)
 

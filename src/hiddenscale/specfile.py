@@ -104,6 +104,9 @@ def parse_operator(text: str, var: str, key: str = "equation.operator",
         raise SpecError(f"line {line}: {key} has no nonzero term")
     top = max(coeffs)
     op = LinearOperator.make([coeffs.get(m, 0) for m in range(top + 1)], var)
+    if op.order == 0:
+        raise SpecError(f"line {line}: {key} has order 0: there is no "
+                        "integration constant to flow")
     try:
         op.char_roots()
     except SolveError as exc:

@@ -90,20 +90,13 @@ def sw_diff(e: Poly) -> Poly:
     return out
 
 
-def sw_eval(e: Poly, xs, env: dict) -> np.ndarray:
-    """Values at the points xs, coefficients evaluated once from env."""
-    groups = [(c.eval(env).real, p, r, e1) for (p, r, e1), c in _groups(e)]
-    out = []
-    for x in xs:
-        x = float(x)
-        total = 0.0
-        for c, p, r, e1 in groups:
-            v = c * x ** p * math.exp(r * x)
-            for j, m in e1:
-                v *= exp_integral(1, j * x) ** m
-            total += v
-        out.append(total)
-    return np.array(out)
+def sw_basis(e: Poly, x) -> dict:
+    """Values of the basis symbols of ``e`` at ``x`` (a number or an array),
+    to pass to ``Poly.eval`` beside the coefficient values."""
+    env = {"x": x, "ex": np.exp(x)}
+    env.update((s, exp_integral(1, int(s[3:]) * x)) for s in e.symbols()
+               if s.startswith("e1_"))
+    return env
 
 
 def sw_text(e: Poly) -> str:
@@ -195,7 +188,7 @@ class SwitchbackSeries:
     """Orders in a; order 0 is the constant 1."""
 
     problem: SwitchbackProblem
-    orders: list                  # basis Polys for n=2; callables for n=3
+    orders: list                  # basis Polys; n=3's order 1 is a callable
     constants: dict               # fixed constant values per order
 
     def evaluate(self, x, a: Optional[float] = None):
@@ -203,11 +196,9 @@ class SwitchbackSeries:
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
         for j, term in enumerate(self.orders):
-            if callable(term):
-                vals = np.array([term(float(xx)) for xx in np.atleast_1d(x)])
-            else:
-                vals = sw_eval(term, np.atleast_1d(x), self.constants)
-            total = total + a ** j * vals.reshape(np.shape(total))
+            vals = term(x) if callable(term) else term.eval(
+                {**self.constants, **sw_basis(term, x)}).real
+            total = total + a ** j * vals
         return float(total) if total.ndim == 0 else total
 
 
@@ -237,10 +228,11 @@ def _fix_second_order_constants(u2: Poly, eps: float):
     """Boundary conditions u2(eps) = 0, u2(inf) = 0 pin C2, C3."""
     e1e = exp_integral(1, eps)
     env = {"A": 0.0, "B": -1.0 / e1e, "C3": 0.0, "C2": 0.0}
+    at_eps = sw_basis(u2, eps)
     # all non-constant basis functions vanish at infinity, so C3 = 0
-    base = float(sw_eval(u2, [eps], env)[0])
+    base = u2.eval({**env, **at_eps}).real
     env["C2"] = base / e1e          # u2 contains -C2*e1(x)
-    if abs(sw_eval(u2, [eps], env)[0]) > 1e-10 * max(1.0, abs(base)):
+    if abs(u2.eval({**env, **at_eps}).real) > 1e-10 * max(1.0, abs(base)):
         raise AssertionError("second-order boundary fit failed")
     return env
 
@@ -251,7 +243,7 @@ def switchback_series(p: SwitchbackProblem) -> SwitchbackSeries:
         raise ValueError("switchback series implemented to order 2")
     if p.order == 2 and not (p.n == 2 and p.delta == 1):
         raise ValueError("order 2 is implemented for the n=2, delta=1 problem")
-    orders = [Poly.num(1) if p.n == 2 else (lambda x: 1.0)]
+    orders = [Poly.num(1)]
     constants = {}
     if p.order >= 1:
         m = p.n - 1
@@ -284,9 +276,7 @@ class LogClosedForm:
         return "1 + log(1 + s*e1(x)) with s = (exp(-a) - 1)/e1(eps)"
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=float)
-        e1x = exp_integral(1, x) if x.ndim else exp_integral(1, float(x))
-        return 1.0 + np.log(1.0 + self.s * e1x)
+        return 1.0 + np.log(1.0 + self.s * exp_integral(1, x))
 
     def radius_of_convergence(self, x: float) -> float:
         """Radius in a of the most-divergent series with the first-order B."""

@@ -133,3 +133,52 @@ def test_ode_rhs_linear_only_when_constant_coefficient():
     rhs, _n = cli._ode_rhs(kdv, dict(kdv.params))
     assert not isinstance(rhs, numlab.LinearRHS)
     assert rhs(0.0, 2 * y)[2] != 2 * rhs(0.0, y)[2]
+
+
+TOP_DERIVATIVE = """\
+name = topd
+kind = ode-hidden-scale
+symbols.variable = t
+symbols.parameter = eps
+symbols.constants = A
+equation.operator = D1 + D0
+equation.perturbation = eps*Dy
+method.order = 1
+method.constants.order0 = A
+params.eps = 0.1
+options.tilde_A = 1
+validate.grid = 0 5 51
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    # mathieu without options.tilde_*: no start values for the flows
+    ("\n".join(line for line in (CORPUS / "mathieu.spec").read_text()
+               .splitlines() if not line.startswith("options.tilde_")),
+     "validate needs start values: options.tilde_R for R~, "
+     "options.tilde_theta for theta~"),
+    (TOP_DERIVATIVE, "validate needs an explicit equation: the perturbation "
+                     "contains the top derivative of y (order 1)"),
+], ids=["no-start-values", "top-derivative"])
+def test_spec_errors_during_validate_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "case.spec"
+    path.write_text(text)
+    assert cli.main(["derive", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["validate", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"spec error: {message}\n"
+
+
+def test_mathieu_validate_integrates_six_times(monkeypatch):
+    # per eps: the oracle, then one numeric-flow trajectory for the initial
+    # state and one grown once for the whole grid
+    calls = []
+    solve = numlab.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(numlab, "solve_ivp", counted)
+    rep = cli.run_validate(parse_spec(CORPUS / "mathieu.spec"), None)
+    assert rep.ok and len(calls) == 6

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from hiddenscale import numlab
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                  div_exact, solve_linear_system)
-from hiddenscale.ftflow import (FTInconsistent, FTUnderdetermined,
+from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
                                 assemble_uniform, cgo_rg_equation,
                                 derive_ft_system, integrate_orbits,
                                 most_divergent_filter, paint)
@@ -241,6 +242,7 @@ class TestUniform:
         assert (Poly.num(1) - q) in freqs
 
     def test_symbolic_evaluator_agreement(self):
+        # scalar and grid evaluation against per-point Expr.eval
         ps = paint(overdamped_series(), 1)
         ft = derive_ft_system(ps, 1)
         uni = assemble_uniform(ps, integrate_orbits(ft, "tau"))
@@ -252,6 +254,74 @@ class TestUniform:
             x = float(rng.uniform(0, 10))
             direct = uni.symbolic.eval({**env, "tau": x}).real
             assert abs(uni.evaluate(x, env) - direct) < 1e-12
+        ps = paint(most_divergent_filter(kdv_series()), 1)
+        ft = derive_ft_system(ps, 2)
+        kdv = assemble_uniform(ps, integrate_orbits(
+            ft, "th", tilde_values={"R": "A1", "phi": 0}))
+        grid = np.linspace(0.0, 60.0, 601)
+        for u, var, env in (
+                (uni, "tau", {"eps": 0.2, "A~": 1.3, "B~": -0.7}),
+                (kdv, "th", {"eps": 0.14, "A1": 0.5, "k": 1.0,
+                             "delta": 1.7320508075688772})):
+            direct = np.array([u.symbolic.eval({**env, var: float(x)}).real
+                               for x in grid])
+            got = u.evaluate(grid, env)
+            assert got.shape == grid.shape
+            assert np.max(np.abs(got - direct)) \
+                <= 1e-13 * np.max(np.abs(direct))
+
+    def _mathieu_uniform(self):
+        ps = paint(mathieu_series(), 1)
+        return assemble_uniform(ps, integrate_orbits(
+            derive_ft_system(ps, 1), "t"))
+
+    def test_numeric_grid_matches_points(self):
+        env = {"eps": 0.15, "a1": 1.2, "R~": 1.0, "theta~": 0.3,
+               "A": 0.0, "B": 0.0}
+        grid = np.linspace(0.0, 30.0, 301)
+        got = self._mathieu_uniform().evaluate(grid, env)
+        uni = self._mathieu_uniform()
+        points = np.array([uni.evaluate(float(t), env) for t in grid])
+        assert got.shape == grid.shape
+        assert np.max(np.abs(got - points)) < 1e-9
+
+    def test_numeric_grid_integrates_once_per_env(self, monkeypatch):
+        calls = []
+        solve = numlab.solve_ivp
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(numlab, "solve_ivp", counted)
+        uni = self._mathieu_uniform()
+        grid = np.linspace(0.0, 30.0, 301)
+        for ev in (0.15, 0.075):
+            env = {"eps": ev, "a1": 1.2, "R~": 1.0, "theta~": 0.3,
+                   "A": 0.0, "B": 0.0}
+            before = len(calls)
+            uni.evaluate(grid, env)
+            assert len(calls) == before + 1
+            for t in grid:
+                uni.evaluate(float(t), env)
+            assert len(calls) == before + 1
+
+    def test_nonautonomous_numeric_flow_on_a_grid(self):
+        # A' = eps*mu*A depends on mu, so each start point x is integrated
+        # from mu = x down to 0: A(0) = A~*exp(-eps*x^2/2)
+        ft = FTSystem("mu", "x", "eps", 1, [ConstantInfo("A", 0, "param")],
+                      {"A": Expr.sym("eps") * Expr.var("mu") * Expr.sym("A")},
+                      {"A": 1})
+        flows = integrate_orbits(ft, "x")
+        assert flows.flows["A"].kind == "numeric"
+        env = {"eps": 0.1, "A~": 1.5}
+        grid = np.linspace(0.0, 4.0, 9)
+        got = flows.values(grid, env)["A"]
+        assert got.shape == grid.shape
+        np.testing.assert_allclose(got, 1.5 * np.exp(-0.1 * grid ** 2 / 2),
+                                   rtol=1e-9, atol=0)
+        points = [flows.values(float(x), env)["A"] for x in grid]
+        assert all(isinstance(v, float) for v in points)
+        assert np.array_equal(got, points)
 
     def test_uniform_residual_scales_with_truncation(self):
         # finite-difference residual of the uniform solution in the full ODE

@@ -136,6 +136,8 @@ class TestGrammar:
          "has non-rational characteristic roots"),
         ("= D2 + D1", "= 0*D1", "line 6: equation.operator has no nonzero "
          "term"),
+        ("= D2 + D1", "= D0", "line 6: equation.operator has order 0: there "
+         "is no integration constant to flow"),
         ("order0 = A B", "order0 = A", "line 9: method.constants.order0 needs "
          "2 constant names for the order-2 operator, got 1"),
         ("order0 = A B", "orderx = A B", "line 9: bad key "
