@@ -18,7 +18,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import filament as filament_mod
 from . import ftflow, numlab, pertsym, switchback, textform
@@ -486,7 +485,7 @@ def validate_switchback(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
         sol = numlab.solve_bvp_shooting(prob.rhs_log(), xi0, 1.0 - a, xi1,
                                         1.0, slope_guess=0.1)
         xs = np.exp(np.linspace(xi0, math.log(10.0), npts))
-        return xs, np.array([sol(math.log(xx)) for xx in xs])
+        return xs, sol(np.log(xs))
 
     xs, uref = oracle(p.eps, p.a)
     u1 = switchback.switchback_series(
@@ -571,9 +570,13 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     for u in uforms:
         lo, mid, hi = u.evaluate(np.array([-h, 0.0, h]))
         y0 += [mid, (hi - lo) / (2 * h)]
-    # the spec's equation per sweep value, one block each
-    rhs = numlab.LinearRHS(block_diag(
-        *(_ode_rhs(spec, {spec.parameter: ev})[0].M for ev in sweep)))
+    # the spec's equation per sweep value, one diagonal block each
+    blocks = [_ode_rhs(spec, {spec.parameter: ev})[0].M for ev in sweep]
+    n = len(blocks[0])
+    M = np.zeros((n * len(blocks),) * 2)
+    for i, b in enumerate(blocks):
+        M[i * n:(i + 1) * n, i * n:(i + 1) * n] = b
+    rhs = numlab.LinearRHS(M)
     ref = numlab.solve_ivp(rhs, y0, (grid[0], grid[-1]), "rk4-fixed",
                            step=step, t_eval=grid)
     errs = []

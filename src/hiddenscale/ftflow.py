@@ -401,7 +401,13 @@ class ConstantFlows:
     def _numeric_values(self, x, env: dict) -> dict:
         from .numlab import solve_ivp
         names = self.ft.unknown_names()
-        tilde = [env[n + TILDE_SUFFIX] for n in names]
+        # env's tilde values win over start values fixed by the spec's ics;
+        # a fixed parameter name resolves through env
+        tilde = []
+        for n in names:
+            til = n + TILDE_SUFFIX
+            v = env[til] if til in env else self.flows[n].fixed[til]
+            tilde.append(env[v] if isinstance(v, str) else v)
         if self.ft.is_autonomous():
             # the mu=0 value as a function of the start point satisfies the
             # time-inverted autonomous system; one trajectory covers all x
@@ -471,13 +477,13 @@ def integrate_orbits(ft: FTSystem, x_symbol: str,
             flow = _match_flow(ft, n, rhs, solved, flows, tildes, offsets,
                                x_symbol, tvals)
             if flow is None:
-                return _numeric_flows(ft, x_symbol)
+                return _numeric_flows(ft, x_symbol, tvals)
             flows[n] = flow
             solved[n] = _flow_mu_expr(flow, n, tildes, ft.mu, x_symbol)
             pending.remove(n)
             progressed = True
         if not progressed:
-            return _numeric_flows(ft, x_symbol)
+            return _numeric_flows(ft, x_symbol, tvals)
     return ConstantFlows(ft, flows, x_symbol)
 
 
@@ -648,8 +654,9 @@ def _quadratic_part(rhs: Expr, n: str):
 
 
 
-def _numeric_flows(ft: FTSystem, x_symbol: str) -> ConstantFlows:
-    flows = {n: Flow(n, n + TILDE_SUFFIX, "numeric")
+def _numeric_flows(ft: FTSystem, x_symbol: str,
+                   tvals: dict) -> ConstantFlows:
+    flows = {n: _finish_flow(Flow(n, n + TILDE_SUFFIX, "numeric"), tvals)
              for n in ft.unknown_names()}
     return ConstantFlows(ft, flows, x_symbol,
                          numeric_names=ft.unknown_names())

@@ -3,7 +3,8 @@ error reports and convergence-order fits.
 
 Nothing in here touches the symbolic kernel; these routines provide the
 reference values the symbolic pipeline is judged against, so they must stay
-independent of it.
+independent of it.  scipy is imported only inside the RK45 and Burgers solvers
+that use it, so a run that never integrates does not load it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp as _scipy_ivp
 
 
 class SolverError(RuntimeError):
@@ -130,6 +130,7 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
         derivs = np.array([f(t, s) for t, s in zip(grid, states)])
         return IVPSolution(grid, states, derivs)
     if method == "rk45-adaptive":
+        from scipy.integrate import solve_ivp as _scipy_ivp
         sol = _scipy_ivp(f, (t0, t1), y0, method="RK45", rtol=tol,
                          atol=tol * 1e-2, t_eval=t_eval, dense_output=False)
         if not sol.success:
@@ -185,6 +186,7 @@ def solve_burgers_mol(u0, eps: float, t_eval, x_grid,
     only if a grid-halving Richardson check agrees to ``richardson_tol`` in
     sup norm at the final time.
     """
+    from scipy.integrate import solve_ivp as _scipy_ivp
     x = np.asarray(x_grid, dtype=float)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
 

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy import special as _sp
 
 from .exprcore import Expr, Poly
 from .pertseries import ConstantInfo, PerturbationSeries
@@ -36,7 +35,8 @@ def exp_integral(n: int, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("exp_integral requires x > 0")
-    out = x ** (1 - n) * _sp.expn(n, x)
+    from scipy.special import expn
+    out = x ** (1 - n) * expn(n, x)
     return float(out) if out.ndim == 0 else out
 
 

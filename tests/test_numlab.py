@@ -1,15 +1,20 @@
 """Numeric oracle properties: solver orders, shooting, the Burgers field."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scipy.linalg import block_diag
 
+from hiddenscale import cli, numlab
 from hiddenscale.numlab import (ErrorReport, LinearRHS, SolverError,
                                 convergence_order, solve_bvp_shooting,
                                 solve_burgers_mol, solve_ivp)
+from hiddenscale.specfile import parse_spec
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 class TestIVP:
@@ -86,6 +91,22 @@ class TestLinearRHS:
                            r"at t=0\.889$"):
             solve_ivp(LinearRHS([[800.0]]), [1.0], (0, 1), "rk4-fixed",
                       step=1e-3)
+
+    def test_sweep_block_diagonal_matches_scipy(self, monkeypatch):
+        # validate's stacked underdamped sweep builds its matrix with numpy
+        spec = parse_spec(CORPUS / "underdamped.spec")
+        rhss = []
+        solve = numlab.solve_ivp
+
+        def captured(rhs, *args, **kwargs):
+            rhss.append(rhs)
+            return solve(rhs, *args, **kwargs)
+        monkeypatch.setattr(numlab, "solve_ivp", captured)
+        cli.run_validate(spec, None)
+        blocks = [cli._ode_rhs(spec, {spec.parameter: float(ev)})[0].M
+                  for ev in spec.validate["sweep"].split()]
+        assert len(rhss) == 1
+        assert np.array_equal(rhss[0].M, block_diag(*blocks))
 
 
 class TestShooting:
