@@ -321,16 +321,19 @@ class Poly:
         return Poly(free), Poly(dep)
 
     def subs_num(self, env: Mapping[str, RatLike]) -> "Poly":
+        """Each symbol in ``env`` set to its value; self if none occurs."""
         out = []
+        hit = False
         for pows, q in self.monos:
             keep = []
             for s, k in pows:
                 if s in env:
                     q = _qmul(q, _qpow(_qnum(env[s]), k))
+                    hit = True
                 else:
                     keep.append((s, k))
             out.append((tuple(keep), q))
-        return Poly(out)
+        return Poly(out) if hit else self
 
     def rename(self, old: str, new: str) -> "Poly":
         return Poly([(_renamed(pows, old, new), q) for pows, q in self.monos])
@@ -725,17 +728,27 @@ class Expr:
                           slots(t.freqs), _renamed(t.offs, old, new))
                      for t in self.terms])
 
-    def subs_param(self, sym: str, value) -> "Expr":
+    def subs_param(self, sym: str, value, upto: tuple = ()) -> "Expr":
         """Replace a parameter symbol by an in-class expression.
 
-        Negative powers of ``sym`` require the replacement to be invertible
-        (a single term).  The symbol must not occur in rates or phases unless
-        the replacement is a plain rational number.
+        A rational number goes through ``subs_num``.  Otherwise negative
+        powers of ``sym`` require the replacement to be invertible (a single
+        term), the symbol must not occur in rates or phases, each power of
+        the replacement is formed once and the result is built in one pass.
+        With ``upto = (param, k)`` the products keep only what
+        ``collect_order(param, j)`` reads for j <= k, as ``product_upto``
+        does; chained substitutions stay exact at those orders when every
+        replacement is polynomial in ``param``.
         """
         if isinstance(value, (int, Fraction)):
-            return self._subs_param_num(sym, value)
+            return self.subs_num({sym: value})
         value = _as_expr(value)
-        out = Expr.zero()
+        if upto:
+            param, k = upto
+            kpow = k - min((t.coeff.order_range(param)[0] for t in self.terms),
+                           default=0)
+        powers: dict = {}
+        out = []
         for t in self.terms:
             if any(sym in p.symbols() for _, p in t.rates) or \
                any(sym in p.symbols() for _, p in t.freqs) or \
@@ -748,33 +761,46 @@ class Expr:
                 c = t.coeff.coeff_of(sym, j)
                 if c.is_zero():
                     continue
-                piece = Expr([t.with_coeff(c)])
-                out = out + piece * (value ** j)
-        return out
+                if j not in powers:
+                    base = value if j >= 0 else value.inverse()
+                    powers[j] = (product_upto([base] * abs(j), param, kpow)
+                                 if upto else base ** abs(j))
+                piece = t.with_coeff(c)
+                out += (_mul_upto((piece,), powers[j].terms, param, k) if upto
+                        else [piece.mul(b) for b in powers[j].terms])
+        return Expr(out)
 
-    def _subs_param_num(self, sym: str, q: RatLike) -> "Expr":
+    def subs_num(self, env: Mapping[str, RatLike]) -> "Expr":
+        """Set each symbol in ``env`` to its rational value, in one pass.
+
+        A phase offset can only be set to 0.  A symbol used as a variable
+        (x^k, exp(r*x), exp(i*w*x)) can only be set to 0, where its power
+        kills the term and its exponential slot is 1.  Either set nonzero
+        raises if a term still carries it once the rest is substituted.
+        """
+        zero = {s for s, q in env.items() if not q}
         out = []
         for t in self.terms:
-            if q and _lookup(t.offs, sym):
-                raise OutOfClassError(
-                    f"phase offset {sym!r} can only be set to 0 numerically")
-            # variable-style use: x^k, exp(r*x) and exp(i*w*x) are only in
-            # the class at x = 0, where the power kills the term and the
-            # exponential slot is 1
-            if any(v == sym for v, _ in t.vpows + t.rates + t.freqs):
-                if q:
-                    raise OutOfClassError(
-                        f"variable {sym!r} can only be set to 0 numerically")
-                if t.vpow(sym):
-                    continue
+            if any(v in zero for v, _ in t.vpows):
+                continue
             out.append(Term(
-                t.coeff.subs_num({sym: q}), t.vpows,
-                _slot_make({v: p.subs_num({sym: q}) for v, p in t.rates
-                            if v != sym}),
-                _slot_make({v: p.subs_num({sym: q}) for v, p in t.freqs
-                            if v != sym}),
-                _without(t.offs, sym)))
-        return Expr(out)
+                t.coeff.subs_num(env), t.vpows,
+                _slot_make({v: p.subs_num(env) for v, p in t.rates
+                            if v not in zero}),
+                _slot_make({v: p.subs_num(env) for v, p in t.freqs
+                            if v not in zero}),
+                tuple(kv for kv in t.offs if kv[0] not in zero)))
+        res = Expr(out)
+        for t in res.terms:
+            for s, _ in t.offs:
+                if s in env:
+                    raise OutOfClassError(
+                        f"phase offset {s!r} can only be set to 0 numerically")
+            for v, _ in t.vpows + t.rates + t.freqs:
+                if v in env:
+                    raise OutOfClassError(
+                        f"variable {v!r} can only be set to 0 numerically")
+        return res
 
     def shift_phase(self, sym: str, offs: Mapping[str, RatLike] = (),
                     freqs: Mapping[str, "Poly | RatLike"] = (),
@@ -917,7 +943,8 @@ def _expand_param_exponents(t: Term, param: str, jmax: int):
 def _series_mul(pieces, v, dep: Poly, param: str, jmax: int, imag: bool):
     lo, _ = dep.order_range(param)
     if lo < 1:
-        lo = 1
+        # every order of the exponential series would reach order <= jmax
+        raise OutOfClassError(f"exponent is not polynomial in {param!r}")
     out = []
     for order, pt in pieces:
         fact = 1
@@ -931,6 +958,44 @@ def _series_mul(pieces, v, dep: Poly, param: str, jmax: int, imag: bool):
             mono = Term((dep ** m).times(_qdiv(q, (fact, 0, 1))),
                         ((v, m),) if m else (), (), (), ())
             out.append((order + m * lo, pt.mul(mono)))
+    return out
+
+
+def _mul_upto(a: Sequence[Term], b: Sequence[Term], param: str, k: int):
+    """The terms a x b, each coefficient without its monomials of
+    ``param``-degree above ``k``; terms left with none are dropped."""
+    def graded(terms):
+        return [(t, [(m, _lookup(m[0], param)) for m in t.coeff.monos])
+                for t in terms]
+
+    gb = graded(b)
+    out = []
+    for ta, ma in graded(a):
+        for tb, mb in gb:
+            monos = [(_merge(pa, pb), _qmul(qa, qb)) for (pa, qa), da in ma
+                     for (pb, qb), db in mb if da + db <= k]
+            if monos:
+                out.append(Term(Poly(monos), _merge(ta.vpows, tb.vpows),
+                                _merge(ta.rates, tb.rates),
+                                _merge(ta.freqs, tb.freqs),
+                                _merge(ta.offs, tb.offs)))
+    return out
+
+
+def product_upto(factors: Sequence[Expr], param: str, k: int) -> Expr:
+    """The product of ``factors`` up to order ``k`` in ``param``.
+
+    Coefficient monomials are dropped as they are formed once their
+    ``param``-degree, plus the lowest degrees of the factors still to come,
+    exceeds ``k``; negative powers are kept.  ``collect_order(param, j)``
+    of the result equals that of the full product for every j <= k:
+    series-expanding an exponent only raises the degree.
+    """
+    lows = [min((t.coeff.order_range(param)[0] for t in f.terms), default=0)
+            for f in factors]
+    out = Expr.num(1)
+    for i, f in enumerate(factors):
+        out = Expr(_mul_upto(out.terms, f.terms, param, k - sum(lows[i + 1:])))
     return out
 
 

@@ -240,11 +240,15 @@ def derive_ft_system(ps: PaintedSeries, k: int) -> FTSystem:
 def _verify_ft(ps: PaintedSeries, ft: FTSystem):
     """Substituting the flows back must kill every determined order."""
     kmax = min(ft.determined_orders.values()) if ft.determined_orders else -1
+    top = min(ft.order, kmax + 1)
+    # each flow is a polynomial in the parameter, so the substitutions
+    # may drop every order above the checked ones
     for eq in ft.raw_equations:
         res = eq
         for c in ft.unknowns:
-            res = res.subs_param(c.name + PRIME_SUFFIX, ft.equations[c.name])
-        for m in range(min(ft.order, kmax + 1) + 1):
+            res = res.subs_param(c.name + PRIME_SUFFIX, ft.equations[c.name],
+                                 upto=(ft.parameter, top))
+        for m in range(top + 1):
             r = res.collect_order(ft.parameter, m)
             if not r.is_zero():
                 from . import textform

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exprcore import (Expr, LinEq, Poly, Q_ONE, Q_ZERO, Term, _I_POWERS,
                        _qadd, _qdiv, _qmul, _qnum, _qpow, _qreduce,
-                       solve_linear_system)
+                       product_upto, solve_linear_system)
 
 
 class SolveError(RuntimeError):
@@ -108,11 +108,13 @@ class PertTerm:
     coeff: Expr
     deriv_powers: tuple   # tuple[(deriv order m, power p), ...]
 
-    def apply(self, y_derivs) -> Expr:
-        out = self.coeff
+    def apply(self, y_derivs, param: str, k: int) -> Expr:
+        """eps^power * coeff * prod (D^m y)^p up to order ``k`` in ``param``
+        (``exprcore.product_upto``)."""
+        factors = [Expr.sym(param, self.eps_power), self.coeff]
         for m, p in self.deriv_powers:
-            out = out * (y_derivs[m] ** p)
-        return out
+            factors += [y_derivs[m]] * p
+        return product_upto(factors, param, k)
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,8 @@ class ODEProblem:
         for _ in range(maxd):
             derivs.append(derivs[-1].diff(self.variable))
         res = self.operator.apply(full)
-        epse = Expr.sym(self.parameter)
         for pt in self.perturbations:
-            res = res + (epse ** pt.eps_power) * pt.apply(derivs)
+            res = res + pt.apply(derivs, self.parameter, self.order)
         return [res.collect_order(self.parameter, j)
                 for j in range(self.order + 1)]
 
@@ -186,11 +187,8 @@ class PerturbationSeries:
     variable: str
 
     def full(self) -> Expr:
-        out = Expr.zero()
-        p = Expr.sym(self.parameter)
-        for j, e in enumerate(self.orders):
-            out = out + (p ** j) * e
-        return out
+        return Expr([t.with_coeff(t.coeff * Poly.sym(self.parameter, j))
+                     for j, e in enumerate(self.orders) for t in e.terms])
 
     def min_order_constants(self):
         """Constants introduced at the lowest populated order."""
@@ -386,9 +384,8 @@ def _forcing_at_order(p: ODEProblem, orders, j: int) -> Expr:
     for _ in range(maxd):
         derivs.append(derivs[-1].diff(p.variable))
     F = Expr.zero()
-    epse = Expr.sym(p.parameter)
     for pt in p.perturbations:
-        F = F + (epse ** pt.eps_power) * pt.apply(derivs)
+        F = F + pt.apply(derivs, p.parameter, j)
     return -F.collect_order(p.parameter, j)
 
 

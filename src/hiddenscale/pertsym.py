@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprcore import Expr, LinEq, Q_ZERO, _qadd, solve_linear_system
+from .exprcore import (Expr, LinEq, Q_ZERO, _qadd, product_upto,
+                       solve_linear_system)
 from .pertseries import PerturbationSeries
 
 
@@ -139,6 +140,8 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
             out = out + Expr.sym(w) * shape
         return out
 
+    # E is read to order k only, here and by _verify_generator, so its
+    # products drop every order above k
     eps = Expr.sym(parameter)
     E = Expr.zero()
     dseries = {v: series_with_s.diff(v, ansatz.chain.get(v, {}))
@@ -154,7 +157,7 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
             xi = weighted(v, j)
             if not xi.is_zero():
                 xi = xi.subs_param(dep, series_with_s)
-                E = E - (eps ** j) * xi * dv
+                E = E - product_upto([eps ** j, xi, dv], parameter, k)
     # switch direction: component 1 at order zero plus ansatz corrections
     if sw in dseries:
         E = E - dseries[sw]
@@ -162,7 +165,7 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
             xi = weighted(sw, j)
             if not xi.is_zero():
                 xi = xi.subs_param(dep, series_with_s)
-                E = E - (eps ** j) * xi * dseries[sw]
+                E = E - product_upto([eps ** j, xi, dseries[sw]], parameter, k)
 
     eqs = []
     for j in range(k + 1):
@@ -188,9 +191,7 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
 
 
 def _verify_generator(E: Expr, sol: dict, parameter, k):
-    res = E
-    for w, c in sol.items():
-        res = res.subs_param(w, c)
+    res = E.subs_num(sol)
     for j in range(k + 1):
         if not res.collect_order(parameter, j).is_zero():
             raise DeterminingError(

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                   _qadd, _qdiv, _qmul, _qnum, _qpow, _rat_text,
                                   classify_divergent, paint_term,
-                                  solve_linear_system)
+                                  product_upto, solve_linear_system)
 from hiddenscale.textform import expr_text
 
 
@@ -358,3 +358,159 @@ def test_kernel_matches_sympy_on_criterion9_expressions():
         for e, f in ((a, fa), (da, fda)):
             want = complex((f.as_expr() * unshift).evalf(30, subs=at))
             assert abs(e.eval(env) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# The fast paths against the slow paths they replace: one-pass numeric
+# substitution against one symbol at a time, truncated products against full
+# ones at every kept order.
+
+def _eps_expr(rng: random.Random, lowest: int = 0) -> Expr:
+    """Criterion 9's generator with a coefficient symbol A, eps powers from
+    ``lowest`` and rates and frequencies that may carry eps."""
+    out = Expr.zero()
+    eps = Poly.sym("eps")
+    for _ in range(rng.randint(1, 3)):
+        t = Expr.num(F(rng.randint(-4, 4), rng.randint(1, 3)))
+        if rng.random() < 0.6:
+            t = t * Expr.sym("eps", rng.randint(lowest, 2))
+        if rng.random() < 0.4:
+            t = t * Expr.sym("A", rng.randint(1, 2))
+        if rng.random() < 0.5:
+            t = t * Expr.var("x", rng.randint(1, 2))
+        if rng.random() < 0.5:
+            rate = Poly.num(rng.choice([-1, 1, F(1, 2)]))
+            if rng.random() < 0.5:
+                rate = rate + eps.scale(rng.choice([-1, F(1, 2)]))
+            t = t * Expr.exp("x", rate)
+        if rng.random() < 0.4:
+            freq = Poly.num(F(rng.randint(1, 2), 2))
+            if rng.random() < 0.5:
+                freq = freq + eps.scale(F(1, 2))
+            t = t * Expr.cos({"x": freq}, {"th": 1})
+        out = out + t
+    return out
+
+
+def _outcome(f):
+    """f()'s value, or the text of the OutOfClassError it raises."""
+    try:
+        return f()
+    except OutOfClassError as err:
+        return f"OutOfClassError: {err}"
+
+
+def _orders(e: Expr, k: int):
+    return _outcome(lambda: [e.collect_order("eps", j) for j in range(k + 1)])
+
+
+def _chained(e: Expr, env: dict) -> Expr:
+    for s, q in env.items():
+        e = e.subs_param(s, q)
+    return e
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_subs_num_matches_chained_subs_param(seed):
+    rng = random.Random(seed)
+    e = _eps_expr(rng)
+    # zeros first: one pass kills a term by its variable power before any
+    # other check, as setting the variable first does
+    env = {}
+    for s in ("x", "th"):
+        if rng.random() < 0.5:
+            env[s] = 0
+    env["eps"] = F(rng.randint(-3, 3), rng.randint(1, 3))
+    env["A"] = F(rng.randint(-3, 3), rng.randint(1, 3))
+    assert e.subs_num(env) == _chained(e, env)
+    # and against the numeric evaluator, which shares no code with either
+    at = {"x": 0.7, "th": 1.1}
+    want = e.eval({**at, **{s: float(q) for s, q in env.items()}})
+    assert abs(e.subs_num(env).eval(at) - want) <= 1e-12 * max(1.0, abs(want))
+    # one symbol of the class set nonzero, last: the same error, or none in
+    # both when no term carries it once the rest is substituted
+    s = rng.choice(["x", "th"])
+    bad = {k: q for k, q in env.items() if k != s}
+    bad[s] = F(rng.randint(1, 3), 2)
+    assert _outcome(lambda: e.subs_num(bad)) == _outcome(
+        lambda: _chained(e, bad))
+
+
+def test_subs_num_rejects_an_offset_or_a_variable_set_nonzero():
+    e = Expr.sym("A") * Expr.cos({"x": 1}, {"th": 1})
+    for env in ({"A": 2, "th": 1}, {"A": 2, "x": F(1, 2)}):
+        with pytest.raises(OutOfClassError) as fast:
+            e.subs_num(env)
+        with pytest.raises(OutOfClassError) as slow:
+            _chained(e, env)
+        assert str(fast.value) == str(slow.value)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_truncated_product_keeps_every_kept_order(seed, k):
+    rng = random.Random(seed)
+    a, b, c = _eps_expr(rng), _eps_expr(rng), _eps_expr(rng)
+    assert _orders(product_upto([a, b], "eps", k), k) == _orders(a * b, k)
+    assert _orders(product_upto([a, b, c], "eps", k), k) \
+        == _orders(a * b * c, k)
+    for n in range(4):
+        assert _orders(product_upto([a] * n, "eps", k), k) \
+            == _orders(a ** n, k)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_truncated_product_with_negative_eps_powers(seed, k):
+    # a dropped monomial never comes back through a later eps**-1, and a
+    # negative power in the result raises in both
+    rng = random.Random(seed)
+    a, b = _eps_expr(rng, lowest=-1), _eps_expr(rng, lowest=-1)
+    assert _orders(product_upto([a, b, a], "eps", k), k) \
+        == _orders(a * b * a, k)
+    assert _orders(product_upto([b] * 3, "eps", k), k) == _orders(b ** 3, k)
+    inv = Expr.sym("eps", -1)
+    assert _orders(product_upto([a, inv], "eps", k), k) == _orders(a * inv, k)
+    c = Expr.num(1) + Expr.sym("eps") * _eps_expr(rng)
+    assert isinstance(_orders(product_upto([c, inv], "eps", k), k), str)
+    assert isinstance(_orders(c * inv, k), str)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_truncated_substitution_keeps_every_kept_order(seed, k):
+    rng = random.Random(seed)
+    e = _eps_expr(rng) * (Expr.sym("P") + Expr.sym("P", 2)) + Expr.sym("P") \
+        + _eps_expr(rng)
+    value = Expr.sym("eps") * _eps_expr(rng) + Expr.sym("B")
+    full = _outcome(lambda: e.subs_param("P", value))
+    if isinstance(full, str):
+        assert _outcome(lambda: e.subs_param("P", value, upto=("eps", k))) \
+            == full
+        return
+    cut = e.subs_param("P", value, upto=("eps", k))
+    assert _orders(cut, k) == _orders(full, k)
+    # eps**-1 in the expression brings order k + 1 of the powers down to k
+    e = Expr.sym("eps", -1) * Expr.sym("P", 2) * _eps_expr(rng)
+    value = Expr.sym("eps") * (_eps_expr(rng) + Expr.sym("B"))
+    assert _orders(e.subs_param("P", value, upto=("eps", k)), k) \
+        == _orders(e.subs_param("P", value), k)
+    # an invertible replacement for a negative power
+    e = _eps_expr(rng) * Expr.sym("P", -2)
+    value = Expr.sym("eps") * Expr.sym("B") * Expr.exp("x", -1)
+    assert _orders(e.subs_param("P", value, upto=("eps", k)), k) \
+        == _orders(e.subs_param("P", value), k)
+
+
+def test_truncation_order_zero_and_eps_in_exponents():
+    eps = Expr.sym("eps")
+    a = Expr.exp("x", Poly.num(-1) + Poly.sym("eps")) + eps
+    b = Expr.cos({"x": Poly.num(1) + Poly.sym("eps")}) * (1 + eps)
+    cut = product_upto([a, b], "eps", 0)
+    assert cut.collect_order("eps", 0) == (a * b).collect_order("eps", 0)
+    # the eps inside the exponents is kept: order 1 is not dropped from it
+    assert product_upto([a, b], "eps", 1).collect_order("eps", 1) \
+        == (a * b).collect_order("eps", 1)
+    with pytest.raises(OutOfClassError):
+        Expr.exp("x", Poly.sym("eps", -1)).collect_order("eps", 0)

@@ -1,5 +1,6 @@
 """Painting, flow-equation derivation, orbits and uniform solutions."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,7 @@ from hiddenscale import numlab
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                  div_exact, solve_linear_system)
 from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
-                                assemble_uniform, cgo_rg_equation,
+                                _verify_ft, assemble_uniform, cgo_rg_equation,
                                 derive_ft_system, integrate_orbits,
                                 most_divergent_filter, paint)
 from hiddenscale.pertseries import (ConstantInfo, LinearOperator, ODEProblem,
@@ -173,6 +174,26 @@ class TestDeriveFT:
         ps = paint(s, 1)
         with pytest.raises((FTInconsistent, FTUnderdetermined)):
             derive_ft_system(ps, 1)
+
+    @pytest.mark.parametrize("series", [overdamped_series, mathieu_series])
+    def test_changed_flow_fails_verification(self, series):
+        # eps**m * x added to one flow: caught at every checked order m,
+        # and not looked at above them
+        ps = paint(series(), 1)
+        ft = derive_ft_system(ps, 1)
+        top = min(ft.order, min(ft.determined_orders.values()) + 1)
+        name = ft.unknowns[0].name
+        for m in range(top + 2):
+            bad = ft.equations[name] + (Expr.sym("eps", m)
+                                        * Expr.var(ft.variable))
+            changed = dataclasses.replace(
+                ft, equations={**ft.equations, name: bad})
+            if m <= top:
+                with pytest.raises(FTInconsistent,
+                                   match="flow verification failed"):
+                    _verify_ft(ps, changed)
+            else:
+                _verify_ft(ps, changed)
 
 
 class TestOrbits:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from hiddenscale import pertsym
 from hiddenscale.exprcore import Expr
 from hiddenscale.pertseries import (LinearOperator, ODEProblem, PertTerm,
                                     build_bare_series)
@@ -66,6 +67,23 @@ class TestDetermining:
                 "s": {}}
         with pytest.raises(DeterminingError):
             solve_determining(ys, GeneratorAnsatz(dirs), 1)
+
+    def test_changed_weight_fails_verification(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(pertsym, "_verify_generator",
+                            lambda *args: seen.append(args))
+        gen = solve_determining(with_switch(underdamped_series(), "s"),
+                                GeneratorAnsatz.oscillator(2), 2)
+        monkeypatch.undo()
+        E, sol, parameter, k = seen[0]
+        pertsym._verify_generator(E, sol, parameter, k)
+        solved = sorted(set(sol) - set(gen.free_weights))
+        assert solved
+        for w in solved:
+            with pytest.raises(DeterminingError,
+                               match="generator verification failed"):
+                pertsym._verify_generator(E, {**sol, w: sol[w] + F(1, 7)},
+                                          parameter, k)
 
     def test_burgers_generator(self):
         gen = burgers_generator()
