@@ -240,6 +240,13 @@ def _uniform_env(spec: ProblemSpec, params):
     return env
 
 
+def _jet(evaluate, x0: float) -> list:
+    """[f, f', f''] at x0 from one 3-point central stencil (h = 1e-6)."""
+    h = 1e-6
+    lo, mid, hi = evaluate(np.array([x0 - h, x0, x0 + h]))
+    return [mid, (hi - lo) / (2 * h), (hi - 2 * mid + lo) / h ** 2]
+
+
 def _ic_vector(spec, uniform, env, x0: float, nord: int):
     """Oracle initial state: declared ics when numeric, else from the uniform."""
     if spec.ics and all(
@@ -252,14 +259,11 @@ def _ic_vector(spec, uniform, env, x0: float, nord: int):
         return out
     if nord > 3:
         raise SpecError("numeric initial conditions required for order > 3")
-    h = 1e-6
-    lo, mid, hi = uniform.evaluate(np.array([x0 - h, x0, x0 + h]), env)
-    return [mid, (hi - lo) / (2 * h), (hi - 2 * mid + lo) / h ** 2][:nord]
+    return _jet(lambda x: uniform.evaluate(x, env), x0)[:nord]
 
 
-def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
-    prob, series, painted, ft, flows, uniform = derive_ode(spec, rep)
-    rep.add("-- validation --")
+def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int):
+    prob, series, painted, ft, flows, uniform = derived
     lo, hi, npts = _floats(spec, "grid", "0 15 301")
     grid = np.linspace(lo, hi, int(npts))
     if "scaling_order" in spec.validate:
@@ -280,11 +284,12 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     ref = numlab.solve_ivp(rhs, y0, (float(grid[0]), float(grid[-1])),
                            "rk45-adaptive", tol=1e-11, t_eval=grid)
     uvals = uniform.evaluate(grid, env)
-    err = numlab.ErrorReport.from_samples(grid, ref.at_nodes(), uvals)
-    rep.add(f"sup error vs oracle: {_fmt(err.sup_error)}")
+    abs_err = np.abs(ref.at_nodes() - uvals)
+    sup = float(abs_err.max())
+    rep.add(f"sup error vs oracle: {_fmt(sup)}")
     _write_csv(csv_dir, f"{spec.name}_uniform.csv",
                [spec.variable, "y_numeric", "y_uniform", "abs_error"],
-               err.table)
+               np.column_stack([grid, ref.at_nodes(), uvals, abs_err]))
 
     epsv = params[spec.parameter]
     if "c_drift_max" in spec.validate:
@@ -299,7 +304,7 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
         ref2 = numlab.solve_ivp(rhs2, z0, (float(grid[0]), float(grid[-1])),
                                 "rk45-adaptive", tol=1e-11, t_eval=grid)
         u2 = uniform.evaluate(grid, e2)
-        c_full = err.sup_error / epsv ** kk
+        c_full = sup / epsv ** kk
         c_half = float(np.max(np.abs(u2 - ref2.at_nodes()))) \
             / (epsv / 2) ** kk
         drift = max(c_full, c_half) / min(c_full, c_half)
@@ -307,12 +312,12 @@ def validate_ode(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
                   f"C values {_fmt(c_full)}, {_fmt(c_half)}, "
                   f"drift {drift:.2f} <= {cmax}")
         rep.check(f"sup error within the halving-calibrated C*eps^{kk}",
-                  err.sup_error <= cmax * c_half * epsv ** kk,
-                  f"{_fmt(err.sup_error)} <= {cmax} * {_fmt(c_half)} "
+                  sup <= cmax * c_half * epsv ** kk,
+                  f"{_fmt(sup)} <= {cmax} * {_fmt(c_half)} "
                   f"* eps^{kk}")
     if "textbook_ratio_max" in spec.validate:
         _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows,
-                               env, ref, err)
+                               env, ref, uvals, sup)
 
 
 def _fit_tildes_to_ics(uniform, env, ics):
@@ -320,13 +325,11 @@ def _fit_tildes_to_ics(uniform, env, ics):
     names = [n for n in (uniform.symbolic.symbols() if uniform.symbolic
              is not None else []) if n.endswith(ftflow.TILDE_SUFFIX)]
     names = sorted(names)
-    h = 1e-6
     cols = []
     for n in names:
         e = {**env, **{m: 0.0 for m in names}}
         e[n] = 1.0
-        lo, mid, hi = uniform.evaluate(np.array([-h, 0.0, h]), e)
-        cols.append([mid, (hi - lo) / (2 * h)])
+        cols.append(_jet(lambda x: uniform.evaluate(x, e), 0.0)[:2])
     M = np.array(cols).T
     vals = np.linalg.solve(M, np.array(ics))
     return dict(zip(names, vals))
@@ -383,12 +386,8 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
     _write_csv(csv_dir, f"{spec.name}_reference_curve.csv",
                [spec.variable, "y_numeric", "y_bare", "y_uniform",
                 "err_bare", "err_uniform"], table_rows)
-    p = numlab.convergence_order(errs)
-    lo_p, hi_p = _floats(spec, "order_band", "1.7 2.3")
-    rep.add("eps sweep: " + "; ".join(f"eps={e}: {_fmt(s)}" for e, s in errs))
-    rep.check("uniform-solution error order", lo_p <= p <= hi_p,
-              f"p = {p:.3f} in [{lo_p}, {hi_p}]")
-    by_eps = dict(errs)
+    by_eps = _check_eps_sweep(spec, rep, errs, "uniform-solution error order",
+                              "1.7 2.3")
     for ehat in (0.05, 0.1):
         if ehat in by_eps and 2 * ehat in by_eps:
             r = by_eps[2 * ehat] / by_eps[ehat]
@@ -401,30 +400,37 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
               f"{_fmt(uni_end)}")
 
 
+def _check_eps_sweep(spec, rep, errs, name: str, band: str) -> dict:
+    """Print the (eps, sup error) list and check its fitted order against
+    validate.order_band (default ``band``); the errors come back by eps."""
+    rep.add("eps sweep: " + "; ".join(f"eps={e}: {_fmt(s)}" for e, s in errs))
+    p = numlab.convergence_order(errs)
+    lo_p, hi_p = _floats(spec, "order_band", band)
+    rep.check(name, lo_p <= p <= hi_p, f"p = {p:.3f} in [{lo_p}, {hi_p}]")
+    return dict(errs)
+
+
 def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
-                           ref, err):
+                           ref, uvals, sup):
     """Compare against the strained coordinate with the textbook exponent."""
     qp = (Poly.sym("A1", 2) * Poly.sym("eps", 2) * Poly.sym("k", -5)
           * Poly.sym("delta", -4)).scale(Fraction(27, 16))
     phi = dataclasses.replace(flows.flows["phi"], drift_poly=-qp)
     textbook = ftflow.assemble_uniform(painted, dataclasses.replace(
-        flows, flows={**flows.flows, "phi": phi}, _cache={}))
+        flows, flows={**flows.flows, "phi": phi}))
     tvals = textbook.evaluate(grid, env)
     terr = float(np.max(np.abs(tvals - ref.at_nodes())))
     ratio_max = float(spec.validate.get("textbook_ratio_max", "0.5"))
     rep.add(f"textbook-exponent sup error: {_fmt(terr)}")
     _write_csv(csv_dir, f"{spec.name}_fig5.csv",
                [spec.variable, "W_numeric", "W_hidden", "W_textbook"],
-               np.column_stack([grid, ref.at_nodes(), err.table[:, 2],
-                                tvals]))
+               np.column_stack([grid, ref.at_nodes(), uvals, tvals]))
     rep.check("hidden-scale error at most half the textbook error",
-              err.sup_error <= ratio_max * terr,
-              f"{_fmt(err.sup_error)} <= {ratio_max} * {_fmt(terr)}")
+              sup <= ratio_max * terr,
+              f"{_fmt(sup)} <= {ratio_max} * {_fmt(terr)}")
 
 
-def validate_filament(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
-    d = derive_filament(spec, rep)
-    rep.add("-- validation --")
+def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir, seed: int):
     for i in ("1", "2"):
         ok = d.amplitude_rhs[f"A{i}"] == filament_mod.amplitude_target(i)
         rep.check(f"amplitude equation A{i}'' exact", ok)
@@ -442,7 +448,7 @@ def _switchback_problem(spec: ProblemSpec):
     return switchback.SwitchbackProblem(
         int(spec.options.get("n", "2")), int(spec.options.get("delta", "1")),
         float(spec.params.get("eps", 1e-4)), float(spec.params.get("a", 1.0)),
-        int(spec.get("method.order", "1")))
+        spec.order)
 
 
 def derive_switchback(spec: ProblemSpec, rep: Report):
@@ -468,28 +474,27 @@ def derive_switchback(spec: ProblemSpec, rep: Report):
                   hs.text() == closed.text()
                   and abs(hs.s - closed.s) <= 1e-12 * abs(closed.s),
                   f"s = {_fmt(closed.s)}")
-    return series
+    return p, series
 
 
-def validate_switchback(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
-    series = derive_switchback(spec, rep)
-    p = _switchback_problem(spec)
-    rep.add("-- validation --")
+def validate_switchback(spec: ProblemSpec, rep: Report, derived, csv_dir,
+                        seed: int):
+    p, series = derived
     x_max = float(spec.validate.get("x_max", "50"))
     npts = int(spec.validate.get("grid_points", "100"))
     tol = float(spec.validate.get("tolerance", "2e-2"))
 
     def oracle(eps, a):
         xi0, xi1 = math.log(eps), math.log(x_max)
-        prob = switchback.SwitchbackProblem(p.n, p.delta, eps, a)
-        sol = numlab.solve_bvp_shooting(prob.rhs_log(), xi0, 1.0 - a, xi1,
+        rhs = dataclasses.replace(p, eps=eps, a=a).rhs_log()
+        sol = numlab.solve_bvp_shooting(rhs, xi0, 1.0 - a, xi1,
                                         1.0, slope_guess=0.1)
         xs = np.exp(np.linspace(xi0, math.log(10.0), npts))
         return xs, sol(np.log(xs))
 
     xs, uref = oracle(p.eps, p.a)
     u1 = switchback.switchback_series(
-        switchback.SwitchbackProblem(p.n, p.delta, p.eps, p.a, 1)).evaluate(xs)
+        dataclasses.replace(p, order=1)).evaluate(xs)
     rows = [xs, uref, u1]
     header = ["x", "u_numeric", "u_order1"]
     e1 = float(np.max(np.abs(u1 - uref)))
@@ -514,7 +519,7 @@ def validate_switchback(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
                   f"{_fmt(ea)} < {_fmt(e2)}")
         cross_eps = float(spec.validate.get("crossover_eps", "0.1"))
         xs2, uref2 = oracle(cross_eps, p.a)
-        p2 = switchback.SwitchbackProblem(p.n, p.delta, cross_eps, p.a, 2)
+        p2 = dataclasses.replace(p, eps=cross_eps, order=2)
         u22 = switchback.switchback_series(p2).evaluate(xs2)
         ua2 = switchback.most_divergent_sum(p2).evaluate(xs2)
         e22 = float(np.max(np.abs(u22 - uref2)))
@@ -554,9 +559,8 @@ def derive_pertsym(spec: ProblemSpec, rep: Report):
     rep.add(f"{spec.dependent} = {closed.text()}")
 
 
-def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
-    derive_pertsym(spec, rep)
-    rep.add("-- validation --")
+def validate_pertsym(spec: ProblemSpec, rep: Report, derived, csv_dir,
+                     seed: int):
     lo, hi, npts = _floats(spec, "grid", "0 20 201")
     grid = np.linspace(lo, hi, int(npts))
     amp = float(spec.options.get("amplitude", "1"))
@@ -566,10 +570,8 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     # one stacked fixed-step integration covers the whole sweep
     uforms = [pertsym.underdamped_uniform(ev, amp, off) for ev in sweep]
     y0 = []
-    h = 1e-6
     for u in uforms:
-        lo, mid, hi = u.evaluate(np.array([-h, 0.0, h]))
-        y0 += [mid, (hi - lo) / (2 * h)]
+        y0 += _jet(u.evaluate, 0.0)[:2]
     # the spec's equation per sweep value, one diagonal block each
     blocks = [_ode_rhs(spec, {spec.parameter: ev})[0].M for ev in sweep]
     n = len(blocks[0])
@@ -583,12 +585,8 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
     for i, (ev, u) in enumerate(zip(sweep, uforms)):
         errs.append((ev, float(np.max(np.abs(u.evaluate(grid)
                                              - ref.at_nodes(2 * i))))))
-    rep.add("eps sweep: " + "; ".join(f"eps={e}: {_fmt(s)}" for e, s in errs))
-    p = numlab.convergence_order(errs)
-    lo_p, hi_p = _floats(spec, "order_band", "2.6 3.4")
-    rep.check("closed-form error order", lo_p <= p <= hi_p,
-              f"p = {p:.3f} in [{lo_p}, {hi_p}]")
-    by_eps = dict(errs)
+    by_eps = _check_eps_sweep(spec, rep, errs, "closed-form error order",
+                              "2.6 3.4")
     if 0.1 in by_eps and 0.2 in by_eps:
         lo_r, hi_r = _floats(spec, "ratio_band", "6 10")
         r = by_eps[0.2] / by_eps[0.1]
@@ -607,9 +605,8 @@ def derive_burgers(spec: ProblemSpec, rep: Report):
     rep.add("u = (x+1)^2/(2*eps*t) - W[(1/(eps*t))*exp((x+1)^2/(eps*t))]/2")
 
 
-def validate_burgers(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
-    derive_burgers(spec, rep)
-    rep.add("-- validation --")
+def validate_burgers(spec: ProblemSpec, rep: Report, derived, csv_dir,
+                     seed: int):
     epsv = float(spec.params.get("eps", 0.1))
     times = _floats(spec, "times", "1 10 20")
     lo, hi, npts = _floats(spec, "x_range", "0 5 201")
@@ -658,7 +655,7 @@ def validate_burgers(spec: ProblemSpec, rep: Report, csv_dir, seed: int):
 # Command drivers.
 
 # spec kind, or the scripted derivation named by options.scripted ->
-# (derive(spec, rep), validate(spec, rep, csv_dir, seed))
+# (derive(spec, rep) -> derived, check(spec, rep, derived, csv_dir, seed))
 HANDLERS = {
     "ode-hidden-scale": (derive_ode, validate_ode),
     "filament": (derive_filament, validate_filament),
@@ -690,7 +687,10 @@ def run_derive(spec: ProblemSpec, check: bool) -> Report:
 
 def run_validate(spec: ProblemSpec, csv_dir, seed: int = 0) -> Report:
     rep = Report(spec)
-    _handlers(spec)[1](spec, rep, csv_dir, seed)
+    derive, check = _handlers(spec)
+    derived = derive(spec, rep)
+    rep.add("-- validation --")
+    check(spec, rep, derived, csv_dir, seed)
     return rep
 
 

@@ -369,7 +369,6 @@ class ConstantFlows:
     ft: FTSystem
     flows: dict                  # name -> Flow
     x_symbol: str
-    numeric_names: list = field(default_factory=list)
     _cache: dict = field(default_factory=dict)
 
     def values(self, x, env: dict) -> dict:
@@ -379,9 +378,8 @@ class ConstantFlows:
         ``env`` holds parameter values plus the tilde values keyed by the
         tilde symbol names (e.g. "A~").
         """
-        out = {}
-        if self.numeric_names:
-            out.update(self._numeric_values(x, env))
+        numeric = any(f.kind == "numeric" for f in self.flows.values())
+        out = self._numeric_values(x, env) if numeric else {}
         for n, f in self.flows.items():
             if f.kind == "numeric":
                 continue
@@ -662,8 +660,7 @@ def _numeric_flows(ft: FTSystem, x_symbol: str,
                    tvals: dict) -> ConstantFlows:
     flows = {n: _finish_flow(Flow(n, n + TILDE_SUFFIX, "numeric"), tvals)
              for n in ft.unknown_names()}
-    return ConstantFlows(ft, flows, x_symbol,
-                         numeric_names=ft.unknown_names())
+    return ConstantFlows(ft, flows, x_symbol)
 
 
 # ---------------------------------------------------------------------------

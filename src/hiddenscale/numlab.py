@@ -1,5 +1,5 @@
-"""Independent numeric oracles: IVP/BVP solvers, a Burgers field solver,
-error reports and convergence-order fits.
+"""Independent numeric oracles: IVP/BVP solvers, a Burgers field solver
+and convergence-order fits.
 
 Nothing in here touches the symbolic kernel; these routines provide the
 reference values the symbolic pipeline is judged against, so they must stay
@@ -91,7 +91,7 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     (Hairer-Wanner, Solving ODEs II, IV.2).  Expanding the four stages of
     one step of y' = My gives exactly y <- R(hM) @ y, so this is the same
     integrator at the same step; the states differ from the step loop only
-    by rounding.
+    by rounding.  Each distinct (h, n_sub) forms its matrix once.
     """
     t0, t1 = float(interval[0]), float(interval[1])
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -107,6 +107,7 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
         states = np.empty((len(grid), len(y0)))
         states[0] = y0
         y = y0.copy()
+        powers = {}     # (h, n_sub) -> R(hM)^n_sub, for a LinearRHS
         for i in range(len(grid) - 1):
             a, b = grid[i], grid[i + 1]
             n_sub = max(1, int(round((b - a) / step)))
@@ -114,7 +115,9 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
             if h <= 0 or not np.isfinite(h):
                 raise SolverError("step underflow in rk4-fixed")
             if isinstance(rhs, LinearRHS):
-                y = _rk4_power(rhs.M, h, n_sub) @ y
+                if (h, n_sub) not in powers:
+                    powers[h, n_sub] = _rk4_power(rhs.M, h, n_sub)
+                y = powers[h, n_sub] @ y
             else:
                 t = a
                 for _ in range(n_sub):
@@ -228,22 +231,3 @@ def convergence_order(errors) -> float:
     ys = np.log([err for _, err in pts])
     slope = np.polyfit(xs, ys, 1)[0]
     return float(slope)
-
-
-@dataclass
-class ErrorReport:
-    """Comparison of an approximation against an oracle on a grid."""
-
-    sup_error: float
-    l2_error: float
-    table: np.ndarray          # columns: x, oracle, approx, abs error
-
-    @staticmethod
-    def from_samples(x, oracle, approx):
-        x = np.asarray(x, dtype=float)
-        oracle = np.asarray(oracle, dtype=float)
-        approx = np.asarray(approx, dtype=float)
-        err = np.abs(oracle - approx)
-        table = np.column_stack([x, oracle, approx, err])
-        return ErrorReport(float(err.max()),
-                           float(np.sqrt(np.mean(err ** 2))), table)

@@ -162,17 +162,23 @@ class ODEProblem:
                 f"order {order} needs {count} constant names, got {names}")
         return list(names)
 
-    def residual_orders(self, series: "PerturbationSeries"):
-        """Collected orders 0..k of L[series] + perturbation(series)."""
-        full = series.full()
-        derivs = [full]
+    def apply_perturbation(self, y: Expr, k: int) -> Expr:
+        """The sum of the perturbation terms at ``y``, up to order ``k``."""
+        derivs = [y]
         maxd = max([m for pt in self.perturbations for m, _ in pt.deriv_powers],
                    default=0)
         for _ in range(maxd):
             derivs.append(derivs[-1].diff(self.variable))
-        res = self.operator.apply(full)
+        out = Expr.zero()
         for pt in self.perturbations:
-            res = res + pt.apply(derivs, self.parameter, self.order)
+            out = out + pt.apply(derivs, self.parameter, k)
+        return out
+
+    def residual_orders(self, series: "PerturbationSeries"):
+        """Collected orders 0..k of L[series] + perturbation(series)."""
+        full = series.full()
+        res = (self.operator.apply(full)
+               + self.apply_perturbation(full, self.order))
         return [res.collect_order(self.parameter, j)
                 for j in range(self.order + 1)]
 
@@ -378,15 +384,7 @@ def solve_order(L: LinearOperator, f: Expr, ics=None,
 
 def _forcing_at_order(p: ODEProblem, orders, j: int) -> Expr:
     partial = PerturbationSeries(list(orders), [], p.parameter, p.variable).full()
-    maxd = max([m for pt in p.perturbations for m, _ in pt.deriv_powers],
-               default=0)
-    derivs = [partial]
-    for _ in range(maxd):
-        derivs.append(derivs[-1].diff(p.variable))
-    F = Expr.zero()
-    for pt in p.perturbations:
-        F = F + pt.apply(derivs, p.parameter, j)
-    return -F.collect_order(p.parameter, j)
+    return -p.apply_perturbation(partial, j).collect_order(p.parameter, j)
 
 
 def expand_hierarchy(p: ODEProblem):

@@ -65,6 +65,10 @@ class ProblemSpec:
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_']+)*$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OPTERM_RE = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?D(\d+)\s*$")
+# options with one implemented value: the Burgers profile and the filament
+# grading (filament.Q_GRADE)
+_ONLY_VALUE = {"profile": "log1p",
+               "order_assumptions": "alpha1:1/2 alpha2:1/2"}
 
 
 def _parse_rational(tok: str, key: str, line: int) -> Fraction:
@@ -248,7 +252,12 @@ def parse_spec(path) -> ProblemSpec:
         elif key.startswith("validate."):
             spec.validate[key.split(".", 1)[1]] = v
         elif key.startswith("options."):
-            spec.options[key.split(".", 1)[1]] = v
+            opt = key.split(".", 1)[1]
+            if opt in _ONLY_VALUE and v.split() != _ONLY_VALUE[opt].split():
+                raise SpecError(f"line {lineno}: {key} = {v} is not "
+                                f"implemented; the only value is "
+                                f"{_ONLY_VALUE[opt]}")
+            spec.options[opt] = v
 
     if kind == "switchback" and spec.params.get("eps", 1) <= 0:
         raise SpecError(f"line {raw['params.eps'][1]}: params.eps is the "

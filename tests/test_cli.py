@@ -118,8 +118,17 @@ def test_exit_codes(tmp_path):
 
 def test_every_kind_has_handlers():
     for kind in KINDS:
-        derive, validate = cli.HANDLERS[kind]
-        assert callable(derive) and callable(validate)
+        derive, check = cli.HANDLERS[kind]
+        assert callable(derive) and callable(check)
+
+
+@pytest.mark.parametrize("name", ALL_SPECS)
+def test_validate_report_extends_the_derive_report(name):
+    # run_validate alone derives; every check only appends after the marker
+    spec = parse_spec(CORPUS / f"{name}.spec")
+    derived = cli.run_derive(spec, check=False).lines
+    lines = cli.run_validate(spec, None).lines
+    assert lines[:len(derived) + 1] == derived + ["-- validation --"]
 
 
 def test_csv_emission(tmp_path):
@@ -152,9 +161,12 @@ def test_switchback_csv_columns(tmp_path):
 
 
 def test_sweep_command():
-    spec = parse_spec(CORPUS / "underdamped.spec")
-    rep = cli.run_sweep(spec, None)
-    assert any(name.startswith("sweep point") for name, _ok, _d in rep.checks)
+    for name in ("overdamped", "underdamped"):
+        rep = cli.run_sweep(parse_spec(CORPUS / f"{name}.spec"), None)
+        assert rep.lines[1:] == ["sweep over eps: 0.05 0.1 0.2",
+                                 "eps = 0.05: PASS", "eps = 0.1: PASS",
+                                 "eps = 0.2: PASS"], name
+        assert rep.ok, name
 
 
 def test_ode_rhs_linear_only_when_constant_coefficient():
@@ -268,7 +280,7 @@ def test_ics_start_values_reach_numeric_flows(tmp_path, capsys):
     for path in (ics, tilde):
         spec = parse_spec(path)
         flows = cli.hidden_scale_pipeline(spec)[4]
-        assert flows.numeric_names
+        assert all(f.kind == "numeric" for f in flows.flows.values())
         values.append(flows.values(ts, cli._uniform_env(spec, spec.params)))
     for n in ("R", "theta"):
         assert np.max(np.abs(values[0][n] - values[1][n])) <= 1e-12

@@ -9,9 +9,9 @@ import pytest
 from scipy.linalg import block_diag
 
 from hiddenscale import cli, numlab
-from hiddenscale.numlab import (ErrorReport, LinearRHS, SolverError,
-                                convergence_order, solve_bvp_shooting,
-                                solve_burgers_mol, solve_ivp)
+from hiddenscale.numlab import (LinearRHS, SolverError, convergence_order,
+                                solve_bvp_shooting, solve_burgers_mol,
+                                solve_ivp)
 from hiddenscale.specfile import parse_spec
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -82,6 +82,15 @@ class TestLinearRHS:
                          step=step, t_eval=grid)
         assert np.max(np.abs(fast.states - slow.states)) < 1e-10
         assert np.max(np.abs(fast.derivs - slow.derivs)) < 1e-10
+        # each distinct step's matrix is formed once: the states are those
+        # of one R(hM)^n_sub formed per output interval
+        y = np.asarray(y0, dtype=float)
+        per_interval = [y]
+        for a, b in zip(grid[:-1], grid[1:]):
+            n_sub = max(1, int(round((b - a) / step)))
+            y = numlab._rk4_power(M, (b - a) / n_sub, n_sub) @ y
+            per_interval.append(y)
+        assert np.array_equal(fast.states, np.array(per_interval))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_raises(self):
@@ -180,11 +189,3 @@ class TestConvergenceOrder:
     def test_requires_positive_errors(self):
         with pytest.raises(ValueError):
             convergence_order([(0.05, 0.0), (0.1, 0.01), (0.2, 0.04)])
-
-
-class TestErrorReport:
-    def test_sup_is_max_of_table(self):
-        x = np.linspace(0, 1, 11)
-        r = ErrorReport.from_samples(x, np.sin(x), np.sin(x) + 0.01 * x)
-        assert r.sup_error == r.table[:, 3].max()
-        assert r.l2_error <= r.sup_error

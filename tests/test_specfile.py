@@ -149,6 +149,28 @@ class TestGrammar:
         assert cli.main(["derive", str(path)]) == 2
         assert capsys.readouterr().err == f"spec error: {message}\n"
 
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("burgers", "options.profile = log1p", "options.profile = tanh",
+         "line 9: options.profile = tanh is not implemented; the only value "
+         "is log1p"),
+        ("filament", "alpha2:1/2", "alpha2:bogus",
+         "line 20: options.order_assumptions = alpha1:1/2 alpha2:bogus is "
+         "not implemented; the only value is alpha1:1/2 alpha2:1/2"),
+        ("filament", "alpha1:1/2 ", "alpha1:1 ",
+         "line 20: options.order_assumptions = alpha1:1 alpha2:1/2 is not "
+         "implemented; the only value is alpha1:1/2 alpha2:1/2"),
+    ], ids=["profile", "order-assumptions-bogus", "order-assumptions-1"])
+    def test_unimplemented_option_values_exit_2(self, tmp_path, capsys, name,
+                                                old, new, message):
+        text = (CORPUS / f"{name}.spec").read_text()
+        assert old in text
+        path = write_spec(tmp_path, text.replace(old, new))
+        for command in ("derive", "validate"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"spec error: {message}\n"
+        # the implemented values parse
+        parse_spec(CORPUS / f"{name}.spec")
+
     def test_ics_keys(self, tmp_path):
         spec = parse_spec(write_spec(tmp_path,
                                      MINIMAL + "ics.y = 3\nics.Dy = 1\n"))
