@@ -162,7 +162,7 @@ def _derive_cgo_comparison(spec: ProblemSpec, rep: Report, painted, ft):
             f"{spec.variable} -> {x0} --")
     for e in res.equations:
         rep.add(f"0 = {textform.expr_text(e)}")
-    rep.add("underdetermined" if res.underdetermined
+    rep.add(res.diagnostic if res.underdetermined
             else "determined with series and first derivative")
 
 

@@ -1037,9 +1037,7 @@ def paint_term(t: Term, v: str, mu: str) -> Term:
 # Exact linear systems with Expr coefficients.
 
 def _div_single(e: Expr, t: Term) -> Expr:
-    if not any(p for _, p in t.vpows):
-        return e * Expr([t]).inverse()
-    # variable powers present: divide term by term
+    """e divided term by term by t, whose coefficient is one monomial."""
     inv_c = t.coeff ** -1
     out = []
     for a in e.terms:
@@ -1054,53 +1052,56 @@ def _div_single(e: Expr, t: Term) -> Expr:
 
 
 def _atoms(e: Expr):
-    """Terms split to single-monomial coefficients, in canonical order."""
+    """(exponent, atom) per coefficient monomial of e.  The exponent maps the
+    atom's rational coordinates to their values: the coefficient-monomial and
+    variable powers, the real and imaginary parts of each rate and frequency
+    monomial, and the offset weights."""
     out = []
     for t in e.terms:
+        x = {(tag, s): p for tag, pairs in (("v", t.vpows), ("o", t.offs))
+             for s, p in pairs}
+        x.update(((tag, v, pows, k), Fraction(q[k], q[2]))
+                 for tag, slots in (("r", t.rates), ("f", t.freqs))
+                 for v, p in slots for pows, q in p.monos for k in (0, 1))
         for m in t.coeff.monos:
-            out.append(t.with_coeff(Poly._canonical((m,))))
-    out.sort(key=Term.sort_key)
+            out.append(({**x, **{("c", s): p for s, p in m[0]}},
+                        t.with_coeff(Poly._canonical((m,)))))
     return out
 
 
-def _natoms(e: Expr) -> int:
-    return sum(len(t.coeff.monos) for t in e.terms)
-
-
 def div_exact(num: Expr, den: Expr) -> Expr:
-    """Exact division num/den; raises OutOfClassError when not representable."""
+    """Exact division num/den; raises OutOfClassError when not representable.
+
+    A divisor of several atoms divides by leading terms: exponents are written
+    densely over the coordinates of num and den and ordered lexicographically.
+    The ring is a domain, so in each coordinate an exact quotient's exponents
+    lie in [min(num) - min(den), max(num) - max(den)]; a step outside that
+    box proves the division inexact.  The leading term falls every round and
+    the box holds finitely many reachable exponents, so the loop ends.
+    """
     if den.is_zero():
         raise ZeroDivisionError("division by zero expression")
     t = den.single_term()
     if t is not None and t.coeff.single() is not None:
         return _div_single(num, t)
-    # greedy multivariate division against leading atoms
-    den_atoms = _atoms(den)
-    quotient = Expr.zero()
-    rem = num
-    guard = 4 * (_natoms(num) + 1) * (_natoms(den) + 1)
-    while not rem.is_zero() and guard:
-        guard -= 1
-        progressed = False
-        rem_atoms = _atoms(rem)
-        for pick_r in (rem_atoms[-1], rem_atoms[0]):
-            for pick_d in (den_atoms[-1], den_atoms[0]):
-                try:
-                    q = _div_single(Expr([pick_r]), pick_d)
-                except OutOfClassError:
-                    continue
-                new_rem = rem - q * den
-                if _natoms(new_rem) < _natoms(rem) + _natoms(den):
-                    quotient = quotient + q
-                    rem = new_rem
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
-            raise OutOfClassError("inexact or unsupported expression division")
-    if not rem.is_zero():
-        raise OutOfClassError("inexact expression division")
+    num_atoms, den_atoms = _atoms(num), _atoms(den)
+    coords = sorted({c for x, _ in num_atoms + den_atoms for c in x})
+
+    def dense(atoms):
+        return {tuple(x.get(c, 0) for c in coords): a for x, a in atoms}
+
+    divisor = dense(den_atoms)
+    box = [(min(a) - min(b), max(a) - max(b))
+           for a, b in zip(zip(*dense(num_atoms)), zip(*divisor))]
+    lead = max(divisor)
+    quotient, rem = Expr.zero(), num
+    while rem.terms:
+        rem_atoms = dense(_atoms(rem))
+        r = max(rem_atoms)
+        if not all(lo <= a - b <= hi for (lo, hi), a, b in zip(box, r, lead)):
+            raise OutOfClassError("inexact expression division")
+        q = _div_single(Expr([rem_atoms[r]]), divisor[lead])
+        quotient, rem = quotient + q, rem - q * den
     return quotient
 
 

@@ -467,9 +467,7 @@ def integrate_orbits(ft: FTSystem, x_symbol: str,
     flows: dict = {}
     solved: dict = {}     # name -> Expr for A(mu) along the orbit, or None
     pending = list(names)
-    guard = len(pending) ** 2 + 2
-    while pending and guard:
-        guard -= 1
+    while pending:
         progressed = False
         for n in list(pending):
             rhs = ft.equations[n]

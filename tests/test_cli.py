@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hiddenscale import cli, numlab
-from hiddenscale.exprcore import OutOfClassError
+from hiddenscale.ftflow import FTInconsistent
 from hiddenscale.pertsym import DeterminingError
 from hiddenscale.specfile import KINDS, parse_spec
 
@@ -18,9 +18,9 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ALL_SPECS = sorted(p.stem for p in CORPUS.glob("*.spec"))
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "hiddenscale.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("name", ALL_SPECS)
@@ -38,14 +38,15 @@ def test_derive_is_deterministic():
     assert a == b
 
 
-def _at_order(tmp_path, name, order):
-    """A copy of a corpus spec with only ``method.order`` changed."""
+def _at_order(tmp_path, name, order, extra=""):
+    """The path of a copy of a corpus spec with ``method.order`` changed and
+    the lines ``extra`` appended."""
     text = (CORPUS / f"{name}.spec").read_text()
     assert "method.order = " in text
     path = tmp_path / f"{name}{order}.spec"
     path.write_text(re.sub(r"(?m)^method\.order = .*$",
-                           f"method.order = {order}", text))
-    return parse_spec(path)
+                           f"method.order = {order}", text) + extra)
+    return path
 
 
 # sha256 of the derive text at higher orders, pinned so that what the exact
@@ -58,25 +59,44 @@ HIGHER_ORDERS = {
         "987db849c37d74bb3a121a5dbbacc1eee27659851fae660b95f989c14e68bf76",
     ("mathieu", 4):
         "2ec870fd17f6d5df0a4833f41afc6e8abbeba42f3bf6dd44a5a761e4d912ab33",
+    # ends "underdetermined: inexact expression division (free symbols
+    # present: eps)"
     ("overdamped", 5):
-        "1a0af13ff3dcc7fc564f2b4f5be627c8649902592aa6271debdb2fdbc7dbe11d",
+        "35c32aa75d4b84ac019830f0390f87bfa32cea5e622d7ae932457a7a1ea459b6",
 }
 
 
 def test_higher_order_derives_are_pinned(tmp_path):
     for (name, order), want in HIGHER_ORDERS.items():
-        text = cli.run_derive(_at_order(tmp_path, name, order), False).text()
+        spec = parse_spec(_at_order(tmp_path, name, order))
+        text = cli.run_derive(spec, False).text()
         assert hashlib.sha256(text.encode()).hexdigest() == want, (name, order)
 
 
 @pytest.mark.parametrize("name, error, match", [
-    ("kdv", OutOfClassError, "^inexact expression division$"),
+    # every division here is exact: one, 8 atoms by 2, has a 7-atom quotient
+    ("kdv", FTInconsistent, r"^no hidden-scale symmetry for this painting: "
+     r"residual equation expr 0, basis cos\(th\) - i\*sin\(th\) \[re\] "
+     r"@order 2 does not vanish$"),
     ("underdamped", DeterminingError, r"\(residual 1/16\)$"),
 ])
 def test_higher_order_failures_are_pinned(tmp_path, name, error, match):
     # still reachable at order 3 (not yet reported as a diagnostic)
     with pytest.raises(error, match=match):
-        cli.run_derive(_at_order(tmp_path, name, 3), False)
+        cli.run_derive(parse_spec(_at_order(tmp_path, name, 3)), False)
+
+
+@pytest.mark.parametrize("order, free", [(2, "A, B, a1, eps"),
+                                         (3, "A, B, C1, C2, a1, eps")])
+def test_mathieu_cgo_comparison_ends(tmp_path, order, free):
+    # exact division always ends; the timeout fails a hang instead of
+    # stalling the suite
+    path = _at_order(tmp_path, "mathieu", order, "options.cgo_compare = true\n")
+    r = run_cli("derive", str(path), timeout=30)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == (
+        "underdetermined: inexact expression division "
+        f"(free symbols present: {free})")
 
 
 def test_validate_is_deterministic():

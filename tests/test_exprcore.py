@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                   _qadd, _qdiv, _qmul, _qnum, _qpow, _rat_text,
-                                  classify_divergent, paint_term,
+                                  classify_divergent, div_exact, paint_term,
                                   product_upto, solve_linear_system)
 from hiddenscale.textform import expr_text
 
@@ -514,3 +514,42 @@ def test_truncation_order_zero_and_eps_in_exponents():
         == (a * b).collect_order("eps", 1)
     with pytest.raises(OutOfClassError):
         Expr.exp("x", Poly.sym("eps", -1)).collect_order("eps", 0)
+
+
+# ---------------------------------------------------------------------------
+# Exact division by leading terms: every exact quotient is found, and a
+# remainder that no quotient leaves is rejected.
+
+def _natoms(e: Expr) -> int:
+    return sum(len(t.coeff.monos) for t in e.terms)
+
+
+def _divisor(rng: random.Random) -> Expr:
+    """A generator expression of at least two atoms (the single-atom
+    divisors take the term-by-term path)."""
+    while True:
+        b = _eps_expr(rng)
+        if _natoms(b) >= 2:
+            return b
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_div_exact_recovers_every_factor(seed):
+    rng = random.Random(seed)
+    a, b = _eps_expr(rng), _divisor(rng)
+    assert div_exact(a * b, b) == a
+    assert div_exact(Expr.zero(), b) == Expr.zero()
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_div_exact_rejects_a_single_atom_remainder(seed):
+    # a*b + r = c*b would make r = (c - a)*b, and a nonzero multiple of b
+    # has distinct leading and trailing atoms, so it is never one atom
+    rng = random.Random(seed)
+    a, b = _eps_expr(rng), _divisor(rng)
+    t = rng.choice(_divisor(rng).terms)
+    r = Expr([t.with_coeff(Poly([rng.choice(t.coeff.monos)]))])
+    with pytest.raises(OutOfClassError):
+        div_exact(a * b + r, b)

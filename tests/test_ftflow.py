@@ -16,6 +16,7 @@ from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
 from hiddenscale.pertseries import (ConstantInfo, LinearOperator, ODEProblem,
                                     PertTerm, PerturbationSeries,
                                     build_bare_series)
+from hiddenscale.textform import parse_expr
 
 
 def overdamped_series(order=1):
@@ -414,6 +415,16 @@ class TestLinearSolver:
     def test_inexact_division_raises(self):
         with pytest.raises(OutOfClassError):
             div_exact(Expr.sym("A"), Expr.var("mu"))
+
+    # exact quotients of phase sums, where dividing the first or last atom
+    # of the remainder by the first or last atom of the divisor does not
+    # reach the quotient
+    @pytest.mark.parametrize("q", ["R + A*cos(2*phi)", "cos(phi) + sin(3*phi)"])
+    @pytest.mark.parametrize("den", ["sin(2*phi)", "A + R*sin(2*phi)",
+                                     "B + cos(2*phi)"])
+    def test_div_exact_trig(self, q, den):
+        q, den = parse_expr(q, ["phi"]), parse_expr(den, ["phi"])
+        assert div_exact(q * den, den) == q
 
     def test_overdetermined_consistent_system(self):
         x, y = ("x",), ("y",)
