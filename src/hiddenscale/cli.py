@@ -206,11 +206,13 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
              pt.deriv_powers)
             for pt in prob.perturbations]
 
+    env = dict(params)     # one per closure; each call sets only var
+
     def rhs(t, y):
+        ys = y.tolist()
         top = 0.0
         for m, c in enumerate(coeffs[:-1]):
-            top += c * y[m]
-        env = dict(params)
+            top += c * ys[m]
         env[var] = float(t)
         for p, coeff, dp in pert:
             if isinstance(coeff, Expr):
@@ -218,12 +220,12 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
             else:
                 val = coeff
             for m, q in dp:
-                val *= y[m] ** q
+                try:
+                    val *= ys[m] ** q
+                except OverflowError:   # as numpy would: inf, then SolverError
+                    val = math.inf
             top += val
-        out = np.empty_like(y)
-        out[:-1] = y[1:]
-        out[-1] = -top / coeffs[-1]
-        return out
+        return np.array(ys[1:] + [-top / coeffs[-1]])
     if all(not isinstance(c, Expr) and sum(q for _m, q in dp) == 1
            for _p, c, dp in pert):
         return numlab.LinearRHS(

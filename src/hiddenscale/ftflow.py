@@ -131,12 +131,12 @@ class FTSystem:
 
     def rhs_callable(self, param_values: dict):
         names = self.unknown_names()
-        base = dict(param_values)
         exprs = [self.equations[n] for n in names]
+        env = dict(param_values)   # one per callable, updated in place
+
         def f(mu_val, y):
-            env = dict(base)
             env[self.mu] = float(mu_val)
-            env.update({n: float(v) for n, v in zip(names, y)})
+            env.update(zip(names, y.tolist()))
             return np.array([e.eval(env).real for e in exprs])
         return f
 

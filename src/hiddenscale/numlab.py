@@ -9,6 +9,7 @@ that use it, so a run that never integrates does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,10 @@ def _rk4_power(M, h: float, n: int) -> np.ndarray:
 
 
 def _check_rhs(rhs):
+    # y is already a float array (scipy's state or a stored node state)
     def wrapped(t, y):
-        out = np.asarray(rhs(t, np.asarray(y, dtype=float)), dtype=float)
-        if not np.all(np.isfinite(out)):
+        out = np.asarray(rhs(t, y), dtype=float)
+        if not all(map(math.isfinite, out.ravel().tolist())):
             raise SolverError(f"NaN/Inf in rhs at t={t}")
         return out
     return wrapped
@@ -83,7 +85,10 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     integrator at local tolerance ``tol``.  Either raises SolverError on a
     NaN/Inf: ``rk45-adaptive`` checks every rhs value, ``rk4-fixed`` checks
     the state once per output interval, which a non-finite stage value
-    always leaves non-finite.
+    always leaves non-finite.  The rk45 check runs once per rhs call, on
+    Python floats, not once per accepted step: a step with a non-finite
+    stage is rejected and retried shorter, so the accepted states stay
+    finite and the integrator stops on a step-size underflow instead.
 
     For a ``LinearRHS`` M, ``rk4-fixed`` advances each output interval of
     ``n_sub`` steps of size ``h`` by y <- R(hM)^n_sub @ y, where

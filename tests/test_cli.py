@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from hiddenscale import cli, numlab
+from hiddenscale.exprcore import Expr
 from hiddenscale.ftflow import FTInconsistent
 from hiddenscale.pertsym import DeterminingError
-from hiddenscale.specfile import KINDS, parse_spec
+from hiddenscale.specfile import KINDS, ode_problem, parse_spec
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ALL_SPECS = sorted(p.stem for p in CORPUS.glob("*.spec"))
@@ -142,13 +143,32 @@ def test_every_kind_has_handlers():
         assert callable(derive) and callable(check)
 
 
+# rhs calls of each validate's oracles: the step control and the node
+# derivatives of every plain rhs; a LinearRHS is advanced in closed form
+RHS_CALLS = {"kdv": 36750, "terrible": 40794, "mathieu": 17810,
+             "bad": 14668, "filament": 315}
+
+
 @pytest.mark.parametrize("name", ALL_SPECS)
-def test_validate_report_extends_the_derive_report(name):
+def test_validate_report_extends_the_derive_report(name, monkeypatch):
     # run_validate alone derives; every check only appends after the marker
     spec = parse_spec(CORPUS / f"{name}.spec")
     derived = cli.run_derive(spec, check=False).lines
+    calls = [0]
+    solve = numlab.solve_ivp
+
+    def counted(rhs, *args, **kwargs):
+        def counting(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+        if isinstance(rhs, numlab.LinearRHS):
+            return solve(rhs, *args, **kwargs)
+        return solve(counting, *args, **kwargs)
+    monkeypatch.setattr(numlab, "solve_ivp", counted)
     lines = cli.run_validate(spec, None).lines
     assert lines[:len(derived) + 1] == derived + ["-- validation --"]
+    # a faster oracle takes the same steps
+    assert calls[0] == RHS_CALLS.get(name, 0)
 
 
 def test_csv_emission(tmp_path):
@@ -210,6 +230,75 @@ def test_ode_rhs_linear_only_when_constant_coefficient():
     rhs, _n = cli._ode_rhs(kdv, dict(kdv.params))
     assert not isinstance(rhs, numlab.LinearRHS)
     assert rhs(0.0, 2 * y)[2] != 2 * rhs(0.0, y)[2]
+
+
+def _ode_rhs_reference(spec, params):
+    """The oracle rhs on numpy scalars with a fresh env per call: the
+    reference for ``cli._ode_rhs``'s closure on Python floats."""
+    prob = ode_problem(spec)
+    coeffs = [float(c) for c in prob.operator.coeffs]
+    epsv = params[spec.parameter]
+    var = spec.variable
+    pert = [(pt.eps_power,
+             pt.coeff if var in pt.coeff.symbols()
+             else pt.coeff.eval(params).real * epsv ** pt.eps_power,
+             pt.deriv_powers)
+            for pt in prob.perturbations]
+
+    def rhs(t, y):
+        top = 0.0
+        for m, c in enumerate(coeffs[:-1]):
+            top += c * y[m]
+        env = dict(params)
+        env[var] = float(t)
+        for p, coeff, dp in pert:
+            if isinstance(coeff, Expr):
+                val = coeff.eval(env).real * epsv ** p
+            else:
+                val = coeff
+            for m, q in dp:
+                val *= y[m] ** q
+            top += val
+        out = np.empty_like(y)
+        out[:-1] = y[1:]
+        out[-1] = -top / coeffs[-1]
+        return out
+    return rhs
+
+
+def _with_perturbation(tmp_path, perturbation):
+    """mathieu's spec with another ``equation.perturbation``."""
+    text = (CORPUS / "mathieu.spec").read_text()
+    path = tmp_path / "pert.spec"
+    path.write_text(re.sub(r"(?m)^equation\.perturbation = .*$",
+                           f"equation.perturbation = {perturbation}", text))
+    return parse_spec(path)
+
+
+@pytest.mark.parametrize("name", ["kdv", "mathieu", "power-and-cos"])
+def test_ode_rhs_matches_reference(tmp_path, name):
+    # the closure keeps one env and sets the variable on every call, so
+    # repeated and decreasing t must give exactly the reference values
+    if name == "power-and-cos":
+        spec = _with_perturbation(tmp_path, "eps*y^2 + 2*eps*cos(t)*Dy")
+    else:
+        spec = parse_spec(CORPUS / f"{name}.spec")
+    rhs, n = cli._ode_rhs(spec, dict(spec.params))
+    ref = _ode_rhs_reference(spec, dict(spec.params))
+    rng = np.random.default_rng(17)
+    ts = np.repeat(rng.uniform(-5.0, 60.0, 50), 2)    # random order, pairs
+    for t in ts.tolist():
+        y = rng.uniform(-3.0, 3.0, n)
+        assert np.array_equal(rhs(t, y), ref(t, y)), (name, t)
+
+
+def test_ode_rhs_overflow_is_a_solver_error(tmp_path):
+    # a Python float power raises OverflowError where a numpy scalar's
+    # gives inf; the oracle reports either as a non-finite rhs
+    spec = _with_perturbation(tmp_path, "eps*y^2")
+    rhs, _n = cli._ode_rhs(spec, dict(spec.params))
+    with pytest.raises(numlab.SolverError, match=r"^NaN/Inf in rhs at t="):
+        numlab.solve_ivp(rhs, [1e200, 0.0], (0.0, 1.0), "rk45-adaptive")
 
 
 TOP_DERIVATIVE = """\

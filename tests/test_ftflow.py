@@ -230,6 +230,33 @@ class TestOrbits:
         assert abs(vals["R"] - direct.states[-1, 0]) < 1e-8
         assert abs(vals["theta"] - direct.states[-1, 1]) < 1e-8
 
+    @pytest.mark.parametrize("system", ["mathieu", "mu-dependent"])
+    def test_rhs_callable_matches_reference(self, system):
+        # the callable keeps one env and updates it in place, so repeated
+        # and decreasing mu must give exactly the values of a fresh env
+        if system == "mathieu":
+            ft = derive_ft_system(paint(mathieu_series(), 1), 1)
+            env = {"eps": 0.15, "a1": 1.2, "R~": 1.0, "theta~": 0.3}
+        else:
+            ft = FTSystem("mu", "x", "eps", 1, [ConstantInfo("A", 0, "param")],
+                          {"A": Expr.sym("eps") * Expr.var("mu")
+                           * Expr.sym("A")}, {"A": 1})
+            env = {"eps": 0.1, "A~": 1.5}
+        names = ft.unknown_names()
+        exprs = [ft.equations[n] for n in names]
+
+        def reference(mu_val, y):
+            e = dict(env)
+            e[ft.mu] = float(mu_val)
+            e.update({n: float(v) for n, v in zip(names, y)})
+            return np.array([x.eval(e).real for x in exprs])
+        f = ft.rhs_callable(env)
+        rng = np.random.default_rng(23)
+        mus = np.repeat(rng.uniform(-10.0, 40.0, 50), 2)
+        for mu in mus.tolist():
+            y = rng.uniform(-3.0, 3.0, len(names))
+            assert np.array_equal(f(mu, y), reference(mu, y)), mu
+
 
 class TestUniform:
     def test_overdamped_closed_form(self):

@@ -59,6 +59,13 @@ class TestIVP:
             solve_ivp(lambda t, y: np.full_like(
                           y, math.inf if 0.42 < t < 0.43 else -1.0),
                       [1.0], (0, 1), "rk4-fixed", step=0.01, t_eval=[0, 1])
+        # RK45 rejects a step with a NaN stage and retries a shorter one, so
+        # every accepted state stays finite: only the check on each rhs
+        # value reports this one
+        with pytest.raises(SolverError, match=r"^NaN/Inf in rhs at t=0\.42"):
+            solve_ivp(lambda t, y: y * (math.nan if 0.42 < t < 0.43
+                                        else math.cos(20 * t)),
+                      [1.0], (0, 1), "rk45-adaptive", tol=1e-10)
 
 
 class TestLinearRHS:
