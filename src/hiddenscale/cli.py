@@ -273,7 +273,7 @@ def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int):
     params = dict(spec.params)
     env = _uniform_env(spec, params)
     missing = [f for f in flows.flows.values()
-               if f.tilde not in env and f.tilde not in (f.fixed or {})]
+               if f.tilde not in env and f.start is None]
     if missing:
         raise SpecError("validate needs start values: " + ", ".join(
             f"options.tilde_{f.name} for {f.tilde}" for f in missing))

@@ -20,8 +20,8 @@ import numpy as np
 from .exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
                        classify_divergent, div_exact, paint_term,
                        solve_linear_system)
-from .pertseries import (ConstantInfo, PerturbationSeries, LinearOperator,
-                         SolveError, particular_integral)
+from .pertseries import (PerturbationSeries, LinearOperator, SolveError,
+                         particular_integral)
 
 
 class FTError(RuntimeError):
@@ -67,14 +67,13 @@ class PaintedSeries:
         return self.painted.subs_param(self.mu, 0)
 
 
-def paint(series: PerturbationSeries, n_derivs: int,
-          mu: str = "mu") -> PaintedSeries:
-    """Paint the series and its first ``n_derivs`` derivatives.
+def paint(series: PerturbationSeries, n_derivs: int) -> PaintedSeries:
+    """Paint the series and its first ``n_derivs`` derivatives into mu.
 
     Derivatives are taken before painting; painting does not commute with
     d/dx and is applied to each expression separately.
     """
-    v = series.variable
+    v, mu = series.variable, "mu"
     if mu in series.full().symbols():
         raise ValueError(f"painting variable {mu!r} already occurs in series")
     exprs = [series.full()]
@@ -257,10 +256,18 @@ def _verify_ft(ps: PaintedSeries, ft: FTSystem):
                     f"{m}: {textform.expr_text(r)}")
 
 
-def derive_ft_exact(ps: PaintedSeries,
-                    unknowns: Optional[Sequence[ConstantInfo]] = None,
-                    grades: Optional[dict] = None,
-                    max_grade=None):
+def _solve_primes(eqs, primes):
+    """Solve [(Expr, label)], each linear in ``primes``, for the primes:
+    ``solve_linear_system``'s (solution, free, leftovers), keyed by prime
+    name."""
+    lineqs = []
+    for eq, label in eqs:
+        coeffs, rest = _split_linear_in_primes(eq, primes)
+        lineqs.append(LinEq(coeffs, rest, label))
+    return solve_linear_system(lineqs)
+
+
+def derive_ft_exact(ps: PaintedSeries, grades: dict, max_grade):
     """Solve the raw basis equations for the primes without order expansion.
 
     Used for derivations with user-declared fractional order assumptions:
@@ -270,34 +277,20 @@ def derive_ft_exact(ps: PaintedSeries,
     drop subleading forcing against graded unknowns.  Returns a dict
     name -> Expr for dA_i/dmu.
     """
-    series = ps.series
-    if unknowns is None:
-        unknowns = series.min_order_constants()
-    primes = {c.name: c.name + PRIME_SUFFIX for c in unknowns}
-    grades = dict(grades or {})
-    eqs = []
-    for eq, label in _scalar_equations(ps, unknowns):
-        coeffs, rest = _split_linear_in_primes(eq, list(primes.values()))
-        if max_grade is not None:
-            rest = grade_truncate(rest, grades, ps.parameter, max_grade)
-            coeffs = {p: grade_truncate(
-                c, grades, ps.parameter,
-                Fraction(max_grade) - Fraction(grades.get(p, 0)))
-                for p, c in coeffs.items()}
-        eqs.append(LinEq({(p,): c for p, c in coeffs.items()}, rest, label))
-    solution, free, leftovers = solve_linear_system(eqs)
+    unknowns = ps.series.min_order_constants()
+    primes = [c.name + PRIME_SUFFIX for c in unknowns]
+    solution, free, leftovers = _solve_primes(
+        [(grade_truncate(eq, grades, ps.parameter, max_grade), label)
+         for eq, label in _scalar_equations(ps, unknowns)], primes)
     if free:
         raise FTUnderdetermined(f"primes {free} never determined")
     if leftovers:
         raise FTInconsistent(
             f"residual equation {leftovers[0].label} does not vanish")
-    out = {}
-    for c in unknowns:
-        key = (primes[c.name],)
-        if key not in solution:
-            raise FTUnderdetermined(f"prime {primes[c.name]} undetermined")
-        out[c.name] = solution[key]
-    return out
+    missing = [p for p in primes if p not in solution]
+    if missing:
+        raise FTUnderdetermined(f"prime {missing[0]} undetermined")
+    return {c.name: solution[p] for c, p in zip(unknowns, primes)}
 
 
 def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
@@ -340,7 +333,7 @@ class Flow:
     scale: Optional[Expr] = None       # quad: A(0) = tilde + scale*log(1+inner*x)
     inner: Optional[Expr] = None
     drift_poly: Optional[Poly] = None  # frozen offset: theta(0) = tilde + q*x
-    fixed: Optional[dict] = None       # applied start-point values, by tilde
+    start: object = None               # start-point value: name, number
 
     def text(self, xvar: str) -> str:
         from . import textform
@@ -378,37 +371,33 @@ class ConstantFlows:
         ``env`` holds parameter values plus the tilde values keyed by the
         tilde symbol names (e.g. "A~").
         """
-        numeric = any(f.kind == "numeric" for f in self.flows.values())
-        out = self._numeric_values(x, env) if numeric else {}
-        for n, f in self.flows.items():
-            if f.kind == "numeric":
-                continue
-            if f.value0 is not None:
-                out[n] = f.value0.eval({**env, self.x_symbol: x})
-            elif f.kind == "powerlaw":
-                til = env[f.tilde]
-                c = f.cexpr.eval(env).real
-                out[n] = til / (1 + c * til * x)
-            elif f.kind == "quad":
-                til = env[f.tilde]
-                s = f.scale.eval(env).real
-                inner = f.inner.eval(env).real
-                out[n] = til + s * np.log(1 + inner * x)
-            elif f.kind == "frozen" and f.drift_poly is not None:
-                out[n] = env[f.tilde] + f.drift_poly.eval(env).real * x
-            else:
-                raise FTError(f"flow for {n} not evaluable")
+        if any(f.kind == "numeric" for f in self.flows.values()):
+            out = self._numeric_values(x, env)
+        else:                       # integrate_orbits never mixes the two
+            out = {n: self._closed_value(f, x, env)
+                   for n, f in self.flows.items()}
         return {n: _real_at(v, x) for n, v in out.items()}
+
+    def _closed_value(self, f: Flow, x, env: dict):
+        if f.value0 is not None:
+            return f.value0.eval({**env, self.x_symbol: x})
+        til = env[f.tilde]
+        if f.kind == "powerlaw":
+            return til / (1 + f.cexpr.eval(env).real * til * x)
+        if f.kind == "quad":
+            return til + f.scale.eval(env).real \
+                * np.log(1 + f.inner.eval(env).real * x)
+        return til + f.drift_poly.eval(env).real * x    # a frozen phase
 
     def _numeric_values(self, x, env: dict) -> dict:
         from .numlab import solve_ivp
         names = self.ft.unknown_names()
-        # env's tilde values win over start values fixed by the spec's ics;
-        # a fixed parameter name resolves through env
+        # env's tilde values win over start values set by the spec's ics;
+        # a parameter name resolves through env
         tilde = []
         for n in names:
             til = n + TILDE_SUFFIX
-            v = env[til] if til in env else self.flows[n].fixed[til]
+            v = env[til] if til in env else self.flows[n].start
             tilde.append(env[v] if isinstance(v, str) else v)
         if self.ft.is_autonomous():
             # the mu=0 value as a function of the start point satisfies the
@@ -438,13 +427,16 @@ def _real_at(val, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _as_poly(e: Expr) -> Optional[Poly]:
+def _poly_coeff(e: Expr, vpows=()) -> Optional[Poly]:
+    """The parameter polynomial P with e == P*m, for the monomial m whose
+    powers are ``vpows`` (() for 1, ((x, 1),) for x); None if P is 0 or
+    there is none."""
     out = Poly()
     for t in e.terms:
-        if t.vpows or t.rates or t.freqs or t.offs:
+        if t.rates or t.freqs or t.offs or t.vpows != vpows:
             return None
         out = out + t.coeff
-    return out
+    return None if out.is_zero() else out
 
 
 def integrate_orbits(ft: FTSystem, x_symbol: str,
@@ -458,12 +450,20 @@ def integrate_orbits(ft: FTSystem, x_symbol: str,
     of high enough order that the constants' own variation is beyond the
     truncation.  If any constant fits no pattern the whole system falls back
     to numeric tabulation.
+
+    ``tilde_values`` holds start-point values by constant: a parameter name
+    or a number for an amplitude, 0 for a phase.
     """
     names = ft.unknown_names()
     name_set = set(names)
     tildes = {n: n + TILDE_SUFFIX for n in names}
     offsets = {c.name for c in ft.unknowns if c.kind == "offset"}
-    tvals = {tildes[n]: v for n, v in (tilde_values or {}).items()}
+    tvals = {}
+    for n, v in (tilde_values or {}).items():
+        if n in offsets and (isinstance(v, str) or v != 0):
+            raise OutOfClassError(
+                f"phase start value {tildes[n]}={v}: only 0 stays in class")
+        tvals[tildes[n]] = v
     flows: dict = {}
     solved: dict = {}     # name -> Expr for A(mu) along the orbit, or None
     pending = list(names)
@@ -513,16 +513,9 @@ def _subst_tilde_values(e: Optional[Expr], tvals: dict) -> Optional[Expr]:
     if e is None or not tvals:
         return e
     for til, v in tvals.items():
-        if til not in e.symbols():
-            continue
-        if isinstance(v, str):
-            e = e.rename(til, v)
-        else:
-            if any(s == til for t in e.terms for s, _ in t.offs):
-                if Fraction(v) != 0:
-                    raise OutOfClassError(
-                        f"phase start value {til}={v}: only 0 stays in class")
-            e = e.subs_param(til, Fraction(v))
+        if til in e.symbols():
+            e = e.rename(til, v) if isinstance(v, str) \
+                else e.subs_param(til, Fraction(v))
     return e
 
 
@@ -531,8 +524,7 @@ def _finish_flow(flow: Flow, tvals: dict) -> Flow:
     flow.cexpr = _subst_tilde_values(flow.cexpr, tvals)
     flow.scale = _subst_tilde_values(flow.scale, tvals)
     flow.inner = _subst_tilde_values(flow.inner, tvals)
-    if flow.tilde in tvals:
-        flow.fixed = {flow.tilde: tvals[flow.tilde]}
+    flow.start = tvals.get(flow.tilde)
     return flow
 
 
@@ -552,7 +544,7 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
         if c1 is not None:
             # (i) linear constant coefficient: A' = c*A
             if c2.is_zero() and rest.is_zero() and not c1.is_zero():
-                cpoly = _as_poly(c1)
+                cpoly = _poly_coeff(c1)
                 if cpoly is not None and cpoly.is_real() and \
                         not (set(c1.symbols()) & set(ft.unknown_names())):
                     return _finish_flow(
@@ -580,7 +572,7 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
                 # integral == -int_0^x rhs dmu, so A(0) = tilde + integral
                 integral = _subst_tilde_values(integral, tvals)
                 if n in offsets:
-                    dp = _as_poly_in_x(integral, x_symbol)
+                    dp = _poly_coeff(integral, ((x_symbol, 1),))
                     if dp is None:
                         return None
                     return _finish_flow(
@@ -600,8 +592,8 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
             except OutOfClassError:
                 lam, rest3 = Expr.zero(), rhs
             if rest3.is_zero() and not lam.is_zero():
-                cp = _as_poly(flows[m].cexpr)
-                lamp = _as_poly(lam)
+                cp = _poly_coeff(flows[m].cexpr)
+                lamp = _poly_coeff(lam)
                 if cp is not None and lamp is not None:
                     scale = div_exact(Expr.from_poly(lamp),
                                       Expr.from_poly(cp)).scale(-1)
@@ -620,7 +612,7 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
             return None
         drift = frozen * Expr.var(x_symbol)    # int_0^x frozen dmu
         if n in offsets:
-            dp = _as_poly_in_x(drift, x_symbol)
+            dp = _poly_coeff(drift, ((x_symbol, 1),))
             # theta(0) = tilde - (drift coefficient)*x
             return (_finish_flow(Flow(n, tildes[n], "frozen", drift_poly=-dp),
                                  tvals)
@@ -628,16 +620,6 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
         return _finish_flow(Flow(n, tildes[n], "frozen", value0=til - drift),
                             tvals)
     return None
-
-
-def _as_poly_in_x(e: Expr, x: str) -> Optional[Poly]:
-    """Extract P such that e == P*x with P a parameter polynomial."""
-    out = Poly()
-    for t in e.terms:
-        if t.rates or t.freqs or t.offs or t.vpows != ((x, 1),):
-            return None
-        out = out + t.coeff
-    return None if out.is_zero() else out
 
 
 def _quadratic_part(rhs: Expr, n: str):
@@ -670,8 +652,7 @@ class UniformSolution:
 
     symbolic: Optional[Expr]
     variable: str
-    parameter: str
-    provenance: dict
+    flows: dict                  # name -> Flow
     _evaluator: Callable = None
 
     def evaluate(self, x, env: dict):
@@ -686,8 +667,7 @@ class UniformSolution:
         if self.symbolic is not None:
             return textform.expr_text(self.symbolic)
         return "<numeric uniform solution: " + \
-            ", ".join(f"{n}={f.kind}" for n, f in
-                      self.provenance.get("flows", {}).items()) + ">"
+            ", ".join(f"{n}={f.kind}" for n, f in self.flows.items()) + ">"
 
 
 def assemble_uniform(ps: PaintedSeries, flows: ConstantFlows) -> UniformSolution:
@@ -702,44 +682,24 @@ def assemble_uniform(ps: PaintedSeries, flows: ConstantFlows) -> UniformSolution
     symbolic = special
     offsets = {c.name for c in flows.ft.unknowns if c.kind == "offset"}
     for n, f in flows.flows.items():
-        if symbolic is None:
-            break
-        if n in offsets:
-            fixed = (f.fixed or {}).get(f.tilde)
-            toffs = {} if fixed is not None and not isinstance(fixed, str) \
-                else {(fixed if isinstance(fixed, str) else f.tilde): 1}
-            if f.kind == "const":
-                if fixed is not None and not isinstance(fixed, str):
-                    symbolic = symbolic.subs_param(n, Fraction(fixed))
-                else:
-                    symbolic = symbolic.rename(
-                        n, fixed if isinstance(fixed, str) else f.tilde)
-            elif f.kind == "frozen" and f.drift_poly is not None:
-                if fixed is not None and not isinstance(fixed, str) \
-                        and Fraction(fixed) != 0:
-                    symbolic = None
-                else:
-                    symbolic = symbolic.shift_phase(
-                        n, offs=toffs, freqs={x: f.drift_poly})
-            else:
-                symbolic = None
+        if n in offsets and f.kind != "numeric":
+            # a phase is const or frozen; a start value is 0
+            symbolic = symbolic.shift_phase(
+                n, offs={} if f.start is not None else {f.tilde: 1},
+                freqs={x: f.drift_poly} if f.drift_poly is not None else {})
+        elif f.value0 is not None:
+            symbolic = symbolic.subs_param(n, f.value0)
         else:
-            if f.value0 is not None:
-                symbolic = symbolic.subs_param(n, f.value0)
-            else:
-                symbolic = None
-
-    prov = {"flows": flows.flows}
+            symbolic = None
+            break
     if symbolic is not None:
-        ev = None
-        uni = UniformSolution(symbolic, x, ps.parameter, prov, ev)
-        return uni
+        return UniformSolution(symbolic, x, flows.flows)
 
     def evaluator(xv, env: dict):
         e2 = {**env, **flows.values(xv, env), x: xv, ps.mu: 0.0}
         return _real_at(special.eval(e2), xv)
 
-    return UniformSolution(None, x, ps.parameter, prov, evaluator)
+    return UniformSolution(None, x, flows.flows, evaluator)
 
 
 def split_from_painted(ps: PaintedSeries, x0: str):
@@ -796,16 +756,12 @@ def cgo_rg_equation(split_series: Expr, derivs: Sequence[Expr], x: str,
             d = grade_truncate(d, {p: 1 for p in primes}, parameter,
                                truncate_order)
         eqs.append(d)
-    lineqs = []
-    for i, eq in enumerate(eqs):
-        coeffs, rest = _split_linear_in_primes(eq, primes)
-        lineqs.append(LinEq({(p,): c for p, c in coeffs.items()}, rest,
-                            f"cgo eq {i}"))
     under = False
     msg = ""
     try:
-        sol, _free, _leftovers = solve_linear_system(lineqs)
-        missing = [p for p in primes if (p,) not in sol]
+        sol, _free, _leftovers = _solve_primes(
+            [(eq, f"cgo eq {i}") for i, eq in enumerate(eqs)], primes)
+        missing = [p for p in primes if p not in sol]
         if missing:
             under = True
             msg = f"underdetermined: no unique flow for {', '.join(missing)}"

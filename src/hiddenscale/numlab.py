@@ -152,17 +152,20 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
 
 def solve_bvp_shooting(rhs, x_left: float, u_left: float, x_right: float,
                        u_right: float, slope_guess: float,
-                       tol: float = 1e-10, tol_slope: float = 1e-13,
-                       max_iter: int = 100, ivp_tol: float = 1e-11,
-                       t_eval=None):
+                       max_iter: int = 100):
     """Secant shooting on the missing left slope for a scalar 2nd-order BVP.
 
-    ``rhs`` is the first-order system rhs(t, [u, u']).  Returns the converged
-    IVPSolution; raises SolverError after ``max_iter`` iterations.
+    ``rhs`` is the first-order system rhs(t, [u, u']).  Each shot is an RK45
+    solve at tolerance 1e-11; a miss below 1e-10 at the right end converges,
+    and so does a secant step below 1e-13 in the slope if its miss is below
+    1e-10 too.  Returns the converged IVPSolution; raises SolverError after
+    ``max_iter`` iterations.
     """
+    tol, tol_slope = 1e-10, 1e-13
+
     def boundary_miss(s):
         sol = solve_ivp(rhs, [u_left, s], (x_left, x_right), "rk45-adaptive",
-                        tol=ivp_tol, t_eval=t_eval)
+                        tol=1e-11)
         return sol.states[-1, 0] - u_right, sol
 
     s0, s1 = slope_guess, slope_guess * 1.01 + 1e-8
@@ -187,12 +190,12 @@ def solve_bvp_shooting(rhs, x_left: float, u_left: float, x_right: float,
 
 
 def solve_burgers_mol(u0, eps: float, t_eval, x_grid,
-                      richardson_tol: float = 1e-4, ivp_tol: float = 1e-9):
+                      richardson_tol: float = 1e-4):
     """Method-of-lines field for u_t = -eps*u*u_x**2 with initial profile u0.
 
-    Central differences in x (one-sided at the edges); the run is accepted
-    only if a grid-halving Richardson check agrees to ``richardson_tol`` in
-    sup norm at the final time.
+    Central differences in x (one-sided at the edges), RK45 in t at
+    tolerance 1e-9; the run is accepted only if a grid-halving Richardson
+    check agrees to ``richardson_tol`` in sup norm at the final time.
     """
     from scipy.integrate import solve_ivp as _scipy_ivp
     x = np.asarray(x_grid, dtype=float)
@@ -209,7 +212,7 @@ def solve_burgers_mol(u0, eps: float, t_eval, x_grid,
                 raise SolverError("gradient blow-up in Burgers run")
             return -eps * u * ux ** 2
         sol = _scipy_ivp(rhs, (0.0, float(t_eval[-1])), u0(xs), method="RK45",
-                         rtol=ivp_tol, atol=ivp_tol, t_eval=t_eval)
+                         rtol=1e-9, atol=1e-9, t_eval=t_eval)
         if not sol.success:
             raise SolverError(f"Burgers integration failed: {sol.message}")
         return sol.y.T  # (len(t_eval), len(xs))

@@ -41,9 +41,10 @@ class GeneratorAnsatz:
 
     ``directions`` maps a tangent direction (an independent variable name,
     the dependent symbol, or the switch) to {order: [shape Expr]}.  The
-    switch direction is implicitly 1 at order zero.  ``chain`` maps a
-    direction to the symbols that are opaque functions of it, each with the
-    symbol of its derivative (the chain rule of ``Expr.diff``).
+    switch component is exactly 1, so the switch takes no shapes.
+    ``chain`` maps a direction to the symbols that are opaque functions of
+    it, each with the symbol of its derivative (the chain rule of
+    ``Expr.diff``).
     """
 
     directions: dict
@@ -129,6 +130,9 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
     """
     dep = ansatz.dependent
     sw = ansatz.switch
+    if any(ansatz.directions.get(sw, {}).values()):
+        raise DeterminingError(f"the {sw}-component is exactly 1: the ansatz "
+                               "takes no shape functions for it")
     weights = {}
 
     def weighted(direction: str, order: int) -> Expr:
@@ -158,14 +162,9 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
             if not xi.is_zero():
                 xi = xi.subs_param(dep, series_with_s)
                 E = E - product_upto([eps ** j, xi, dv], parameter, k)
-    # switch direction: component 1 at order zero plus ansatz corrections
+    # switch direction: its component is exactly 1
     if sw in dseries:
         E = E - dseries[sw]
-        for j in range(1, k + 1):
-            xi = weighted(sw, j)
-            if not xi.is_zero():
-                xi = xi.subs_param(dep, series_with_s)
-                E = E - product_upto([eps ** j, xi, dseries[sw]], parameter, k)
 
     eqs = []
     for j in range(k + 1):
@@ -326,13 +325,12 @@ class Log1pProfile:
         return (-0.5, float(self.U(x)) + 1.0)
 
 
-def burgers_ft_solve(profile, t: float, x: float, eps: float,
-                     tol: float = 1e-13) -> float:
+def burgers_ft_solve(profile, t: float, x: float, eps: float) -> float:
     """Solve the implicit finite-transformation relation for u.
 
     The relation integral_{H(u)}^{x} dz/U'(z) = eps*t*u is solved by
-    safeguarded Newton/bisection; the profile must be strictly monotone with
-    a known inverse H.
+    safeguarded Newton/bisection to a relative step of 1e-13; the profile
+    must be strictly monotone with a known inverse H.
     """
     if t == 0.0:
         return float(profile.U(x))
@@ -363,7 +361,7 @@ def burgers_ft_solve(profile, t: float, x: float, eps: float,
         u_new = u - step
         if not (lo < u_new < hi):
             u_new = 0.5 * (lo + hi)
-        if abs(u_new - u) < tol * max(1.0, abs(u)):
+        if abs(u_new - u) < 1e-13 * max(1.0, abs(u)):
             return u_new
         u = u_new
     raise RuntimeError("Burgers root finding did not converge")

@@ -69,6 +69,12 @@ _OPTERM_RE = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?D(\d+)\s*$")
 # grading (filament.Q_GRADE)
 _ONLY_VALUE = {"profile": "log1p",
                "order_assumptions": "alpha1:1/2 alpha2:1/2"}
+# scripted derivations, by kind or options.scripted, with the one equation
+# each derives: operator and perturbation in the spec's own parameter {p},
+# variable {v} and dependent variable {y}
+_SCRIPTED = {"perturbation-symmetry": ("D2 + D0", "{p}*D{y}"),
+             "filament": ("D4 + 2*D2 + D0",
+                          "-{p}*{v}*D{y} - 1/2*{p}*{v}^2*D2{y}")}
 
 
 def _parse_rational(tok: str, key: str, line: int) -> Fraction:
@@ -85,10 +91,10 @@ def _parse_float(tok: str, key: str, line: int) -> float:
         raise SpecError(f"line {line}: malformed number {tok!r} for {key}")
 
 
-def parse_operator(text: str, var: str, key: str = "equation.operator",
-                   line: int = 0) -> LinearOperator:
+def parse_operator(text: str, var: str, line: int = 0) -> LinearOperator:
     """Sum of c*Dk terms with rational c, e.g. "D2 + D1" or "D2 + 1/4*D0",
     whose characteristic roots are all Gaussian rationals."""
+    key = "equation.operator"
     text = text.replace("-", "+ -")
     coeffs: dict = {}
     for part in text.split("+"):
@@ -296,6 +302,19 @@ def parse_spec(path) -> ProblemSpec:
                 raise SpecError(
                     f"line {lineno}: {key} needs {n} constant names for "
                     f"the order-{n} operator, got {len(names)}")
+        script = spec.options.get("scripted", kind)
+        if script in _SCRIPTED:
+            op, pert = (t.format(p=spec.parameter, v=spec.variable,
+                                 y=spec.dependent) for t in _SCRIPTED[script])
+            same_op = parse_operator(op, spec.variable) == spec.operator
+            if not same_op or parse_perturbation(pert, spec, "", 0) \
+                    != spec.perturbations:
+                what = f"kind = {kind}" if script == kind \
+                    else f"options.scripted = {script}"
+                raise SpecError(
+                    f"line {(pline if same_op else opline)[1]}: {what} "
+                    f"derives only equation.operator = {op} with "
+                    f"equation.perturbation = {pert}")
     return spec
 
 

@@ -1,12 +1,13 @@
 """Painting, flow-equation derivation, orbits and uniform solutions."""
 
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from hiddenscale import numlab
+from hiddenscale import cli, numlab
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                  div_exact, solve_linear_system)
 from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
@@ -16,6 +17,7 @@ from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
 from hiddenscale.pertseries import (ConstantInfo, LinearOperator, ODEProblem,
                                     PertTerm, PerturbationSeries,
                                     build_bare_series)
+from hiddenscale.specfile import parse_spec
 from hiddenscale.textform import parse_expr
 
 
@@ -256,6 +258,64 @@ class TestOrbits:
         for mu in mus.tolist():
             y = rng.uniform(-3.0, 3.0, len(names))
             assert np.array_equal(f(mu, y), reference(mu, y)), mu
+
+    @pytest.mark.parametrize("start", ["A1", 1])
+    def test_phase_start_value_must_be_zero(self, start):
+        ps = paint(most_divergent_filter(kdv_series()), 1)
+        ft = derive_ft_system(ps, 2)
+        with pytest.raises(OutOfClassError, match="only 0 stays in class"):
+            integrate_orbits(ft, "th", tilde_values={"R": "A1", "phi": start})
+
+
+def _pipeline(tmp_path, operator, perturbation, order, extra=""):
+    """A spec in y(t) with the given equation, and its pipeline's flows."""
+    path = tmp_path / "orbit.spec"
+    path.write_text(
+        "name = orbit\nkind = ode-hidden-scale\nsymbols.variable = t\n"
+        f"symbols.parameter = eps\nequation.operator = {operator}\n"
+        f"equation.perturbation = {perturbation}\nmethod.order = {order}\n"
+        + extra)
+    spec = parse_spec(path)
+    return spec, cli.hidden_scale_pipeline(spec)[4]
+
+
+def _flow_texts(flows):
+    return {n: (f.kind, f.text("t")) for n, f in flows.flows.items()}
+
+
+class TestOrbitPatterns:
+    """Closed orbits outside the expression class and the quadratures."""
+
+    def test_power_law_and_log_quadrature(self, tmp_path):
+        # y'' + eps*y'^2 = 0: A2' = eps*A2^2 and A1' = -A2
+        spec, flows = _pipeline(
+            tmp_path, "D2", "eps*Dy^2", 1,
+            "params.eps = 0.1\noptions.tilde_A1 = 1\noptions.tilde_A2 = 0.5\n"
+            "validate.grid = 0 20 201\n")
+        assert _flow_texts(flows) == {
+            "A2": ("powerlaw", "A2~/(1 + (eps)*A2~*t)"),
+            "A1": ("quad", "A1~ + (eps^-1)*log(1 + (A2~*eps)*t)")}
+        ts = np.array([0.0, 5.0, 20.0])
+        vals = flows.values(ts, {"eps": 0.1, "A1~": 1.0, "A2~": 0.5})
+        np.testing.assert_allclose(vals["A2"], 0.5 / (1 + 0.05 * ts),
+                                   rtol=1e-15)
+        np.testing.assert_allclose(vals["A1"], 1 + 10 * np.log1p(0.05 * ts),
+                                   rtol=1e-15)
+        text = cli.run_validate(spec, None).text()
+        sup = float(re.search(r"sup error vs oracle: (\S+)", text).group(1))
+        assert sup <= 1e-8
+
+    def test_const_and_quadrature_through_solved_orbits(self, tmp_path):
+        _spec, flows = _pipeline(tmp_path, "D2", "eps*cos(t)*y", 1)
+        assert _flow_texts(flows) == {
+            "A2": ("const", "A2~"),
+            "A1": ("quad-expr", "A1~ + (A2~ + 2*A2~*eps)*t")}
+
+    def test_frozen_amplitude_has_a_closed_value(self, tmp_path):
+        _spec, flows = _pipeline(tmp_path, "D2 + D1", "eps*Dy", 2)
+        assert _flow_texts(flows) == {
+            "A2": ("exp", "A2~*exp(-eps*t)"),
+            "A1": ("frozen", "A1~ + A2~*eps^2*t")}
 
 
 class TestUniform:

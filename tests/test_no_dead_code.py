@@ -17,13 +17,22 @@ a name inside a string annotation).  Dunder methods are called by the
 language and are not checked.  ``TEST_FACING`` lists the definitions kept only for the tests,
 each with its reason; a listed name must still be defined in ``src/`` and
 still be unused there.
+
+A keyword default of a function or method in ``src/`` must be overridden by
+some call in ``src/`` or ``tests/``, by position or by keyword; a default no
+caller changes is a constant.  Calls are matched by name (a bare name or an
+attribute), and a call with ``*args`` or ``**kwargs`` counts as setting
+every parameter.  ``UNSET_DEFAULTS`` lists the exceptions, as
+``fnmatch`` patterns on ``function(parameter)``, each with its reason.
 """
 
 import ast
 from collections import Counter
+from fnmatch import fnmatch
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hiddenscale"
+TESTS = Path(__file__).resolve().parent
 
 # Definitions kept only for the tests, name -> why.
 TEST_FACING = {
@@ -36,6 +45,13 @@ TEST_FACING = {
     "truncate_order": "method criterion 9 and the kernel-battery benchmark "
                       "workload check against collect_order",
     "component": "method the generator tests read solved components with",
+}
+
+# Keyword defaults no call sets by name, pattern -> why.
+UNSET_DEFAULTS = {
+    "__*__(*)": "dunder methods are called by the language, not by name",
+    "cis(offs)": "textform's parser passes it through the builder it picks "
+                 "from its cos/sin/cis table",
 }
 
 
@@ -200,6 +216,74 @@ def unused_imports():
                     if not used[name]:
                         out.append(f"{path.name}:{node.lineno} {name}")
     return out
+
+
+def _keyword_defaults(tree):
+    """(line, function, parameter, position) for every parameter with a
+    default; the position counts the arguments a caller passes (``self``
+    and ``cls`` excluded) and is None for a keyword-only parameter."""
+    methods = _methods(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        pos = a.posonlyargs + a.args
+        bound = node in methods and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list)
+        first = len(pos) - len(a.defaults)
+        for i, arg in enumerate(pos[first:], first):
+            yield node.lineno, node.name, arg.arg, i - bound
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield node.lineno, node.name, arg.arg, None
+
+
+def _calls(trees):
+    """Function name -> (most positional arguments, keyword names) over the
+    calls of that name; ``*args`` counts as unboundedly many positional
+    arguments and ``**kwargs`` as the keyword None."""
+    out = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else \
+                f.attr if isinstance(f, ast.Attribute) else None
+            npos, kws = out.get(name, (0, set()))
+            n = float("inf") if any(isinstance(a, ast.Starred)
+                                    for a in node.args) else len(node.args)
+            out[name] = (max(npos, n), kws | {k.arg for k in node.keywords})
+    return out
+
+
+def unset_defaults():
+    """``module.py:line function(parameter)`` for every keyword default in
+    ``src/`` that no call in ``src/`` or ``tests/`` overrides."""
+    calls = _calls(_parse(p) for p in [*sorted(SRC.glob("*.py")),
+                                       *sorted(TESTS.glob("*.py"))])
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for line, func, param, pos in _keyword_defaults(_parse(path)):
+            npos, kws = calls.get(func, (0, set()))
+            if param in kws or None in kws or \
+                    (pos is not None and npos > pos):
+                continue
+            out.append(f"{path.name}:{line} {func}({param})")
+    return out
+
+
+def test_every_keyword_default_has_a_caller():
+    assert [u for u in unset_defaults()
+            if not any(fnmatch(u.split()[1], pat) for pat in UNSET_DEFAULTS)] \
+        == []
+
+
+def test_unset_default_allowlist_is_needed():
+    found = [u.split()[1] for u in unset_defaults()]
+    assert [pat for pat in UNSET_DEFAULTS
+            if not any(fnmatch(f, pat) for f in found)] == []
 
 
 def test_every_definition_is_referenced():

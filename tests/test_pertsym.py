@@ -68,6 +68,14 @@ class TestDetermining:
         with pytest.raises(DeterminingError):
             solve_determining(ys, GeneratorAnsatz(dirs), 1)
 
+    def test_switch_takes_no_shapes(self):
+        # the switch component is exactly 1; a shape for it is refused
+        ansatz = GeneratorAnsatz.oscillator(1)
+        ansatz.directions["s"] = {1: [Expr.num(1)]}
+        with pytest.raises(DeterminingError, match="s-component is exactly 1"):
+            solve_determining(with_switch(underdamped_series(), "s"),
+                              ansatz, 1)
+
     def test_changed_weight_fails_verification(self, monkeypatch):
         seen = []
         monkeypatch.setattr(pertsym, "_verify_generator",

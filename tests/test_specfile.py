@@ -171,6 +171,43 @@ class TestGrammar:
         # the implemented values parse
         parse_spec(CORPUS / f"{name}.spec")
 
+    @pytest.mark.parametrize("name, old, new, message", [
+        # the closed form printed is that of y'' + eps*y' + y = 0
+        ("underdamped", "= eps*Dy", "= eps*y",
+         "line 10: kind = perturbation-symmetry derives only "
+         "equation.operator = D2 + D0 with equation.perturbation = eps*Dy"),
+        # the filament derivation builds its own series
+        ("filament", "= -delta*v*Dy - 1/2*delta*v^2*D2y", "= -delta*v*Dy",
+         "line 11: options.scripted = filament derives only "
+         "equation.operator = D4 + 2*D2 + D0 with equation.perturbation = "
+         "-delta*v*Dy - 1/2*delta*v^2*D2y"),
+        ("filament", "= D4 + 2*D2 + D0", "= D4 - 2*D2 + D0",
+         "line 10: options.scripted = filament derives only "
+         "equation.operator = D4 + 2*D2 + D0 with equation.perturbation = "
+         "-delta*v*Dy - 1/2*delta*v^2*D2y"),
+    ], ids=["underdamped-perturbation", "filament-perturbation",
+            "filament-operator"])
+    def test_scripted_kinds_take_only_their_equation(self, tmp_path, capsys,
+                                                     name, old, new, message):
+        text = (CORPUS / f"{name}.spec").read_text()
+        assert old in text
+        path = write_spec(tmp_path, text.replace(old, new))
+        for command in ("derive", "validate"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"spec error: {message}\n"
+
+    @pytest.mark.parametrize("name, old, new", [
+        ("underdamped", "= eps*Dy", "= Dy*eps"),
+        ("filament", "= -delta*v*Dy - 1/2*delta*v^2*D2y",
+         "= -1/2*delta*v^2*D2y - v*delta*Dy"),
+    ])
+    def test_scripted_equation_written_another_way(self, tmp_path, name, old,
+                                                   new):
+        text = (CORPUS / f"{name}.spec").read_text()
+        spec = parse_spec(write_spec(tmp_path, text.replace(old, new)))
+        assert spec.perturbations \
+            == parse_spec(CORPUS / f"{name}.spec").perturbations
+
     def test_ics_keys(self, tmp_path):
         spec = parse_spec(write_spec(tmp_path,
                                      MINIMAL + "ics.y = 3\nics.Dy = 1\n"))
