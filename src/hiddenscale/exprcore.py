@@ -2,15 +2,16 @@
 
 An expression is a finite sum of terms of the form
 
-    coeff(params) * prod_v v**p_v * exp(sum_v rate_v(params)*v)
-                  * exp(i*(sum_v freq_v(params)*v + sum_s c_s*s))
+    coeff(params) * prod_v v**p_v * exp(sum_v z_v(params)*v + i*sum_s c_s*s)
 
 where ``coeff`` is a Laurent polynomial in parameter symbols with exact
-Gaussian-rational coefficients, ``rate_v`` and ``freq_v`` are polynomials in
-parameters (affine in practice), the ``p_v`` are nonnegative integers and the
-phase-offset weights ``c_s`` are rationals.  Trigonometric content lives
-exclusively in the complex phases; real expressions are stored as conjugate
-pairs of terms and the printer recombines them into cos/sin.
+Gaussian-rational coefficients, each rate ``z_v`` is a polynomial in
+parameters with Gaussian-rational coefficients (affine in practice), whose
+real part is a growth rate and whose imaginary part is a frequency, the
+``p_v`` are nonnegative integers and the phase-offset weights ``c_s`` are
+rationals.  Trigonometric content lives exclusively in the imaginary parts of
+the rates and in the offsets; real expressions are stored as conjugate pairs
+of terms and the printer recombines them into cos/sin.
 
 Every constructor normalizes, so two expressions are symbolically equal iff
 they compare equal.  Values are immutable and safe to share between threads;
@@ -112,7 +113,7 @@ def _rat_text(num: int, den: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Symbol-sorted (symbol, value) tuples: powers, rates, frequencies, offsets.
+# Symbol-sorted (symbol, value) tuples: powers, rates, offsets.
 
 def _merge(a: tuple, b: tuple) -> tuple:
     """Sum of two symbol-sorted tuples; zero sums are dropped."""
@@ -270,8 +271,23 @@ class Poly:
         return self.times(_qnum(re, im))
 
     def conj(self) -> "Poly":
+        """The conjugate, symbols taken real; self when already real, so a
+        shared constant keeps its memoized key."""
+        if self.is_real():
+            return self
+        q = self.is_number()
+        if q is not None:
+            return _constant((q[0], -q[1], q[2]))
         return Poly._canonical(tuple((p, (q[0], -q[1], q[2]))
                                      for p, q in self.monos))
+
+    def parts(self):
+        """(real part, imaginary part), each a real Poly."""
+        if self.is_real():
+            return self, P_ZERO
+        return tuple(Poly._canonical(tuple((p, _qreduce(q[k], 0, q[2]))
+                                           for p, q in self.monos if q[k]))
+                     for k in (0, 1))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -369,8 +385,8 @@ class Poly:
         return f"Poly({textform.poly_text(self)})"
 
 
-# Shared constant Polys: the rates and frequencies of exponentials are a few
-# numbers used over and over, so each gets one object and one sort key.
+# Shared constant Polys: the rates of exponentials are a few Gaussian
+# rationals used over and over, so each gets one object and one sort key.
 _CONSTANTS: dict = {}
 
 
@@ -411,19 +427,21 @@ def _offs_make(d: Mapping[str, RatLike]) -> tuple:
 
 
 class Term:
-    """One canonical summand; compare/merge on everything but the coefficient."""
+    """One canonical summand; compare/merge on everything but the coefficient.
 
-    __slots__ = ("coeff", "vpows", "rates", "freqs", "offs", "_shape")
+    ``rates`` holds one Gaussian-rational Poly per variable: the growth rate
+    plus i times the frequency."""
+
+    __slots__ = ("coeff", "vpows", "rates", "offs", "_shape")
 
     def __init__(self, coeff: Poly, vpows: Pows = (), rates: SlotPolys = (),
-                 freqs: SlotPolys = (), offs: tuple = ()):
+                 offs: tuple = ()):
         for _, p in vpows:
             if p < 0:
                 raise OutOfClassError("negative power of an independent variable")
         self.coeff = coeff
         self.vpows = vpows
         self.rates = rates
-        self.freqs = freqs
         self.offs = offs
         self._shape = None
 
@@ -433,24 +451,27 @@ class Term:
         t.coeff = coeff
         t.vpows = self.vpows
         t.rates = self.rates
-        t.freqs = self.freqs
         t.offs = self.offs
         t._shape = self._shape
         return t
 
     def shape(self):
         """Everything that identifies the basis function of this term; the
-        rates and frequencies enter as flat (variable, key, ...) tuples."""
+        rates enter as a flat (variable, key, ...) tuple."""
         if self._shape is None:
             self._shape = (
                 self.vpows,
                 tuple(x for v, p in self.rates for x in (v, p.key())),
-                tuple(x for v, p in self.freqs for x in (v, p.key())),
                 self.offs)
         return self._shape
 
-    def sort_key(self):
-        return (self.shape(), self.coeff.key())
+    def print_key(self):
+        """The printed order: powers, the real parts of the rates, their
+        imaginary parts, offsets, then the coefficient."""
+        parts = [(v, p.parts()) for v, p in self.rates]
+        re, im = (tuple(x for v, pp in parts if pp[k] for x in (v, pp[k].key()))
+                  for k in (0, 1))
+        return ((self.vpows, re, im, self.offs), self.coeff.key())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Term) and self.coeff == other.coeff
@@ -465,28 +486,27 @@ class Term:
     def rate(self, v: str) -> Poly:
         return _lookup(self.rates, v, P_ZERO)
 
-    def freq(self, v: str) -> Poly:
-        return _lookup(self.freqs, v, P_ZERO)
+    def phases(self) -> SlotPolys:
+        """The nonzero imaginary parts of the rates (the frequencies)."""
+        return tuple((v, im) for v, p in self.rates
+                     for im in (p.parts()[1],) if im)
 
     def mul(self, other: "Term") -> "Term":
         return Term(self.coeff * other.coeff,
                     _merge(self.vpows, other.vpows),
                     _merge(self.rates, other.rates),
-                    _merge(self.freqs, other.freqs),
                     _merge(self.offs, other.offs))
 
     def conj(self) -> "Term":
-        return Term(self.coeff.conj(), self.vpows, self.rates,
-                    _negated(self.freqs), _negated(self.offs))
+        return Term(self.coeff.conj(), self.vpows,
+                    tuple((v, p.conj()) for v, p in self.rates),
+                    _negated(self.offs))
 
     def symbols(self) -> set:
         out = self.coeff.symbols()
         for v, p in self.vpows:
             out.add(v)
         for v, p in self.rates:
-            out.add(v)
-            out |= p.symbols()
-        for v, p in self.freqs:
             out.add(v)
             out |= p.symbols()
         out.update(s for s, _ in self.offs)
@@ -499,12 +519,9 @@ class Term:
         arg = 0j
         for v, p in self.rates:
             arg += p.eval(env) * env[v]
-        for v, p in self.freqs:
-            arg += 1j * p.eval(env) * env[v]
         for s, c in self.offs:
             arg += 1j * complex(c) * env[s]
-        return val * np.exp(arg) if self.rates or self.freqs or self.offs \
-            else val
+        return val * np.exp(arg) if self.rates or self.offs else val
 
     def __repr__(self):
         return f"Term({Expr((self,))!r})"
@@ -528,8 +545,7 @@ class Expr:
             merged[sh] = t if u is None else u.with_coeff(u.coeff + t.coeff)
         out = [t for t in merged.values() if t.coeff.monos]
         if len(out) > 1:
-            # the shapes are distinct, so they alone give Term.sort_key's
-            # order and no coefficient key is needed
+            # the shapes are distinct, so no coefficient key is needed
             out.sort(key=Term.shape)
         self.terms = tuple(out)
         self._hash = None
@@ -566,9 +582,10 @@ class Expr:
     @staticmethod
     def _phase(freqs: Mapping[str, "Poly | RatLike"],
                offs: Mapping[str, RatLike]) -> Term:
-        fs = {v: (p if isinstance(p, Poly) else Poly.num(p))
-              for v, p in freqs.items()}
-        return Term(P_ONE, (), (), _slot_make(fs), _offs_make(offs))
+        """exp(i*(sum freq*var + sum c*sym)): each rate is i*freq."""
+        fs = {v: p.times(_I_POWERS[1]) if isinstance(p, Poly)
+              else Poly.num(0, p) for v, p in freqs.items()}
+        return Term(P_ONE, (), _slot_make(fs), _offs_make(offs))
 
     @staticmethod
     def cis(freqs: Mapping[str, "Poly | RatLike"] = (),
@@ -648,8 +665,7 @@ class Expr:
         if any(p for _, p in t.vpows):
             raise OutOfClassError("cannot invert a variable power inside the class")
         c = t.coeff ** (-1)
-        return Expr([Term(c, (), _negated(t.rates), _negated(t.freqs),
-                          _negated(t.offs))])
+        return Expr([Term(c, (), _negated(t.rates), _negated(t.offs))])
 
     def conj(self) -> "Expr":
         return Expr([t.conj() for t in self.terms])
@@ -693,24 +709,20 @@ class Expr:
             if k:
                 out.append(Term(t.coeff.times((k, 0, 1)),
                                 _merge(t.vpows, ((s, -1),)),
-                                t.rates, t.freqs, t.offs))
+                                t.rates, t.offs))
             dc = t.coeff.diff(s)
             if not dc.is_zero():
                 out.append(t.with_coeff(dc))
-            # d/ds of the exponent as (factor, variable or None) pairs; the
-            # phase pieces carry a factor i
+            # d/ds of the exponent as (factor, variable or None) pairs; an
+            # offset weight c gives i*c
             grads = [(t.rate(s), None)] + [(p.diff(s), v) for v, p in t.rates]
-            phase = [(t.freq(s), None)] + [(p.diff(s), v) for v, p in t.freqs]
             c = _lookup(t.offs, s)
             if c:
-                phase.append((Poly.num(c), None))
-            grads += [(g.times(_I_POWERS[1]), v) for g, v in phase
-                      if not g.is_zero()]
+                grads.append((Poly.num(0, c), None))
             for g, v in grads:
                 if not g.is_zero():
                     vpows = _merge(t.vpows, ((v, 1),)) if v else t.vpows
-                    out.append(Term(t.coeff * g, vpows, t.rates, t.freqs,
-                                    t.offs))
+                    out.append(Term(t.coeff * g, vpows, t.rates, t.offs))
         return Expr(out)
 
     def eval(self, env: Mapping[str, float]) -> complex:
@@ -718,14 +730,12 @@ class Expr:
 
     # -- substitution family ------------------------------------------------------
     def rename(self, old: str, new: str) -> "Expr":
-        """Uniform symbol rename across coefficients, powers, rates and phases."""
-        def slots(pairs):
-            return _renamed(tuple((v, p.rename(old, new)) for v, p in pairs),
-                            old, new)
-
+        """Uniform symbol rename across coefficients, powers, rates and offsets."""
         return Expr([Term(t.coeff.rename(old, new),
-                          _renamed(t.vpows, old, new), slots(t.rates),
-                          slots(t.freqs), _renamed(t.offs, old, new))
+                          _renamed(t.vpows, old, new),
+                          _renamed(tuple((v, p.rename(old, new))
+                                         for v, p in t.rates), old, new),
+                          _renamed(t.offs, old, new))
                      for t in self.terms])
 
     def subs_param(self, sym: str, value, upto: tuple = ()) -> "Expr":
@@ -751,7 +761,6 @@ class Expr:
         out = []
         for t in self.terms:
             if any(sym in p.symbols() for _, p in t.rates) or \
-               any(sym in p.symbols() for _, p in t.freqs) or \
                any(s == sym for s, _ in t.offs):
                 raise OutOfClassError(
                     f"symbol {sym!r} occurs in an exponent; only numeric "
@@ -787,8 +796,6 @@ class Expr:
                 t.coeff.subs_num(env), t.vpows,
                 _slot_make({v: p.subs_num(env) for v, p in t.rates
                             if v not in zero}),
-                _slot_make({v: p.subs_num(env) for v, p in t.freqs
-                            if v not in zero}),
                 tuple(kv for kv in t.offs if kv[0] not in zero)))
         res = Expr(out)
         for t in res.terms:
@@ -796,7 +803,7 @@ class Expr:
                 if s in env:
                     raise OutOfClassError(
                         f"phase offset {s!r} can only be set to 0 numerically")
-            for v, _ in t.vpows + t.rates + t.freqs:
+            for v, _ in t.vpows + t.rates:
                 if v in env:
                     raise OutOfClassError(
                         f"variable {v!r} can only be set to 0 numerically")
@@ -826,11 +833,11 @@ class Expr:
             coeff = t.coeff.times(_I_POWERS[int(rot) % 4])
             for s, w in offs.items():
                 od[s] = od.get(s, 0) + c * w
-            fd = dict(t.freqs)
+            rd = dict(t.rates)
             for v, p in freqs.items():
-                add = p.scale(c)
-                fd[v] = fd[v] + add if v in fd else add
-            out.append(Term(coeff, t.vpows, t.rates, _slot_make(fd), _offs_make(od)))
+                add = p.scale(0, c)
+                rd[v] = rd[v] + add if v in rd else add
+            out.append(Term(coeff, t.vpows, _slot_make(rd), _offs_make(od)))
         return Expr(out)
 
     # -- order bookkeeping ---------------------------------------------------------
@@ -890,10 +897,8 @@ class Expr:
             ovp = tuple((v, p) for v, p in t.vpows if v not in vs)
             brate = tuple((v, p) for v, p in t.rates if v in vs)
             orate = tuple((v, p) for v, p in t.rates if v not in vs)
-            bfreq = tuple((v, p) for v, p in t.freqs if v in vs)
-            ofreq = tuple((v, p) for v, p in t.freqs if v not in vs)
-            basis = Term(P_ONE, bvp, brate, bfreq, ())
-            rest = Term(t.coeff, ovp, orate, ofreq, t.offs)
+            basis = Term(P_ONE, bvp, brate, ())
+            rest = Term(t.coeff, ovp, orate, t.offs)
             groups.setdefault(basis.shape(), [basis, []])[1].append(rest)
         out = []
         for shape in sorted(groups):
@@ -902,45 +907,40 @@ class Expr:
         return out
 
     def factor_out_unit_phase(self) -> "Expr":
-        """Multiply by a unit phase so some term has empty offsets/freq phase.
+        """Multiply by a unit phase so some term has no offsets or frequencies.
 
         Used before splitting an equation into real and imaginary parts; the
         equation set {E=0} is unchanged by a unit-phase factor.
         """
         if not self.terms:
             return self
-        best = min(self.terms, key=lambda t: (len(t.offs) + len(t.freqs),
-                                              t.sort_key()))
-        if not best.offs and not best.freqs:
+        best = min(self.terms, key=lambda t: (len(t.offs) + len(t.phases()),
+                                              t.print_key()))
+        phases = best.phases()
+        if not best.offs and not phases:
             return self
-        unit = Expr([Term(P_ONE, (), (), _negated(best.freqs),
-                          _negated(best.offs))])
-        return self * unit
+        unit = Term(P_ONE, (), tuple((v, p.times(_I_POWERS[3]))
+                                     for v, p in phases), _negated(best.offs))
+        return self * Expr([unit])
 
 
 def _expand_param_exponents(t: Term, param: str, jmax: int):
-    """Expand exp factors whose rate/frequency contains ``param``.
+    """Expand exp factors whose rate contains ``param``.
 
     Yields (order_consumed, Term) pairs with the param-dependent exponent
     pieces replaced by their series truncated at total order jmax.
     """
-    pieces = [(0, Term(t.coeff, t.vpows, (), (), t.offs))]
+    pieces = [(0, Term(t.coeff, t.vpows, (), t.offs))]
     for v, p in t.rates:
         free, dep = p.split_by(param)
-        base = Term(P_ONE, (), _slot_make({v: free}), (), ())
+        base = Term(P_ONE, (), _slot_make({v: free}), ())
         pieces = [(o, pt.mul(base)) for o, pt in pieces]
         if not dep.is_zero():
-            pieces = _series_mul(pieces, v, dep, param, jmax, imag=False)
-    for v, p in t.freqs:
-        free, dep = p.split_by(param)
-        base = Term(P_ONE, (), (), _slot_make({v: free}), ())
-        pieces = [(o, pt.mul(base)) for o, pt in pieces]
-        if not dep.is_zero():
-            pieces = _series_mul(pieces, v, dep, param, jmax, imag=True)
+            pieces = _series_mul(pieces, v, dep, param, jmax)
     return pieces
 
 
-def _series_mul(pieces, v, dep: Poly, param: str, jmax: int, imag: bool):
+def _series_mul(pieces, v, dep: Poly, param: str, jmax: int):
     lo, _ = dep.order_range(param)
     if lo < 1:
         # every order of the exponential series would reach order <= jmax
@@ -953,10 +953,7 @@ def _series_mul(pieces, v, dep: Poly, param: str, jmax: int, imag: bool):
                 fact *= m
             if order + m * lo > jmax:
                 break
-            # (i*dep)^m/m! for a phase, dep^m/m! for a rate
-            q = _I_POWERS[m % 4] if imag else Q_ONE
-            mono = Term((dep ** m).times(_qdiv(q, (fact, 0, 1))),
-                        ((v, m),) if m else (), (), (), ())
+            mono = Term((dep ** m).times((1, 0, fact)), ((v, m),) if m else ())
             out.append((order + m * lo, pt.mul(mono)))
     return out
 
@@ -977,7 +974,6 @@ def _mul_upto(a: Sequence[Term], b: Sequence[Term], param: str, k: int):
             if monos:
                 out.append(Term(Poly(monos), _merge(ta.vpows, tb.vpows),
                                 _merge(ta.rates, tb.rates),
-                                _merge(ta.freqs, tb.freqs),
                                 _merge(ta.offs, tb.offs)))
     return out
 
@@ -1030,7 +1026,7 @@ def paint_term(t: Term, v: str, mu: str) -> Term:
     if not k:
         return t
     return Term(t.coeff, _merge(_without(t.vpows, v), ((mu, k),)), t.rates,
-                t.freqs, t.offs)
+                t.offs)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1042,6 @@ def _div_single(e: Expr, t: Term) -> Expr:
             raise OutOfClassError("inexact division by variable power")
         out.append(Term(a.coeff * inv_c, vpows,
                         _merge(a.rates, _negated(t.rates)),
-                        _merge(a.freqs, _negated(t.freqs)),
                         _merge(a.offs, _negated(t.offs))))
     return Expr(out)
 
@@ -1054,15 +1049,14 @@ def _div_single(e: Expr, t: Term) -> Expr:
 def _atoms(e: Expr):
     """(exponent, atom) per coefficient monomial of e.  The exponent maps the
     atom's rational coordinates to their values: the coefficient-monomial and
-    variable powers, the real and imaginary parts of each rate and frequency
-    monomial, and the offset weights."""
+    variable powers, the real and imaginary parts of each rate monomial, and
+    the offset weights."""
     out = []
     for t in e.terms:
         x = {(tag, s): p for tag, pairs in (("v", t.vpows), ("o", t.offs))
              for s, p in pairs}
-        x.update(((tag, v, pows, k), Fraction(q[k], q[2]))
-                 for tag, slots in (("r", t.rates), ("f", t.freqs))
-                 for v, p in slots for pows, q in p.monos for k in (0, 1))
+        x.update((("r", v, pows, k), Fraction(q[k], q[2]))
+                 for v, p in t.rates for pows, q in p.monos for k in (0, 1))
         for m in t.coeff.monos:
             out.append(({**x, **{("c", s): p for s, p in m[0]}},
                         t.with_coeff(Poly._canonical((m,)))))
@@ -1124,7 +1118,7 @@ def _pivot_quality(c: Expr):
     t = c.single_term()
     if t is None:
         return (2, len(c.terms))
-    if not t.vpows and not t.rates and not t.freqs and not t.offs \
+    if not t.vpows and not t.rates and not t.offs \
             and t.coeff.is_number() is not None:
         return (0, 0)
     return (1, 0)

@@ -91,14 +91,16 @@ def paint(series: PerturbationSeries, n_derivs: int) -> PaintedSeries:
 
 
 def most_divergent_filter(series: PerturbationSeries) -> PerturbationSeries:
-    """Keep only the fastest-growing terms at each order.
+    """Keep only the fastest-growing terms at each order from 1 on.
 
-    The result is asymptotic-only: the derived symmetry retains full
-    validity only in the region where the dropped terms are negligible.
+    Order 0 is kept whole: with a repeated root its secular term would
+    otherwise push out a constant of integration.  The result is
+    asymptotic-only: the derived symmetry retains full validity only in the
+    region where the dropped terms are negligible.
     """
     v = series.variable
-    orders = []
-    for e in series.orders:
+    orders = list(series.orders[:1])
+    for e in series.orders[1:]:
         rank = max((t.vpow(v) for t in e.terms), default=0)
         orders.append(Expr([t for t in e.terms if t.vpow(v) == rank]))
     return PerturbationSeries(orders, list(series.constants),
@@ -433,7 +435,7 @@ def _poly_coeff(e: Expr, vpows=()) -> Optional[Poly]:
     there is none."""
     out = Poly()
     for t in e.terms:
-        if t.rates or t.freqs or t.offs or t.vpows != vpows:
+        if t.rates or t.offs or t.vpows != vpows:
             return None
         out = out + t.coeff
     return None if out.is_zero() else out
@@ -720,7 +722,7 @@ def split_from_painted(ps: PaintedSeries, x0: str):
         d = dict(t.vpows)
         del d[ps.mu]
         base = Expr([Term(t.coeff, tuple(sorted(d.items())), t.rates,
-                          t.freqs, t.offs)])
+                          t.offs)])
         out = out + base * (shift ** k)
     return out
 

@@ -16,9 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exprcore import (Expr, LinEq, Poly, Q_ONE, Q_ZERO, Term, _I_POWERS,
-                       _qadd, _qdiv, _qmul, _qnum, _qpow, _qreduce,
-                       product_upto, solve_linear_system)
+from .exprcore import (Expr, LinEq, Poly, Q_ONE, Q_ZERO, Term, _qadd, _qdiv,
+                       _qmul, _qnum, _qpow, _qreduce, product_upto,
+                       solve_linear_system)
 
 
 class SolveError(RuntimeError):
@@ -209,20 +209,15 @@ class PerturbationSeries:
 
 def _term_mode(t: Term, var: str):
     """(z, degree, factor Term) decomposition of a forcing term in ``var``."""
-    r = t.rate(var)
-    w = t.freq(var)
-    rn = r.is_number()
-    wn = w.is_number()
-    if rn is None or wn is None or rn[1] != 0 or wn[1] != 0:
+    z = t.rate(var).is_number()
+    if z is None:
         raise SolveError(
             "forcing has a non-rational exponential rate or frequency in the "
             "solve variable")
-    z = _qadd(rn, _qmul(_I_POWERS[1], wn))
     d = t.vpow(var)
     rates = tuple((v, p) for v, p in t.rates if v != var)
-    freqs = tuple((v, p) for v, p in t.freqs if v != var)
     vpows = tuple((v, p) for v, p in t.vpows if v != var)
-    return z, d, Term(t.coeff, vpows, rates, freqs, t.offs)
+    return z, d, Term(t.coeff, vpows, rates, t.offs)
 
 
 def _shifted_coeffs(L: LinearOperator, z):
@@ -275,10 +270,7 @@ def particular_integral(L: LinearOperator, f: Expr) -> Expr:
                 continue
             mono = Term(Poly([((), ue)]), ((var, e + mult),)
                         if e + mult else (),
-                        (((var, Poly.num(Fraction(z[0], z[2]))),)
-                         if z[0] else ()),
-                        (((var, Poly.num(Fraction(z[1], z[2]))),)
-                         if z[1] else ()), ())
+                        ((var, Poly([((), z)])),) if z != Q_ZERO else ())
             trial = trial + Expr([mono])
         out = out + Expr([factor]) * trial
     # exact verification

@@ -117,18 +117,15 @@ def _base_factors(t: Term):
     factors = []
     for v, k in t.vpows:
         factors.append(f"{v}^{k}" if k != 1 else v)
-    if t.rates:
-        factors.append("exp(" + _linear_arg_text(t.rates, ()) + ")")
+    growth = [(v, re) for v, p in t.rates for re in (p.parts()[0],) if re]
+    if growth:
+        factors.append("exp(" + _linear_arg_text(growth, ()) + ")")
     return factors
 
 
 def _phase_positive(t: Term) -> bool:
-    for _, p in t.freqs:
-        for _, (re_c, im_c, _den) in p.monos:
-            if re_c:
-                return re_c > 0
-            if im_c:
-                return im_c > 0
+    for _, p in t.phases():
+        return p.monos[0][1][0] > 0
     for _, c in t.offs:
         if c:
             return c > 0
@@ -140,8 +137,8 @@ def expr_text(e: Expr) -> str:
     plain = []       # atoms as (sortkey, text)
     groups: dict = {}
     for t in e.terms:
-        if not t.freqs and not t.offs:
-            plain.append((t.sort_key(), atom_text(t.coeff, _base_factors(t))))
+        if not t.offs and not t.phases():
+            plain.append((t.print_key(), atom_text(t.coeff, _base_factors(t))))
             continue
         pos = _phase_positive(t)
         rep = t if pos else t.conj()
@@ -154,7 +151,7 @@ def expr_text(e: Expr) -> str:
         tp = slot.get("+")
         tm = slot.get("-")
         rep = tp if tp is not None else tm.conj()
-        arg = _linear_arg_text(rep.freqs, rep.offs)
+        arg = _linear_arg_text(rep.phases(), rep.offs)
         base = _base_factors(rep)
         cp = tp.coeff if tp is not None else Poly()
         dm = slot["-"].coeff if tm is not None else Poly()
@@ -162,10 +159,10 @@ def expr_text(e: Expr) -> str:
         ccos = cp + dm
         csin = (cp - dm).scale(0, 1)
         if not ccos.is_zero():
-            atoms.append((rep.sort_key() + ("cos",),
+            atoms.append((rep.print_key() + ("cos",),
                           atom_text(ccos, base + [f"cos({arg})"])))
         if not csin.is_zero():
-            atoms.append((rep.sort_key() + ("sin",),
+            atoms.append((rep.print_key() + ("sin",),
                           atom_text(csin, base + [f"sin({arg})"])))
     atoms.sort(key=lambda kv: kv[0])
     return join_signed(t for _, t in atoms)
@@ -323,7 +320,7 @@ def _deconstruct_linear(arg: Expr, variables):
     freqs: dict = {}
     offs: dict = {}
     for t in arg.terms:
-        if t.rates or t.freqs or t.offs:
+        if t.rates or t.offs:
             raise OutOfClassError("nested exponentials in an exponent argument")
         if len(t.vpows) == 0:
             m = t.coeff.single()

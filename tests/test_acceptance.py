@@ -139,8 +139,8 @@ def test_criterion_4_kdv_strained_coordinate():
         _p, _s, painted, ft, flows, uniform = cli.hidden_scale_pipeline(spec)
         q = (Poly.sym("A1", 2) * Poly.sym("eps", 2) * Poly.sym("k", -4)
              * Poly.sym("delta", -4)).scale(F(135, 16))
-        freqs = {dict(t.freqs).get("th") for t in uniform.symbolic.terms
-                 if dict(t.freqs).get("th") is not None}
+        freqs = {dict(t.phases()).get("th") for t in uniform.symbolic.terms
+                 if dict(t.phases()).get("th") is not None}
         assert (Poly.num(1) - q) in freqs, "exact 135/16 exponent missing"
 
         qt = (Poly.sym("A1", 2) * Poly.sym("eps", 2) * Poly.sym("k", -5)

@@ -369,6 +369,42 @@ def test_derive_imports_no_scipy():
     assert r.stdout == "[]\n"
 
 
+TRACED = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import tracer
+from hiddenscale import cli
+from hiddenscale.specfile import parse_spec
+tr = tracer.Tracer()
+tracer.install(tr)
+tr.begin_pass(0)
+for name in ("overdamped", "mathieu", "bad"):
+    tr.op = ("cli.run_validate", name)
+    cli.run_validate(parse_spec(Path(sys.argv[2]) / f"{name}.spec"), None)
+counts = tr.end_pass()
+for key in sys.argv[3:]:
+    print(key, counts[key])
+"""
+
+
+def test_benchmark_tracer_finds_what_it_wraps():
+    # perfbench/tracer.py wraps functions by name; a renamed one would
+    # leave these counters at zero or fail the install
+    keys = ["numlab.solve_ivp.rk4-fixed.steps",
+            "cli.run_validate.overdamped.rk4_steps",
+            "ftflow.flows.numeric", "cli.run_validate.mathieu.numeric_flows",
+            "numlab.solve_bvp_shooting.iterations",
+            "cli.run_validate.bad.shoot_iterations"]
+    perfbench = CORPUS.parent / "perfbench"
+    r = subprocess.run([sys.executable, "-c", TRACED, str(perfbench),
+                        str(CORPUS), *keys], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    counts = dict(line.split() for line in r.stdout.splitlines())
+    assert sorted(counts) == sorted(keys)
+    assert all(float(v) > 0 for v in counts.values()), counts
+
+
 def test_ics_start_values_reach_numeric_flows(tmp_path, capsys):
     # mathieu's flows fall back to numerics; ics y = 1, Dy = 0 (amp-cos)
     # fix R~ = 1 and theta~ = 0 without options.tilde_*

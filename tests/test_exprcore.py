@@ -11,7 +11,7 @@ from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                   _qadd, _qdiv, _qmul, _qnum, _qpow, _rat_text,
                                   classify_divergent, div_exact, paint_term,
                                   product_upto, solve_linear_system)
-from hiddenscale.textform import expr_text
+from hiddenscale.textform import expr_text, parse_expr
 
 
 def exp_t(rate=-1):
@@ -307,6 +307,20 @@ def _criterion9_expr(rng: random.Random) -> Expr:
     return out
 
 
+def test_mixed_growth_and_phase_round_trip():
+    # products such as exp(x)*cos(1/2*x + th) carry a growth rate and a
+    # frequency in one variable
+    rng = random.Random(19)
+    mixed = 0
+    for _ in range(1000):
+        e = _criterion9_expr(rng) * _criterion9_expr(rng)
+        assert parse_expr(expr_text(e), {"x"}) == e, expr_text(e)
+        assert e.real() + Expr.num(0, 1) * e.imag() == e
+        mixed += any(p.parts()[0] and p.parts()[1]
+                     for t in e.terms for _, p in t.rates)
+    assert mixed
+
+
 def _to_ring(e: Expr, sympy, R, shift: int):
     """e*(z*w*v)**shift in R = Q(i)[x, eps, z, w, v], where z = exp(x/2),
     w = exp(i*x/2) and v = exp(i*th) (criterion 9's rates and frequencies are
@@ -320,8 +334,8 @@ def _to_ring(e: Expr, sympy, R, shift: int):
 
     out = {}
     for t in e.terms:
-        kz = shift + sum(twice(p) for _, p in t.rates)
-        kw = shift + sum(twice(p) for _, p in t.freqs)
+        kz = shift + sum(twice(p.parts()[0]) for _, p in t.rates)
+        kw = shift + sum(twice(p.parts()[1]) for _, p in t.rates)
         kv = shift + sum(int(c) for _, c in t.offs)
         for pows, (re, im, den) in t.coeff.monos:
             monom = (t.vpow("x"), dict(pows).get("eps", 0), kz, kw, kv)

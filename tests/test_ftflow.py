@@ -305,6 +305,18 @@ class TestOrbitPatterns:
         sup = float(re.search(r"sup error vs oracle: (\S+)", text).group(1))
         assert sup <= 1e-8
 
+    def test_most_divergent_filter_keeps_order_zero(self, tmp_path):
+        # the zeroth order A1 + A2*t is secular; filtering it would drop A1
+        spec, _flows = _pipeline(
+            tmp_path, "D2", "eps*Dy^2", 1,
+            "method.most_divergent = true\nparams.eps = 0.1\n"
+            "options.tilde_A1 = 1\noptions.tilde_A2 = 0.5\n"
+            "validate.grid = 0 20 201\n")
+        text = cli.run_validate(spec, None).text()
+        assert "A2(0) = A2~/(1 + (eps)*A2~*t)\n" in text
+        # the same error as without the filter
+        assert "sup error vs oracle: 2.08480166464e-09\n" in text
+
     def test_const_and_quadrature_through_solved_orbits(self, tmp_path):
         _spec, flows = _pipeline(tmp_path, "D2", "eps*cos(t)*y", 1)
         assert _flow_texts(flows) == {
@@ -346,8 +358,8 @@ class TestUniform:
         uni = assemble_uniform(ps, flows)
         q = (Poly.sym("A1", 2) * Poly.sym("eps", 2) * Poly.sym("k", -4)
              * Poly.sym("delta", -4)).scale(F(135, 16))
-        freqs = {dict(t.freqs).get("th") for t in uni.symbolic.terms
-                 if dict(t.freqs).get("th") is not None}
+        freqs = {dict(t.phases()).get("th") for t in uni.symbolic.terms
+                 if dict(t.phases()).get("th") is not None}
         assert (Poly.num(1) - q) in freqs
 
     def test_symbolic_evaluator_agreement(self):
