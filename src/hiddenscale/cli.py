@@ -74,7 +74,8 @@ def _floats(spec: ProblemSpec, key: str, default: str) -> list:
 # The hidden-scale pipeline for ODE specs.
 
 def _start_values(spec: ProblemSpec, series):
-    """Start-point constant values implied by symbolic initial conditions."""
+    """Start-point constant values implied by the initial conditions: a
+    parameter name or an exact number for the amplitude, 0 for the phase."""
     if not spec.ics or spec.constant_style == "rect":
         return None
     zeroth = [c for c in series.constants if c.order == min(
@@ -87,27 +88,15 @@ def _start_values(spec: ProblemSpec, series):
     if len(roots) != 1:
         return None
     omega = Fraction(roots[0][1], roots[0][2])
-
-    def is_zero(v):
-        return v is not None and v.strip() == "0"
-
     alpha, beta = spec.ics.get(0), spec.ics.get(1)
-    if spec.constant_style == "amp-sin" and is_zero(alpha) and beta:
-        r = beta if not _numeric(beta) else float(beta) / float(omega)
-        if _numeric(beta) or omega == 1:
-            return {amp[0]: r, off[0]: 0}
-    if spec.constant_style == "amp-cos" and is_zero(beta) and alpha:
-        return {amp[0]: alpha if not _numeric(alpha) else float(alpha),
-                off[0]: 0}
+    if spec.constant_style == "amp-sin" and alpha == 0 and beta is not None:
+        if not isinstance(beta, str):
+            return {amp[0]: beta / omega, off[0]: 0}
+        if omega == 1:
+            return {amp[0]: beta, off[0]: 0}
+    if spec.constant_style == "amp-cos" and beta == 0 and alpha is not None:
+        return {amp[0]: alpha, off[0]: 0}
     return None
-
-
-def _numeric(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
 
 
 def hidden_scale_pipeline(spec: ProblemSpec):
@@ -167,7 +156,7 @@ def _derive_cgo_comparison(spec: ProblemSpec, rep: Report, painted, ft):
 
 
 def derive_filament(spec: ProblemSpec, rep: Report):
-    d = filament_mod.derive()
+    d = filament_mod.derive(build_bare_series(ode_problem(spec)))
     rep.add("-- bare series --")
     for j, o in enumerate(d.series.orders):
         rep.add(f"W({j}) = {textform.expr_text(o)}")
@@ -249,16 +238,20 @@ def _jet(evaluate, x0: float) -> list:
     return [mid, (hi - lo) / (2 * h), (hi - 2 * mid + lo) / h ** 2]
 
 
+def _ic_floats(spec: ProblemSpec, nord: int):
+    """The declared y(0), y'(0), ... as floats, an absent one 0 and a name
+    read from params.*; None when a name has no value there."""
+    vals = [spec.ics.get(m, 0) for m in range(nord)]
+    if any(isinstance(v, str) and v not in spec.params for v in vals):
+        return None
+    return [float(spec.params[v] if isinstance(v, str) else v) for v in vals]
+
+
 def _ic_vector(spec, uniform, env, x0: float, nord: int):
     """Oracle initial state: declared ics when numeric, else from the uniform."""
-    if spec.ics and all(
-            _numeric(v) or v in spec.params for v in spec.ics.values()):
-        out = []
-        for m in range(nord):
-            tok = spec.ics.get(m, "0")
-            out.append(float(tok) if _numeric(tok)
-                       else float(spec.params[tok]))
-        return out
+    declared = _ic_floats(spec, nord) if spec.ics else None
+    if declared is not None:
+        return declared
     if nord > 3:
         raise SpecError("numeric initial conditions required for order > 3")
     return _jet(lambda x: uniform.evaluate(x, env), x0)[:nord]
@@ -272,11 +265,13 @@ def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int):
         return _validate_scaling(spec, rep, csv_dir, grid, series)
     params = dict(spec.params)
     env = _uniform_env(spec, params)
-    missing = [f for f in flows.flows.values()
-               if f.tilde not in env and f.start is None]
+    missing = [(f.name, s) for f in flows.flows.values()
+               for s in sorted(f.start.symbols() - env.keys())]
     if missing:
         raise SpecError("validate needs start values: " + ", ".join(
-            f"options.tilde_{f.name} for {f.tilde}" for f in missing))
+            f"options.tilde_{n} for {s}" if s == n + ftflow.TILDE_SUFFIX
+            else f"params.{s} for {n}{ftflow.TILDE_SUFFIX}"
+            for n, s in missing))
     for c in series.constants:
         if c.name not in [u.name for u in ft.unknowns]:
             env.setdefault(c.name, 0.0)
@@ -348,7 +343,10 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
                                 order=int(spec.validate["scaling_order"]))
     uniform2 = hidden_scale_pipeline(spec2)[-1]
     epsv = spec.params[spec.parameter]
-    ics = [float(spec.ics.get(0, "0")), float(spec.ics.get(1, "0"))]
+    ics = _ic_floats(spec, 2)
+    if ics is None:
+        raise SpecError("validate.scaling_order needs ics.* values that "
+                        "are numbers or have params.*")
     sweep = _floats(spec, "sweep", "0.05 0.1 0.2")
     step = float(spec.validate.get("oracle_step", "1e-3"))
     bare = series.full()

@@ -15,8 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exprcore import Expr
-from .pertseries import (ConstantInfo, LinearOperator, PerturbationSeries,
-                         complementary, solve_order)
+from .pertseries import PerturbationSeries
 from . import ftflow
 
 
@@ -31,41 +30,29 @@ class FilamentDerivation:
     order_assumption_exponent: float   # fitted exponent for |A'|/|A| vs delta
 
 
-def operator() -> LinearOperator:
-    return LinearOperator.make([1, 0, 2, 0, 1], "v")
+def derive(bare: PerturbationSeries) -> FilamentDerivation:
+    """The amplitude equations from the spec's bare series.
 
-
-def build_series() -> PerturbationSeries:
-    """Zeroth order with all four constants; first order solved against the
-    reduced zeroth order (the alpha terms are of declared order delta^(1/2)
-    and their forcing is beyond the working order)."""
-    L = operator()
-    cf, infos, _ = complementary(L, ["A1", "A2", "alpha1", "alpha2"], "rect")
-    W0r = (Expr.sym("A1") * Expr.cos({"v": 1})
-           + Expr.sym("A2") * Expr.sin({"v": 1}))
-    v = Expr.var("v")
-    forcing = ((v * v) * W0r.diff("v").diff("v")).scale(Fraction(1, 2)) \
-        + v * W0r.diff("v")
-    W1, infos1, _ = solve_order(L, forcing, None, ["c1", "c2", "c3", "c4"],
-                                "rect")
-    constants = [ConstantInfo(c.name, 0, c.kind) for c in infos]
-    constants += [ConstantInfo(c.name, 1, c.kind) for c in infos1]
-    return PerturbationSeries([cf, W1], constants, "delta", "v")
-
-
-def derive() -> FilamentDerivation:
-    series = build_series()
-    ps = ftflow.paint(series, n_derivs=1)
+    Order j of ``bare`` keeps its terms up to total grade order - j under
+    the declared grading, so the first order drops the forcing of the alpha
+    terms, which is beyond the working order.
+    """
+    p = bare.parameter
     grades = {"alpha1": Q_GRADE, "alpha2": Q_GRADE,
               "A1'": Q_GRADE, "A2'": Q_GRADE,
               "alpha1'": Q_GRADE, "alpha2'": Q_GRADE}
+    top = len(bare.orders) - 1
+    series = PerturbationSeries(
+        [ftflow.grade_truncate(o, grades, p, top - j)
+         for j, o in enumerate(bare.orders)],
+        list(bare.constants), p, bare.variable)
+    ps = ftflow.paint(series, n_derivs=1)
     primes = ftflow.derive_ft_exact(ps, grades, max_grade=1)
     # the amplitude reduction: A_i' = -alpha_i at leading grade, so
     # A_i'' = -alpha_i'
     amplitude = {}
     for i in ("1", "2"):
-        a_rhs = ftflow.grade_truncate(primes[f"A{i}"], grades, "delta",
-                                      Q_GRADE)
+        a_rhs = ftflow.grade_truncate(primes[f"A{i}"], grades, p, Q_GRADE)
         if a_rhs != -Expr.sym(f"alpha{i}"):
             raise AssertionError(
                 f"leading flow for A{i} is not -alpha{i}: {a_rhs!r}")

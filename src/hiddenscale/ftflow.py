@@ -327,38 +327,39 @@ class Flow:
     """Value of one constant at mu = 0 as a function of the start point x."""
 
     name: str
-    tilde: str
     kind: str          # const | exp | powerlaw | quad | quad-expr | frozen | numeric
+    start: Expr        # the value at mu = x: its tilde, a parameter or a number
     value0: Optional[Expr] = None      # in-class closed form when available
-    rate: Optional[Poly] = None        # exp: A(0) = tilde * exp(-rate*x)
-    cexpr: Optional[Expr] = None       # powerlaw: A(0) = tilde/(1 + c*tilde*x)
-    scale: Optional[Expr] = None       # quad: A(0) = tilde + scale*log(1+inner*x)
+    rate: Optional[Poly] = None        # exp: A(0) = start * exp(-rate*x)
+    cexpr: Optional[Expr] = None       # powerlaw: A(0) = start/(1 + c*start*x)
+    scale: Optional[Expr] = None       # quad: A(0) = start + scale*log(1+inner*x)
     inner: Optional[Expr] = None
-    drift_poly: Optional[Poly] = None  # frozen offset: theta(0) = tilde + q*x
-    start: object = None               # start-point value: name, number
+    drift_poly: Optional[Poly] = None  # frozen phase: theta(0) = start + q*x
 
     def text(self, xvar: str) -> str:
-        from . import textform
+        from .textform import expr_text, poly_text
         if self.value0 is not None:
-            return textform.expr_text(self.value0)
+            return expr_text(self.value0)
+        start = expr_text(self.start)
         if self.kind == "powerlaw":
-            return (f"{self.tilde}/(1 + ({textform.expr_text(self.cexpr)})"
-                    f"*{self.tilde}*{xvar})")
+            return f"{start}/(1 + ({expr_text(self.cexpr)})*{start}*{xvar})"
         if self.kind == "quad":
-            return (f"{self.tilde} + ({textform.expr_text(self.scale)})"
-                    f"*log(1 + ({textform.expr_text(self.inner)})*{xvar})")
-        if self.kind == "frozen" and self.drift_poly is not None:
-            from .textform import poly_text
-            return f"{self.tilde} + ({poly_text(self.drift_poly)})*{xvar}"
-        return f"<numeric tabulation of {self.name}>"
+            rest = (f"({expr_text(self.scale)})"
+                    f"*log(1 + ({expr_text(self.inner)})*{xvar})")
+        elif self.kind == "frozen":
+            rest = f"({poly_text(self.drift_poly)})*{xvar}"
+        else:
+            return f"<numeric tabulation of {self.name}>"
+        return rest if self.start.is_zero() else f"{start} + {rest}"
 
 
 @dataclass
 class ConstantFlows:
-    """Finite transformation from (x, tildes) to the constants at mu = 0.
+    """Finite transformation from (x, start values) to the constants at
+    mu = 0.
 
     At x = 0 the transformation is the identity: every flow value equals its
-    tilde constant.
+    start value.
     """
 
     ft: FTSystem
@@ -370,8 +371,8 @@ class ConstantFlows:
         """Constant values at mu = 0 for start point ``x``: floats for a
         scalar ``x``, arrays of its shape for an array.
 
-        ``env`` holds parameter values plus the tilde values keyed by the
-        tilde symbol names (e.g. "A~").
+        ``env`` holds the values of the parameters and of the tilde
+        constants (e.g. "A~") that the flows' start values name.
         """
         if any(f.kind == "numeric" for f in self.flows.values()):
             out = self._numeric_values(x, env)
@@ -383,24 +384,18 @@ class ConstantFlows:
     def _closed_value(self, f: Flow, x, env: dict):
         if f.value0 is not None:
             return f.value0.eval({**env, self.x_symbol: x})
-        til = env[f.tilde]
+        start = f.start.eval(env).real
         if f.kind == "powerlaw":
-            return til / (1 + f.cexpr.eval(env).real * til * x)
+            return start / (1 + f.cexpr.eval(env).real * start * x)
         if f.kind == "quad":
-            return til + f.scale.eval(env).real \
+            return start + f.scale.eval(env).real \
                 * np.log(1 + f.inner.eval(env).real * x)
-        return til + f.drift_poly.eval(env).real * x    # a frozen phase
+        return start + f.drift_poly.eval(env).real * x    # a frozen phase
 
     def _numeric_values(self, x, env: dict) -> dict:
         from .numlab import solve_ivp
         names = self.ft.unknown_names()
-        # env's tilde values win over start values set by the spec's ics;
-        # a parameter name resolves through env
-        tilde = []
-        for n in names:
-            til = n + TILDE_SUFFIX
-            v = env[til] if til in env else self.flows[n].start
-            tilde.append(env[v] if isinstance(v, str) else v)
+        y0 = [self.flows[n].start.eval(env).real for n in names]
         if self.ft.is_autonomous():
             # the mu=0 value as a function of the start point satisfies the
             # time-inverted autonomous system; one trajectory covers all x
@@ -410,13 +405,13 @@ class ConstantFlows:
             if traj is None or traj.grid[-1] < np.max(x):
                 xmax = float(np.max(np.abs(x))) * 1.5 + 1.0
                 f = self.ft.rhs_callable(env)
-                traj = solve_ivp(lambda t, y: -f(t, y), tilde, (0.0, xmax),
+                traj = solve_ivp(lambda t, y: -f(t, y), y0, (0.0, xmax),
                                  "rk45-adaptive", tol=1e-12)
                 self._cache[key] = traj
             return {n: traj(x, i) for i, n in enumerate(names)}
         f = self.ft.rhs_callable(env)
-        ends = np.array([solve_ivp(f, tilde, (xv, 0.0), "rk45-adaptive",
-                                   tol=1e-12).states[-1] if xv != 0 else tilde
+        ends = np.array([solve_ivp(f, y0, (xv, 0.0), "rk45-adaptive",
+                                   tol=1e-12).states[-1] if xv != 0 else y0
                          for xv in np.ravel(x).tolist()])
         return {n: ends[:, i].reshape(np.shape(x))
                 for i, n in enumerate(names)}
@@ -454,18 +449,20 @@ def integrate_orbits(ft: FTSystem, x_symbol: str,
     to numeric tabulation.
 
     ``tilde_values`` holds start-point values by constant: a parameter name
-    or a number for an amplitude, 0 for a phase.
+    or a number for an amplitude, 0 for a phase.  Every other constant
+    starts from its tilde symbol.
     """
     names = ft.unknown_names()
     name_set = set(names)
-    tildes = {n: n + TILDE_SUFFIX for n in names}
     offsets = {c.name for c in ft.unknowns if c.kind == "offset"}
-    tvals = {}
+    starts = {n: Expr.sym(n + TILDE_SUFFIX) for n in names}
     for n, v in (tilde_values or {}).items():
         if n in offsets and (isinstance(v, str) or v != 0):
             raise OutOfClassError(
-                f"phase start value {tildes[n]}={v}: only 0 stays in class")
-        tvals[tildes[n]] = v
+                f"phase start value {n}{TILDE_SUFFIX}={v}: only 0 stays in "
+                "class")
+        starts[n] = Expr.sym(v) if isinstance(v, str) \
+            else Expr.num(Fraction(v))
     flows: dict = {}
     solved: dict = {}     # name -> Expr for A(mu) along the orbit, or None
     pending = list(names)
@@ -476,65 +473,50 @@ def integrate_orbits(ft: FTSystem, x_symbol: str,
             refs = rhs.symbols() & name_set
             if (refs - {n}) - set(solved):
                 continue
-            flow = _match_flow(ft, n, rhs, solved, flows, tildes, offsets,
-                               x_symbol, tvals)
+            flow = _match_flow(ft, n, rhs, solved, flows, starts, offsets,
+                               x_symbol)
             if flow is None:
-                return _numeric_flows(ft, x_symbol, tvals)
+                return _numeric_flows(ft, x_symbol, starts)
             flows[n] = flow
-            solved[n] = _flow_mu_expr(flow, n, tildes, ft.mu, x_symbol)
+            solved[n] = _flow_mu_expr(flow, ft.mu, x_symbol)
             pending.remove(n)
             progressed = True
         if not progressed:
-            return _numeric_flows(ft, x_symbol, tvals)
+            return _numeric_flows(ft, x_symbol, starts)
     return ConstantFlows(ft, flows, x_symbol)
 
 
-def _flow_mu_expr(flow: Flow, name: str, tildes, mu: str, x: str):
+def _flow_mu_expr(flow: Flow, mu: str, x: str):
     """A(mu) along the orbit, for substitution into later quadratures."""
     if flow.kind == "const":
-        return Expr.sym(tildes[name])
+        return flow.start
     if flow.kind == "exp":
-        # A(mu) = tilde * exp(rate*(mu - x))
-        return (Expr.sym(tildes[name]) * Expr.exp(mu, flow.rate)
-                * Expr.exp(x, -flow.rate))
+        # A(mu) = start * exp(rate*(mu - x))
+        return flow.start * Expr.exp(mu, flow.rate) * Expr.exp(x, -flow.rate)
     return None   # powerlaw/frozen orbits are consumed by dedicated patterns
 
 
-def _tilde_freeze(e: Expr, names, tildes, offsets) -> Expr:
-    for m in names:
+def _phase_offs(start: Expr) -> dict:
+    """The offset form of a phase's start value: its tilde, or 0."""
+    return {s: 1 for s in start.symbols()}
+
+
+def _start_freeze(e: Expr, starts, offsets) -> Expr:
+    """``e`` with every constant frozen at its start value."""
+    for m, start in starts.items():
         if m in offsets:
             if m in e.symbols():
-                e = e.shift_phase(m, offs={tildes[m]: 1})
+                e = e.shift_phase(m, offs=_phase_offs(start))
         else:
-            e = e.subs_param(m, Expr.sym(tildes[m]))
+            e = e.subs_param(m, start)
     return e
 
 
-def _subst_tilde_values(e: Optional[Expr], tvals: dict) -> Optional[Expr]:
-    """Replace tilde symbols by known start-point values (number or symbol)."""
-    if e is None or not tvals:
-        return e
-    for til, v in tvals.items():
-        if til in e.symbols():
-            e = e.rename(til, v) if isinstance(v, str) \
-                else e.subs_param(til, Fraction(v))
-    return e
-
-
-def _finish_flow(flow: Flow, tvals: dict) -> Flow:
-    flow.value0 = _subst_tilde_values(flow.value0, tvals)
-    flow.cexpr = _subst_tilde_values(flow.cexpr, tvals)
-    flow.scale = _subst_tilde_values(flow.scale, tvals)
-    flow.inner = _subst_tilde_values(flow.inner, tvals)
-    flow.start = tvals.get(flow.tilde)
-    return flow
-
-
-def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
+def _match_flow(ft, n, rhs, solved, flows, starts, offsets, x_symbol):
     mu, eps, k = ft.mu, ft.parameter, ft.order
-    til = Expr.sym(tildes[n])
+    start = starts[n]
     if rhs.is_zero():
-        return _finish_flow(Flow(n, tildes[n], "const", value0=til), tvals)
+        return Flow(n, "const", start, value0=start)
     self_ref = n in rhs.symbols()
     if self_ref and n not in offsets:
         c1 = None
@@ -549,14 +531,12 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
                 cpoly = _poly_coeff(c1)
                 if cpoly is not None and cpoly.is_real() and \
                         not (set(c1.symbols()) & set(ft.unknown_names())):
-                    return _finish_flow(
-                        Flow(n, tildes[n], "exp", rate=cpoly,
-                             value0=til * Expr.exp(x_symbol, -cpoly)), tvals)
+                    return Flow(n, "exp", start, rate=cpoly,
+                                value0=start * Expr.exp(x_symbol, -cpoly))
             # (ii) separable power law: A' = c*A^2
             if not c2.is_zero() and c1.is_zero() and rest.is_zero():
                 if not (set(c2.symbols()) & (set(ft.unknown_names()) | {mu})):
-                    return _finish_flow(
-                        Flow(n, tildes[n], "powerlaw", cexpr=c2), tvals)
+                    return Flow(n, "powerlaw", start, cexpr=c2)
     if not self_ref:
         refs = [m for m in rhs.symbols() if m in solved]
         # (iii-a) exact quadrature through in-class solved orbits
@@ -564,24 +544,20 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
             expr = rhs
             for m in refs:
                 if m in offsets:
-                    expr = expr.shift_phase(m, offs={tildes[m]: 1})
+                    expr = expr.shift_phase(m, offs=_phase_offs(starts[m]))
                 else:
                     expr = expr.subs_param(m, solved[m])
             try:
                 anti = particular_integral(LinearOperator.make([0, 1], mu),
                                            expr)
                 integral = anti.subs_param(mu, 0) - anti.rename(mu, x_symbol)
-                # integral == -int_0^x rhs dmu, so A(0) = tilde + integral
-                integral = _subst_tilde_values(integral, tvals)
+                # integral == -int_0^x rhs dmu, so A(0) = start + integral
                 if n in offsets:
                     dp = _poly_coeff(integral, ((x_symbol, 1),))
                     if dp is None:
                         return None
-                    return _finish_flow(
-                        Flow(n, tildes[n], "frozen", drift_poly=dp), tvals)
-                return _finish_flow(
-                    Flow(n, tildes[n], "quad-expr", value0=til + integral),
-                    tvals)
+                    return Flow(n, "frozen", start, drift_poly=dp)
+                return Flow(n, "quad-expr", start, value0=start + integral)
             except (OutOfClassError, SolveError):
                 pass
         # (iii-b) logarithm quadrature against one power-law flow
@@ -599,28 +575,23 @@ def _match_flow(ft, n, rhs, solved, flows, tildes, offsets, x_symbol, tvals):
                 if cp is not None and lamp is not None:
                     scale = div_exact(Expr.from_poly(lamp),
                                       Expr.from_poly(cp)).scale(-1)
-                    inner = Expr.from_poly(cp) * Expr.sym(tildes[m])
-                    return _finish_flow(
-                        Flow(n, tildes[n], "quad", scale=scale, inner=inner),
-                        tvals)
+                    return Flow(n, "quad", start, scale=scale,
+                                inner=Expr.from_poly(cp) * flows[m].start)
     # (iv) frozen quadrature: the right side is of high enough order that the
     # constants' own variation contributes only beyond the truncation
     p_min = next((m for m in range(k + 2)
                   if not rhs.collect_order(eps, m).is_zero()), None)
     if p_min is not None and 2 * p_min >= k + 2:
-        frozen = _tilde_freeze(rhs, ft.unknown_names(), tildes, offsets)
-        frozen = _subst_tilde_values(frozen, tvals)
+        frozen = _start_freeze(rhs, starts, offsets)
         if mu in frozen.symbols():
             return None
         drift = frozen * Expr.var(x_symbol)    # int_0^x frozen dmu
         if n in offsets:
             dp = _poly_coeff(drift, ((x_symbol, 1),))
-            # theta(0) = tilde - (drift coefficient)*x
-            return (_finish_flow(Flow(n, tildes[n], "frozen", drift_poly=-dp),
-                                 tvals)
+            # theta(0) = start - (drift coefficient)*x
+            return (Flow(n, "frozen", start, drift_poly=-dp)
                     if dp is not None else None)
-        return _finish_flow(Flow(n, tildes[n], "frozen", value0=til - drift),
-                            tvals)
+        return Flow(n, "frozen", start, value0=start - drift)
     return None
 
 
@@ -639,9 +610,8 @@ def _quadratic_part(rhs: Expr, n: str):
 
 
 def _numeric_flows(ft: FTSystem, x_symbol: str,
-                   tvals: dict) -> ConstantFlows:
-    flows = {n: _finish_flow(Flow(n, n + TILDE_SUFFIX, "numeric"), tvals)
-             for n in ft.unknown_names()}
+                   starts: dict) -> ConstantFlows:
+    flows = {n: Flow(n, "numeric", starts[n]) for n in ft.unknown_names()}
     return ConstantFlows(ft, flows, x_symbol)
 
 
@@ -676,7 +646,7 @@ def assemble_uniform(ps: PaintedSeries, flows: ConstantFlows) -> UniformSolution
     """Transport the special (mu = 0) solution along the flows.
 
     The special solution is the painted series at mu = 0; the flows supply
-    the constant values there in terms of the tilde constants at mu = x, and
+    the constant values there in terms of their start values at mu = x, and
     the painted bookkeeping is discharged by the original variable.
     """
     special = ps.special_solution()
@@ -685,9 +655,9 @@ def assemble_uniform(ps: PaintedSeries, flows: ConstantFlows) -> UniformSolution
     offsets = {c.name for c in flows.ft.unknowns if c.kind == "offset"}
     for n, f in flows.flows.items():
         if n in offsets and f.kind != "numeric":
-            # a phase is const or frozen; a start value is 0
+            # a phase is const or frozen and starts from its tilde or 0
             symbolic = symbolic.shift_phase(
-                n, offs={} if f.start is not None else {f.tilde: 1},
+                n, offs=_phase_offs(f.start),
                 freqs={x: f.drift_poly} if f.drift_poly is not None else {})
         elif f.value0 is not None:
             symbolic = symbolic.subs_param(n, f.value0)

@@ -54,7 +54,7 @@ class ProblemSpec:
     fixed_constants: dict = field(default_factory=dict)
     most_divergent: bool = False
     params: dict = field(default_factory=dict)     # numeric parameter values
-    ics: dict = field(default_factory=dict)        # deriv order -> value token
+    ics: dict = field(default_factory=dict)        # deriv order -> number/name
     validate: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)    # kind-specific extras
 
@@ -184,6 +184,18 @@ def _ic_order(key: str, dep: str, line: int) -> int:
     return int(m.group(1) or 1)
 
 
+def _ic_value(tok: str, key: str, line: int, extra: list):
+    """An initial value: an exact number (decimal, exponent or p/q) or a
+    name declared in symbols.extra."""
+    if tok in extra:
+        return tok
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"line {line}: {key} = {tok} is neither a number nor "
+                        "a name declared in symbols.extra")
+
+
 def parse_spec(path) -> ProblemSpec:
     """Parse and validate a problem-spec file."""
     path = Path(path)
@@ -254,7 +266,8 @@ def parse_spec(path) -> ProblemSpec:
         elif key.startswith("params."):
             spec.params[key.split(".", 1)[1]] = _parse_float(v, key, lineno)
         elif key.startswith("ics."):
-            spec.ics[_ic_order(key, spec.dependent, lineno)] = v
+            spec.ics[_ic_order(key, spec.dependent, lineno)] = _ic_value(
+                v, key, lineno, spec.extra_symbols)
         elif key.startswith("validate."):
             spec.validate[key.split(".", 1)[1]] = v
         elif key.startswith("options."):

@@ -14,6 +14,7 @@ from hiddenscale.exprcore import Expr
 from hiddenscale.ftflow import FTInconsistent
 from hiddenscale.pertsym import DeterminingError
 from hiddenscale.specfile import KINDS, ode_problem, parse_spec
+import specgrid
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ALL_SPECS = sorted(p.stem for p in CORPUS.glob("*.spec"))
@@ -135,6 +136,23 @@ def test_exit_codes(tmp_path):
     assert r6.stderr == ("spec error: line 11: cannot parse "
                          "equation.perturbation: dangling '^' at column 6 "
                          "of 'eps*y^'\n")
+    # an initial value that is no number and no declared name; validate
+    # without the value of a start value's parameter
+    for value in ("B0", "3*eps"):
+        case = tmp_path / "case.spec"
+        case.write_text(overdamped.replace("ics.y = 3\n",
+                                           f"ics.y = {value}\n"))
+        r7 = run_cli("derive", str(case))
+        message = (f"line 19: ics.y = {value} is neither a number nor a "
+                   "name declared in symbols.extra")
+        assert (r7.returncode, r7.stdout, r7.stderr) \
+            == (2, "", f"spec error: {message}\n")
+    noa1 = tmp_path / "noa1.spec"
+    noa1.write_text((CORPUS / "kdv.spec").read_text()
+                    .replace("params.A1 = 0.5\n", ""))
+    r8 = run_cli("validate", str(noa1))
+    assert (r8.returncode, r8.stdout, r8.stderr) == (
+        2, "", "spec error: validate needs start values: params.A1 for R~\n")
 
 
 def test_every_kind_has_handlers():
@@ -429,3 +447,33 @@ def test_ics_start_values_reach_numeric_flows(tmp_path, capsys):
         values.append(flows.values(ts, cli._uniform_env(spec, spec.params)))
     for n in ("R", "theta"):
         assert np.max(np.abs(values[0][n] - values[1][n])) <= 1e-12
+
+
+def test_ics_win_over_tilde_options(tmp_path):
+    # mathieu's numeric flows start from ics y = 1, Dy = 0 (R~ = 1,
+    # theta~ = 0) whatever options.tilde_* say, as the oracle does
+    text = (CORPUS / "mathieu.spec").read_text()
+    both = tmp_path / "both.spec"
+    both.write_text(text.replace("options.tilde_R = 1.0",
+                                 "options.tilde_R = 2.0\nics.y = 1\n"
+                                 "ics.Dy = 0"))
+    ics = tmp_path / "ics.spec"
+    ics.write_text(text.replace("options.tilde_R = 1.0",
+                                "ics.y = 1\nics.Dy = 0")
+                   .replace("options.tilde_theta = 0.3\n", ""))
+    tails = [cli.run_validate(parse_spec(p), None).text()
+             .split("-- validation --\n")[1] for p in (both, ics)]
+    assert tails[0] == tails[1]
+    assert "sup error vs oracle: 0.278465074234\n" in tails[0]
+
+
+@pytest.mark.parametrize("value, amplitude", [("0.7", "7/10"),
+                                              ("1/2", "1/2")])
+def test_numeric_start_values_stay_exact(tmp_path, value, amplitude):
+    # y'' + y + eps*y = 0 with y(0) = 0, y'(0) = value (amp-sin)
+    path = tmp_path / "amp.spec"
+    path.write_text(specgrid.spec_text("D2 + D0", "eps*y", "amp-sin-0.7", 1,
+                                       False).replace("ics.Dy = 0.7",
+                                                      f"ics.Dy = {value}"))
+    text = cli.run_derive(parse_spec(path), False).text()
+    assert f"\nC0(0) = {amplitude}\nC1(0) = (1/2*eps)*t\n" in text

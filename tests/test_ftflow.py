@@ -305,6 +305,21 @@ class TestOrbitPatterns:
         sup = float(re.search(r"sup error vs oracle: (\S+)", text).group(1))
         assert sup <= 1e-8
 
+    def test_power_law_prints_its_start_value(self, tmp_path):
+        # a start value named by a parameter replaces the tilde in the text,
+        # in the power law and in the logarithm quadrature against it
+        ft = _pipeline(tmp_path, "D2", "eps*Dy^2", 1)[1].ft
+        flows = integrate_orbits(ft, "t", tilde_values={"A2": "B0"})
+        assert _flow_texts(flows) == {
+            "A2": ("powerlaw", "B0/(1 + (eps)*B0*t)"),
+            "A1": ("quad", "A1~ + (eps^-1)*log(1 + (B0*eps)*t)")}
+        ts = np.array([0.0, 5.0, 20.0])
+        vals = flows.values(ts, {"eps": 0.1, "A1~": 1.0, "B0": 0.5})
+        np.testing.assert_allclose(vals["A2"], 0.5 / (1 + 0.05 * ts),
+                                   rtol=1e-15)
+        np.testing.assert_allclose(vals["A1"], 1 + 10 * np.log1p(0.05 * ts),
+                                   rtol=1e-15)
+
     def test_most_divergent_filter_keeps_order_zero(self, tmp_path):
         # the zeroth order A1 + A2*t is secular; filtering it would drop A1
         spec, _flows = _pipeline(

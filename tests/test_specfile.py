@@ -211,7 +211,7 @@ class TestGrammar:
     def test_ics_keys(self, tmp_path):
         spec = parse_spec(write_spec(tmp_path,
                                      MINIMAL + "ics.y = 3\nics.Dy = 1\n"))
-        assert spec.ics == {0: "3", 1: "1"}
+        assert spec.ics == {0: F(3), 1: F(1)}
 
 
 class TestCorpus:
@@ -227,7 +227,7 @@ class TestCorpus:
     def test_overdamped_values(self):
         spec = parse_spec(CORPUS / "overdamped.spec")
         assert spec.params["eps"] == 0.2
-        assert spec.ics == {0: "3", 1: "1"}
+        assert spec.ics == {0: F(3), 1: F(1)}
 
     def test_kdv_values(self):
         spec = parse_spec(CORPUS / "kdv.spec")
