@@ -156,7 +156,7 @@ def _derive_cgo_comparison(spec: ProblemSpec, rep: Report, painted, ft):
 
 
 def derive_filament(spec: ProblemSpec, rep: Report):
-    d = filament_mod.derive(build_bare_series(ode_problem(spec)))
+    d = filament_mod.derive(ode_problem(spec))
     rep.add("-- bare series --")
     for j, o in enumerate(d.series.orders):
         rep.add(f"W({j}) = {textform.expr_text(o)}")

@@ -9,13 +9,15 @@ grading is verified a posteriori against the solved flows.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .exprcore import Expr
-from .pertseries import PerturbationSeries
+from .pertseries import (ConstantInfo, ODEProblem, PerturbationSeries,
+                         build_bare_series, solve_order)
 from . import ftflow
 
 
@@ -30,22 +32,26 @@ class FilamentDerivation:
     order_assumption_exponent: float   # fitted exponent for |A'|/|A| vs delta
 
 
-def derive(bare: PerturbationSeries) -> FilamentDerivation:
-    """The amplitude equations from the spec's bare series.
+def derive(prob: ODEProblem) -> FilamentDerivation:
+    """The amplitude equations from the spec's problem at first order.
 
-    Order j of ``bare`` keeps its terms up to total grade order - j under
-    the declared grading, so the first order drops the forcing of the alpha
-    terms, which is beyond the working order.
+    Order 0 keeps all four constants.  Order 1 is solved against order 0
+    truncated at grade 0 under the declared grading: the forcing of the
+    alpha terms is of grade 3/2, beyond the working order.
     """
-    p = bare.parameter
+    p = prob.parameter
     grades = {"alpha1": Q_GRADE, "alpha2": Q_GRADE,
               "A1'": Q_GRADE, "A2'": Q_GRADE,
               "alpha1'": Q_GRADE, "alpha2'": Q_GRADE}
-    top = len(bare.orders) - 1
+    zeroth = build_bare_series(dataclasses.replace(prob, order=0))
+    reduced = ftflow.grade_truncate(zeroth.orders[0], grades, p, 0)
+    forcing = -prob.apply_perturbation(reduced, 1).collect_order(p, 1)
+    first, infos, _ = solve_order(prob.operator, forcing, None,
+                                  prob.names_for(1, prob.operator.order))
     series = PerturbationSeries(
-        [ftflow.grade_truncate(o, grades, p, top - j)
-         for j, o in enumerate(bare.orders)],
-        list(bare.constants), p, bare.variable)
+        zeroth.orders + [first],
+        zeroth.constants + [ConstantInfo(c.name, 1, c.kind) for c in infos],
+        p, prob.variable)
     ps = ftflow.paint(series, n_derivs=1)
     primes = ftflow.derive_ft_exact(ps, grades, max_grade=1)
     # the amplitude reduction: A_i' = -alpha_i at leading grade, so

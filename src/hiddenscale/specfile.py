@@ -75,6 +75,11 @@ _ONLY_VALUE = {"profile": "log1p",
 _SCRIPTED = {"perturbation-symmetry": ("D2 + D0", "{p}*D{y}"),
              "filament": ("D4 + 2*D2 + D0",
                           "-{p}*{v}*D{y} - 1/2*{p}*{v}^2*D2{y}")}
+# the method filament.derive assumes
+_FILAMENT_METHOD = {"method.order": "1", "method.derivatives": "1",
+                    "method.constants_policy": "fresh-per-order",
+                    "method.constant_style": "rect",
+                    "method.constants.order0": "A1 A2 alpha1 alpha2"}
 
 
 def _parse_rational(tok: str, key: str, line: int) -> Fraction:
@@ -187,13 +192,7 @@ def _ic_order(key: str, dep: str, line: int) -> int:
 def _ic_value(tok: str, key: str, line: int, extra: list):
     """An initial value: an exact number (decimal, exponent or p/q) or a
     name declared in symbols.extra."""
-    if tok in extra:
-        return tok
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise SpecError(f"line {line}: {key} = {tok} is neither a number nor "
-                        "a name declared in symbols.extra")
+    return tok if tok in extra else _parse_rational(tok, key, line)
 
 
 def parse_spec(path) -> ProblemSpec:
@@ -328,6 +327,20 @@ def parse_spec(path) -> ProblemSpec:
                     f"line {(pline if same_op else opline)[1]}: {what} "
                     f"derives only equation.operator = {op} with "
                     f"equation.perturbation = {pert}")
+        if script == "filament":
+            have = {"method.order": str(spec.order),
+                    "method.derivatives": str(spec.derivatives),
+                    "method.constants_policy": spec.constants_policy,
+                    "method.constant_style": spec.constant_style,
+                    "method.constants.order0":
+                        " ".join(spec.constant_names.get(0, []))}
+            bad = [k for k, v in _FILAMENT_METHOD.items() if have[k] != v]
+            if bad:
+                line = raw.get(bad[0], raw["options.scripted"])[1]
+                raise SpecError(
+                    f"line {line}: options.scripted = filament derives only "
+                    "with " + ", ".join(f"{k} = {v}" for k, v
+                                        in _FILAMENT_METHOD.items()))
     return spec
 
 

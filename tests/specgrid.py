@@ -10,9 +10,7 @@ Run as a script to write every spec's outcome to a JSON file, so that two
 trees can be compared spec by spec::
 
     PYTHONPATH=src python tests/specgrid.py derive out.json
-    PYTHONPATH=src python tests/specgrid.py validate out.json --part 0/2
-
-``--part i/n`` takes every n-th spec from the i-th on, for n processes.
+    PYTHONPATH=src python tests/specgrid.py validate out.json
 """
 
 from __future__ import annotations
@@ -94,16 +92,12 @@ def outcome(path: Path, command: str) -> str:
 
 def main(argv) -> int:
     command, out = argv[0], Path(argv[1])
-    part, parts = 0, 1
-    if len(argv) > 2 and argv[2] == "--part":
-        part, parts = (int(s) for s in argv[3].split("/"))
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "grid.spec"
-        for i, (key, text) in enumerate(grid()):
-            if i % parts == part:
-                path.write_text(text)
-                results[key] = outcome(path, command)
+        for key, text in grid():
+            path.write_text(text)
+            results[key] = outcome(path, command)
     out.write_text(json.dumps(results, indent=0, sort_keys=True))
     return 0
 

@@ -209,7 +209,7 @@ def test_criterion_5_terrible_problem():
 def test_criterion_6_filament_amplitude_equations():
     with Budget("criterion 6: filament amplitude equations", 5.0):
         spec = parse_spec(CORPUS / "filament.spec")
-        d = filament.derive(build_bare_series(ode_problem(spec)))
+        d = filament.derive(ode_problem(spec))
         for i in ("1", "2"):
             assert d.amplitude_rhs[f"A{i}"] == filament.amplitude_target(i)
         assert 0.3 <= d.order_assumption_exponent <= 0.7

@@ -143,8 +143,7 @@ def test_exit_codes(tmp_path):
         case.write_text(overdamped.replace("ics.y = 3\n",
                                            f"ics.y = {value}\n"))
         r7 = run_cli("derive", str(case))
-        message = (f"line 19: ics.y = {value} is neither a number nor a "
-                   "name declared in symbols.extra")
+        message = f"line 19: malformed number {value!r} for ics.y"
         assert (r7.returncode, r7.stdout, r7.stderr) \
             == (2, "", f"spec error: {message}\n")
     noa1 = tmp_path / "noa1.spec"
@@ -153,6 +152,16 @@ def test_exit_codes(tmp_path):
     r8 = run_cli("validate", str(noa1))
     assert (r8.returncode, r8.stdout, r8.stderr) == (
         2, "", "spec error: validate needs start values: params.A1 for R~\n")
+    # the scaling fit starts its oracles from the ics, here a name with no
+    # params.* value
+    named = tmp_path / "named.spec"
+    named.write_text(overdamped.replace("ics.y = 3\n", "ics.y = A0\n")
+                     .replace("symbols.constants = A B\n",
+                              "symbols.constants = A B\nsymbols.extra = A0\n"))
+    r9 = run_cli("validate", str(named))
+    assert (r9.returncode, r9.stdout, r9.stderr) == (
+        2, "", "spec error: validate.scaling_order needs ics.* values that "
+        "are numbers or have params.*\n")
 
 
 def test_every_kind_has_handlers():

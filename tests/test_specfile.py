@@ -196,6 +196,28 @@ class TestGrammar:
             assert cli.main([command, str(path)]) == 2
             assert capsys.readouterr().err == f"spec error: {message}\n"
 
+    @pytest.mark.parametrize("old, new, line", [
+        # the grades and the amplitude equations name these constants
+        ("A1 A2 alpha1 alpha2", "B1 B2 beta1 beta2", 16),
+        ("method.order = 1", "method.order = 2", 13),
+        ("method.derivatives = 1", "method.constant_style = amp-cos", 14),
+        # an absent key takes its default; the line is options.scripted's
+        ("method.constants_policy = fresh-per-order\n", "", 18),
+    ], ids=["renamed-constants", "order", "style", "default-policy"])
+    def test_filament_takes_only_its_method(self, tmp_path, capsys, old, new,
+                                            line):
+        text = (CORPUS / "filament.spec").read_text()
+        assert old in text
+        path = write_spec(tmp_path, text.replace(old, new))
+        message = (f"line {line}: options.scripted = filament derives only "
+                   "with method.order = 1, method.derivatives = 1, "
+                   "method.constants_policy = fresh-per-order, "
+                   "method.constant_style = rect, "
+                   "method.constants.order0 = A1 A2 alpha1 alpha2")
+        for command in ("derive", "validate"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"spec error: {message}\n"
+
     @pytest.mark.parametrize("name, old, new", [
         ("underdamped", "= eps*Dy", "= Dy*eps"),
         ("filament", "= -delta*v*Dy - 1/2*delta*v^2*D2y",
