@@ -9,7 +9,6 @@ grading is verified a posteriori against the solved flows.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .exprcore import Expr
 from .pertseries import (ConstantInfo, ODEProblem, PerturbationSeries,
-                         build_bare_series, solve_order)
+                         solve_order)
 from . import ftflow
 
 
@@ -43,15 +42,14 @@ def derive(prob: ODEProblem) -> FilamentDerivation:
     grades = {"alpha1": Q_GRADE, "alpha2": Q_GRADE,
               "A1'": Q_GRADE, "A2'": Q_GRADE,
               "alpha1'": Q_GRADE, "alpha2'": Q_GRADE}
-    zeroth = build_bare_series(dataclasses.replace(prob, order=0))
-    reduced = ftflow.grade_truncate(zeroth.orders[0], grades, p, 0)
+    L, n = prob.operator, prob.operator.order
+    zeroth, infos0, _ = solve_order(L, Expr.zero(), None, prob.names_for(0, n))
+    reduced = ftflow.grade_truncate(zeroth, grades, p, 0)
     forcing = -prob.apply_perturbation(reduced, 1).collect_order(p, 1)
-    first, infos, _ = solve_order(prob.operator, forcing, None,
-                                  prob.names_for(1, prob.operator.order))
-    series = PerturbationSeries(
-        zeroth.orders + [first],
-        zeroth.constants + [ConstantInfo(c.name, 1, c.kind) for c in infos],
-        p, prob.variable)
+    first, infos1, _ = solve_order(L, forcing, None, prob.names_for(1, n))
+    constants = [ConstantInfo(c.name, j, c.kind)
+                 for j, infos in enumerate((infos0, infos1)) for c in infos]
+    series = PerturbationSeries([zeroth, first], constants, p, prob.variable)
     ps = ftflow.paint(series, n_derivs=1)
     primes = ftflow.derive_ft_exact(ps, grades, max_grade=1)
     # the amplitude reduction: A_i' = -alpha_i at leading grade, so
