@@ -33,6 +33,13 @@ params.eps = 0.2
 """
 
 
+FILAMENT_METHOD = ("options.scripted = filament derives only with "
+                   "method.order = 1, method.derivatives = 1, "
+                   "method.constants_policy = fresh-per-order, "
+                   "method.constant_style = rect, "
+                   "method.constants.order0 = A1 A2 alpha1 alpha2")
+
+
 class TestGrammar:
     def test_minimal_spec_parses(self, tmp_path):
         spec = parse_spec(write_spec(tmp_path, MINIMAL))
@@ -185,35 +192,25 @@ class TestGrammar:
          "line 10: options.scripted = filament derives only "
          "equation.operator = D4 + 2*D2 + D0 with equation.perturbation = "
          "-delta*v*Dy - 1/2*delta*v^2*D2y"),
+        # and only the method it is written for: the grades and the
+        # amplitude equations name the order-0 constants
+        ("filament", "A1 A2 alpha1 alpha2", "B1 B2 beta1 beta2",
+         f"line 16: {FILAMENT_METHOD}"),
+        ("filament", "method.order = 1", "method.order = 2",
+         f"line 13: {FILAMENT_METHOD}"),
+        ("filament", "method.derivatives = 1",
+         "method.constant_style = amp-cos", f"line 14: {FILAMENT_METHOD}"),
+        # an absent key takes its default; the line is options.scripted's
+        ("filament", "method.constants_policy = fresh-per-order\n", "",
+         f"line 18: {FILAMENT_METHOD}"),
     ], ids=["underdamped-perturbation", "filament-perturbation",
-            "filament-operator"])
+            "filament-operator", "filament-renamed-constants",
+            "filament-order", "filament-style", "filament-default-policy"])
     def test_scripted_kinds_take_only_their_equation(self, tmp_path, capsys,
                                                      name, old, new, message):
         text = (CORPUS / f"{name}.spec").read_text()
         assert old in text
         path = write_spec(tmp_path, text.replace(old, new))
-        for command in ("derive", "validate"):
-            assert cli.main([command, str(path)]) == 2
-            assert capsys.readouterr().err == f"spec error: {message}\n"
-
-    @pytest.mark.parametrize("old, new, line", [
-        # the grades and the amplitude equations name these constants
-        ("A1 A2 alpha1 alpha2", "B1 B2 beta1 beta2", 16),
-        ("method.order = 1", "method.order = 2", 13),
-        ("method.derivatives = 1", "method.constant_style = amp-cos", 14),
-        # an absent key takes its default; the line is options.scripted's
-        ("method.constants_policy = fresh-per-order\n", "", 18),
-    ], ids=["renamed-constants", "order", "style", "default-policy"])
-    def test_filament_takes_only_its_method(self, tmp_path, capsys, old, new,
-                                            line):
-        text = (CORPUS / "filament.spec").read_text()
-        assert old in text
-        path = write_spec(tmp_path, text.replace(old, new))
-        message = (f"line {line}: options.scripted = filament derives only "
-                   "with method.order = 1, method.derivatives = 1, "
-                   "method.constants_policy = fresh-per-order, "
-                   "method.constant_style = rect, "
-                   "method.constants.order0 = A1 A2 alpha1 alpha2")
         for command in ("derive", "validate"):
             assert cli.main([command, str(path)]) == 2
             assert capsys.readouterr().err == f"spec error: {message}\n"
