@@ -23,7 +23,8 @@ from . import filament as filament_mod
 from . import ftflow, numlab, pertsym, switchback, textform
 from .exprcore import Expr, Poly
 from .pertseries import build_bare_series
-from .specfile import ProblemSpec, SpecError, ode_problem, parse_spec
+from .specfile import (ProblemSpec, SpecError, ode_problem, parse_float,
+                       parse_spec)
 
 
 def _fmt(x: float) -> str:
@@ -65,9 +66,21 @@ def _write_csv(csv_dir, name, header, rows):
     return path
 
 
-def _floats(spec: ProblemSpec, key: str, default: str) -> list:
-    """The number list validate.<key>, or ``default`` when absent or empty."""
-    return [float(s) for s in (spec.validate.get(key) or default).split()]
+def _numbers(spec: ProblemSpec, key: str, default: str, kinds=None):
+    """The numbers of ``key`` (e.g. "validate.grid"), or of ``default`` when
+    the spec gives none: a list of floats, or one value per letter of
+    ``kinds`` ("f" a float, "i" a whole number; one letter gives the value
+    itself).  A malformed value is a SpecError that names its line."""
+    text, line = spec.raw.get(key, ("", 0))
+    vals = [parse_float(s, key, line) for s in (text or default).split()]
+    if kinds is None:
+        return vals
+    if len(vals) != len(kinds) or any(
+            k == "i" and not v.is_integer() for k, v in zip(kinds, vals)):
+        want = " ".join("number" if k == "f" else "count" for k in kinds)
+        raise SpecError(f"line {line}: {key} takes {want}, got {text!r}")
+    vals = [int(v) if k == "i" else v for k, v in zip(kinds, vals)]
+    return vals[0] if len(kinds) == 1 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +169,15 @@ def _derive_cgo_comparison(spec: ProblemSpec, rep: Report, painted, ft):
 
 
 def derive_filament(spec: ProblemSpec, rep: Report):
-    d = filament_mod.derive(ode_problem(spec))
+    grades = {s: Fraction(g) for s, g in (
+        a.split(":") for a in spec.options["order_assumptions"].split())}
+    d = filament_mod.derive(ode_problem(spec), grades)
     rep.add("-- bare series --")
     for j, o in enumerate(d.series.orders):
         rep.add(f"W({j}) = {textform.expr_text(o)}")
     rep.add("-- flow equations (exact, graded by the order assumptions) --")
-    for n in ("A1", "A2", "alpha1", "alpha2"):
-        rep.add(f"{n}' = {textform.expr_text(d.primes[n])}")
+    for n in d.ft.unknown_names():
+        rep.add(f"{n}' = {textform.expr_text(d.ft.equations[n])}")
     rep.add("-- amplitude equations --")
     for i in ("1", "2"):
         rep.add(f"A{i}'' = {textform.expr_text(d.amplitude_rhs[f'A{i}'])}")
@@ -225,9 +240,10 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
 def _uniform_env(spec: ProblemSpec, params):
     """Numeric environment: parameter values plus tilde start values."""
     env = dict(params)
-    for key, v in spec.options.items():
+    for key in spec.options:
         if key.startswith("tilde_"):
-            env[key[len("tilde_"):] + ftflow.TILDE_SUFFIX] = float(v)
+            env[key[len("tilde_"):] + ftflow.TILDE_SUFFIX] = _numbers(
+                spec, "options." + key, "", "f")
     return env
 
 
@@ -259,8 +275,7 @@ def _ic_vector(spec, uniform, env, x0: float, nord: int):
 
 def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int):
     prob, series, painted, ft, flows, uniform = derived
-    lo, hi, npts = _floats(spec, "grid", "0 15 301")
-    grid = np.linspace(lo, hi, int(npts))
+    grid = np.linspace(*_numbers(spec, "validate.grid", "0 15 301", "ffi"))
     if "scaling_order" in spec.validate:
         return _validate_scaling(spec, rep, csv_dir, grid, series)
     params = dict(spec.params)
@@ -290,7 +305,7 @@ def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int):
 
     epsv = params[spec.parameter]
     if "c_drift_max" in spec.validate:
-        cmax = float(spec.validate["c_drift_max"])
+        cmax = _numbers(spec, "validate.c_drift_max", "", "f")
         kk = spec.order + 1        # uniform solutions are O(eps^(k+1))
         p2 = dict(params)
         p2[spec.parameter] = epsv / 2
@@ -339,16 +354,16 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
     displayed closed form, so the pipeline is re-run at
     validate.scaling_order before fitting the convergence order.
     """
-    spec2 = dataclasses.replace(spec,
-                                order=int(spec.validate["scaling_order"]))
+    spec2 = dataclasses.replace(spec, order=_numbers(
+        spec, "validate.scaling_order", "", "i"))
     uniform2 = hidden_scale_pipeline(spec2)[-1]
     epsv = spec.params[spec.parameter]
     ics = _ic_floats(spec, 2)
     if ics is None:
         raise SpecError("validate.scaling_order needs ics.* values that "
                         "are numbers or have params.*")
-    sweep = _floats(spec, "sweep", "0.05 0.1 0.2")
-    step = float(spec.validate.get("oracle_step", "1e-3"))
+    sweep = _numbers(spec, "validate.sweep", "0.05 0.1 0.2")
+    step = _numbers(spec, "validate.oracle_step", "1e-3", "f")
     bare = series.full()
     errs = []
     table_rows = None
@@ -393,7 +408,7 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
             r = by_eps[2 * ehat] / by_eps[ehat]
             rep.check(f"doubling ratio at eps = {ehat}", 3.2 <= r <= 5.0,
                       f"err({2*ehat:g})/err({ehat:g}) = {r:.2f}")
-    ratio_min = float(spec.validate.get("bare_ratio_min", "10"))
+    ratio_min = _numbers(spec, "validate.bare_ratio_min", "10", "f")
     rep.check("bare series diverges at the far end",
               bare_end >= ratio_min * uni_end,
               f"bare {_fmt(bare_end)} >= {ratio_min} x uniform "
@@ -405,7 +420,7 @@ def _check_eps_sweep(spec, rep, errs, name: str, band: str) -> dict:
     validate.order_band (default ``band``); the errors come back by eps."""
     rep.add("eps sweep: " + "; ".join(f"eps={e}: {_fmt(s)}" for e, s in errs))
     p = numlab.convergence_order(errs)
-    lo_p, hi_p = _floats(spec, "order_band", band)
+    lo_p, hi_p = _numbers(spec, "validate.order_band", band, "ff")
     rep.check(name, lo_p <= p <= hi_p, f"p = {p:.3f} in [{lo_p}, {hi_p}]")
     return dict(errs)
 
@@ -420,7 +435,7 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
         flows, flows={**flows.flows, "phi": phi}))
     tvals = textbook.evaluate(grid, env)
     terr = float(np.max(np.abs(tvals - ref.at_nodes())))
-    ratio_max = float(spec.validate.get("textbook_ratio_max", "0.5"))
+    ratio_max = _numbers(spec, "validate.textbook_ratio_max", "0.5", "f")
     rep.add(f"textbook-exponent sup error: {_fmt(terr)}")
     _write_csv(csv_dir, f"{spec.name}_fig5.csv",
                [spec.variable, "W_numeric", "W_hidden", "W_textbook"],
@@ -434,11 +449,11 @@ def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir, seed: int):
     for i in ("1", "2"):
         ok = d.amplitude_rhs[f"A{i}"] == filament_mod.amplitude_target(i)
         rep.check(f"amplitude equation A{i}'' exact", ok)
-    lo, hi = _floats(spec, "exponent_band", "0.3 0.7")
+    lo, hi = _numbers(spec, "validate.exponent_band", "0.3 0.7", "ff")
+    exponent = filament_mod.verify_order_assumption()
     rep.check("declared order assumption verified a posteriori",
-              lo <= d.order_assumption_exponent <= hi,
-              f"fitted exponent {d.order_assumption_exponent:.3f} "
-              f"in [{lo}, {hi}] (declared 1/2)")
+              lo <= exponent <= hi,
+              f"fitted exponent {exponent:.3f} in [{lo}, {hi}] (declared 1/2)")
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +461,9 @@ def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir, seed: int):
 
 def _switchback_problem(spec: ProblemSpec):
     return switchback.SwitchbackProblem(
-        int(spec.options.get("n", "2")), int(spec.options.get("delta", "1")),
-        float(spec.params.get("eps", 1e-4)), float(spec.params.get("a", 1.0)),
-        spec.order)
+        _numbers(spec, "options.n", "2", "i"),
+        _numbers(spec, "options.delta", "1", "i"),
+        spec.params.get("eps", 1e-4), spec.params.get("a", 1.0), spec.order)
 
 
 def derive_switchback(spec: ProblemSpec, rep: Report):
@@ -480,9 +495,9 @@ def derive_switchback(spec: ProblemSpec, rep: Report):
 def validate_switchback(spec: ProblemSpec, rep: Report, derived, csv_dir,
                         seed: int):
     p, series = derived
-    x_max = float(spec.validate.get("x_max", "50"))
-    npts = int(spec.validate.get("grid_points", "100"))
-    tol = float(spec.validate.get("tolerance", "2e-2"))
+    x_max = _numbers(spec, "validate.x_max", "50", "f")
+    npts = _numbers(spec, "validate.grid_points", "100", "i")
+    tol = _numbers(spec, "validate.tolerance", "2e-2", "f")
 
     def oracle(eps, a):
         xi0, xi1 = math.log(eps), math.log(x_max)
@@ -517,7 +532,7 @@ def validate_switchback(spec: ProblemSpec, rep: Report, derived, csv_dir,
                   f"{_fmt(e2)} < {_fmt(e1)}")
         rep.check("asymptotic form best at small eps", ea < e2,
                   f"{_fmt(ea)} < {_fmt(e2)}")
-        cross_eps = float(spec.validate.get("crossover_eps", "0.1"))
+        cross_eps = _numbers(spec, "validate.crossover_eps", "0.1", "f")
         xs2, uref2 = oracle(cross_eps, p.a)
         p2 = dataclasses.replace(p, eps=cross_eps, order=2)
         u22 = switchback.switchback_series(p2).evaluate(xs2)
@@ -551,22 +566,17 @@ def derive_pertsym(spec: ProblemSpec, rep: Report):
         rep.add(f"xi_{d}({j}) = {textform.expr_text(e)}")
     if gen.free_weights:
         rep.add(f"free weights: {', '.join(gen.free_weights)}")
-    closed = pertsym.underdamped_uniform(
-        spec.params.get(spec.parameter, 0.1),
-        float(spec.options.get("amplitude", "1")),
-        float(spec.options.get("offset", "0.4")))
     rep.add("-- finite transformation of the s-flow --")
-    rep.add(f"{spec.dependent} = {closed.text()}")
+    rep.add(f"{spec.dependent} = {pertsym.ExpStrainedForm.text()}")
 
 
 def validate_pertsym(spec: ProblemSpec, rep: Report, derived, csv_dir,
                      seed: int):
-    lo, hi, npts = _floats(spec, "grid", "0 20 201")
-    grid = np.linspace(lo, hi, int(npts))
-    amp = float(spec.options.get("amplitude", "1"))
-    off = float(spec.options.get("offset", "0.4"))
-    sweep = _floats(spec, "sweep", "0.05 0.1 0.2")
-    step = float(spec.validate.get("oracle_step", "1e-4"))
+    grid = np.linspace(*_numbers(spec, "validate.grid", "0 20 201", "ffi"))
+    amp = _numbers(spec, "options.amplitude", "1", "f")
+    off = _numbers(spec, "options.offset", "0.4", "f")
+    sweep = _numbers(spec, "validate.sweep", "0.05 0.1 0.2")
+    step = _numbers(spec, "validate.oracle_step", "1e-4", "f")
     # one stacked fixed-step integration covers the whole sweep
     uforms = [pertsym.underdamped_uniform(ev, amp, off) for ev in sweep]
     y0 = []
@@ -588,7 +598,7 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, derived, csv_dir,
     by_eps = _check_eps_sweep(spec, rep, errs, "closed-form error order",
                               "2.6 3.4")
     if 0.1 in by_eps and 0.2 in by_eps:
-        lo_r, hi_r = _floats(spec, "ratio_band", "6 10")
+        lo_r, hi_r = _numbers(spec, "validate.ratio_band", "6 10", "ff")
         r = by_eps[0.2] / by_eps[0.1]
         rep.check("halving ratio consistent with third-order error",
                   lo_r <= r <= hi_r, f"err(0.2)/err(0.1) = {r:.2f}")
@@ -607,14 +617,14 @@ def derive_burgers(spec: ProblemSpec, rep: Report):
 
 def validate_burgers(spec: ProblemSpec, rep: Report, derived, csv_dir,
                      seed: int):
-    epsv = float(spec.params.get("eps", 0.1))
-    times = _floats(spec, "times", "1 10 20")
-    lo, hi, npts = _floats(spec, "x_range", "0 5 201")
-    xs = np.linspace(lo, hi, int(npts))
+    epsv = spec.params.get("eps", 0.1)
+    times = _numbers(spec, "validate.times", "1 10 20")
+    lo, hi, npts = _numbers(spec, "validate.x_range", "0 5 201", "ffi")
+    xs = np.linspace(lo, hi, npts)
     prof = pertsym.Log1pProfile()
 
     rng = np.random.default_rng(seed or 7)
-    agree_tol = float(spec.validate.get("agree_tol", "1e-10"))
+    agree_tol = _numbers(spec, "validate.agree_tol", "1e-10", "f")
     worst = 0.0
     for _ in range(100):
         t_ = float(rng.uniform(0.5, 20.0))
@@ -626,7 +636,7 @@ def validate_burgers(spec: ProblemSpec, rep: Report, derived, csv_dir,
 
     field = numlab.solve_burgers_mol(lambda x: np.log1p(x), epsv, times,
                                      np.linspace(lo, hi, 401))
-    sup_tol = float(spec.validate.get("sup_tol", "5e-2"))
+    sup_tol = _numbers(spec, "validate.sup_tol", "5e-2", "f")
     last_sym = last_bare = None
     for i, t_ in enumerate(times):
         uref = np.interp(xs, field["x"], field["u"][i])
@@ -696,7 +706,7 @@ def run_validate(spec: ProblemSpec, csv_dir, seed: int = 0) -> Report:
 
 def run_sweep(spec: ProblemSpec, csv_dir) -> Report:
     rep = Report(spec)
-    sweep = _floats(spec, "sweep", "")
+    sweep = _numbers(spec, "validate.sweep", "")
     if not sweep:
         rep.check("sweep list present", False,
                   "spec has no validate.sweep entry")

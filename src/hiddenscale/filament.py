@@ -20,28 +20,22 @@ from .pertseries import (ConstantInfo, ODEProblem, PerturbationSeries,
 from . import ftflow
 
 
-Q_GRADE = Fraction(1, 2)
-
-
 @dataclass
 class FilamentDerivation:
     series: PerturbationSeries
-    primes: dict                  # exact flow right sides
+    ft: ftflow.FTSystem           # the graded flow equations
     amplitude_rhs: dict           # A_i'' = rhs
-    order_assumption_exponent: float   # fitted exponent for |A'|/|A| vs delta
 
 
-def derive(prob: ODEProblem) -> FilamentDerivation:
+def derive(prob: ODEProblem, grades: dict) -> FilamentDerivation:
     """The amplitude equations from the spec's problem at first order.
 
-    Order 0 keeps all four constants.  Order 1 is solved against order 0
-    truncated at grade 0 under the declared grading: the forcing of the
-    alpha terms is of grade 3/2, beyond the working order.
+    ``grades`` is the declared grading, {alpha_i: 1/2}.  Order 0 keeps all
+    four constants.  Order 1 is solved against order 0 truncated at grade 0:
+    the forcing of the alpha terms is of grade 3/2, beyond the working
+    order.  The flows are solved by grade up to total order 1.
     """
     p = prob.parameter
-    grades = {"alpha1": Q_GRADE, "alpha2": Q_GRADE,
-              "A1'": Q_GRADE, "A2'": Q_GRADE,
-              "alpha1'": Q_GRADE, "alpha2'": Q_GRADE}
     L, n = prob.operator, prob.operator.order
     zeroth, infos0, _ = solve_order(L, Expr.zero(), None, prob.names_for(0, n))
     reduced = ftflow.grade_truncate(zeroth, grades, p, 0)
@@ -50,19 +44,19 @@ def derive(prob: ODEProblem) -> FilamentDerivation:
     constants = [ConstantInfo(c.name, j, c.kind)
                  for j, infos in enumerate((infos0, infos1)) for c in infos]
     series = PerturbationSeries([zeroth, first], constants, p, prob.variable)
-    ps = ftflow.paint(series, n_derivs=1)
-    primes = ftflow.derive_ft_exact(ps, grades, max_grade=1)
+    ft = ftflow.derive_ft_system(ftflow.paint(series, n_derivs=1), 1, grades)
     # the amplitude reduction: A_i' = -alpha_i at leading grade, so
     # A_i'' = -alpha_i'
     amplitude = {}
     for i in ("1", "2"):
-        a_rhs = ftflow.grade_truncate(primes[f"A{i}"], grades, p, Q_GRADE)
-        if a_rhs != -Expr.sym(f"alpha{i}"):
+        alpha = f"alpha{i}"
+        a_rhs = ftflow.grade_truncate(ft.equations[f"A{i}"], grades, p,
+                                      grades[alpha])
+        if a_rhs != -Expr.sym(alpha):
             raise AssertionError(
-                f"leading flow for A{i} is not -alpha{i}: {a_rhs!r}")
-        amplitude[f"A{i}"] = -primes[f"alpha{i}"]
-    exponent = verify_order_assumption()
-    return FilamentDerivation(series, primes, amplitude, exponent)
+                f"leading flow for A{i} is not -{alpha}: {a_rhs!r}")
+        amplitude[f"A{i}"] = -ft.equations[alpha]
+    return FilamentDerivation(series, ft, amplitude)
 
 
 def amplitude_target(i: str) -> Expr:

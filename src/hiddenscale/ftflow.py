@@ -126,6 +126,7 @@ class FTSystem:
     equations: dict                # name -> Expr rhs
     determined_orders: dict        # name -> highest parameter order solved
     raw_equations: list = field(default_factory=list)
+    grades: dict = field(default_factory=dict)   # declared symbol grades
 
     def unknown_names(self):
         return [c.name for c in self.unknowns]
@@ -172,38 +173,50 @@ def _split_linear_in_primes(eq: Expr, primes):
     return coeffs, rest
 
 
-def derive_ft_system(ps: PaintedSeries, k: int) -> FTSystem:
+def derive_ft_system(ps: PaintedSeries, k: int,
+                     grades: Optional[dict] = None) -> FTSystem:
     """Derive the flow equations for the integration constants.
 
     Writes each dA_i/dmu as a series in the perturbation parameter up to
     order ``k``, determined by requiring every independent basis function of
-    the original variable to vanish order-by-order.  Raises FTInconsistent
-    when no flow satisfies an equation and FTUnderdetermined when the stored
-    derivatives do not close the system.
+    the original variable to vanish order-by-order.  ``grades`` declares the
+    order in the parameter of some symbols (alpha: 1/2 for alpha =
+    O(eps^(1/2))); each order j is then split further by declared grade h
+    (see ``_grade_parts``), and the parts with j + h <= k are solved for.
+    Raises FTInconsistent when no flow satisfies an equation and
+    FTUnderdetermined when the stored derivatives do not close the system.
     """
+    grades = grades or {}
     unknowns = ps.series.min_order_constants()
     if not unknowns:
         raise FTError("no integration constants to flow")
     eps = ps.parameter
     primes = {c.name: c.name + PRIME_SUFFIX for c in unknowns}
     scalar = _scalar_equations(ps, unknowns)
+    lattice = _grade_lattice(grades, k)
 
+    # one unknown slot (name, j, h) per constant, order j and grade h
     lineqs = []
     for eq, label in scalar:
         coeffs, rest = _split_linear_in_primes(eq, list(primes.values()))
+        parts = {cname: [_grade_parts(coeffs[pname].collect_order(eps, i),
+                                      grades) for i in range(k + 1)]
+                 for cname, pname in primes.items() if pname in coeffs}
         for m in range(k + 1):
-            slot_coeffs = {}
-            for cname, pname in primes.items():
-                c = coeffs.get(pname)
-                if c is None:
-                    continue
-                for j in range(m + 1):
-                    cm = c.collect_order(eps, m - j)
-                    if not cm.is_zero():
-                        slot_coeffs[(cname, j)] = cm
-            const = rest.collect_order(eps, m)
-            if slot_coeffs or not const.is_zero():
-                lineqs.append(LinEq(slot_coeffs, const, f"{label} @order {m}"))
+            consts = _grade_parts(rest.collect_order(eps, m), grades)
+            for g in lattice:
+                if m + g > k:
+                    break
+                slot_coeffs = {}
+                for cname, cparts in parts.items():
+                    for j in range(m + 1):
+                        for hc, cm in cparts[m - j].items():
+                            if hc <= g and not cm.is_zero():
+                                slot_coeffs[(cname, j, g - hc)] = cm
+                const = consts.get(g, Expr.zero())
+                if slot_coeffs or not const.is_zero():
+                    lineqs.append(LinEq(slot_coeffs, const,
+                                        f"{label} @{_part_text(m, g)}"))
     solution, free, leftovers = solve_linear_system(lineqs)
     if free:
         raise FTUnderdetermined(
@@ -216,30 +229,55 @@ def derive_ft_system(ps: PaintedSeries, k: int) -> FTSystem:
 
     determined = {}
     equations = {}
+    ep = Expr.sym(eps)
     for c in unknowns:
-        js = sorted(j for (n, j) in solution if n == c.name)
-        d = -1
-        while d + 1 in js:
-            d += 1
-        gap = [j for j in js if j > d + 1]
-        if gap:
+        js = sorted({j for (n, j, _h) in solution if n == c.name})
+        if js != list(range(len(js))):
             raise FTUnderdetermined(
                 f"flow for {c.name} determined at orders {js} with gaps; "
                 "add painted derivatives")
-        rhs = Expr.zero()
-        ep = Expr.sym(eps)
-        for j in range(d + 1):
-            rhs = rhs + (ep ** j) * solution[(c.name, j)]
-        equations[c.name] = rhs
-        determined[c.name] = d
+        equations[c.name] = sum((ep ** j * v for (n, j, _h), v
+                                 in solution.items() if n == c.name),
+                                Expr.zero())
+        determined[c.name] = len(js) - 1
     ft = FTSystem(ps.mu, ps.variable, eps, k, list(unknowns), equations,
-                  determined, [eq for eq, _ in scalar])
-    _verify_ft(ps, ft)
+                  determined, [eq for eq, _ in scalar], grades)
+    _verify_ft(ft)
     return ft
 
 
-def _verify_ft(ps: PaintedSeries, ft: FTSystem):
-    """Substituting the flows back must kill every determined order."""
+def _grade_lattice(grades: dict, k: int) -> list:
+    """The sums of the declared (positive) grades up to ``k``, in increasing
+    order: [0] when none is declared."""
+    out = {0}
+    for g in map(Fraction, grades.values()):
+        out |= {h + n * g for h in out for n in range(1, int(k / g) + 1)
+                if h + n * g <= k}
+    return sorted(out)
+
+
+def _grade_parts(e: Expr, grades: dict) -> dict:
+    """``e`` split by declared grade: {h: part}.  The grade of a monomial is
+    the sum of grade*power over its symbols in ``grades``; with none
+    declared the one part is ``e`` itself, at grade 0."""
+    if not grades:
+        return {0: e}
+    parts: dict = {}
+    for t in e.terms:
+        for m in t.coeff.monos:
+            h = sum((Fraction(grades[s]) * p for s, p in m[0] if s in grades),
+                    Fraction(0))
+            parts.setdefault(h, []).append(t.with_coeff(Poly([m])))
+    return {h: Expr(ts) for h, ts in parts.items()}
+
+
+def _part_text(m: int, h) -> str:
+    return f"order {m}" + (f", grade {h}" if h else "")
+
+
+def _verify_ft(ft: FTSystem):
+    """Substituting the flows back must kill every determined part: the
+    orders m and grades h with m + h up to the checked order."""
     kmax = min(ft.determined_orders.values()) if ft.determined_orders else -1
     top = min(ft.order, kmax + 1)
     # each flow is a polynomial in the parameter, so the substitutions
@@ -250,49 +288,13 @@ def _verify_ft(ps: PaintedSeries, ft: FTSystem):
             res = res.subs_param(c.name + PRIME_SUFFIX, ft.equations[c.name],
                                  upto=(ft.parameter, top))
         for m in range(top + 1):
-            r = res.collect_order(ft.parameter, m)
-            if not r.is_zero():
-                from . import textform
-                raise FTInconsistent(
-                    "flow verification failed at order "
-                    f"{m}: {textform.expr_text(r)}")
-
-
-def _solve_primes(eqs, primes):
-    """Solve [(Expr, label)], each linear in ``primes``, for the primes:
-    ``solve_linear_system``'s (solution, free, leftovers), keyed by prime
-    name."""
-    lineqs = []
-    for eq, label in eqs:
-        coeffs, rest = _split_linear_in_primes(eq, primes)
-        lineqs.append(LinEq(coeffs, rest, label))
-    return solve_linear_system(lineqs)
-
-
-def derive_ft_exact(ps: PaintedSeries, grades: dict, max_grade):
-    """Solve the raw basis equations for the primes without order expansion.
-
-    Used for derivations with user-declared fractional order assumptions:
-    ``grades`` assigns each constant or prime its declared order in the
-    parameter (e.g. 1/2), and every equation is truncated at total grade
-    ``max_grade`` before the linear solve, mirroring hand derivations that
-    drop subleading forcing against graded unknowns.  Returns a dict
-    name -> Expr for dA_i/dmu.
-    """
-    unknowns = ps.series.min_order_constants()
-    primes = [c.name + PRIME_SUFFIX for c in unknowns]
-    solution, free, leftovers = _solve_primes(
-        [(grade_truncate(eq, grades, ps.parameter, max_grade), label)
-         for eq, label in _scalar_equations(ps, unknowns)], primes)
-    if free:
-        raise FTUnderdetermined(f"primes {free} never determined")
-    if leftovers:
-        raise FTInconsistent(
-            f"residual equation {leftovers[0].label} does not vanish")
-    missing = [p for p in primes if p not in solution]
-    if missing:
-        raise FTUnderdetermined(f"prime {missing[0]} undetermined")
-    return {c.name: solution[p] for c, p in zip(unknowns, primes)}
+            parts = _grade_parts(res.collect_order(ft.parameter, m), ft.grades)
+            for h, r in parts.items():
+                if m + h <= top and not r.is_zero():
+                    from . import textform
+                    raise FTInconsistent(
+                        f"flow verification failed at {_part_text(m, h)}: "
+                        f"{textform.expr_text(r)}")
 
 
 def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
@@ -303,20 +305,9 @@ def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
     user order assumptions such as assigning a constant the order
     param**(1/2).
     """
-    max_grade = Fraction(max_grade)
-    out = []
-    for t in e.terms:
-        for m in t.coeff.monos:
-            pows = m[0]
-            g = Fraction(0)
-            for s, kpow in pows:
-                if s == param:
-                    g += kpow
-                else:
-                    g += Fraction(grades.get(s, 0)) * kpow
-            if g <= max_grade:
-                out.append(t.with_coeff(Poly([m])))
-    return Expr(out)
+    parts = _grade_parts(e, {**grades, param: 1})
+    return Expr([t for h, part in parts.items() if h <= max_grade
+                 for t in part.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +722,9 @@ def cgo_rg_equation(split_series: Expr, derivs: Sequence[Expr], x: str,
     under = False
     msg = ""
     try:
-        sol, _free, _leftovers = _solve_primes(
-            [(eq, f"cgo eq {i}") for i, eq in enumerate(eqs)], primes)
+        lineqs = [LinEq(*_split_linear_in_primes(eq, primes), f"cgo eq {i}")
+                  for i, eq in enumerate(eqs)]
+        sol, _free, _leftovers = solve_linear_system(lineqs)
         missing = [p for p in primes if p not in sol]
         if missing:
             under = True

@@ -233,7 +233,8 @@ class ExpStrainedForm:
     amplitude: float
     offset: float
 
-    def text(self) -> str:
+    @staticmethod
+    def text() -> str:
         return "A*exp(-eps*t/2)*sin(t*exp(-eps^2/8) + theta)"
 
     def evaluate(self, t):

@@ -66,7 +66,7 @@ _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_']+)*$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OPTERM_RE = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?D(\d+)\s*$")
 # options with one implemented value: the Burgers profile and the filament
-# grading (filament.Q_GRADE)
+# grading that filament.derive solves its flows by (the default for filament)
 _ONLY_VALUE = {"profile": "log1p",
                "order_assumptions": "alpha1:1/2 alpha2:1/2"}
 # scripted derivations, by kind or options.scripted, with the one equation
@@ -89,10 +89,10 @@ def _parse_rational(tok: str, key: str, line: int) -> Fraction:
         raise SpecError(f"line {line}: malformed number {tok!r} for {key}")
 
 
-def _parse_float(tok: str, key: str, line: int) -> float:
+def parse_float(tok: str, key: str, line: int) -> float:
     try:
         return float(Fraction(tok)) if "/" in tok else float(tok)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise SpecError(f"line {line}: malformed number {tok!r} for {key}")
 
 
@@ -263,7 +263,7 @@ def parse_spec(path) -> ProblemSpec:
             cname = key.split(".", 2)[2]
             spec.fixed_constants[cname] = _parse_rational(v, key, lineno)
         elif key.startswith("params."):
-            spec.params[key.split(".", 1)[1]] = _parse_float(v, key, lineno)
+            spec.params[key.split(".", 1)[1]] = parse_float(v, key, lineno)
         elif key.startswith("ics."):
             spec.ics[_ic_order(key, spec.dependent, lineno)] = _ic_value(
                 v, key, lineno, spec.extra_symbols)
@@ -328,6 +328,8 @@ def parse_spec(path) -> ProblemSpec:
                     f"derives only equation.operator = {op} with "
                     f"equation.perturbation = {pert}")
         if script == "filament":
+            spec.options.setdefault("order_assumptions",
+                                    _ONLY_VALUE["order_assumptions"])
             have = {"method.order": str(spec.order),
                     "method.derivatives": str(spec.derivatives),
                     "method.constants_policy": spec.constants_policy,

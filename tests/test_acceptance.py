@@ -209,10 +209,11 @@ def test_criterion_5_terrible_problem():
 def test_criterion_6_filament_amplitude_equations():
     with Budget("criterion 6: filament amplitude equations", 5.0):
         spec = parse_spec(CORPUS / "filament.spec")
-        d = filament.derive(ode_problem(spec))
+        d = filament.derive(ode_problem(spec),
+                            {"alpha1": F(1, 2), "alpha2": F(1, 2)})
         for i in ("1", "2"):
             assert d.amplitude_rhs[f"A{i}"] == filament.amplitude_target(i)
-        assert 0.3 <= d.order_assumption_exponent <= 0.7
+        assert 0.3 <= filament.verify_order_assumption() <= 0.7
 
 
 def test_criterion_7_underdamped_perturbation_symmetry():

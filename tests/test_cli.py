@@ -162,6 +162,22 @@ def test_exit_codes(tmp_path):
     assert (r9.returncode, r9.stdout, r9.stderr) == (
         2, "", "spec error: validate.scaling_order needs ics.* values that "
         "are numbers or have params.*\n")
+    # malformed numbers where a command reads them: derive prints the
+    # underdamped closed form without reading options.amplitude
+    amp = tmp_path / "amp.spec"
+    amp.write_text((CORPUS / "underdamped.spec").read_text().replace(
+        "options.amplitude = 1.0", "options.amplitude = abc"))
+    r10 = run_cli("derive", str(amp))
+    assert r10.returncode == 0, r10.stderr
+    grid = tmp_path / "grid.spec"
+    grid.write_text(overdamped.replace("validate.grid = 0 15 301",
+                                       "validate.grid = 0 15 x"))
+    for path, line, key, value in ((amp, 18, "options.amplitude", "abc"),
+                                   (grid, 22, "validate.grid", "x")):
+        r11 = run_cli("validate", str(path))
+        assert (r11.returncode, r11.stdout, r11.stderr) == (
+            2, "", f"spec error: line {line}: malformed number {value!r} "
+            f"for {key}\n")
 
 
 def test_every_kind_has_handlers():
@@ -384,6 +400,7 @@ from hiddenscale import cli
 from hiddenscale.specfile import parse_spec
 specs = {p.stem: parse_spec(p) for p in Path(sys.argv[1]).glob("*.spec")}
 assert cli.run_derive(specs["overdamped"], check=True).ok
+assert cli.run_derive(specs["filament"], check=True).ok
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 

@@ -3,11 +3,12 @@
 import dataclasses
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hiddenscale import cli, numlab
+from hiddenscale import cli, filament, numlab
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                  div_exact, solve_linear_system)
 from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
@@ -17,8 +18,11 @@ from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
 from hiddenscale.pertseries import (ConstantInfo, LinearOperator, ODEProblem,
                                     PertTerm, PerturbationSeries,
                                     build_bare_series)
-from hiddenscale.specfile import parse_spec
+from hiddenscale.specfile import ode_problem, parse_spec
 from hiddenscale.textform import parse_expr
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+FILAMENT_GRADES = {"alpha1": F(1, 2), "alpha2": F(1, 2)}
 
 
 def overdamped_series(order=1):
@@ -178,25 +182,34 @@ class TestDeriveFT:
         with pytest.raises((FTInconsistent, FTUnderdetermined)):
             derive_ft_system(ps, 1)
 
-    @pytest.mark.parametrize("series", [overdamped_series, mathieu_series])
-    def test_changed_flow_fails_verification(self, series):
-        # eps**m * x added to one flow: caught at every checked order m,
-        # and not looked at above them
-        ps = paint(series(), 1)
-        ft = derive_ft_system(ps, 1)
-        top = min(ft.order, min(ft.determined_orders.values()) + 1)
+    @pytest.mark.parametrize("case", [overdamped_series, mathieu_series,
+                                      "filament"])
+    def test_changed_flow_fails_verification(self, case):
+        # a term added to one flow is caught at every checked part, and
+        # not looked at above them: eps**m * x at the orders m <= top, and
+        # for the graded filament flows at the grades <= 1
+        if case == "filament":
+            spec = parse_spec(CORPUS / "filament.spec")
+            ft = filament.derive(ode_problem(spec), FILAMENT_GRADES).ft
+            v, delta, a = Expr.var("v"), Expr.sym("delta"), Expr.sym("alpha1")
+            changes = [(a * v, True), (delta * v, True),
+                       (delta * a * v, False)]
+        else:
+            ft = derive_ft_system(paint(case(), 1), 1)
+            top = min(ft.order, min(ft.determined_orders.values()) + 1)
+            changes = [(Expr.sym("eps", m) * Expr.var(ft.variable), m <= top)
+                       for m in range(top + 2)]
         name = ft.unknowns[0].name
-        for m in range(top + 2):
-            bad = ft.equations[name] + (Expr.sym("eps", m)
-                                        * Expr.var(ft.variable))
+        for change, caught in changes:
             changed = dataclasses.replace(
-                ft, equations={**ft.equations, name: bad})
-            if m <= top:
+                ft, equations={**ft.equations,
+                               name: ft.equations[name] + change})
+            if caught:
                 with pytest.raises(FTInconsistent,
                                    match="flow verification failed"):
-                    _verify_ft(ps, changed)
+                    _verify_ft(changed)
             else:
-                _verify_ft(ps, changed)
+                _verify_ft(changed)
 
 
 class TestOrbits:
