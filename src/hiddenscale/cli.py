@@ -87,8 +87,9 @@ def _numbers(spec: ProblemSpec, key: str, default: str, kinds=None):
 # The hidden-scale pipeline for ODE specs.
 
 def _start_values(spec: ProblemSpec, series):
-    """Start-point constant values implied by the initial conditions: a
-    parameter name or an exact number for the amplitude, 0 for the phase."""
+    """Start-point constant values implied by the initial conditions, as
+    exact Exprs: a parameter or a number for the amplitude, 0 for the
+    phase."""
     if not spec.ics or spec.constant_style == "rect":
         return None
     zeroth = [c for c in series.constants if c.order == min(
@@ -103,13 +104,13 @@ def _start_values(spec: ProblemSpec, series):
     omega = Fraction(roots[0][1], roots[0][2])
     alpha, beta = spec.ics.get(0), spec.ics.get(1)
     if spec.constant_style == "amp-sin" and alpha == 0 and beta is not None:
-        if not isinstance(beta, str):
-            return {amp[0]: beta / omega, off[0]: 0}
-        if omega == 1:
-            return {amp[0]: beta, off[0]: 0}
-    if spec.constant_style == "amp-cos" and beta == 0 and alpha is not None:
-        return {amp[0]: alpha, off[0]: 0}
-    return None
+        value, factor = beta, 1 / omega
+    elif spec.constant_style == "amp-cos" and beta == 0 and alpha is not None:
+        value, factor = alpha, 1
+    else:
+        return None
+    start = Expr.sym(value) if isinstance(value, str) else Expr.num(value)
+    return {amp[0]: start.scale(factor), off[0]: Expr.zero()}
 
 
 def hidden_scale_pipeline(spec: ProblemSpec):

@@ -439,21 +439,20 @@ def integrate_orbits(ft: FTSystem, x_symbol: str,
     truncation.  If any constant fits no pattern the whole system falls back
     to numeric tabulation.
 
-    ``tilde_values`` holds start-point values by constant: a parameter name
-    or a number for an amplitude, 0 for a phase.  Every other constant
-    starts from its tilde symbol.
+    ``tilde_values`` holds start-point values by constant, as exact Exprs:
+    one in the parameters for an amplitude, 0 for a phase.  Every other
+    constant starts from its tilde symbol.
     """
     names = ft.unknown_names()
     name_set = set(names)
     offsets = {c.name for c in ft.unknowns if c.kind == "offset"}
     starts = {n: Expr.sym(n + TILDE_SUFFIX) for n in names}
     for n, v in (tilde_values or {}).items():
-        if n in offsets and (isinstance(v, str) or v != 0):
+        if n in offsets and not v.is_zero():
             raise OutOfClassError(
-                f"phase start value {n}{TILDE_SUFFIX}={v}: only 0 stays in "
-                "class")
-        starts[n] = Expr.sym(v) if isinstance(v, str) \
-            else Expr.num(Fraction(v))
+                f"phase start value {n}{TILDE_SUFFIX} = {v!r}: only 0 stays "
+                "in class")
+        starts[n] = v
     flows: dict = {}
     solved: dict = {}     # name -> Expr for A(mu) along the orbit, or None
     pending = list(names)

@@ -503,3 +503,17 @@ def test_numeric_start_values_stay_exact(tmp_path, value, amplitude):
                                                       f"ics.Dy = {value}"))
     text = cli.run_derive(parse_spec(path), False).text()
     assert f"\nC0(0) = {amplitude}\nC1(0) = (1/2*eps)*t\n" in text
+
+
+@pytest.mark.parametrize("operator, amplitude", [("D2 + 1/4*D0", "2*A0"),
+                                                 ("D2 + 4*D0", "1/2*A0")])
+def test_named_slope_starts_the_amplitude(tmp_path, operator, amplitude):
+    # y'' + omega^2*y + eps*y' = 0 with y(0) = 0, y'(0) = A0 (amp-sin):
+    # the amplitude starts from A0/omega, the phase from 0
+    path = tmp_path / "slope.spec"
+    path.write_text(specgrid.spec_text(operator, "eps*Dy", "amp-sin-A0", 1,
+                                       False))
+    text = cli.run_validate(parse_spec(path), None).text()
+    assert f"\nC0(0) = {amplitude}*exp(-1/2*eps*t)\nC1(0) = 0\n" in text
+    sup = float(re.search(r"sup error vs oracle: (\S+)", text).group(1))
+    assert sup <= 2e-2

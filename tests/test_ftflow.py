@@ -23,6 +23,8 @@ from hiddenscale.textform import parse_expr
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 FILAMENT_GRADES = {"alpha1": F(1, 2), "alpha2": F(1, 2)}
+# kdv's start values: R from the parameter A1, the phase from 0
+KDV_STARTS = {"R": Expr.sym("A1"), "phi": Expr.zero()}
 
 
 def overdamped_series(order=1):
@@ -277,7 +279,9 @@ class TestOrbits:
         ps = paint(most_divergent_filter(kdv_series()), 1)
         ft = derive_ft_system(ps, 2)
         with pytest.raises(OutOfClassError, match="only 0 stays in class"):
-            integrate_orbits(ft, "th", tilde_values={"R": "A1", "phi": start})
+            integrate_orbits(ft, "th", tilde_values={
+                "R": Expr.sym("A1"), "phi": Expr.sym(start)
+                if isinstance(start, str) else Expr.num(start)})
 
 
 def _pipeline(tmp_path, operator, perturbation, order, extra=""):
@@ -322,7 +326,7 @@ class TestOrbitPatterns:
         # a start value named by a parameter replaces the tilde in the text,
         # in the power law and in the logarithm quadrature against it
         ft = _pipeline(tmp_path, "D2", "eps*Dy^2", 1)[1].ft
-        flows = integrate_orbits(ft, "t", tilde_values={"A2": "B0"})
+        flows = integrate_orbits(ft, "t", tilde_values={"A2": Expr.sym("B0")})
         assert _flow_texts(flows) == {
             "A2": ("powerlaw", "B0/(1 + (eps)*B0*t)"),
             "A1": ("quad", "A1~ + (eps^-1)*log(1 + (B0*eps)*t)")}
@@ -381,8 +385,7 @@ class TestUniform:
     def test_kdv_strained_coordinate_exponent(self):
         ps = paint(most_divergent_filter(kdv_series()), 1)
         ft = derive_ft_system(ps, 2)
-        flows = integrate_orbits(ft, "th",
-                                 tilde_values={"R": "A1", "phi": 0})
+        flows = integrate_orbits(ft, "th", tilde_values=KDV_STARTS)
         uni = assemble_uniform(ps, flows)
         q = (Poly.sym("A1", 2) * Poly.sym("eps", 2) * Poly.sym("k", -4)
              * Poly.sym("delta", -4)).scale(F(135, 16))
@@ -406,7 +409,7 @@ class TestUniform:
         ps = paint(most_divergent_filter(kdv_series()), 1)
         ft = derive_ft_system(ps, 2)
         kdv = assemble_uniform(ps, integrate_orbits(
-            ft, "th", tilde_values={"R": "A1", "phi": 0}))
+            ft, "th", tilde_values=KDV_STARTS))
         grid = np.linspace(0.0, 60.0, 601)
         for u, var, env in (
                 (uni, "tau", {"eps": 0.2, "A~": 1.3, "B~": -0.7}),
