@@ -77,7 +77,7 @@ def _numbers(spec: ProblemSpec, key: str, default: str, kinds=None):
         return vals
     if len(vals) != len(kinds) or any(
             k == "i" and not v.is_integer() for k, v in zip(kinds, vals)):
-        want = " ".join("number" if k == "f" else "count" for k in kinds)
+        want = " ".join("<number>" if k == "f" else "<count>" for k in kinds)
         raise SpecError(f"line {line}: {key} takes {want}, got {text!r}")
     vals = [int(v) if k == "i" else v for k, v in zip(kinds, vals)]
     return vals[0] if len(kinds) == 1 else vals

@@ -169,15 +169,20 @@ def test_exit_codes(tmp_path):
         "options.amplitude = 1.0", "options.amplitude = abc"))
     r10 = run_cli("derive", str(amp))
     assert r10.returncode == 0, r10.stderr
-    grid = tmp_path / "grid.spec"
-    grid.write_text(overdamped.replace("validate.grid = 0 15 301",
-                                       "validate.grid = 0 15 x"))
-    for path, line, key, value in ((amp, 18, "options.amplitude", "abc"),
-                                   (grid, 22, "validate.grid", "x")):
+    for grid, message in (
+            ("0 15 x", "malformed number 'x' for validate.grid"),
+            ("0 15", "validate.grid takes <number> <number> <count>, "
+                     "got '0 15'")):
+        path = tmp_path / "grid.spec"
+        path.write_text(overdamped.replace("validate.grid = 0 15 301",
+                                           f"validate.grid = {grid}"))
         r11 = run_cli("validate", str(path))
         assert (r11.returncode, r11.stdout, r11.stderr) == (
-            2, "", f"spec error: line {line}: malformed number {value!r} "
-            f"for {key}\n")
+            2, "", f"spec error: line 22: {message}\n")
+    r12 = run_cli("validate", str(amp))
+    assert (r12.returncode, r12.stdout, r12.stderr) == (
+        2, "", "spec error: line 18: malformed number 'abc' for "
+        "options.amplitude\n")
 
 
 def test_every_kind_has_handlers():
