@@ -274,14 +274,14 @@ class TestOrbits:
             y = rng.uniform(-3.0, 3.0, len(names))
             assert np.array_equal(f(mu, y), reference(mu, y)), mu
 
-    @pytest.mark.parametrize("start", ["A1", 1])
+    @pytest.mark.parametrize("start", [Expr.sym("A1"), Expr.num(1)],
+                             ids=["A1", "1"])
     def test_phase_start_value_must_be_zero(self, start):
         ps = paint(most_divergent_filter(kdv_series()), 1)
         ft = derive_ft_system(ps, 2)
         with pytest.raises(OutOfClassError, match="only 0 stays in class"):
-            integrate_orbits(ft, "th", tilde_values={
-                "R": Expr.sym("A1"), "phi": Expr.sym(start)
-                if isinstance(start, str) else Expr.num(start)})
+            integrate_orbits(ft, "th", tilde_values={"R": Expr.sym("A1"),
+                                                     "phi": start})
 
 
 def _pipeline(tmp_path, operator, perturbation, order, extra=""):
