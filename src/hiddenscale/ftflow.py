@@ -265,7 +265,7 @@ def _grade_parts(e: Expr, grades: dict) -> dict:
     parts: dict = {}
     for t in e.terms:
         for m in t.coeff.monos:
-            h = sum((Fraction(grades[s]) * p for s, p in m[0] if s in grades),
+            h = sum((grades[s] * p for s, p in m[0] if s in grades),
                     Fraction(0))
             parts.setdefault(h, []).append(t.with_coeff(Poly([m])))
     return {h: Expr(ts) for h, ts in parts.items()}
