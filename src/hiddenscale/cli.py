@@ -170,9 +170,12 @@ def _derive_cgo_comparison(spec: ProblemSpec, rep: Report, painted, ft):
 
 
 def derive_filament(spec: ProblemSpec, rep: Report):
-    grades = {s: Fraction(g) for s, g in (
-        a.split(":") for a in spec.options["order_assumptions"].split())}
-    d = filament_mod.derive(ode_problem(spec), grades)
+    d = filament_mod.derive(ode_problem(spec))
+    grading = " ".join(f"{s}:{g}" for s, g in d.grades.items())
+    given, line = spec.raw.get("options.order_assumptions", (grading, 0))
+    if given.split() != grading.split():
+        raise SpecError(f"line {line}: options.order_assumptions = {given} "
+                        f"is not implemented; the only value is {grading}")
     rep.add("-- bare series --")
     for j, o in enumerate(d.series.orders):
         rep.add(f"W({j}) = {textform.expr_text(o)}")
@@ -180,9 +183,10 @@ def derive_filament(spec: ProblemSpec, rep: Report):
     for n in d.ft.unknown_names():
         rep.add(f"{n}' = {textform.expr_text(d.ft.equations[n])}")
     rep.add("-- amplitude equations --")
-    for i in ("1", "2"):
-        rep.add(f"A{i}'' = {textform.expr_text(d.amplitude_rhs[f'A{i}'])}")
-    rep.add(f"-- declared order assumption: alpha_i = O(delta^(1/2)) --")
+    for a, rhs in d.amplitude_rhs.items():
+        rep.add(f"{a}'' = {textform.expr_text(rhs)}")
+    rep.add(f"-- declared order assumption: alpha_i = "
+            f"O({spec.parameter}^(1/2)) --")
     return d
 
 
@@ -447,9 +451,9 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
 
 
 def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir, seed: int):
-    for i in ("1", "2"):
-        ok = d.amplitude_rhs[f"A{i}"] == filament_mod.amplitude_target(i)
-        rep.check(f"amplitude equation A{i}'' exact", ok)
+    for a, rhs in d.amplitude_rhs.items():
+        target = filament_mod.amplitude_target(a, spec.parameter)
+        rep.check(f"amplitude equation {a}'' exact", rhs == target)
     lo, hi = _numbers(spec, "validate.exponent_band", "0.3 0.7", "ff")
     exponent = filament_mod.verify_order_assumption()
     rep.check("declared order assumption verified a posteriori",

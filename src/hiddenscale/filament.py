@@ -1,22 +1,23 @@
 """Amplitude equations for the buckled-filament pattern equation.
 
 (1 + d^2/dy^2)^2 W = delta * (y^2/2 * W')', delta << 1.  The zeroth order
-carries four constants (two resonant); painting and the flow equations with
-the user-declared grading alpha_i = O(delta^(1/2)) reduce the system to the
-amplitude equations A_i'' = (delta/16)*(2*mu^2 + 1)*A_i.  The declared
-grading is verified a posteriori against the solved flows.
+carries four constants.  The secular partner alpha_i of a resonant constant
+A_i multiplies v times its basis function, and carries the grading
+alpha_i = O(delta^(1/2)) of the method of multiple scales.  The series and
+flows built by that grading reduce to the amplitude equations
+A_i'' = (delta/16)*(2*mu^2 + 1)*A_i; the grading is verified a posteriori.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .exprcore import Expr
-from .pertseries import (ConstantInfo, ODEProblem, PerturbationSeries,
-                         solve_order)
+from .pertseries import (ODEProblem, PerturbationSeries, build_bare_series,
+                         complementary, grade_truncate)
 from . import ftflow
 
 
@@ -25,44 +26,41 @@ class FilamentDerivation:
     series: PerturbationSeries
     ft: ftflow.FTSystem           # the graded flow equations
     amplitude_rhs: dict           # A_i'' = rhs
+    grades: dict                  # {alpha_i: 1/2}
 
 
-def derive(prob: ODEProblem, grades: dict) -> FilamentDerivation:
+def derive(prob: ODEProblem) -> FilamentDerivation:
     """The amplitude equations from the spec's problem at first order.
 
-    ``grades`` is the declared grading, {alpha_i: 1/2}.  Order 0 keeps all
-    four constants.  Order 1 is solved against order 0 truncated at grade 0:
-    the forcing of the alpha terms is of grade 3/2, beyond the working
-    order.  The flows are solved by grade up to total order 1.
+    Each order-0 constant A whose basis function times the variable is that
+    of another, s, is paired with s, and s is graded 1/2.  The series and
+    the flows are built by that grading.
     """
-    p = prob.parameter
-    L, n = prob.operator, prob.operator.order
-    zeroth, infos0, _ = solve_order(L, Expr.zero(), None, prob.names_for(0, n))
-    reduced = ftflow.grade_truncate(zeroth, grades, p, 0)
-    forcing = -prob.apply_perturbation(reduced, 1).collect_order(p, 1)
-    first, infos1, _ = solve_order(L, forcing, None, prob.names_for(1, n))
-    constants = [ConstantInfo(c.name, j, c.kind)
-                 for j, infos in enumerate((infos0, infos1)) for c in infos]
-    series = PerturbationSeries([zeroth, first], constants, p, prob.variable)
-    ft = ftflow.derive_ft_system(ftflow.paint(series, n_derivs=1), 1, grades)
-    # the amplitude reduction: A_i' = -alpha_i at leading grade, so
-    # A_i'' = -alpha_i'
+    names = prob.names_for(0, prob.operator.order)
+    cf, _, _ = complementary(prob.operator, names, prob.constant_style)
+    basis = {c: cf.coeff_linear(c)[0] for c in names}
+    v = Expr.var(prob.variable)
+    partners = {a: s for a in names for s in names if basis[s] == v * basis[a]}
+    grades = {s: Fraction(1, 2) for s in partners.values()}
+    series = build_bare_series(replace(prob, grades=grades))
+    ft = ftflow.derive_ft_system(ftflow.paint(series, n_derivs=1), prob.order,
+                                 grades)
+    # the amplitude reduction: A' = -s at leading grade, so A'' = -s'
     amplitude = {}
-    for i in ("1", "2"):
-        alpha = f"alpha{i}"
-        a_rhs = ftflow.grade_truncate(ft.equations[f"A{i}"], grades, p,
-                                      grades[alpha])
-        if a_rhs != -Expr.sym(alpha):
-            raise AssertionError(
-                f"leading flow for A{i} is not -{alpha}: {a_rhs!r}")
-        amplitude[f"A{i}"] = -ft.equations[alpha]
-    return FilamentDerivation(series, ft, amplitude)
+    for a, s in partners.items():
+        lead = grade_truncate(ft.equations[a], grades, prob.parameter,
+                              grades[s])
+        if lead != -Expr.sym(s):
+            raise ftflow.FTInconsistent(
+                f"leading flow for {a} is not -{s}: {lead!r}")
+        amplitude[a] = -ft.equations[s]
+    return FilamentDerivation(series, ft, amplitude, grades)
 
 
-def amplitude_target(i: str) -> Expr:
-    """(delta/16)*(2*mu^2 + 1)*A_i."""
+def amplitude_target(name: str, parameter: str) -> Expr:
+    """(parameter/16)*(2*mu^2 + 1)*name."""
     mu2 = Expr.var("mu") ** 2
-    return (Expr.sym("delta") * Expr.sym(f"A{i}")
+    return (Expr.sym(parameter) * Expr.sym(name)
             * (mu2.scale(2) + Expr.num(1))).scale(Fraction(1, 16))
 
 

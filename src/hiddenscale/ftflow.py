@@ -21,7 +21,7 @@ from .exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
                        classify_divergent, div_exact, paint_term,
                        solve_linear_system)
 from .pertseries import (PerturbationSeries, LinearOperator, SolveError,
-                         particular_integral)
+                         _grade_parts, grade_truncate, particular_integral)
 
 
 class FTError(RuntimeError):
@@ -256,21 +256,6 @@ def _grade_lattice(grades: dict, k: int) -> list:
     return sorted(out)
 
 
-def _grade_parts(e: Expr, grades: dict) -> dict:
-    """``e`` split by declared grade: {h: part}.  The grade of a monomial is
-    the sum of grade*power over its symbols in ``grades``; with none
-    declared the one part is ``e`` itself, at grade 0."""
-    if not grades:
-        return {0: e}
-    parts: dict = {}
-    for t in e.terms:
-        for m in t.coeff.monos:
-            h = sum((grades[s] * p for s, p in m[0] if s in grades),
-                    Fraction(0))
-            parts.setdefault(h, []).append(t.with_coeff(Poly([m])))
-    return {h: Expr(ts) for h, ts in parts.items()}
-
-
 def _part_text(m: int, h) -> str:
     return f"order {m}" + (f", grade {h}" if h else "")
 
@@ -295,19 +280,6 @@ def _verify_ft(ft: FTSystem):
                     raise FTInconsistent(
                         f"flow verification failed at {_part_text(m, h)}: "
                         f"{textform.expr_text(r)}")
-
-
-def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
-    """Drop terms whose total grade exceeds ``max_grade``.
-
-    The grade of a monomial is its power of ``param`` plus the declared
-    grades of its other symbols (undeclared symbols grade 0).  This applies
-    user order assumptions such as assigning a constant the order
-    param**(1/2).
-    """
-    parts = _grade_parts(e, {**grades, param: 1})
-    return Expr([t for h, part in parts.items() if h <= max_grade
-                 for t in part.terms])
 
 
 # ---------------------------------------------------------------------------

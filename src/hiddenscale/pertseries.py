@@ -4,7 +4,7 @@ Builds the order-by-order forcing equations for a perturbed linear ODE,
 solves each order exactly by undetermined coefficients (with resonant trials
 promoted by the minimal variable power), and assembles the bare series with
 symbolic integration constants.  Every solve is verified by substituting back
-into the operator.
+into the operator.  Declared grades cut each order at total grade k.
 """
 
 from __future__ import annotations
@@ -124,6 +124,30 @@ class ConstantInfo:
     kind: str            # "param" or "offset"
 
 
+def _grade_parts(e: Expr, grades: dict) -> dict:
+    """``e`` split by declared grade: {h: part}.  The grade of a monomial is
+    the sum of grade*power over its symbols in ``grades``; with none
+    declared the one part is ``e`` itself, at grade 0."""
+    if not grades:
+        return {0: e}
+    parts: dict = {}
+    for t in e.terms:
+        for m in t.coeff.monos:
+            h = sum((grades[s] * p for s, p in m[0] if s in grades),
+                    Fraction(0))
+            parts.setdefault(h, []).append(t.with_coeff(Poly([m])))
+    return {h: Expr(ts) for h, ts in parts.items()}
+
+
+def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
+    """``e`` without the terms of total grade above ``max_grade``: the power
+    of ``param`` plus the declared grades (a constant of grade 1/2 is of the
+    order param**(1/2))."""
+    parts = _grade_parts(e, {**grades, param: 1})
+    return Expr([t for h, part in parts.items() if h <= max_grade
+                 for t in part.terms])
+
+
 @dataclass
 class ODEProblem:
     """Perturbed constant-coefficient ODE: L[y] + sum(pert terms) = 0."""
@@ -136,6 +160,7 @@ class ODEProblem:
     constant_style: str = "rect"           # rect | amp-cos | amp-sin
     constant_names: dict = field(default_factory=dict)   # order -> [names]
     fixed_constants: dict = field(default_factory=dict)  # name -> rational
+    grades: dict = field(default_factory=dict)           # name -> grade
 
     @property
     def variable(self) -> str:
@@ -174,13 +199,20 @@ class ODEProblem:
             out = out + pt.apply(derivs, self.parameter, k)
         return out
 
+    def truncated(self, e: Expr, max_grade) -> Expr:
+        """``e`` up to total grade ``max_grade``, if grades are declared."""
+        return grade_truncate(e, self.grades, self.parameter, max_grade) \
+            if self.grades else e
+
     def residual_orders(self, series: "PerturbationSeries"):
-        """Collected orders 0..k of L[series] + perturbation(series)."""
+        """Collected orders 0..k of L[series] + perturbation(series), each
+        order j up to grade k - j."""
         full = series.full()
+        k = self.order
         res = (self.operator.apply(full)
-               + self.apply_perturbation(full, self.order))
-        return [res.collect_order(self.parameter, j)
-                for j in range(self.order + 1)]
+               + self.apply_perturbation(self.truncated(full, k - 1), k))
+        return [self.truncated(res.collect_order(self.parameter, j), k - j)
+                for j in range(k + 1)]
 
 
 @dataclass
@@ -375,8 +407,11 @@ def solve_order(L: LinearOperator, f: Expr, ics=None,
 # Hierarchy driving.
 
 def _forcing_at_order(p: ODEProblem, orders, j: int) -> Expr:
+    # the parts of grade up to k - j; as each perturbation term carries
+    # param**1 or more, the lower orders enter up to total grade k - 1
     partial = PerturbationSeries(list(orders), [], p.parameter, p.variable).full()
-    return -p.apply_perturbation(partial, j).collect_order(p.parameter, j)
+    f = -p.apply_perturbation(p.truncated(partial, p.order - 1), j)
+    return p.truncated(f.collect_order(p.parameter, j), p.order - j)
 
 
 def expand_hierarchy(p: ODEProblem):

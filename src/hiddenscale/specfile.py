@@ -65,10 +65,8 @@ class ProblemSpec:
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_']+)*$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OPTERM_RE = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?D(\d+)\s*$")
-# options with one implemented value: the Burgers profile and the filament
-# grading that filament.derive solves its flows by (the default for filament)
-_ONLY_VALUE = {"profile": "log1p",
-               "order_assumptions": "alpha1:1/2 alpha2:1/2"}
+# options with one implemented value: the Burgers profile
+_ONLY_VALUE = {"profile": "log1p"}
 # scripted derivations, by kind or options.scripted, with the one equation
 # each derives: operator and perturbation in the spec's own parameter {p},
 # variable {v} and dependent variable {y}
@@ -77,9 +75,7 @@ _SCRIPTED = {"perturbation-symmetry": ("D2 + D0", "{p}*D{y}"),
                           "-{p}*{v}*D{y} - 1/2*{p}*{v}^2*D2{y}")}
 # the method filament.derive assumes
 _FILAMENT_METHOD = {"method.order": "1", "method.derivatives": "1",
-                    "method.constants_policy": "fresh-per-order",
-                    "method.constant_style": "rect",
-                    "method.constants.order0": "A1 A2 alpha1 alpha2"}
+                    "method.constant_style": "rect"}
 
 
 def _parse_rational(tok: str, key: str, line: int) -> Fraction:
@@ -328,14 +324,9 @@ def parse_spec(path) -> ProblemSpec:
                     f"derives only equation.operator = {op} with "
                     f"equation.perturbation = {pert}")
         if script == "filament":
-            spec.options.setdefault("order_assumptions",
-                                    _ONLY_VALUE["order_assumptions"])
             have = {"method.order": str(spec.order),
                     "method.derivatives": str(spec.derivatives),
-                    "method.constants_policy": spec.constants_policy,
-                    "method.constant_style": spec.constant_style,
-                    "method.constants.order0":
-                        " ".join(spec.constant_names.get(0, []))}
+                    "method.constant_style": spec.constant_style}
             bad = [k for k, v in _FILAMENT_METHOD.items() if have[k] != v]
             if bad:
                 line = raw.get(bad[0], raw["options.scripted"])[1]

@@ -209,10 +209,10 @@ def test_criterion_5_terrible_problem():
 def test_criterion_6_filament_amplitude_equations():
     with Budget("criterion 6: filament amplitude equations", 5.0):
         spec = parse_spec(CORPUS / "filament.spec")
-        d = filament.derive(ode_problem(spec),
-                            {"alpha1": F(1, 2), "alpha2": F(1, 2)})
+        d = filament.derive(ode_problem(spec))
         for i in ("1", "2"):
-            assert d.amplitude_rhs[f"A{i}"] == filament.amplitude_target(i)
+            assert d.amplitude_rhs[f"A{i}"] \
+                == filament.amplitude_target(f"A{i}", "delta")
         assert 0.3 <= filament.verify_order_assumption() <= 0.7
 
 

@@ -22,7 +22,6 @@ from hiddenscale.specfile import ode_problem, parse_spec
 from hiddenscale.textform import parse_expr
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-FILAMENT_GRADES = {"alpha1": F(1, 2), "alpha2": F(1, 2)}
 # kdv's start values: R from the parameter A1, the phase from 0
 KDV_STARTS = {"R": Expr.sym("A1"), "phi": Expr.zero()}
 
@@ -192,7 +191,7 @@ class TestDeriveFT:
         # for the graded filament flows at the grades <= 1
         if case == "filament":
             spec = parse_spec(CORPUS / "filament.spec")
-            ft = filament.derive(ode_problem(spec), FILAMENT_GRADES).ft
+            ft = filament.derive(ode_problem(spec)).ft
             v, delta, a = Expr.var("v"), Expr.sym("delta"), Expr.sym("alpha1")
             changes = [(a * v, True), (delta * v, True),
                        (delta * a * v, False)]

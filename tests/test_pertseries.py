@@ -6,11 +6,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dataclasses import replace
+from pathlib import Path
+
 from hiddenscale.exprcore import Expr, Poly, _qnum, classify_divergent
-from hiddenscale.pertseries import (LinearOperator, ODEProblem, PertTerm,
-                                    SolveError, build_bare_series,
-                                    expand_hierarchy, particular_integral,
-                                    solve_order)
+from hiddenscale.pertseries import (ConstantInfo, LinearOperator, ODEProblem,
+                                    PertTerm, SolveError, build_bare_series,
+                                    expand_hierarchy, grade_truncate,
+                                    particular_integral, solve_order)
+from hiddenscale.specfile import ode_problem, parse_spec
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def overdamped_problem(order=1, policy="zeroth-only"):
@@ -35,6 +41,12 @@ def mathieu_problem():
                       constants_policy="fresh-per-order",
                       constant_style="amp-cos",
                       constant_names={0: ["R", "theta"], 1: ["A", "B"]})
+
+
+def filament_problem():
+    """The corpus filament problem with its secular partners graded 1/2."""
+    prob = ode_problem(parse_spec(CORPUS / "filament.spec"))
+    return replace(prob, grades={"alpha1": F(1, 2), "alpha2": F(1, 2)})
 
 
 class TestHierarchy:
@@ -224,6 +236,39 @@ class TestBareSeries:
                      mathieu_problem()):
             s = build_bare_series(prob)
             assert all(r.is_zero() for r in prob.residual_orders(s))
+
+    def test_graded_series_matches_the_hand_built_one(self):
+        prob = filament_problem()
+        series = build_bare_series(prob)
+        # the reference: order 1 solved against order 0 cut at total grade 0,
+        # as the alpha terms force at grade 3/2, beyond the working order
+        L, n, p = prob.operator, prob.operator.order, prob.parameter
+        zeroth, infos0, _ = solve_order(L, Expr.zero(), None,
+                                        prob.names_for(0, n))
+        reduced = grade_truncate(zeroth, prob.grades, p, 0)
+        forcing = -prob.apply_perturbation(reduced, 1).collect_order(p, 1)
+        first, infos1, _ = solve_order(L, forcing, None, prob.names_for(1, n))
+        assert series.orders == [zeroth, first]
+        assert series.constants == [
+            ConstantInfo(c.name, j, c.kind)
+            for j, infos in enumerate((infos0, infos1)) for c in infos]
+
+    def test_graded_residual_catches_a_dropped_term(self):
+        prob = filament_problem()
+        series = build_bare_series(prob)
+        assert all(r.is_zero() for r in prob.residual_orders(series))
+        # the grades are what the check relies on: ungraded, the forcing of
+        # the alpha terms at order 1 is missing
+        assert not replace(prob, grades={}).residual_orders(series)[1] \
+            .is_zero()
+        # the v^4*cos(v) and v^4*sin(v) terms of order 1
+        top = [t for t in series.orders[1].terms if t.vpow("v") == 4]
+        assert len(top) == 2
+        for t in top:
+            rest = Expr([u for u in series.orders[1].terms if u is not t])
+            res = prob.residual_orders(
+                replace(series, orders=[series.orders[0], rest]))
+            assert res[0].is_zero() and not res[1].is_zero()
 
     def test_constant_count_matches_order(self):
         s = build_bare_series(overdamped_problem())

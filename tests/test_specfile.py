@@ -35,9 +35,7 @@ params.eps = 0.2
 
 FILAMENT_METHOD = ("options.scripted = filament derives only with "
                    "method.order = 1, method.derivatives = 1, "
-                   "method.constants_policy = fresh-per-order, "
-                   "method.constant_style = rect, "
-                   "method.constants.order0 = A1 A2 alpha1 alpha2")
+                   "method.constant_style = rect")
 
 
 class TestGrammar:
@@ -192,20 +190,13 @@ class TestGrammar:
          "line 10: options.scripted = filament derives only "
          "equation.operator = D4 + 2*D2 + D0 with equation.perturbation = "
          "-delta*v*Dy - 1/2*delta*v^2*D2y"),
-        # and only the method it is written for: the grades and the
-        # amplitude equations name the order-0 constants
-        ("filament", "A1 A2 alpha1 alpha2", "B1 B2 beta1 beta2",
-         f"line 16: {FILAMENT_METHOD}"),
+        # and only at the order and painting it is written for
         ("filament", "method.order = 1", "method.order = 2",
          f"line 13: {FILAMENT_METHOD}"),
         ("filament", "method.derivatives = 1",
          "method.constant_style = amp-cos", f"line 14: {FILAMENT_METHOD}"),
-        # an absent key takes its default; the line is options.scripted's
-        ("filament", "method.constants_policy = fresh-per-order\n", "",
-         f"line 18: {FILAMENT_METHOD}"),
     ], ids=["underdamped-perturbation", "filament-perturbation",
-            "filament-operator", "filament-renamed-constants",
-            "filament-order", "filament-style", "filament-default-policy"])
+            "filament-operator", "filament-order", "filament-style"])
     def test_scripted_kinds_take_only_their_equation(self, tmp_path, capsys,
                                                      name, old, new, message):
         text = (CORPUS / f"{name}.spec").read_text()
@@ -214,6 +205,37 @@ class TestGrammar:
         for command in ("derive", "validate"):
             assert cli.main([command, str(path)]) == 2
             assert capsys.readouterr().err == f"spec error: {message}\n"
+
+    @pytest.mark.parametrize("changes, renamed", [
+        # the grading follows the secular partners, whatever their names
+        ([("A1 A2 alpha1 alpha2", "B1 B2 beta1 beta2"),
+          ("options.order_assumptions = alpha1:1/2 alpha2:1/2\n", "")],
+         {"A1": "B1", "A2": "B2"}),
+        ([("method.constants_policy = fresh-per-order\n", "")], {}),
+        ([("fresh-per-order", "zeroth-only")], {}),
+        # the exact checks and the grading line name the spec's parameter
+        ([("delta", "eps")], {"delta": "eps"}),
+    ], ids=["renamed-constants", "default-policy", "zeroth-only",
+            "parameter-eps"])
+    def test_filament_derives_from_its_spec(self, tmp_path, capsys, changes,
+                                            renamed):
+        text = (CORPUS / "filament.spec").read_text()
+        for old, new in changes:
+            assert old in text
+            text = text.replace(old, new)
+        path = write_spec(tmp_path, text)
+
+        def amplitude_lines(report):
+            return [line for line in report.splitlines()
+                    if "'' = " in line or line.startswith("-- declared")]
+        want = amplitude_lines(
+            (CORPUS / "golden" / "filament.golden.txt").read_text())
+        for old, new in renamed.items():
+            want = [line.replace(old, new) for line in want]
+        assert len(want) == 3
+        for command in ("derive", "validate"):
+            assert cli.main([command, str(path)]) == 0
+            assert amplitude_lines(capsys.readouterr().out) == want
 
     @pytest.mark.parametrize("name, old, new", [
         ("underdamped", "= eps*Dy", "= Dy*eps"),
