@@ -74,8 +74,7 @@ _SCRIPTED = {"perturbation-symmetry": ("D2 + D0", "{p}*D{y}"),
              "filament": ("D4 + 2*D2 + D0",
                           "-{p}*{v}*D{y} - 1/2*{p}*{v}^2*D2{y}")}
 # the method filament.derive assumes
-_FILAMENT_METHOD = {"method.order": "1", "method.derivatives": "1",
-                    "method.constant_style": "rect"}
+_FILAMENT_METHOD = {"method.order": "1", "method.derivatives": "1"}
 
 
 def _parse_rational(tok: str, key: str, line: int) -> Fraction:
@@ -289,6 +288,13 @@ def parse_spec(path) -> ProblemSpec:
             raise SpecError(f"missing equation.operator in {path.name}")
         spec.operator = parse_operator(opline[0], spec.variable,
                                        line=opline[1])
+        if spec.constant_style != "rect" and any(
+                z[1] and m > 1 for z, m in spec.operator.char_roots()):
+            raise SpecError(
+                f"line {raw['method.constant_style'][1]}: "
+                f"method.constant_style = {spec.constant_style} needs simple "
+                f"oscillatory roots; equation.operator = {opline[0]} has a "
+                "repeated one")
         pline = raw.get("equation.perturbation", (None, 0))
         if pline[0] is None:
             raise SpecError(f"missing equation.perturbation in {path.name}")
@@ -325,8 +331,7 @@ def parse_spec(path) -> ProblemSpec:
                     f"equation.perturbation = {pert}")
         if script == "filament":
             have = {"method.order": str(spec.order),
-                    "method.derivatives": str(spec.derivatives),
-                    "method.constant_style": spec.constant_style}
+                    "method.derivatives": str(spec.derivatives)}
             bad = [k for k, v in _FILAMENT_METHOD.items() if have[k] != v]
             if bad:
                 line = raw.get(bad[0], raw["options.scripted"])[1]

@@ -183,6 +183,15 @@ def test_exit_codes(tmp_path):
     assert (r12.returncode, r12.stdout, r12.stderr) == (
         2, "", "spec error: line 18: malformed number 'abc' for "
         "options.amplitude\n")
+    # amplitude-phase constants on a repeated oscillatory root
+    repeated = tmp_path / "repeated.spec"
+    repeated.write_text(specgrid.spec_text("D4 + 2*D2 + D0", "eps*y",
+                                           "amp-cos-A0", 1, False))
+    r13 = run_cli("derive", str(repeated))
+    assert (r13.returncode, r13.stdout, r13.stderr) == (
+        2, "", "spec error: line 11: method.constant_style = amp-cos needs "
+        "simple oscillatory roots; equation.operator = D4 + 2*D2 + D0 has "
+        "a repeated one\n")
 
 
 def test_every_kind_has_handlers():

@@ -34,8 +34,7 @@ params.eps = 0.2
 
 
 FILAMENT_METHOD = ("options.scripted = filament derives only with "
-                   "method.order = 1, method.derivatives = 1, "
-                   "method.constant_style = rect")
+                   "method.order = 1, method.derivatives = 1")
 
 
 class TestGrammar:
@@ -193,10 +192,16 @@ class TestGrammar:
         # and only at the order and painting it is written for
         ("filament", "method.order = 1", "method.order = 2",
          f"line 13: {FILAMENT_METHOD}"),
+        ("filament", "method.derivatives = 1", "method.derivatives = 2",
+         f"line 14: {FILAMENT_METHOD}"),
+        # amplitude-phase constants need simple oscillatory roots
         ("filament", "method.derivatives = 1",
-         "method.constant_style = amp-cos", f"line 14: {FILAMENT_METHOD}"),
+         "method.constant_style = amp-cos", "line 14: "
+         "method.constant_style = amp-cos needs simple oscillatory roots; "
+         "equation.operator = D4 + 2*D2 + D0 has a repeated one"),
     ], ids=["underdamped-perturbation", "filament-perturbation",
-            "filament-operator", "filament-order", "filament-style"])
+            "filament-operator", "filament-order", "filament-derivatives",
+            "filament-style"])
     def test_scripted_kinds_take_only_their_equation(self, tmp_path, capsys,
                                                      name, old, new, message):
         text = (CORPUS / f"{name}.spec").read_text()
