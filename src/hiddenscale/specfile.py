@@ -65,8 +65,13 @@ class ProblemSpec:
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_']+)*$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OPTERM_RE = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?D(\d+)\s*$")
-# options with one implemented value: the Burgers profile
-_ONLY_VALUE = {"profile": "log1p"}
+# the values a key may take, the first one its default
+_ALLOWED = {"method.constants_policy": ("fresh-at-zeroth-order",
+                                       "fresh-per-order", "zeroth-only"),
+            "method.constant_style": ("rect", "amp-cos", "amp-sin"),
+            "method.most_divergent": ("false", "true"),
+            "options.cgo_compare": ("false", "true"),
+            "options.profile": ("log1p",)}
 # scripted derivations, by kind or options.scripted, with the one equation
 # each derives: operator and perturbation in the spec's own parameter {p},
 # variable {v} and dependent variable {y}
@@ -238,11 +243,19 @@ def parse_spec(path) -> ProblemSpec:
         if nm and not _NAME_RE.match(nm):
             raise SpecError(f"bad symbol name {nm!r} in {path.name}")
 
-    order, lineno = raw.get("method.order", ("1", 0))
-    if not order.isdecimal() or int(order) < 1:
-        raise SpecError(f"line {lineno}: method.order must be an integer "
-                        f">= 1, got {order!r}")
-    spec.order = int(order)
+    for key, least in (("method.order", 1), ("method.derivatives", 0)):
+        v, lineno = raw.get(key, ("1", 0))
+        if not v.isdecimal() or int(v) < least:
+            raise SpecError(f"line {lineno}: {key} must be an integer >= "
+                            f"{least}, got {v!r}")
+    for key, values in _ALLOWED.items():
+        v, lineno = raw.get(key, (values[0], 0))
+        if v not in values:
+            raise SpecError(
+                f"line {lineno}: {key} = {v} is not implemented; "
+                + (f"the only value is {values[0]}" if len(values) == 1
+                   else "the values are " + ", ".join(values)))
+    spec.order = int(spec.get("method.order", "1"))
     spec.derivatives = int(spec.get("method.derivatives", "1"))
     spec.constants_policy = spec.get("method.constants_policy",
                                      "fresh-at-zeroth-order")
@@ -265,12 +278,7 @@ def parse_spec(path) -> ProblemSpec:
         elif key.startswith("validate."):
             spec.validate[key.split(".", 1)[1]] = v
         elif key.startswith("options."):
-            opt = key.split(".", 1)[1]
-            if opt in _ONLY_VALUE and v.split() != _ONLY_VALUE[opt].split():
-                raise SpecError(f"line {lineno}: {key} = {v} is not "
-                                f"implemented; the only value is "
-                                f"{_ONLY_VALUE[opt]}")
-            spec.options[opt] = v
+            spec.options[key.split(".", 1)[1]] = v
 
     if kind == "switchback" and spec.params.get("eps", 1) <= 0:
         raise SpecError(f"line {raw['params.eps'][1]}: params.eps is the "

@@ -175,6 +175,34 @@ class TestGrammar:
         # the implemented values parse
         parse_spec(CORPUS / f"{name}.spec")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("derivatives = 1", "derivatives = x",
+         "line 14: method.derivatives must be an integer >= 0, got 'x'"),
+        ("derivatives = 1", "derivatives = -1",
+         "line 14: method.derivatives must be an integer >= 0, got '-1'"),
+        ("= zeroth-only", "= bogus",
+         "line 15: method.constants_policy = bogus is not implemented; the "
+         "values are fresh-at-zeroth-order, fresh-per-order, zeroth-only"),
+        ("method.derivatives = 1", "method.constant_style = bogus",
+         "line 14: method.constant_style = bogus is not implemented; the "
+         "values are rect, amp-cos, amp-sin"),
+        ("method.derivatives = 1", "method.most_divergent = yes",
+         "line 14: method.most_divergent = yes is not implemented; the "
+         "values are false, true"),
+        ("cgo_compare = true", "cgo_compare = yes",
+         "line 28: options.cgo_compare = yes is not implemented; the values "
+         "are false, true"),
+    ], ids=["derivatives-x", "derivatives-negative", "policy", "style",
+            "most-divergent", "cgo-compare"])
+    def test_malformed_method_values_exit_2(self, tmp_path, capsys, old, new,
+                                            message):
+        text = (CORPUS / "overdamped.spec").read_text()
+        assert old in text
+        path = write_spec(tmp_path, text.replace(old, new))
+        for command in ("derive", "validate"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"spec error: {message}\n")
+
     @pytest.mark.parametrize("name, old, new, message", [
         # the closed form printed is that of y'' + eps*y' + y = 0
         ("underdamped", "= eps*Dy", "= eps*y",
