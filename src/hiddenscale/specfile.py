@@ -65,7 +65,8 @@ class ProblemSpec:
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z0-9_']+)*$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _OPTERM_RE = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?D(\d+)\s*$")
-# the values a key may take, the first one its default
+# the values a key may take, the first one its default; any other value is
+# a spec error on its line (method.order and method.derivatives are integers)
 _ALLOWED = {"method.constants_policy": ("fresh-at-zeroth-order",
                                        "fresh-per-order", "zeroth-only"),
             "method.constant_style": ("rect", "amp-cos", "amp-sin"),
@@ -74,12 +75,11 @@ _ALLOWED = {"method.constants_policy": ("fresh-at-zeroth-order",
             "options.profile": ("log1p",)}
 # scripted derivations, by kind or options.scripted, with the one equation
 # each derives: operator and perturbation in the spec's own parameter {p},
-# variable {v} and dependent variable {y}
+# variable {v} and dependent variable {y}; filament derives its grading and
+# amplitude pairs from the order-0 basis, so its constants' names are free
 _SCRIPTED = {"perturbation-symmetry": ("D2 + D0", "{p}*D{y}"),
              "filament": ("D4 + 2*D2 + D0",
                           "-{p}*{v}*D{y} - 1/2*{p}*{v}^2*D2{y}")}
-# the method filament.derive assumes
-_FILAMENT_METHOD = {"method.order": "1", "method.derivatives": "1"}
 
 
 def _parse_rational(tok: str, key: str, line: int) -> Fraction:
@@ -337,16 +337,13 @@ def parse_spec(path) -> ProblemSpec:
                     f"line {(pline if same_op else opline)[1]}: {what} "
                     f"derives only equation.operator = {op} with "
                     f"equation.perturbation = {pert}")
-        if script == "filament":
-            have = {"method.order": str(spec.order),
-                    "method.derivatives": str(spec.derivatives)}
-            bad = [k for k, v in _FILAMENT_METHOD.items() if have[k] != v]
-            if bad:
-                line = raw.get(bad[0], raw["options.scripted"])[1]
-                raise SpecError(
-                    f"line {line}: options.scripted = filament derives only "
-                    "with " + ", ".join(f"{k} = {v}" for k, v
-                                        in _FILAMENT_METHOD.items()))
+        # the order and painting filament.derive is written for; both
+        # default to 1, so a key that differs is in the spec
+        if script == "filament" and (spec.order, spec.derivatives) != (1, 1):
+            key = "method.order" if spec.order != 1 else "method.derivatives"
+            raise SpecError(
+                f"line {raw[key][1]}: options.scripted = filament derives "
+                "only with method.order = 1, method.derivatives = 1")
     return spec
 
 
