@@ -248,6 +248,7 @@ def parse_spec(path) -> ProblemSpec:
         if not v.isdecimal() or int(v) < least:
             raise SpecError(f"line {lineno}: {key} must be an integer >= "
                             f"{least}, got {v!r}")
+    chosen = {}
     for key, values in _ALLOWED.items():
         v, lineno = raw.get(key, (values[0], 0))
         if v not in values:
@@ -255,12 +256,12 @@ def parse_spec(path) -> ProblemSpec:
                 f"line {lineno}: {key} = {v} is not implemented; "
                 + (f"the only value is {values[0]}" if len(values) == 1
                    else "the values are " + ", ".join(values)))
+        chosen[key] = v
     spec.order = int(spec.get("method.order", "1"))
     spec.derivatives = int(spec.get("method.derivatives", "1"))
-    spec.constants_policy = spec.get("method.constants_policy",
-                                     "fresh-at-zeroth-order")
-    spec.constant_style = spec.get("method.constant_style", "rect")
-    spec.most_divergent = spec.get("method.most_divergent", "false") == "true"
+    spec.constants_policy = chosen["method.constants_policy"]
+    spec.constant_style = chosen["method.constant_style"]
+    spec.most_divergent = chosen["method.most_divergent"] == "true"
     for key, (v, lineno) in raw.items():
         if key.startswith("method.constants.order"):
             j = key.rsplit("order", 1)[1]
