@@ -3,13 +3,19 @@ and convergence-order fits.
 
 Nothing in here touches the symbolic kernel; these routines provide the
 reference values the symbolic pipeline is judged against, so they must stay
-independent of it.  scipy is imported only inside the RK45 and Burgers solvers
-that use it, so a run that never integrates does not load it.
+independent of it.
+
+The adaptive IVP oracle is a Dormand-Prince step loop on Python floats
+(``solve_ivp``): the oracles' states have 2-4 entries, where numpy's
+per-call cost outweighs its arithmetic.  The Burgers method-of-lines solver,
+whose states have hundreds of entries, keeps scipy's RK45; scipy is imported
+only inside it, so a run that never integrates a field does not load it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +72,159 @@ def _rk4_power(M, h: float, n: int) -> np.ndarray:
 
 
 def _check_rhs(rhs):
-    # y is already a float array (scipy's state or a stored node state)
+    """``rhs`` on a state given as floats, returning a list of Python floats.
+
+    The state reaches ``rhs`` as a float array; every value it returns is
+    checked for NaN/Inf, on Python floats.
+    """
     def wrapped(t, y):
-        out = np.asarray(rhs(t, y), dtype=float)
-        if not all(map(math.isfinite, out.ravel().tolist())):
+        out = np.asarray(rhs(t, np.array(y)), dtype=float).ravel().tolist()
+        if not all(map(math.isfinite, out)):
             raise SolverError(f"NaN/Inf in rhs at t={t}")
         return out
     return wrapped
+
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett &
+# Wanner, Solving ODEs I, table II.5.2) with Shampine's quartic dense output,
+# as in scipy.integrate.RK45.  Zero coefficients are left out: _A[s] holds
+# stage s+1's coefficients of stages 0..s, _B those of the 5th-order
+# solution over stages 0, 2, 3, 4, 5, _E the error estimate's over stages
+# 0, 2, ..., 6 and _P, per stage 0, 2, ..., 6, the dense output's
+# coefficients of x, x^2, x^3, x^4.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+      1 / 40)
+_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0, -282668133 / 205662961, 2019193451 / 616988883,
+       -1453857185 / 822651844),
+      (0, 40617522 / 29380423, -110615467 / 29380423,
+       69997945 / 29380423))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+
+
+def _rms(xs) -> float:
+    return math.sqrt(sum([x * x for x in xs])) / len(xs) ** 0.5
+
+
+def _initial_step(f, t0, y0, f0, length, d, rtol, atol) -> float:
+    """First step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    if length == 0.0:
+        return 0.0
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0 = _rms([y / s for y, s in zip(y0, scale)])
+    d1 = _rms([g / s for g, s in zip(f0, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    f1 = f(t0 + h0 * d, [y + h0 * d * g for y, g in zip(y0, f0)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, length)
+
+
+def _dopri5(f, t0: float, t1: float, y0: list, rtol: float, atol: float,
+            t_eval):
+    """Adaptive Dormand-Prince 5(4) from t0 to t1 (either direction).
+
+    ``f(t, y)`` takes and returns lists of floats.  Returns the abscissae
+    and states: every accepted step from t0 on, or the quartic dense output
+    at ``t_eval`` (ordered from t0 towards t1).  Raises SolverError when
+    the step falls below ten times the float spacing at t.
+    """
+    d = 1.0 if t1 >= t0 else -1.0
+    if t_eval is None:
+        ts, ys = [t0], [y0]
+    else:
+        ts, ys = [float(te) for te in t_eval], []
+        keys = [d * te for te in ts]      # increasing along the direction
+        if (any(b <= a for a, b in zip(keys, keys[1:]))
+                or keys and (keys[0] < d * t0 or keys[-1] > d * t1)):
+            raise ValueError("t_eval must be ordered from t0 to t1 and lie "
+                             "in the interval")
+        i = bisect_right(keys, d * t0)
+        ys += [y0] * i
+    c2, c3, c4, c5, c6 = _C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A
+    b1, b3, b4, b5, b6 = _B
+    e1, e3, e4, e5, e6, e7 = _E
+    t, y, k1 = t0, y0, f(t0, y0)
+    h_abs = _initial_step(f, t0, y0, k1, abs(t1 - t0), d, rtol, atol)
+    while d * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:     # shrink the step until its error is accepted
+            if h_abs < min_step:
+                raise SolverError("adaptive integration failed: Required "
+                                  "step size is less than spacing between "
+                                  "numbers.")
+            t_new = t + h_abs * d
+            if d * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            k2 = f(t + c2 * h, [yi + a21 * p * h for yi, p in zip(y, k1)])
+            k3 = f(t + c3 * h, [yi + (a31 * p + a32 * q) * h
+                                for yi, p, q in zip(y, k1, k2)])
+            k4 = f(t + c4 * h, [yi + (a41 * p + a42 * q + a43 * r) * h
+                                for yi, p, q, r in zip(y, k1, k2, k3)])
+            k5 = f(t + c5 * h,
+                   [yi + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                    for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
+            k6 = f(t + c6 * h,
+                   [yi + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
+                    for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [yi + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
+                     for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
+            k7 = f(t + h, y_new)
+            err = _rms([(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v
+                         + e7 * w) * h
+                        / (atol + max(abs(yi), abs(yn)) * rtol)
+                        for yi, yn, p, r, s, u, v, w
+                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0 else
+                          min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        if t_eval is None:
+            ts.append(t_new)
+            ys.append(y_new)
+        else:
+            j = bisect_right(keys, d * t_new)
+            if j > i:
+                ks = (k1, k3, k4, k5, k6, k7)
+                Q = [[sum([k[c] * p[m] for k, p in zip(ks, _P)])
+                      for m in range(4)] for c in range(len(y))]
+                for te in ts[i:j]:
+                    x = (te - t) / h
+                    x2 = x * x
+                    x3 = x2 * x
+                    ys.append([yi + h * (q1 * x + q2 * x2 + q3 * x3
+                                         + q4 * (x3 * x))
+                               for yi, (q1, q2, q3, q4) in zip(y, Q)])
+                i = j
+        t, y, k1 = t_new, y_new, k7
+    return ts, ys
 
 
 def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
@@ -80,15 +232,25 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
               t_eval=None) -> IVPSolution:
     """Integrate y' = rhs(t, y) over ``interval``.
 
+    ``rhs`` gets the state as a float array and returns an array-like.
     ``rk4-fixed`` uses the requested step (snapped so the endpoint is hit
-    exactly); ``rk45-adaptive`` delegates step control to a Dormand-Prince
-    integrator at local tolerance ``tol``.  Either raises SolverError on a
-    NaN/Inf: ``rk45-adaptive`` checks every rhs value, ``rk4-fixed`` checks
-    the state once per output interval, which a non-finite stage value
-    always leaves non-finite.  The rk45 check runs once per rhs call, on
-    Python floats, not once per accepted step: a step with a non-finite
-    stage is rejected and retried shorter, so the accepted states stay
-    finite and the integrator stops on a step-size underflow instead.
+    exactly).  ``rk45-adaptive`` is the Dormand-Prince 5(4) pair with local
+    extrapolation (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
+    ODEs I, II.4-II.5), step for step scipy's RK45 at rtol ``tol`` and atol
+    ``tol * 1e-2``: the same tableau, first-step guess and RMS error norm
+    with scale atol + max(|y|, |y_new|)*rtol; a new step of 0.9*err^(-1/5)
+    times the old, bounded to [0.2, 10] and not grown right after a
+    rejection; a minimum step of 10 float spacings at t; the last stage's
+    rhs reused as the next step's first; quartic dense output at
+    ``t_eval``.
+
+    Either method raises SolverError on a NaN/Inf: ``rk45-adaptive`` checks
+    every rhs value, ``rk4-fixed`` checks the state once per output
+    interval, which a non-finite stage value always leaves non-finite.  The
+    rk45 check runs once per rhs call, not once per accepted step: a step
+    with a non-finite stage would be rejected and retried shorter, so the
+    accepted states stay finite and the integrator would stop on a
+    step-size underflow instead.
 
     For a ``LinearRHS`` M, ``rk4-fixed`` advances each output interval of
     ``n_sub`` steps of size ``h`` by y <- R(hM)^n_sub @ y, where
@@ -138,15 +300,9 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
         derivs = np.array([f(t, s) for t, s in zip(grid, states)])
         return IVPSolution(grid, states, derivs)
     if method == "rk45-adaptive":
-        from scipy.integrate import solve_ivp as _scipy_ivp
-        sol = _scipy_ivp(f, (t0, t1), y0, method="RK45", rtol=tol,
-                         atol=tol * 1e-2, t_eval=t_eval, dense_output=False)
-        if not sol.success:
-            raise SolverError(f"adaptive integration failed: {sol.message}")
-        grid = sol.t
-        states = sol.y.T
-        derivs = np.array([f(t, s) for t, s in zip(grid, states)])
-        return IVPSolution(grid, states, derivs)
+        ts, ys = _dopri5(f, t0, t1, y0.tolist(), tol, tol * 1e-2, t_eval)
+        derivs = np.array([f(t, s) for t, s in zip(ts, ys)])
+        return IVPSolution(np.array(ts), np.array(ys), derivs)
     raise ValueError(f"unknown method {method!r}")
 
 

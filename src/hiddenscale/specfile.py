@@ -345,6 +345,18 @@ def parse_spec(path) -> ProblemSpec:
             raise SpecError(
                 f"line {raw[key][1]}: options.scripted = filament derives "
                 "only with method.order = 1, method.derivatives = 1")
+        # filament's flows A_i' = -alpha_i pair up its order-0 constants, so
+        # none of them can be fixed
+        if script == "filament":
+            order0 = ode_problem(spec).names_for(0, n)
+            fixed = [k for k in raw if k.startswith("method.fix.")
+                     and k.split(".", 2)[2] in order0]
+            if fixed:
+                key = min(fixed, key=lambda k: raw[k][1])
+                raise SpecError(
+                    f"line {raw[key][1]}: options.scripted = filament "
+                    "derives a flow for every order-0 constant; "
+                    f"{key} fixes {key.split('.', 2)[2]}")
     return spec
 
 

@@ -192,6 +192,19 @@ def test_exit_codes(tmp_path):
         2, "", "spec error: line 11: method.constant_style = amp-cos needs "
         "simple oscillatory roots; equation.operator = D4 + 2*D2 + D0 has "
         "a repeated one\n")
+    # filament fixing an order-0 constant; fixing an order-1 one derives
+    filament = (CORPUS / "filament.spec").read_text()
+    fixed = tmp_path / "fixed.spec"
+    for name in ("A1", "alpha2"):
+        fixed.write_text(filament + f"method.fix.{name} = 0\n")
+        r14 = run_cli("validate", str(fixed))
+        assert (r14.returncode, r14.stdout, r14.stderr) == (
+            2, "", "spec error: line 23: options.scripted = filament derives "
+            "a flow for every order-0 constant; "
+            f"method.fix.{name} fixes {name}\n")
+    fixed.write_text(filament + "method.fix.c1 = 0\n")
+    r15 = run_cli("derive", str(fixed))
+    assert r15.returncode == 0, r15.stderr
 
 
 def test_every_kind_has_handlers():

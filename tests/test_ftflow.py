@@ -338,15 +338,21 @@ class TestOrbitPatterns:
 
     def test_most_divergent_filter_keeps_order_zero(self, tmp_path):
         # the zeroth order A1 + A2*t is secular; filtering it would drop A1
-        spec, _flows = _pipeline(
-            tmp_path, "D2", "eps*Dy^2", 1,
-            "method.most_divergent = true\nparams.eps = 0.1\n"
-            "options.tilde_A1 = 1\noptions.tilde_A2 = 0.5\n"
-            "validate.grid = 0 20 201\n")
-        text = cli.run_validate(spec, None).text()
-        assert "A2(0) = A2~/(1 + (eps)*A2~*t)\n" in text
+        errors = {}
+        for flag in ("true", "false"):
+            spec, _flows = _pipeline(
+                tmp_path, "D2", "eps*Dy^2", 1,
+                f"method.most_divergent = {flag}\nparams.eps = 0.1\n"
+                "options.tilde_A1 = 1\noptions.tilde_A2 = 0.5\n"
+                "validate.grid = 0 20 201\n")
+            lines = cli.run_validate(spec, None).lines
+            errors[flag] = [ln for ln in lines
+                            if ln.startswith("sup error vs oracle: ")]
+            if flag == "true":
+                assert "A2(0) = A2~/(1 + (eps)*A2~*t)" in lines
         # the same error as without the filter
-        assert "sup error vs oracle: 2.08480166464e-09\n" in text
+        assert len(errors["true"]) == 1
+        assert errors["true"] == errors["false"]
 
     def test_const_and_quadrature_through_solved_orbits(self, tmp_path):
         _spec, flows = _pipeline(tmp_path, "D2", "eps*cos(t)*y", 1)

@@ -68,6 +68,71 @@ class TestIVP:
                       [1.0], (0, 1), "rk45-adaptive", tol=1e-10)
 
 
+def _rk45_case(name):
+    """(rhs, y0, interval, tol, t_eval) of an adaptive solve the oracles
+    make."""
+    if name in ("kdv", "mathieu"):
+        spec = parse_spec(CORPUS / f"{name}.spec")
+        rhs, nord = cli._ode_rhs(spec, dict(spec.params))
+        grid = np.linspace(*cli._numbers(spec, "validate.grid", "", "ffi"))
+        # mathieu's oracle starts from the uniform solution's jet
+        y0 = cli._ic_floats(spec, nord) if spec.ics else [1.0, 0.3]
+        return rhs, y0, (grid[0], grid[-1]), 1e-11, grid
+    if name == "switchback":    # one shot of terrible's shooting oracle
+        p = cli._switchback_problem(parse_spec(CORPUS / "terrible.spec"))
+        return (p.rhs_log(), [1.0 - p.a, 0.1],
+                (math.log(p.eps), math.log(50.0)), 1e-11, None)
+    # van der Pol from t = 10 back to 0, as the numeric flows run back
+    return (lambda t, y: np.array([y[1], 2 * (1 - y[0] ** 2) * y[1] - y[0]]),
+            [2.0, 0.0], (10.0, 0.0), 1e-12, np.linspace(10.0, 0.0, 51))
+
+
+def _scipy_rk45(rhs, y0, interval, tol, t_eval=None):
+    from scipy.integrate import solve_ivp as scipy_ivp
+    sol = scipy_ivp(rhs, interval, np.asarray(y0, dtype=float), method="RK45",
+                    rtol=tol, atol=tol * 1e-2, t_eval=t_eval)
+    assert sol.success, sol.message
+    return sol
+
+
+class TestRK45AgainstScipy:
+    """The Dormand-Prince step loop against scipy's RK45, which it replaces:
+    the same algorithm, so the same steps up to rounding."""
+
+    @pytest.mark.parametrize("name", ["kdv", "mathieu", "switchback",
+                                      "backward"])
+    def test_same_steps_and_states(self, name):
+        rhs, y0, interval, tol, t_eval = _rk45_case(name)
+        ours = solve_ivp(rhs, y0, interval, "rk45-adaptive", tol=tol,
+                         t_eval=t_eval)
+        ref = _scipy_rk45(rhs, y0, interval, tol, t_eval)
+        if t_eval is not None:
+            assert np.array_equal(ours.grid, ref.t)
+            got, want = ours.states, ref.y.T
+        else:
+            got, want = ours.states[-1], ref.y[:, -1]
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        # t_eval only picks output points: without it, the grid is the
+        # accepted steps
+        steps = len(solve_ivp(rhs, y0, interval, "rk45-adaptive",
+                              tol=tol).grid) - 1
+        ref_steps = len(_scipy_rk45(rhs, y0, interval, tol).t) - 1
+        assert abs(steps - ref_steps) <= 0.01 * ref_steps
+
+    def test_step_size_underflow(self):
+        # y' = y^2, y(0) = 1 blows up at t = 1
+        with pytest.raises(SolverError, match=r"^adaptive integration failed: "
+                           r"Required step size is less than spacing between "
+                           r"numbers\.$"):
+            solve_ivp(lambda t, y: y * y, [1.0], (0, 2), "rk45-adaptive")
+
+    def test_t_eval_must_run_from_start_to_end(self):
+        for t_eval in ([0.0, 0.5, 0.4], [0.5, 1.5]):
+            with pytest.raises(ValueError):
+                solve_ivp(lambda t, y: -y, [1.0], (0, 1), "rk45-adaptive",
+                          t_eval=t_eval)
+
+
 class TestLinearRHS:
     """The stability-polynomial path of "rk4-fixed" against the step loop."""
 
