@@ -218,10 +218,9 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
     env = dict(params)     # one per closure; each call sets only var
 
     def rhs(t, y):
-        ys = y.tolist()
         top = 0.0
         for m, c in enumerate(coeffs[:-1]):
-            top += c * ys[m]
+            top += c * y[m]
         env[var] = float(t)
         for p, coeff, dp in pert:
             if isinstance(coeff, Expr):
@@ -230,15 +229,15 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
                 val = coeff
             for m, q in dp:
                 try:
-                    val *= ys[m] ** q
+                    val *= y[m] ** q
                 except OverflowError:   # as numpy would: inf, then SolverError
                     val = math.inf
             top += val
-        return np.array(ys[1:] + [-top / coeffs[-1]])
+        return [*y[1:], -top / coeffs[-1]]
     if all(not isinstance(c, Expr) and sum(q for _m, q in dp) == 1
            for _p, c, dp in pert):
-        return numlab.LinearRHS(
-            np.column_stack([rhs(0.0, e) for e in np.eye(n)])), n
+        return numlab.LinearRHS(np.column_stack(
+            [rhs(0.0, e) for e in np.eye(n).tolist()])), n
     return rhs, n
 
 
@@ -301,12 +300,12 @@ def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int):
     ref = numlab.solve_ivp(rhs, y0, (float(grid[0]), float(grid[-1])),
                            "rk45-adaptive", tol=1e-11, t_eval=grid)
     uvals = uniform.evaluate(grid, env)
-    abs_err = np.abs(ref.at_nodes() - uvals)
+    abs_err = np.abs(ref.states[:, 0] - uvals)
     sup = float(abs_err.max())
     rep.add(f"sup error vs oracle: {_fmt(sup)}")
     _write_csv(csv_dir, f"{spec.name}_uniform.csv",
                [spec.variable, "y_numeric", "y_uniform", "abs_error"],
-               np.column_stack([grid, ref.at_nodes(), uvals, abs_err]))
+               np.column_stack([grid, ref.states[:, 0], uvals, abs_err]))
 
     epsv = params[spec.parameter]
     if "c_drift_max" in spec.validate:
@@ -322,7 +321,7 @@ def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int):
                                 "rk45-adaptive", tol=1e-11, t_eval=grid)
         u2 = uniform.evaluate(grid, e2)
         c_full = sup / epsv ** kk
-        c_half = float(np.max(np.abs(u2 - ref2.at_nodes()))) \
+        c_half = float(np.max(np.abs(u2 - ref2.states[:, 0]))) \
             / (epsv / 2) ** kk
         drift = max(c_full, c_half) / min(c_full, c_half)
         rep.check("error constant stable under eps halving", drift <= cmax,
@@ -378,10 +377,11 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
         tvals = _fit_tildes_to_ics(uniform2, env, ics)
         env.update(tvals)
         rhs, _n = _ode_rhs(spec, {spec.parameter: ev})
-        ref = numlab.solve_ivp(rhs, ics, (float(grid[0]), float(grid[-1])),
-                               "rk4-fixed", step=step, t_eval=grid)
+        yref = numlab.solve_ivp(
+            rhs, ics, (float(grid[0]), float(grid[-1])), "rk4-fixed",
+            step=step, t_eval=grid).states[:, 0]
         uvals = uniform2.evaluate(grid, env)
-        sup = float(np.max(np.abs(uvals - ref.at_nodes())))
+        sup = float(np.max(np.abs(uvals - yref)))
         if ev in sweep:
             errs.append((ev, sup))
         if abs(ev - epsv) < 1e-15:
@@ -398,11 +398,10 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
             benv.update(dict(zip(names, AB)))
             bvals = bare.eval({**benv, spec.variable: grid}).real
             table_rows = np.column_stack(
-                [grid, ref.at_nodes(), bvals, uvals,
-                 np.abs(bvals - ref.at_nodes()),
-                 np.abs(uvals - ref.at_nodes())])
-            bare_end = abs(bvals[-1] - ref.at_nodes()[-1])
-            uni_end = abs(uvals[-1] - ref.at_nodes()[-1])
+                [grid, yref, bvals, uvals, np.abs(bvals - yref),
+                 np.abs(uvals - yref)])
+            bare_end = abs(bvals[-1] - yref[-1])
+            uni_end = abs(uvals[-1] - yref[-1])
     _write_csv(csv_dir, f"{spec.name}_reference_curve.csv",
                [spec.variable, "y_numeric", "y_bare", "y_uniform",
                 "err_bare", "err_uniform"], table_rows)
@@ -439,12 +438,12 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
     textbook = ftflow.assemble_uniform(painted, dataclasses.replace(
         flows, flows={**flows.flows, "phi": phi}))
     tvals = textbook.evaluate(grid, env)
-    terr = float(np.max(np.abs(tvals - ref.at_nodes())))
+    terr = float(np.max(np.abs(tvals - ref.states[:, 0])))
     ratio_max = _numbers(spec, "validate.textbook_ratio_max", "0.5", "f")
     rep.add(f"textbook-exponent sup error: {_fmt(terr)}")
     _write_csv(csv_dir, f"{spec.name}_fig5.csv",
                [spec.variable, "W_numeric", "W_hidden", "W_textbook"],
-               np.column_stack([grid, ref.at_nodes(), uvals, tvals]))
+               np.column_stack([grid, ref.states[:, 0], uvals, tvals]))
     rep.check("hidden-scale error at most half the textbook error",
               sup <= ratio_max * terr,
               f"{_fmt(sup)} <= {ratio_max} * {_fmt(terr)}")
@@ -599,7 +598,7 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, derived, csv_dir,
     errs = []
     for i, (ev, u) in enumerate(zip(sweep, uforms)):
         errs.append((ev, float(np.max(np.abs(u.evaluate(grid)
-                                             - ref.at_nodes(2 * i))))))
+                                             - ref.states[:, 2 * i])))))
     by_eps = _check_eps_sweep(spec, rep, errs, "closed-form error order",
                               "2.6 3.4")
     if 0.1 in by_eps and 0.2 in by_eps:

@@ -78,7 +78,7 @@ def verify_order_assumption():
     ratios = []
     for d in (1e-2, 1e-3, 1e-4):
         def rhs(mu, y):
-            return np.array([y[1], d / 16.0 * (2 * mu * mu + 1) * y[0]])
+            return [y[1], d / 16.0 * (2 * mu * mu + 1) * y[0]]
         lam0 = (d / 16.0) ** 0.5
         sol = solve_ivp(rhs, [1.0, lam0], (0.0, mu_max), "rk45-adaptive",
                         tol=1e-12)

@@ -138,8 +138,8 @@ class FTSystem:
 
         def f(mu_val, y):
             env[self.mu] = float(mu_val)
-            env.update(zip(names, y.tolist()))
-            return np.array([e.eval(env).real for e in exprs])
+            env.update(zip(names, y))
+            return [e.eval(env).real for e in exprs]
         return f
 
     def is_autonomous(self) -> bool:
@@ -368,8 +368,8 @@ class ConstantFlows:
             if traj is None or traj.grid[-1] < np.max(x):
                 xmax = float(np.max(np.abs(x))) * 1.5 + 1.0
                 f = self.ft.rhs_callable(env)
-                traj = solve_ivp(lambda t, y: -f(t, y), y0, (0.0, xmax),
-                                 "rk45-adaptive", tol=1e-12)
+                traj = solve_ivp(lambda t, y: [-v for v in f(t, y)], y0,
+                                 (0.0, xmax), "rk45-adaptive", tol=1e-12)
                 self._cache[key] = traj
             return {n: traj(x, i) for i, n in enumerate(names)}
         f = self.ft.rhs_callable(env)

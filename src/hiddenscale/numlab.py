@@ -5,11 +5,12 @@ Nothing in here touches the symbolic kernel; these routines provide the
 reference values the symbolic pipeline is judged against, so they must stay
 independent of it.
 
-The adaptive IVP oracle is a Dormand-Prince step loop on Python floats
-(``solve_ivp``): the oracles' states have 2-4 entries, where numpy's
-per-call cost outweighs its arithmetic.  The Burgers method-of-lines solver,
-whose states have hundreds of entries, keeps scipy's RK45; scipy is imported
-only inside it, so a run that never integrates a field does not load it.
+Both IVP oracles (``solve_ivp``) are step loops on Python floats, and an
+rhs gets and returns its state as a list of floats: the oracles' states have
+2-4 entries, where numpy's per-call cost outweighs its arithmetic.  The
+Burgers method-of-lines solver, whose states have hundreds of entries, keeps
+scipy's RK45; scipy is imported only inside it, so a run that never
+integrates a field does not load it.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ class SolverError(RuntimeError):
 class IVPSolution:
     """Grid states plus cubic Hermite dense output from stored derivatives."""
 
-    grid: np.ndarray           # strictly increasing abscissae
+    grid: np.ndarray           # strictly monotone abscissae, from t0 on
     states: np.ndarray         # shape (len(grid), dim)
     derivs: np.ndarray         # rhs evaluated at the grid nodes
 
     def __call__(self, t, component: int = 0):
         t = np.asarray(t, dtype=float)
         x, y, f = self.grid, self.states[:, component], self.derivs[:, component]
+        if x[0] > x[-1]:    # a backward solve: interpolate on x reversed
+            x, y, f = x[::-1], y[::-1], f[::-1]
         idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
         h = x[idx + 1] - x[idx]
         s = (t - x[idx]) / h
@@ -44,9 +47,6 @@ class IVPSolution:
         h01 = s ** 2 * (3 - 2 * s)
         h11 = s ** 2 * (s - 1)
         return h00 * y[idx] + h10 * h * f[idx] + h01 * y[idx + 1] + h11 * h * f[idx + 1]
-
-    def at_nodes(self, component: int = 0) -> np.ndarray:
-        return self.states[:, component]
 
 
 class LinearRHS:
@@ -72,13 +72,10 @@ def _rk4_power(M, h: float, n: int) -> np.ndarray:
 
 
 def _check_rhs(rhs):
-    """``rhs`` on a state given as floats, returning a list of Python floats.
-
-    The state reaches ``rhs`` as a float array; every value it returns is
-    checked for NaN/Inf, on Python floats.
-    """
+    """``rhs`` with its values turned into Python floats, each checked for
+    NaN/Inf."""
     def wrapped(t, y):
-        out = np.asarray(rhs(t, np.array(y)), dtype=float).ravel().tolist()
+        out = list(map(float, rhs(t, y)))
         if not all(map(math.isfinite, out)):
             raise SolverError(f"NaN/Inf in rhs at t={t}")
         return out
@@ -142,10 +139,11 @@ def _dopri5(f, t0: float, t1: float, y0: list, rtol: float, atol: float,
             t_eval):
     """Adaptive Dormand-Prince 5(4) from t0 to t1 (either direction).
 
-    ``f(t, y)`` takes and returns lists of floats.  Returns the abscissae
-    and states: every accepted step from t0 on, or the quartic dense output
-    at ``t_eval`` (ordered from t0 towards t1).  Raises SolverError when
-    the step falls below ten times the float spacing at t.
+    ``f(t, y)`` takes and returns lists of floats.  Returns the abscissae,
+    states and rhs values: every accepted step from t0 on with its last
+    stage, or the quartic dense output at ``t_eval`` (ordered from t0
+    towards t1) with ``f`` there.  Raises SolverError when the step falls
+    below ten times the float spacing at t.
     """
     d = 1.0 if t1 >= t0 else -1.0
     if t_eval is None:
@@ -165,6 +163,7 @@ def _dopri5(f, t0: float, t1: float, y0: list, rtol: float, atol: float,
     b1, b3, b4, b5, b6 = _B
     e1, e3, e4, e5, e6, e7 = _E
     t, y, k1 = t0, y0, f(t0, y0)
+    fs = [k1]
     h_abs = _initial_step(f, t0, y0, k1, abs(t1 - t0), d, rtol, atol)
     while d * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
@@ -209,6 +208,7 @@ def _dopri5(f, t0: float, t1: float, y0: list, rtol: float, atol: float,
         if t_eval is None:
             ts.append(t_new)
             ys.append(y_new)
+            fs.append(k7)
         else:
             j = bisect_right(keys, d * t_new)
             if j > i:
@@ -224,7 +224,9 @@ def _dopri5(f, t0: float, t1: float, y0: list, rtol: float, atol: float,
                                for yi, (q1, q2, q3, q4) in zip(y, Q)])
                 i = j
         t, y, k1 = t_new, y_new, k7
-    return ts, ys
+    if t_eval is not None:
+        fs = [f(te, ye) for te, ye in zip(ts, ys)]
+    return ts, ys, fs
 
 
 def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
@@ -232,7 +234,10 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
               t_eval=None) -> IVPSolution:
     """Integrate y' = rhs(t, y) over ``interval``.
 
-    ``rhs`` gets the state as a float array and returns an array-like.
+    ``rhs`` gets the state as a list of Python floats, which it must not
+    change, and returns a sequence of real numbers.  Both step loops run on
+    Python floats, so a list of floats is the fast return.
+
     ``rk4-fixed`` uses the requested step (snapped so the endpoint is hit
     exactly).  ``rk45-adaptive`` is the Dormand-Prince 5(4) pair with local
     extrapolation (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
@@ -261,48 +266,43 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     by rounding.  Each distinct (h, n_sub) forms its matrix once.
     """
     t0, t1 = float(interval[0]), float(interval[1])
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     f = _check_rhs(rhs)
     if method == "rk4-fixed":
-        def g(t, y):    # y is already a float array here
-            return np.asarray(rhs(t, y), dtype=float)
         if t_eval is not None:
-            grid = np.asarray(t_eval, dtype=float)
+            grid = [float(te) for te in t_eval]
         else:
             n = max(1, int(round((t1 - t0) / step)))
-            grid = np.linspace(t0, t1, n + 1)
-        states = np.empty((len(grid), len(y0)))
-        states[0] = y0
-        y = y0.copy()
+            grid = np.linspace(t0, t1, n + 1).tolist()
+        y, ys = y0, [y0]
         powers = {}     # (h, n_sub) -> R(hM)^n_sub, for a LinearRHS
-        for i in range(len(grid) - 1):
-            a, b = grid[i], grid[i + 1]
+        for a, b in zip(grid, grid[1:]):
             n_sub = max(1, int(round((b - a) / step)))
             h = (b - a) / n_sub
-            if h <= 0 or not np.isfinite(h):
+            if h <= 0 or not math.isfinite(h):
                 raise SolverError("step underflow in rk4-fixed")
             if isinstance(rhs, LinearRHS):
                 if (h, n_sub) not in powers:
                     powers[h, n_sub] = _rk4_power(rhs.M, h, n_sub)
-                y = powers[h, n_sub] @ y
+                y = (powers[h, n_sub] @ y).tolist()
             else:
-                t = a
+                t, h2, h6 = a, h / 2, h / 6
                 for _ in range(n_sub):
-                    k1 = g(t, y)
-                    k2 = g(t + h / 2, y + h / 2 * k1)
-                    k3 = g(t + h / 2, y + h / 2 * k2)
-                    k4 = g(t + h, y + h * k3)
-                    y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                    k1 = rhs(t, y)
+                    k2 = rhs(t + h2, [yi + h2 * p for yi, p in zip(y, k1)])
+                    k3 = rhs(t + h2, [yi + h2 * q for yi, q in zip(y, k2)])
+                    k4 = rhs(t + h, [yi + h * r for yi, r in zip(y, k3)])
+                    y = [yi + h6 * (p + 2 * q + 2 * r + s)
+                         for yi, p, q, r, s in zip(y, k1, k2, k3, k4)]
                     t += h
-            if not np.all(np.isfinite(y)):
+            if not all(map(math.isfinite, y)):
                 raise SolverError(f"NaN/Inf in rk4-fixed state at t={b}")
-            states[i + 1] = y
-        derivs = np.array([f(t, s) for t, s in zip(grid, states)])
-        return IVPSolution(grid, states, derivs)
+            ys.append(y)
+        fs = [f(t, y) for t, y in zip(grid, ys)]
+        return IVPSolution(np.array(grid), np.array(ys), np.array(fs))
     if method == "rk45-adaptive":
-        ts, ys = _dopri5(f, t0, t1, y0.tolist(), tol, tol * 1e-2, t_eval)
-        derivs = np.array([f(t, s) for t, s in zip(ts, ys)])
-        return IVPSolution(np.array(ts), np.array(ys), derivs)
+        ts, ys, fs = _dopri5(f, t0, t1, y0, tol, tol * 1e-2, t_eval)
+        return IVPSolution(np.array(ts), np.array(ys), np.array(fs))
     raise ValueError(f"unknown method {method!r}")
 
 

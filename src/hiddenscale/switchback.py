@@ -177,9 +177,8 @@ class SwitchbackProblem:
         n, delta = self.n, self.delta
         def rhs(xi, y):
             x = math.exp(xi)
-            u, up = y.tolist()
-            return np.array([up, -(x * u * up + delta * up * up
-                                   + (n - 2) * up)])
+            u, up = y
+            return [up, -(x * u * up + delta * up * up + (n - 2) * up)]
         return rhs
 
 

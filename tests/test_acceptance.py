@@ -72,10 +72,12 @@ def test_criterion_2_overdamped_error_scaling():
         y0 = np.zeros(6)
         y0[0::2], y0[1::2] = ics[0], ics[1]
 
+        evs = sweep.tolist()
+
         def rhs(t, y):
-            out = np.empty_like(y)
-            out[0::2] = y[1::2]
-            out[1::2] = -y[1::2] - sweep * y[0::2]
+            out = []
+            for ev, u, v in zip(evs, y[0::2], y[1::2]):
+                out += (v, -v - ev * u)
             return out
 
         ref = numlab.solve_ivp(rhs, y0, (0.0, 15.0), "rk4-fixed", step=1e-4,
@@ -87,14 +89,14 @@ def test_criterion_2_overdamped_error_scaling():
             env.update(cli._fit_tildes_to_ics(uniform, env, ics))
             uvals = np.array([uniform.evaluate(float(t), env) for t in grid])
             errs.append((float(ev), float(np.max(np.abs(
-                uvals - ref.at_nodes(2 * i))))))
+                uvals - ref.states[:, 2 * i])))))
             if ev == 0.2:
                 A_B = np.linalg.solve(np.array([[1.0, 1.0],
                                                 [-ev, -1.0 + ev]]), ics)
                 benv = {"eps": float(ev), "A": A_B[0], "B": A_B[1]}
                 b_end = bare.eval({**benv, "tau": 15.0}).real
-                bare_end = abs(b_end - ref.at_nodes(2 * i)[-1])
-                uni_end = abs(uvals[-1] - ref.at_nodes(2 * i)[-1])
+                bare_end = abs(b_end - ref.states[-1, 2 * i])
+                uni_end = abs(uvals[-1] - ref.states[-1, 2 * i])
         p = numlab.convergence_order(errs)
         assert 1.7 <= p <= 2.3, f"fitted order {p}"
         assert bare_end >= 10 * uni_end, (bare_end, uni_end)
@@ -121,12 +123,13 @@ def test_criterion_3_mathieu():
             aval = 0.25 + 1.2 * ev
 
             def rhs(t, y, e=ev, a=aval):
-                return np.array([y[1], -(a + 2 * e * np.cos(t)) * y[0]])
+                return [y[1], -(a + 2 * e * math.cos(t)) * y[0]]
 
             ref = numlab.solve_ivp(rhs, y0, (0.0, 30.0), "rk4-fixed",
                                    step=1e-3, t_eval=grid)
             uvals = np.array([uniform.evaluate(float(t), env) for t in grid])
-            cs.append(float(np.max(np.abs(uvals - ref.at_nodes()))) / ev ** 2)
+            cs.append(float(np.max(np.abs(uvals - ref.states[:, 0])))
+                      / ev ** 2)
         drift = max(cs) / min(cs)
         assert drift <= 3.0, f"C drift {drift}"
         # sup error <= C*eps^2 with C fixed by the halving test
@@ -153,15 +156,15 @@ def test_criterion_4_kdv_strained_coordinate():
         beta = 9.0 / (env["k"] ** 2 * env["delta"] ** 2)
 
         def rhs(t, y):
-            return np.array([y[1], y[2], -y[1] - epsv * beta * y[0] * y[1]])
+            return [y[1], y[2], -y[1] - epsv * beta * y[0] * y[1]]
 
         grid = np.linspace(0.0, 60.0, 601)
         ref = numlab.solve_ivp(rhs, [0.0, A1, 0.0], (0.0, 60.0), "rk4-fixed",
                                step=2e-3, t_eval=grid)
         u_h = np.array([uniform.evaluate(float(t), env) for t in grid])
         u_t = np.array([textbook.evaluate(float(t), env) for t in grid])
-        e_h = float(np.max(np.abs(u_h - ref.at_nodes())))
-        e_t = float(np.max(np.abs(u_t - ref.at_nodes())))
+        e_h = float(np.max(np.abs(u_h - ref.states[:, 0])))
+        e_t = float(np.max(np.abs(u_t - ref.states[:, 0])))
         assert e_h <= 0.5 * e_t, (e_h, e_t)
 
 
@@ -243,17 +246,19 @@ def test_criterion_7_underdamped_perturbation_symmetry():
             y0[2 * i] = u.evaluate(0.0)
             y0[2 * i + 1] = (u.evaluate(h) - u.evaluate(-h)) / (2 * h)
 
+        evs = sweep.tolist()
+
         def rhs(t_, z):
-            out = np.empty_like(z)
-            out[0::2] = z[1::2]
-            out[1::2] = -z[0::2] - sweep * z[1::2]
+            out = []
+            for ev, u, v in zip(evs, z[0::2], z[1::2]):
+                out += (v, -u - ev * v)
             return out
 
         grid = np.linspace(0.0, 20.0, 201)
         ref = numlab.solve_ivp(rhs, y0, (0.0, 20.0), "rk4-fixed", step=1e-4,
                                t_eval=grid)
         errs = [(float(ev),
-                 float(np.max(np.abs(u.evaluate(grid) - ref.at_nodes(2 * i)))))
+                 float(np.max(np.abs(u.evaluate(grid) - ref.states[:, 2 * i]))))
                 for i, (ev, u) in enumerate(zip(sweep, uforms))]
         p = numlab.convergence_order(errs)
         assert 2.6 <= p <= 3.4, f"fitted order {p}"

@@ -19,53 +19,137 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 class TestIVP:
     def test_exponential_decay(self):
-        sol = solve_ivp(lambda t, y: -y, [1.0], (0, 1), "rk4-fixed",
+        sol = solve_ivp(lambda t, y: [-y[0]], [1.0], (0, 1), "rk4-fixed",
                         step=1e-3)
         assert abs(sol.states[-1, 0] - math.exp(-1)) < 1e-10
 
     def test_rk4_observed_order(self):
         errs = []
         for h in (0.1, 0.05, 0.025):
-            sol = solve_ivp(lambda t, y: -2.3 * y, [1.0], (0, 1), "rk4-fixed",
-                            step=h)
+            sol = solve_ivp(lambda t, y: [-2.3 * y[0]], [1.0], (0, 1),
+                            "rk4-fixed", step=h)
             errs.append((h, abs(sol.states[-1, 0] - math.exp(-2.3))))
         p = convergence_order(errs)
         assert 3.8 <= p <= 4.2
 
     def test_adaptive_meets_tolerance(self):
-        sol = solve_ivp(lambda t, y: np.array([y[1], -y[0]]), [0.0, 1.0],
-                        (0, 10), "rk45-adaptive", tol=1e-11)
+        sol = solve_ivp(lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0, 10),
+                        "rk45-adaptive", tol=1e-11)
         assert abs(sol.states[-1, 0] - math.sin(10)) < 1e-8
 
     def test_dense_output_matches_nodes(self):
         grid = np.linspace(0, 1, 11)
-        sol = solve_ivp(lambda t, y: -y, [1.0], (0, 1), "rk4-fixed",
+        sol = solve_ivp(lambda t, y: [-y[0]], [1.0], (0, 1), "rk4-fixed",
                         step=1e-2, t_eval=grid)
-        assert np.allclose(sol(grid), sol.at_nodes(), atol=1e-14)
+        assert np.allclose(sol(grid), sol.states[:, 0], atol=1e-14)
 
     def test_dense_output_between_nodes(self):
-        sol = solve_ivp(lambda t, y: -y, [1.0], (0, 1), "rk4-fixed",
+        sol = solve_ivp(lambda t, y: [-y[0]], [1.0], (0, 1), "rk4-fixed",
                         step=0.05)
         ts = np.linspace(0, 1, 97)
         assert np.max(np.abs(sol(ts) - np.exp(-ts))) < 1e-6
 
+    def test_dense_output_on_a_backward_solve(self):
+        # y = (sin t, cos t) from t = 3 back to 0: the grid decreases and
+        # its last state is the end state
+        sol = solve_ivp(lambda t, y: [y[1], -y[0]],
+                        [math.sin(3.0), math.cos(3.0)], (3.0, 0.0),
+                        "rk45-adaptive", tol=1e-11)
+        assert sol.grid[0] == 3.0 and sol.grid[-1] == 0.0
+        assert abs(sol.states[-1, 0]) < 1e-8
+        assert abs(sol(1.5) - math.sin(1.5)) < 1e-8
+        ts = np.linspace(0.0, 3.0, 61)
+        assert np.max(np.abs(sol(ts, 1) - np.cos(ts))) < 1e-8
+
     def test_nan_rhs_raises(self):
         with pytest.raises(SolverError):
-            solve_ivp(lambda t, y: y * float("nan"), [1.0], (0, 1),
+            solve_ivp(lambda t, y: [y[0] * math.nan], [1.0], (0, 1),
                       "rk4-fixed", step=0.1)
         # One non-finite stage value inside a 100-step output interval; the
         # rhs is finite at both output nodes, whatever the state.
         with pytest.raises(SolverError):
-            solve_ivp(lambda t, y: np.full_like(
-                          y, math.inf if 0.42 < t < 0.43 else -1.0),
+            solve_ivp(lambda t, y: [math.inf if 0.42 < t < 0.43 else -1.0],
                       [1.0], (0, 1), "rk4-fixed", step=0.01, t_eval=[0, 1])
         # RK45 rejects a step with a NaN stage and retries a shorter one, so
         # every accepted state stays finite: only the check on each rhs
         # value reports this one
         with pytest.raises(SolverError, match=r"^NaN/Inf in rhs at t=0\.42"):
-            solve_ivp(lambda t, y: y * (math.nan if 0.42 < t < 0.43
-                                        else math.cos(20 * t)),
+            solve_ivp(lambda t, y: [y[0] * (math.nan if 0.42 < t < 0.43
+                                            else math.cos(20 * t))],
                       [1.0], (0, 1), "rk45-adaptive", tol=1e-10)
+
+
+class TestRHSContract:
+    """An rhs gets the state as a list of Python floats and returns a
+    sequence of real numbers."""
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    @pytest.mark.parametrize("t_eval", [None, [0.0, 0.5, 1.0]],
+                             ids=["steps", "t_eval"])
+    def test_rhs_gets_a_list_of_floats(self, method, t_eval):
+        seen = set()
+
+        def rhs(t, y):
+            seen.add((type(y),) + tuple(map(type, y)))
+            return [y[1], -y[0]]
+        solve_ivp(rhs, np.array([0.0, 1.0]), (0, 1), method, step=0.1,
+                  t_eval=t_eval)
+        assert seen == {(list, float, float)}
+
+    @pytest.mark.parametrize("t_eval", [None, np.linspace(0.0, 5.0, 11)],
+                             ids=["steps", "t_eval"])
+    def test_rk45_values_need_not_be_floats(self, t_eval):
+        def vdp(t, y):
+            return [y[1], 2 * (1 - y[0] ** 2) * y[1] - y[0]]
+        want = solve_ivp(vdp, [2.0, 0.0], (0, 5), t_eval=t_eval)
+        for wrap in (np.array, lambda v: [np.float64(x) for x in v]):
+            got = solve_ivp(lambda t, y: wrap(vdp(t, y)), [2.0, 0.0], (0, 5),
+                            t_eval=t_eval)
+            assert np.array_equal(got.grid, want.grid)
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.derivs, want.derivs)
+
+    # at criterion 2's step, and at one coarse enough that a stage
+    # computed in another order shows in the states
+    @pytest.mark.parametrize("step, t1", [(1e-4, 0.1), (0.1, 15.0)],
+                             ids=["criterion-step", "coarse"])
+    def test_rk4_list_loop_matches_the_ndarray_step(self, step, t1):
+        # the stacked overdamped sweep of acceptance criterion 2,
+        # y'' + y' + eps*y = 0 per block, against an RK4 step written on
+        # ndarrays: the same floating-point operations, so the same states
+        sweep = np.array([0.05, 0.1, 0.2])
+        evs = sweep.tolist()
+
+        def rhs(t, y):
+            out = []
+            for ev, u, v in zip(evs, y[0::2], y[1::2]):
+                out += (v, -v - ev * u)
+            return out
+
+        def rhs_array(t, y):
+            out = np.empty_like(y)
+            out[0::2] = y[1::2]
+            out[1::2] = -y[1::2] - sweep * y[0::2]
+            return out
+        grid = np.linspace(0.0, t1, 11)
+        y = np.array([3.0, 1.0] * 3)
+        want = [y]
+        for a, b in zip(grid[:-1], grid[1:]):
+            n_sub = max(1, int(round((b - a) / step)))
+            h = (b - a) / n_sub
+            t = a
+            for _ in range(n_sub):
+                k1 = rhs_array(t, y)
+                k2 = rhs_array(t + h / 2, y + h / 2 * k1)
+                k3 = rhs_array(t + h / 2, y + h / 2 * k2)
+                k4 = rhs_array(t + h, y + h * k3)
+                y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                t += h
+            want.append(y)
+        got = solve_ivp(rhs, [3.0, 1.0] * 3, (0.0, t1), "rk4-fixed",
+                        step=step, t_eval=grid)
+        assert np.array_equal(got.states, np.array(want))
+        assert not np.array_equal(got.states[-1], got.states[0])
 
 
 def _rk45_case(name):
@@ -83,14 +167,16 @@ def _rk45_case(name):
         return (p.rhs_log(), [1.0 - p.a, 0.1],
                 (math.log(p.eps), math.log(50.0)), 1e-11, None)
     # van der Pol from t = 10 back to 0, as the numeric flows run back
-    return (lambda t, y: np.array([y[1], 2 * (1 - y[0] ** 2) * y[1] - y[0]]),
+    return (lambda t, y: [y[1], 2 * (1 - y[0] ** 2) * y[1] - y[0]],
             [2.0, 0.0], (10.0, 0.0), 1e-12, np.linspace(10.0, 0.0, 51))
 
 
 def _scipy_rk45(rhs, y0, interval, tol, t_eval=None):
+    # scipy hands the rhs an ndarray; the oracles' rhs take lists
     from scipy.integrate import solve_ivp as scipy_ivp
-    sol = scipy_ivp(rhs, interval, np.asarray(y0, dtype=float), method="RK45",
-                    rtol=tol, atol=tol * 1e-2, t_eval=t_eval)
+    sol = scipy_ivp(lambda t, y: rhs(t, y.tolist()), interval,
+                    np.asarray(y0, dtype=float), method="RK45", rtol=tol,
+                    atol=tol * 1e-2, t_eval=t_eval)
     assert sol.success, sol.message
     return sol
 
@@ -124,13 +210,14 @@ class TestRK45AgainstScipy:
         with pytest.raises(SolverError, match=r"^adaptive integration failed: "
                            r"Required step size is less than spacing between "
                            r"numbers\.$"):
-            solve_ivp(lambda t, y: y * y, [1.0], (0, 2), "rk45-adaptive")
+            solve_ivp(lambda t, y: [y[0] * y[0]], [1.0], (0, 2),
+                      "rk45-adaptive")
 
     def test_t_eval_must_run_from_start_to_end(self):
         for t_eval in ([0.0, 0.5, 0.4], [0.5, 1.5]):
             with pytest.raises(ValueError):
-                solve_ivp(lambda t, y: -y, [1.0], (0, 1), "rk45-adaptive",
-                          t_eval=t_eval)
+                solve_ivp(lambda t, y: [-y[0]], [1.0], (0, 1),
+                          "rk45-adaptive", t_eval=t_eval)
 
 
 class TestLinearRHS:
@@ -193,21 +280,21 @@ class TestLinearRHS:
 class TestShooting:
     def test_boundary_conditions_met(self):
         # u'' = -u with u(0) = 0, u(pi/4) = sin(pi/4)
-        sol = solve_bvp_shooting(lambda t, y: np.array([y[1], -y[0]]),
+        sol = solve_bvp_shooting(lambda t, y: [y[1], -y[0]],
                                  0.0, 0.0, math.pi / 4, math.sin(math.pi / 4),
                                  slope_guess=0.5)
         assert abs(sol.states[0, 0] - 0.0) < 1e-12
         assert abs(sol.states[-1, 0] - math.sin(math.pi / 4)) < 1e-9
 
     def test_trivial_constant_solution(self):
-        sol = solve_bvp_shooting(lambda t, y: np.array([y[1], -y[1]]),
+        sol = solve_bvp_shooting(lambda t, y: [y[1], -y[1]],
                                  0.0, 1.0, 5.0, 1.0, slope_guess=0.3)
         assert np.max(np.abs(sol.states[:, 0] - 1.0)) < 1e-8
 
     def test_nonconvergence_raises(self):
         # target unreachable: u'' = 0 from u(0)=0 cannot reach both ends
         with pytest.raises(SolverError):
-            solve_bvp_shooting(lambda t, y: np.array([0.0 * y[1], 0.0 * y[0]]),
+            solve_bvp_shooting(lambda t, y: [0.0 * y[1], 0.0 * y[0]],
                                0.0, 0.0, 1.0, 1.0, slope_guess=0.0,
                                max_iter=5)
 
