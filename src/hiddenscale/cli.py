@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import filament as filament_mod
-from . import ftflow, numlab, pertsym, switchback, textform
+from . import exprcore, ftflow, numlab, pertsym, switchback, textform
 from .exprcore import Expr, Poly
 from .pertseries import build_bare_series
 from .specfile import (ProblemSpec, SpecError, ode_problem, parse_float,
@@ -207,35 +207,40 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
     coeffs = [float(c) for c in prob.operator.coeffs]
     epsv = params[spec.parameter]
     var = spec.variable
-    # A coefficient free of the variable is evaluated once here; one that
-    # depends on it (e.g. 2*eps*cos(t)) stays an Expr, evaluated per call.
-    pert = [(pt.eps_power,
-             pt.coeff if var in pt.coeff.symbols()
-             else pt.coeff.eval(params).real * epsv ** pt.eps_power,
-             pt.deriv_powers)
-            for pt in prob.perturbations]
+    pert = prob.perturbations
+    timed = [pt.coeff for pt in pert if var in pt.coeff.symbols()]
+    linear = not timed and all(sum(q for _m, q in pt.deriv_powers) == 1
+                               for pt in pert)
+    # One line of code per system, with the loop's operations in its order:
+    # top = 0.0 + c0*y0 + ... + K*y0**q0*... (y**1 is y, bit for bit); a
+    # coefficient free of the variable is a number K, one that depends on
+    # it (e.g. 2*eps*cos(t)) is its compiled value times eps**p.
+    values = []
 
-    env = dict(params)     # one per closure; each call sets only var
-
-    def rhs(t, y):
-        top = 0.0
-        for m, c in enumerate(coeffs[:-1]):
-            top += c * y[m]
-        env[var] = float(t)
-        for p, coeff, dp in pert:
-            if isinstance(coeff, Expr):
-                val = coeff.eval(env).real * epsv ** p
-            else:
-                val = coeff
-            for m, q in dp:
-                try:
-                    val *= y[m] ** q
-                except OverflowError:   # as numpy would: inf, then SolverError
-                    val = math.inf
-            top += val
-        return [*y[1:], -top / coeffs[-1]]
-    if all(not isinstance(c, Expr) and sum(q for _m, q in dp) == 1
-           for _p, c, dp in pert):
+    def bind(v) -> str:
+        values.append(v)
+        return f"k{len(values) - 1}"
+    ys = [f"b{m}" for m in range(n)]
+    cs = [f"b{n + j}" for j in range(len(timed))]
+    next_c = iter(cs)
+    top = [bind(0.0)] + [f"{bind(c)}*{y}" for c, y in zip(coeffs, ys)]
+    for pt in pert:
+        val = (f"{next(next_c)}*{bind(epsv ** pt.eps_power)}"
+               if var in pt.coeff.symbols()
+               else bind(pt.coeff.eval(params).real * epsv ** pt.eps_power))
+        top.append(val + "".join(f"*{ys[m]}" + (f"**{q}" if q != 1 else "")
+                                 for m, q in pt.deriv_powers))
+    shift = "".join(f"{y}, " for y in ys[1:])
+    body = [f"{''.join(y + ', ' for y in ys)}= a1", "try:"]
+    if timed:
+        g = bind(exprcore.real_evaluator(timed, [var], params))
+        body.append(f"    {''.join(c + ', ' for c in cs)}= {g}(a0)")
+    body += [f"    return [{shift}-({' + '.join(top)}) / {bind(coeffs[-1])}]",
+             # y**q overflowed: a Python float raises, numpy gives inf
+             f"except {bind(OverflowError)}:",
+             f"    return [{shift}{bind(math.inf)}]"]
+    rhs = exprcore.compile_function(2, body, values)
+    if linear:
         return numlab.LinearRHS(np.column_stack(
             [rhs(0.0, e) for e in np.eye(n).tolist()])), n
     return rhs, n
@@ -758,6 +763,10 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
+    except numlab.SolverError as exc:
+        print(f"oracle error: the numeric check could not run: {exc}",
+              file=sys.stderr)
+        return 3
     sys.stdout.write(rep.text())
     return 0 if rep.ok else 1
 

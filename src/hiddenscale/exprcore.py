@@ -20,8 +20,10 @@ all operations are pure.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from math import gcd
+from re import fullmatch
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -922,6 +924,136 @@ class Expr:
         unit = Term(P_ONE, (), tuple((v, p.times(_I_POWERS[3]))
                                      for v, p in phases), _negated(best.offs))
         return self * Expr([unit])
+
+
+# ---------------------------------------------------------------------------
+# Straight-line numeric evaluation: an rhs evaluates the same expressions at
+# thousands of points, so each is turned into Python code once.
+
+# Generated source: names a<i> (arguments), b<i> (locals), k<i> (bound
+# values), the function f and its factory, int literals, operators and
+# ``.real``.  No symbol name, spec text or float literal can pass.
+_SOURCE = (r"(?>\s+|[abk]\d+|\d+|\*\*|[-+*/(),:=\[\]]|\.real\b"
+           r"|(?:def|return|try|except|make|f)\b)*")
+
+
+def compile_function(nargs: int, body: Sequence[str], values: Sequence):
+    """The function ``f(a0, ..., a<nargs-1>)`` whose body is the statements
+    ``body``, one per line, with ``values`` bound to the names k0, k1, ...
+
+    The code sees no builtins and no globals: everything it uses beyond its
+    arguments, numbers included, is one of ``values``.
+    """
+    params = ", ".join(f"a{i}" for i in range(nargs))
+    src = (f"def make({', '.join(f'k{i}' for i in range(len(values)))}):\n"
+           f"    def f({params}):\n"
+           + "".join(f"        {line}\n" for line in body)
+           + "    return f\n")
+    if not fullmatch(_SOURCE, src):
+        raise ValueError("generated source holds a foreign token")
+    scope = {"__builtins__": {}}
+    exec(compile(src, "<straight-line>", "exec"), scope)
+    return scope["make"](*values)
+
+
+class _Folder:
+    """Code for ``Expr.eval(env).real`` with the operations of
+    ``Poly.eval``, ``Term.eval`` and ``Expr.eval`` in their order.
+
+    A node is (True, value) when it uses no argument, computed now by the
+    operation ``eval`` would do, else (False, code).  A left-to-right chain
+    computes its constant prefix now; the rest stays in the code.
+    """
+
+    def __init__(self, args: Sequence[str], fixed: Mapping):
+        self.args = {s: f"a{i}" for i, s in enumerate(args)}
+        self.fixed = fixed
+        self.values = []
+
+    def bind(self, value) -> str:
+        self.values.append(value)
+        return f"k{len(self.values) - 1}"
+
+    def code(self, node) -> str:
+        return self.bind(node[1]) if node[0] else node[1]
+
+    def chain(self, nodes, op: str):
+        acc, rest = nodes[0], list(nodes[1:])
+        while rest and acc[0] and rest[0][0]:
+            x = rest.pop(0)[1]
+            acc = (True, acc[1] + x if op == "+" else acc[1] * x)
+        if not rest:
+            return acc
+        return (False, "(" + f" {op} ".join(map(self.code, [acc, *rest]))
+                + ")")
+
+    def power(self, s: str, k: int, missing: KeyError):
+        """env[s] ** k; x**1 is x, bit for bit, for every float x."""
+        if s in self.args:
+            a = self.args[s]
+            return (False, a if k == 1 else f"{a}**{k}")
+        if s not in self.fixed:
+            raise missing
+        return (True, self.fixed[s] ** k)
+
+    def poly(self, p: Poly):
+        return self.chain([(True, 0j)] + [
+            self.chain([(True, complex(re / den, im / den))]
+                       + [self.power(s, k,
+                                     KeyError(f"no value for symbol {s!r}"))
+                          for s, k in pows], "*")
+            for pows, (re, im, den) in p.monos], "+")
+
+    def term(self, t: Term):
+        val = self.chain([self.poly(t.coeff)]
+                         + [self.power(v, p, KeyError(v)) for v, p in t.vpows],
+                         "*")
+        if not (t.rates or t.offs):
+            return val
+        arg = [(True, 0j)]
+        for v, p in t.rates:
+            arg.append(self.chain(
+                [self.poly(p), self.power(v, 1, KeyError(v))], "*"))
+        for s, c in t.offs:
+            arg.append(self.chain([(True, 1j * complex(c)),
+                                   self.power(s, 1, KeyError(s))], "*"))
+        arg = self.chain(arg, "+")
+        if arg[0]:
+            return self.chain([val, (True, complex(np.exp(arg[1])))], "*")
+        # cmath.exp equals np.exp bit for bit where both are finite
+        return self.chain([val, (False, f"{self.bind(cmath.exp)}({arg[1]})")],
+                          "*")
+
+    def real(self, e: Expr) -> str:
+        node = self.chain([(True, 0j)] + [self.term(t) for t in e.terms], "+")
+        return self.bind(node[1].real) if node[0] else f"{node[1]}.real"
+
+
+def real_evaluator(exprs: Sequence[Expr], args: Sequence[str],
+                   fixed: Mapping):
+    """``g(*values)``: the list ``[e.eval(env).real for e in exprs]`` with
+    env = {**fixed, **dict(zip(args, values))}, equal to it bit for bit.
+
+    ``g`` is straight-line code built once: the powers of fixed symbols,
+    the coefficients and the offset factors are computed here, and ``g``
+    does the remaining float operations of ``Expr.eval`` in its order.
+    ``fixed`` is read here, once.  A missing symbol raises ``Expr.eval``'s
+    KeyError here.  Where ``cmath.exp`` overflows (``np.exp`` gives inf or
+    NaN), ``g`` returns ``Expr.eval``'s values.
+    """
+    env = dict(fixed)
+    fold = _Folder(args, env)
+    outs = [fold.real(e) for e in exprs]
+    params = ", ".join(f"a{i}" for i in range(len(args)))
+
+    def slow(*values):
+        at = {**env, **dict(zip(args, values))}
+        return [e.eval(at).real for e in exprs]
+    body = ["try:",
+            f"    return [{', '.join(outs)}]",
+            f"except {fold.bind((OverflowError, ValueError))}:",
+            f"    return {fold.bind(slow)}({params})"]
+    return compile_function(len(args), body, fold.values)
 
 
 def _expand_param_exponents(t: Term, param: str, jmax: int):

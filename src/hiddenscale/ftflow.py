@@ -19,7 +19,7 @@ import numpy as np
 
 from .exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
                        classify_divergent, div_exact, paint_term,
-                       solve_linear_system)
+                       real_evaluator, solve_linear_system)
 from .pertseries import (PerturbationSeries, LinearOperator, SolveError,
                          _grade_parts, grade_truncate, particular_integral)
 
@@ -132,15 +132,12 @@ class FTSystem:
         return [c.name for c in self.unknowns]
 
     def rhs_callable(self, param_values: dict):
+        """``f(mu, y)``: the flows' values, as ``Expr.eval`` gives them, at
+        the parameter values read here, once."""
         names = self.unknown_names()
-        exprs = [self.equations[n] for n in names]
-        env = dict(param_values)   # one per callable, updated in place
-
-        def f(mu_val, y):
-            env[self.mu] = float(mu_val)
-            env.update(zip(names, y))
-            return [e.eval(env).real for e in exprs]
-        return f
+        g = real_evaluator([self.equations[n] for n in names],
+                           [self.mu, *names], param_values)
+        return lambda mu_val, y: g(float(mu_val), *y)
 
     def is_autonomous(self) -> bool:
         return all(self.mu not in e.symbols() for e in self.equations.values())

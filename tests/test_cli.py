@@ -183,6 +183,15 @@ def test_exit_codes(tmp_path):
     assert (r12.returncode, r12.stdout, r12.stderr) == (
         2, "", "spec error: line 18: malformed number 'abc' for "
         "options.amplitude\n")
+    # an oracle that cannot integrate the equation: one line, exit 3
+    stiff = tmp_path / "stiff.spec"
+    stiff.write_text(specgrid.spec_text("D2", "eps*y^2", "amp-cos-options", 1,
+                                        False))
+    r13 = run_cli("validate", str(stiff))
+    assert (r13.returncode, r13.stdout, r13.stderr) == (
+        3, "", "oracle error: the numeric check could not run: adaptive "
+        "integration failed: Required step size is less than spacing "
+        "between numbers.\n")
     # amplitude-phase constants on a repeated oscillatory root
     repeated = tmp_path / "repeated.spec"
     repeated.write_text(specgrid.spec_text("D4 + 2*D2 + D0", "eps*y",
@@ -346,12 +355,16 @@ def _with_perturbation(tmp_path, perturbation):
     return parse_spec(path)
 
 
-@pytest.mark.parametrize("name", ["kdv", "mathieu", "power-and-cos"])
+@pytest.mark.parametrize("name", ["kdv", "mathieu", "power-and-cos",
+                                  "cube-and-sin"])
 def test_ode_rhs_matches_reference(tmp_path, name):
     # the closure keeps one env and sets the variable on every call, so
     # repeated and decreasing t must give exactly the reference values
     if name == "power-and-cos":
         spec = _with_perturbation(tmp_path, "eps*y^2 + 2*eps*cos(t)*Dy")
+    elif name == "cube-and-sin":
+        # y**3 rounds unlike y*y*y
+        spec = _with_perturbation(tmp_path, "eps*y^3 + eps*sin(2*t)*Dy^2")
     else:
         spec = parse_spec(CORPUS / f"{name}.spec")
     rhs, n = cli._ode_rhs(spec, dict(spec.params))

@@ -4,13 +4,15 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                   _qadd, _qdiv, _qmul, _qnum, _qpow, _rat_text,
-                                  classify_divergent, div_exact, paint_term,
-                                  product_upto, solve_linear_system)
+                                  classify_divergent, compile_function,
+                                  div_exact, paint_term, product_upto,
+                                  real_evaluator, solve_linear_system)
 from hiddenscale.textform import expr_text, parse_expr
 
 
@@ -567,3 +569,98 @@ def test_div_exact_rejects_a_single_atom_remainder(seed):
     r = Expr([t.with_coeff(Poly([rng.choice(t.coeff.monos)]))])
     with pytest.raises(OutOfClassError):
         div_exact(a * b + r, b)
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against Expr.eval, bit for bit.  Symbol names that
+# are no Python identifiers must reach neither the generated source nor the
+# values.
+
+ODD = "x); import os; ("
+
+
+def _eval_expr(rng: random.Random) -> Expr:
+    """Criterion 9's generator widened: complex coefficients, Laurent powers
+    of eps and R~, powers of two variables, real and complex rates, and
+    cosines and sines with phase offsets."""
+    out = Expr.zero()
+    for _ in range(rng.randint(1, 4)):
+        t = Expr.num(F(rng.randint(-4, 4), rng.randint(1, 3)),
+                     F(rng.choice([0, 0, 1, -3]), rng.randint(1, 3)))
+        if rng.random() < 0.6:
+            t = t * Expr.sym("eps", rng.randint(-2, 2))
+        if rng.random() < 0.4:
+            t = t * Expr.sym("R~", rng.randint(-2, 2))
+        if rng.random() < 0.5:
+            t = t * Expr.var("x", rng.randint(1, 3))
+        if rng.random() < 0.3:
+            t = t * Expr.var(ODD, rng.randint(1, 2))
+        if rng.random() < 0.5:
+            rate = Poly.num(rng.choice([-1, 1, F(1, 2)]),
+                            rng.choice([0, 0, 1, F(-3, 2)]))
+            if rng.random() < 0.5:
+                rate = rate + Poly.sym("eps").scale(rng.choice([-1, F(1, 2)]))
+            t = t * Expr.exp(rng.choice(["x", ODD]), rate)
+        if rng.random() < 0.5:
+            trig = rng.choice([Expr.cos, Expr.sin])
+            freq = Poly.num(F(rng.randint(1, 2), 2))
+            if rng.random() < 0.5:
+                freq = freq + Poly.sym("R~").scale(F(1, 2))
+            t = t * trig({"x": freq}, {rng.choice(["th", ODD]):
+                                       rng.choice([1, -2, F(1, 3)])})
+        out = out + t
+    return out
+
+
+def test_real_evaluator_matches_eval_bit_for_bit():
+    rng = random.Random(2025)
+    symbols = ["eps", "R~", "x", "th", ODD]
+    for _ in range(300):
+        exprs = [_eval_expr(rng) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.1:
+            exprs.append(Expr.zero())
+        args = rng.sample(symbols, rng.randint(0, len(symbols)))
+        fixed = {s: rng.uniform(0.1, 1.5) for s in symbols if s not in args}
+        g = real_evaluator(exprs, args, fixed)
+        for _ in range(20):
+            # zeros check the signs of zero sums and products
+            values = [rng.uniform(0.1, 1.5) if s in ("eps", "R~")
+                      else rng.choice([0.0, -0.0]) if rng.random() < 0.1
+                      else rng.uniform(-4.0, 4.0) for s in args]
+            env = {**fixed, **dict(zip(args, values))}
+            want = [float.hex(float(e.eval(env).real)) for e in exprs]
+            got = g(*values)
+            assert all(type(v) is float for v in got)
+            assert [float.hex(v) for v in got] == want, (exprs, env)
+
+
+@pytest.mark.parametrize("e, args, message", [
+    (Expr.sym("eps") * Expr.var("x"), ["x"], "no value for symbol 'eps'"),
+    (Expr.sym("eps") * Expr.var(ODD), ["eps"], ODD),
+    (Expr.exp("x", Poly.sym("R~")), ["x"], "no value for symbol 'R~'"),
+    (Expr.cos({"x": 1}, {"th": 1}), ["x"], "th"),
+])
+def test_real_evaluator_missing_symbol_is_evals_key_error(e, args, message):
+    with pytest.raises(KeyError) as want:
+        e.eval(dict.fromkeys(args, 0.5))
+    with pytest.raises(KeyError) as got:
+        real_evaluator([e], args, {})
+    assert str(got.value) == str(want.value) == repr(message)
+
+
+def test_real_evaluator_overflow_gives_evals_values():
+    # cmath.exp raises where np.exp gives inf; the evaluator then returns
+    # Expr.eval's values
+    e = Expr.exp("x", 1) + Expr.num(2)
+    g = real_evaluator([e], ["x"], {})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert g(800.0) == [math.inf] and g(1.0) == [e.eval({"x": 1.0}).real]
+
+
+def test_compile_function_refuses_foreign_tokens():
+    f = compile_function(2, ["return [a0 + k0 * a1**2]"], [3.0])
+    assert f(1.0, 2.0) == [13.0]
+    for line in ("return open", "return a0.__class__", "return 1.5",
+                 "return 'x'"):
+        with pytest.raises(ValueError, match="foreign token"):
+            compile_function(1, [line], [])

@@ -246,13 +246,18 @@ class TestOrbits:
         assert abs(vals["R"] - direct.states[-1, 0]) < 1e-8
         assert abs(vals["theta"] - direct.states[-1, 1]) < 1e-8
 
-    @pytest.mark.parametrize("system", ["mathieu", "mu-dependent"])
+    @pytest.mark.parametrize("system", ["mathieu", "mu-dependent", "kdv"])
     def test_rhs_callable_matches_reference(self, system):
         # the callable keeps one env and updates it in place, so repeated
         # and decreasing mu must give exactly the values of a fresh env
         if system == "mathieu":
             ft = derive_ft_system(paint(mathieu_series(), 1), 1)
             env = {"eps": 0.15, "a1": 1.2, "R~": 1.0, "theta~": 0.3}
+        elif system == "kdv":
+            # phase terms in delta^-4*k^-4
+            ft = derive_ft_system(
+                paint(most_divergent_filter(kdv_series()), 1), 2)
+            env = {"eps": 0.14, "k": 1.0, "delta": 3 ** 0.5}
         else:
             ft = FTSystem("mu", "x", "eps", 1, [ConstantInfo("A", 0, "param")],
                           {"A": Expr.sym("eps") * Expr.var("mu")
@@ -272,6 +277,17 @@ class TestOrbits:
         for mu in mus.tolist():
             y = rng.uniform(-3.0, 3.0, len(names))
             assert np.array_equal(f(mu, y), reference(mu, y)), mu
+
+    def test_exp_overflow_is_a_solver_error(self):
+        # cmath.exp raises OverflowError where np.exp gives inf; the numeric
+        # flow reports either as a non-finite rhs
+        ft = FTSystem("mu", "x", "eps", 1, [ConstantInfo("A", 0, "param")],
+                      {"A": Expr.sym("eps") * Expr.exp("A", 1)}, {"A": 1})
+        f = ft.rhs_callable({"eps": 0.1})
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(numlab.SolverError,
+                              match=r"^NaN/Inf in rhs at t=0.0$"):
+            numlab.solve_ivp(f, [800.0], (0.0, 1.0), "rk45-adaptive")
 
     @pytest.mark.parametrize("start", [Expr.sym("A1"), Expr.num(1)],
                              ids=["A1", "1"])
