@@ -207,40 +207,15 @@ def _ode_rhs(spec: ProblemSpec, params: dict):
     coeffs = [float(c) for c in prob.operator.coeffs]
     epsv = params[spec.parameter]
     var = spec.variable
-    pert = prob.perturbations
-    timed = [pt.coeff for pt in pert if var in pt.coeff.symbols()]
-    linear = not timed and all(sum(q for _m, q in pt.deriv_powers) == 1
-                               for pt in pert)
-    # One line of code per system, with the loop's operations in its order:
-    # top = 0.0 + c0*y0 + ... + K*y0**q0*... (y**1 is y, bit for bit); a
-    # coefficient free of the variable is a number K, one that depends on
-    # it (e.g. 2*eps*cos(t)) is its compiled value times eps**p.
-    values = []
-
-    def bind(v) -> str:
-        values.append(v)
-        return f"k{len(values) - 1}"
-    ys = [f"b{m}" for m in range(n)]
-    cs = [f"b{n + j}" for j in range(len(timed))]
-    next_c = iter(cs)
-    top = [bind(0.0)] + [f"{bind(c)}*{y}" for c, y in zip(coeffs, ys)]
-    for pt in pert:
-        val = (f"{next(next_c)}*{bind(epsv ** pt.eps_power)}"
-               if var in pt.coeff.symbols()
-               else bind(pt.coeff.eval(params).real * epsv ** pt.eps_power))
-        top.append(val + "".join(f"*{ys[m]}" + (f"**{q}" if q != 1 else "")
-                                 for m, q in pt.deriv_powers))
-    shift = "".join(f"{y}, " for y in ys[1:])
-    body = [f"{''.join(y + ', ' for y in ys)}= a1", "try:"]
-    if timed:
-        g = bind(exprcore.real_evaluator(timed, [var], params))
-        body.append(f"    {''.join(c + ', ' for c in cs)}= {g}(a0)")
-    body += [f"    return [{shift}-({' + '.join(top)}) / {bind(coeffs[-1])}]",
-             # y**q overflowed: a Python float raises, numpy gives inf
-             f"except {bind(OverflowError)}:",
-             f"    return [{shift}{bind(math.inf)}]"]
-    rhs = exprcore.compile_function(2, body, values)
-    if linear:
+    # A coefficient free of the variable is a number, folded with eps**p;
+    # one that depends on it (e.g. 2*eps*cos(t)) is evaluated per call.
+    terms = [(pt.coeff, epsv ** pt.eps_power, pt.deriv_powers)
+             if var in pt.coeff.symbols()
+             else (None, pt.coeff.eval(params).real * epsv ** pt.eps_power,
+                   pt.deriv_powers)
+             for pt in prob.perturbations]
+    rhs = exprcore.explicit_ode_rhs(coeffs, terms, var, params)
+    if all(c is None and sum(q for _m, q in dp) == 1 for c, _f, dp in terms):
         return numlab.LinearRHS(np.column_stack(
             [rhs(0.0, e) for e in np.eye(n).tolist()])), n
     return rhs, n

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
-from re import fullmatch
+from math import gcd, inf
+from re import findall, fullmatch
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -933,8 +933,9 @@ class Expr:
 # Generated source: names a<i> (arguments), b<i> (locals), k<i> (bound
 # values), the function f and its factory, int literals, operators and
 # ``.real``.  No symbol name, spec text or float literal can pass.
-_SOURCE = (r"(?>\s+|[abk]\d+|\d+|\*\*|[-+*/(),:=\[\]]|\.real\b"
-           r"|(?:def|return|try|except|make|f)\b)*")
+_TOKEN = r"[A-Za-z_]\w*|\d+|\*\*|\.real\b|\S"
+_NAME = r"[abk][0-9]+|[0-9]+|def|return|try|except|make|f"
+_SYMBOLS = {"**", ".real", *"-+*/(),:=[]"}
 
 
 def compile_function(nargs: int, body: Sequence[str], values: Sequence):
@@ -949,14 +950,29 @@ def compile_function(nargs: int, body: Sequence[str], values: Sequence):
            f"    def f({params}):\n"
            + "".join(f"        {line}\n" for line in body)
            + "    return f\n")
-    if not fullmatch(_SOURCE, src):
+    if not all(tok in _SYMBOLS or fullmatch(_NAME, tok)
+               for tok in findall(_TOKEN, src)):
         raise ValueError("generated source holds a foreign token")
     scope = {"__builtins__": {}}
     exec(compile(src, "<straight-line>", "exec"), scope)
     return scope["make"](*values)
 
 
-class _Folder:
+class _Code:
+    """Values bound to the names k0, k1, ... of one generated function."""
+
+    def __init__(self):
+        self.values = []
+
+    def bind(self, value) -> str:
+        self.values.append(value)
+        return f"k{len(self.values) - 1}"
+
+    def function(self, nargs: int, body: Sequence[str]):
+        return compile_function(nargs, body, self.values)
+
+
+class _Folder(_Code):
     """Code for ``Expr.eval(env).real`` with the operations of
     ``Poly.eval``, ``Term.eval`` and ``Expr.eval`` in their order.
 
@@ -966,13 +982,9 @@ class _Folder:
     """
 
     def __init__(self, args: Sequence[str], fixed: Mapping):
+        super().__init__()
         self.args = {s: f"a{i}" for i, s in enumerate(args)}
         self.fixed = fixed
-        self.values = []
-
-    def bind(self, value) -> str:
-        self.values.append(value)
-        return f"k{len(self.values) - 1}"
 
     def code(self, node) -> str:
         return self.bind(node[1]) if node[0] else node[1]
@@ -1053,7 +1065,49 @@ def real_evaluator(exprs: Sequence[Expr], args: Sequence[str],
             f"    return [{', '.join(outs)}]",
             f"except {fold.bind((OverflowError, ValueError))}:",
             f"    return {fold.bind(slow)}({params})"]
-    return compile_function(len(args), body, fold.values)
+    return fold.function(len(args), body)
+
+
+def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
+                     var: str, fixed: Mapping):
+    """``f(t, y)`` for the first-order system of ``c0*y + c1*y' + ... +
+    cn*y^(n) + terms = 0`` with ``coeffs = [c0, ..., cn]``: the list
+    ``[y[1], ..., y[n-1], -top / cn]``, where
+
+        top = 0.0 + c0*y[0] + ... + c(n-1)*y[n-1] + term + term + ...
+
+    in that order.  A term ``(coeff, factor, powers)`` is
+    ``factor * y[m0]**q0 * ...`` for ``(m, q)`` in ``powers``, or, when
+    ``coeff`` is an Expr, ``coeff(t) * factor * ...`` with ``coeff``
+    evaluated as ``real_evaluator([coeff], [var], fixed)`` does.  Where a
+    ``y[m]**q`` overflows (a Python float raises, numpy gives inf), the
+    last entry is inf.
+    """
+    code = _Code()
+    n = len(coeffs) - 1
+    ys = [f"b{m}" for m in range(n)]
+    timed = [c for c, _f, _p in terms if c is not None]
+    cs = [f"b{n + j}" for j in range(len(timed))]
+    next_c = iter(cs)
+    top = [code.bind(0.0)] + [f"{code.bind(c)}*{y}"
+                              for c, y in zip(coeffs, ys)]
+    for coeff, factor, powers in terms:
+        val = code.bind(factor)
+        if coeff is not None:
+            val = f"{next(next_c)}*{val}"
+        # y**1 is y, bit for bit
+        top.append(val + "".join(f"*{ys[m]}" + (f"**{q}" if q != 1 else "")
+                                 for m, q in powers))
+    shift = "".join(f"{y}, " for y in ys[1:])
+    body = [f"{''.join(y + ', ' for y in ys)}= a1", "try:"]
+    if timed:
+        g = code.bind(real_evaluator(timed, [var], fixed))
+        body.append(f"    {''.join(c + ', ' for c in cs)}= {g}(a0)")
+    body += [f"    return [{shift}-({' + '.join(top)}) / "
+             f"{code.bind(coeffs[-1])}]",
+             f"except {code.bind(OverflowError)}:",
+             f"    return [{shift}{code.bind(inf)}]"]
+    return code.function(2, body)
 
 
 def _expand_param_exponents(t: Term, param: str, jmax: int):

@@ -358,8 +358,7 @@ def _with_perturbation(tmp_path, perturbation):
 @pytest.mark.parametrize("name", ["kdv", "mathieu", "power-and-cos",
                                   "cube-and-sin"])
 def test_ode_rhs_matches_reference(tmp_path, name):
-    # the closure keeps one env and sets the variable on every call, so
-    # repeated and decreasing t must give exactly the reference values
+    # repeated and decreasing t give exactly the reference values
     if name == "power-and-cos":
         spec = _with_perturbation(tmp_path, "eps*y^2 + 2*eps*cos(t)*Dy")
     elif name == "cube-and-sin":

@@ -661,6 +661,7 @@ def test_compile_function_refuses_foreign_tokens():
     f = compile_function(2, ["return [a0 + k0 * a1**2]"], [3.0])
     assert f(1.0, 2.0) == [13.0]
     for line in ("return open", "return a0.__class__", "return 1.5",
-                 "return 'x'"):
+                 "return 'x'", "return 1j", "return 0x1", "return 1e5",
+                 "return a0.real.imag", "return a0  # x", "return b\u0663"):
         with pytest.raises(ValueError, match="foreign token"):
             compile_function(1, [line], [])

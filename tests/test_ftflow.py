@@ -248,8 +248,7 @@ class TestOrbits:
 
     @pytest.mark.parametrize("system", ["mathieu", "mu-dependent", "kdv"])
     def test_rhs_callable_matches_reference(self, system):
-        # the callable keeps one env and updates it in place, so repeated
-        # and decreasing mu must give exactly the values of a fresh env
+        # repeated and decreasing mu give exactly the reference values
         if system == "mathieu":
             ft = derive_ft_system(paint(mathieu_series(), 1), 1)
             env = {"eps": 0.15, "a1": 1.2, "R~": 1.0, "theta~": 0.3}
