@@ -8,9 +8,9 @@ independent of it.
 Both IVP oracles (``solve_ivp``) are step loops on Python floats, and an
 rhs gets and returns its state as a list of floats: the oracles' states have
 2-4 entries, where numpy's per-call cost outweighs its arithmetic.  The
-Burgers method-of-lines solver, whose states have hundreds of entries, keeps
-scipy's RK45; scipy is imported only inside it, so a run that never
-integrates a field does not load it.
+Burgers method-of-lines solver, whose states have hundreds of entries, runs
+the same Dormand-Prince loop on an ndarray state, in scipy's RK45
+arithmetic.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -111,23 +111,33 @@ _P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
       (0, 40617522 / 29380423, -110615467 / 29380423,
        69997945 / 29380423))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1 / 5
+_BS, _ES = np.insert(_B, 1, 0.0), np.insert(_E, 1, 0.0)
+_PS = np.insert(np.array(_P, dtype=float), 1, 0.0, axis=0)
 
 
 def _rms(xs) -> float:
     return math.sqrt(sum([x * x for x in xs])) / len(xs) ** 0.5
 
 
+def _norm(x) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
 def _initial_step(f, t0, y0, f0, length, d, rtol, atol) -> float:
-    """First step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4)."""
+    """First step size (Hairer, Norsett & Wanner, Solving ODEs I, II.4), in
+    numpy's elementwise float operations, with ``_rms`` for a list state
+    and ``_norm`` for an ndarray state."""
     if length == 0.0:
         return 0.0
-    scale = [atol + abs(y) * rtol for y in y0]
-    d0 = _rms([y / s for y, s in zip(y0, scale)])
-    d1 = _rms([g / s for g, s in zip(f0, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, length)
-    f1 = f(t0 + h0 * d, [y + h0 * d * g for y, g in zip(y0, f0)])
-    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+    array = isinstance(y0, np.ndarray)
+    norm = _norm if array else _rms
+    y0v, f0v = np.asarray(y0), np.asarray(f0)
+    scale = atol + np.abs(y0v) * rtol
+    d0, d1 = norm(y0v / scale), norm(f0v / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    y1 = y0v + h0 * d * f0v
+    f1 = f(t0 + h0 * d, y1 if array else y1.tolist())
+    d2 = norm((np.asarray(f1) - f0v) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -135,33 +145,103 @@ def _initial_step(f, t0, y0, f0, length, d, rtol, atol) -> float:
     return min(100 * h0, h1, length)
 
 
-def _dopri5(f, t0: float, t1: float, y0: list, rtol: float, atol: float,
-            t_eval):
-    """Adaptive Dormand-Prince 5(4) from t0 to t1 (either direction).
-
-    ``f(t, y)`` takes and returns lists of floats.  Returns the abscissae,
-    states and rhs values: every accepted step from t0 on with its last
-    stage, or the quartic dense output at ``t_eval`` (ordered from t0
-    towards t1) with ``f`` there.  Raises SolverError when the step falls
-    below ten times the float spacing at t.
-    """
-    d = 1.0 if t1 >= t0 else -1.0
-    if t_eval is None:
-        ts, ys = [t0], [y0]
-    else:
-        ts, ys = [float(te) for te in t_eval], []
-        keys = [d * te for te in ts]      # increasing along the direction
-        if (any(b <= a for a, b in zip(keys, keys[1:]))
-                or keys and (keys[0] < d * t0 or keys[-1] > d * t1)):
-            raise ValueError("t_eval must be ordered from t0 to t1 and lie "
-                             "in the interval")
-        i = bisect_right(keys, d * t0)
-        ys += [y0] * i
+def _list_steps(f, rtol, atol):
+    """One step attempt (the new state, its rhs, the scaled RMS error and the
+    stages) and the dense output at given times, on a list of floats."""
     c2, c3, c4, c5, c6 = _C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A
     b1, b3, b4, b5, b6 = _B
     e1, e3, e4, e5, e6, e7 = _E
+
+    def attempt(t, y, k1, h):
+        k2 = f(t + c2 * h, [yi + a21 * p * h for yi, p in zip(y, k1)])
+        k3 = f(t + c3 * h, [yi + (a31 * p + a32 * q) * h
+                            for yi, p, q in zip(y, k1, k2)])
+        k4 = f(t + c4 * h, [yi + (a41 * p + a42 * q + a43 * r) * h
+                            for yi, p, q, r in zip(y, k1, k2, k3)])
+        k5 = f(t + c5 * h,
+               [yi + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
+        k6 = f(t + c6 * h,
+               [yi + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
+                for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [yi + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
+                 for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(t + h, y_new)
+        err = _rms([(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w) * h
+                    / (atol + max(abs(yi), abs(yn)) * rtol)
+                    for yi, yn, p, r, s, u, v, w
+                    in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+        return y_new, k7, err, (k1, k3, k4, k5, k6, k7)
+
+    def dense(t, y, h, ks, tes):
+        Q = [[sum([k[c] * p[m] for k, p in zip(ks, _P)]) for m in range(4)]
+             for c in range(len(y))]
+        out = []
+        for te in tes:
+            x = (te - t) / h
+            x2 = x * x
+            x3 = x2 * x
+            out.append([yi + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x))
+                        for yi, (q1, q2, q3, q4) in zip(y, Q)])
+        return out
+    return attempt, dense
+
+
+def _array_steps(f, rtol, atol):
+    """The same two on an ndarray state, in scipy RK45's operations on its
+    zero-padded tableau (``_BS``, ``_ES``, ``_PS``): BLAS calls per stage."""
+    def attempt(t, y, k1, h):
+        K = np.empty((7, len(y)))
+        K[0] = k1
+        for s, (a, c) in enumerate(zip(_A, _C), start=1):
+            K[s] = f(t + c * h, y + np.dot(K[:s].T, a) * h)
+        y_new = y + h * np.dot(K[:-1].T, _BS)
+        K[6] = k7 = f(t + h, y_new)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        return y_new, k7, _norm(np.dot(K.T, _ES) * h / scale), K
+
+    def dense(t, y, h, K, tes):
+        p = np.cumprod(np.tile((np.array(tes) - t) / h, (4, 1)), axis=0)
+        out = h * np.dot(K.T.dot(_PS), p)
+        out += y[:, None]
+        return list(out.T)
+    return attempt, dense
+
+
+def _eval_points(t0: float, t1: float, t_eval):
+    """``t_eval`` as floats and as keys increasing from t0 towards t1; a
+    ValueError unless they run from t0 to t1 inside the interval."""
+    d = 1.0 if t1 >= t0 else -1.0
+    ts = [float(te) for te in t_eval]
+    keys = [d * te for te in ts]
+    if (any(b <= a for a, b in zip(keys, keys[1:]))
+            or keys and (keys[0] < d * t0 or keys[-1] > d * t1)):
+        raise ValueError("t_eval must be ordered from t0 to t1 and lie in "
+                         "the interval")
+    return ts, keys
+
+
+def _dopri5(f, t0: float, t1: float, y0, rtol: float, atol: float, t_eval):
+    """Adaptive Dormand-Prince 5(4) from t0 to t1 (either direction).
+
+    ``f(t, y)`` takes and returns the state's type, a list of floats or an
+    ndarray, which picks the arithmetic (``_list_steps``, ``_array_steps``).
+    Returns the abscissae, states and rhs values: every accepted step from
+    t0 on with its last stage, or the quartic dense output at ``t_eval``
+    and None.  Raises SolverError when the step falls below ten times the
+    float spacing at t.
+    """
+    attempt, dense = (_array_steps if isinstance(y0, np.ndarray)
+                      else _list_steps)(f, rtol, atol)
+    d = 1.0 if t1 >= t0 else -1.0
+    if t_eval is None:
+        ts, ys = [t0], [y0]
+    else:
+        ts, keys = _eval_points(t0, t1, t_eval)
+        i = bisect_right(keys, d * t0)
+        ys = [y0] * i
     t, y, k1 = t0, y0, f(t0, y0)
     fs = [k1]
     h_abs = _initial_step(f, t0, y0, k1, abs(t1 - t0), d, rtol, atol)
@@ -179,25 +259,7 @@ def _dopri5(f, t0: float, t1: float, y0: list, rtol: float, atol: float,
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            k2 = f(t + c2 * h, [yi + a21 * p * h for yi, p in zip(y, k1)])
-            k3 = f(t + c3 * h, [yi + (a31 * p + a32 * q) * h
-                                for yi, p, q in zip(y, k1, k2)])
-            k4 = f(t + c4 * h, [yi + (a41 * p + a42 * q + a43 * r) * h
-                                for yi, p, q, r in zip(y, k1, k2, k3)])
-            k5 = f(t + c5 * h,
-                   [yi + (a51 * p + a52 * q + a53 * r + a54 * s) * h
-                    for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
-            k6 = f(t + c6 * h,
-                   [yi + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
-                    for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [yi + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
-                     for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
-            k7 = f(t + h, y_new)
-            err = _rms([(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v
-                         + e7 * w) * h
-                        / (atol + max(abs(yi), abs(yn)) * rtol)
-                        for yi, yn, p, r, s, u, v, w
-                        in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+            y_new, k7, err, stages = attempt(t, y, k1, h)
             if err < 1:
                 factor = (_MAX_FACTOR if err == 0 else
                           min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
@@ -212,21 +274,10 @@ def _dopri5(f, t0: float, t1: float, y0: list, rtol: float, atol: float,
         else:
             j = bisect_right(keys, d * t_new)
             if j > i:
-                ks = (k1, k3, k4, k5, k6, k7)
-                Q = [[sum([k[c] * p[m] for k, p in zip(ks, _P)])
-                      for m in range(4)] for c in range(len(y))]
-                for te in ts[i:j]:
-                    x = (te - t) / h
-                    x2 = x * x
-                    x3 = x2 * x
-                    ys.append([yi + h * (q1 * x + q2 * x2 + q3 * x3
-                                         + q4 * (x3 * x))
-                               for yi, (q1, q2, q3, q4) in zip(y, Q)])
+                ys += dense(t, y, h, stages, ts[i:j])
                 i = j
         t, y, k1 = t_new, y_new, k7
-    if t_eval is not None:
-        fs = [f(te, ye) for te, ye in zip(ts, ys)]
-    return ts, ys, fs
+    return ts, ys, fs if t_eval is None else None
 
 
 def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
@@ -302,6 +353,8 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
         return IVPSolution(np.array(grid), np.array(ys), np.array(fs))
     if method == "rk45-adaptive":
         ts, ys, fs = _dopri5(f, t0, t1, y0, tol, tol * 1e-2, t_eval)
+        if fs is None:
+            fs = [f(t, y) for t, y in zip(ts, ys)]
         return IVPSolution(np.array(ts), np.array(ys), np.array(fs))
     raise ValueError(f"unknown method {method!r}")
 
@@ -349,11 +402,10 @@ def solve_burgers_mol(u0, eps: float, t_eval, x_grid,
                       richardson_tol: float = 1e-4):
     """Method-of-lines field for u_t = -eps*u*u_x**2 with initial profile u0.
 
-    Central differences in x (one-sided at the edges), RK45 in t at
-    tolerance 1e-9; the run is accepted only if a grid-halving Richardson
+    Central differences in x (one-sided at the edges), Dormand-Prince 5(4)
+    in t at rtol = atol = 1e-9 (``_dopri5`` on an ndarray state); the run is accepted only if a grid-halving Richardson
     check agrees to ``richardson_tol`` in sup norm at the final time.
     """
-    from scipy.integrate import solve_ivp as _scipy_ivp
     x = np.asarray(x_grid, dtype=float)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
 
@@ -367,11 +419,9 @@ def solve_burgers_mol(u0, eps: float, t_eval, x_grid,
             if np.max(np.abs(ux)) > 1e6:
                 raise SolverError("gradient blow-up in Burgers run")
             return -eps * u * ux ** 2
-        sol = _scipy_ivp(rhs, (0.0, float(t_eval[-1])), u0(xs), method="RK45",
-                         rtol=1e-9, atol=1e-9, t_eval=t_eval)
-        if not sol.success:
-            raise SolverError(f"Burgers integration failed: {sol.message}")
-        return sol.y.T  # (len(t_eval), len(xs))
+        _, us, _ = _dopri5(rhs, 0.0, float(t_eval[-1]),
+                           np.asarray(u0(xs), dtype=float), 1e-9, 1e-9, t_eval)
+        return np.array(us)  # (len(t_eval), len(xs))
 
     coarse = run(x)
     fine_x = np.linspace(x[0], x[-1], 2 * (len(x) - 1) + 1)

@@ -439,14 +439,19 @@ from pathlib import Path
 from hiddenscale import cli
 from hiddenscale.specfile import parse_spec
 specs = {p.stem: parse_spec(p) for p in Path(sys.argv[1]).glob("*.spec")}
-assert cli.run_derive(specs["overdamped"], check=True).ok
-assert cli.run_derive(specs["filament"], check=True).ok
+assert len(specs) == 8
+for spec in specs.values():
+    assert cli.run_derive(spec, check=True).ok
+    assert cli.run_validate(spec, None).ok
+for name in ("overdamped", "underdamped"):
+    assert cli.run_sweep(specs[name], None).ok
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 def test_derive_imports_no_scipy():
-    # scipy is imported only where a numeric oracle runs
+    # numpy is the only runtime dependency: no derive, validate or sweep of
+    # the corpus loads scipy
     r = subprocess.run([sys.executable, "-c", NO_SCIPY, str(CORPUS)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

@@ -336,6 +336,28 @@ class TestBurgersMOL:
             assert np.max(np.abs(field["u"][i] - exact)) <= 1e-4, t
 
 
+    def test_field_equals_scipy_rk45(self, monkeypatch):
+        # the coarse (401-point) and fine (801-point) runs of validate's
+        # field are scipy's RK45 with the same rhs, bit for bit
+        from scipy.integrate import solve_ivp as scipy_ivp
+        runs = []
+        dopri5 = numlab._dopri5
+
+        def recording(f, t0, t1, y0, rtol, atol, t_eval):
+            out = dopri5(f, t0, t1, y0, rtol, atol, t_eval)
+            runs.append((f, (t0, t1), y0, rtol, atol, t_eval, out[1]))
+            return out
+        monkeypatch.setattr(numlab, "_dopri5", recording)
+        solve_burgers_mol(lambda x: np.log1p(x), 0.1, [1.0, 10.0, 20.0],
+                          np.linspace(0.0, 5.0, 401))
+        assert [len(run[2]) for run in runs] == [401, 801]
+        for f, span, y0, rtol, atol, t_eval, field in runs:
+            assert rtol == atol == 1e-9
+            ref = scipy_ivp(f, span, y0, method="RK45", rtol=1e-9, atol=1e-9,
+                            t_eval=t_eval)
+            assert np.array_equal(np.array(field), ref.y.T)
+
+
 class TestConvergenceOrder:
     def test_exact_quadratic(self):
         pts = [(e, e ** 2) for e in (0.05, 0.1, 0.2)]

@@ -1,11 +1,14 @@
 """Boundary-condition perturbation of the switchback family."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import expn
 
+from hiddenscale import cli, switchback
 from hiddenscale.exprcore import Expr
 from hiddenscale.switchback import (LogClosedForm, SwitchbackProblem,
                                     exp_integral, most_divergent_partial_sum,
@@ -14,6 +17,9 @@ from hiddenscale.switchback import (LogClosedForm, SwitchbackProblem,
                                     sw_text, switchback_series,
                                     terrible_hidden_scale)
 from hiddenscale.numlab import solve_bvp_shooting
+from hiddenscale.specfile import parse_spec
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 class TestExpIntegral:
@@ -41,6 +47,25 @@ class TestExpIntegral:
                 fd = (exp_integral(n, x + h) - exp_integral(n, x - h)) / (2 * h)
                 want = -x ** (-n) * math.exp(-x)
                 assert abs(fd - want) < 1e-7 * max(1.0, abs(want))
+
+    def test_equals_scipy_expn(self, monkeypatch):
+        # x^(1-n) * scipy.special.expn bit for bit: at every argument the
+        # corpus switchback validates (derive included) pass, and on a log
+        # grid
+        seen = []
+
+        def recording(n, x):
+            seen.append((n, np.asarray(x, dtype=float)))
+            return exp_integral(n, x)
+        monkeypatch.setattr(switchback, "exp_integral", recording)
+        for name in ("terrible", "bad"):
+            assert cli.run_validate(parse_spec(CORPUS / f"{name}.spec"),
+                                    None).ok
+        assert {n for n, _ in seen} == {1, 2}
+        grid = np.geomspace(1e-4, 100.0, 8000)
+        for n, x in seen + [(n, grid) for n in (1, 2, 3)]:
+            assert np.array_equal(exp_integral(n, x),
+                                  x ** (1 - n) * expn(n, x)), (n, x)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
