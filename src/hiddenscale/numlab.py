@@ -289,8 +289,9 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     change, and returns a sequence of real numbers.  Both step loops run on
     Python floats, so a list of floats is the fast return.
 
-    ``rk4-fixed`` uses the requested step (snapped so the endpoint is hit
-    exactly).  ``rk45-adaptive`` is the Dormand-Prince 5(4) pair with local
+    ``rk4-fixed`` uses the requested step, snapped so that each output
+    point is hit exactly, from t0 on.  Both methods take ``t_eval`` ordered
+    from t0 to t1 inside the interval, else raise ValueError.  ``rk45-adaptive`` is the Dormand-Prince 5(4) pair with local
     extrapolation (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
     ODEs I, II.4-II.5), step for step scipy's RK45 at rtol ``tol`` and atol
     ``tol * 1e-2``: the same tableau, first-step guess and RMS error norm
@@ -319,13 +320,16 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     t0, t1 = float(interval[0]), float(interval[1])
     y0 = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     f = _check_rhs(rhs)
-    if method == "rk4-fixed":
+    if method == "rk45-adaptive":
+        ts, ys, fs = _dopri5(f, t0, t1, y0, tol, tol * 1e-2, t_eval)
+    elif method == "rk4-fixed":
         if t_eval is not None:
-            grid = [float(te) for te in t_eval]
+            ts = _eval_points(t0, t1, t_eval)[0]
         else:
             n = max(1, int(round((t1 - t0) / step)))
-            grid = np.linspace(t0, t1, n + 1).tolist()
-        y, ys = y0, [y0]
+            ts = np.linspace(t0, t1, n + 1).tolist()
+        grid = ts if ts[:1] == [t0] else [t0] + ts     # from t0 on
+        y, ys, fs = y0, [y0] if grid is ts else [], None
         powers = {}     # (h, n_sub) -> R(hM)^n_sub, for a LinearRHS
         for a, b in zip(grid, grid[1:]):
             n_sub = max(1, int(round((b - a) / step)))
@@ -349,14 +353,11 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
             if not all(map(math.isfinite, y)):
                 raise SolverError(f"NaN/Inf in rk4-fixed state at t={b}")
             ys.append(y)
-        fs = [f(t, y) for t, y in zip(grid, ys)]
-        return IVPSolution(np.array(grid), np.array(ys), np.array(fs))
-    if method == "rk45-adaptive":
-        ts, ys, fs = _dopri5(f, t0, t1, y0, tol, tol * 1e-2, t_eval)
-        if fs is None:
-            fs = [f(t, y) for t, y in zip(ts, ys)]
-        return IVPSolution(np.array(ts), np.array(ys), np.array(fs))
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if fs is None:      # the rhs at each output point
+        fs = [f(t, y) for t, y in zip(ts, ys)]
+    return IVPSolution(np.array(ts), np.array(ys), np.array(fs))
 
 
 def solve_bvp_shooting(rhs, x_left: float, u_left: float, x_right: float,

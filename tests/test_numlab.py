@@ -61,6 +61,19 @@ class TestIVP:
         ts = np.linspace(0.0, 3.0, 61)
         assert np.max(np.abs(sol(ts, 1) - np.cos(ts))) < 1e-8
 
+    def test_t_eval_after_t0(self):
+        # both methods integrate from t0 to t_eval's first point, and both
+        # refuse a t_eval out of order or outside the interval
+        for method in ("rk4-fixed", "rk45-adaptive"):
+            sol = solve_ivp(lambda t, y: [1.0], [0.0], (0.0, 1.0), method,
+                            step=0.1, t_eval=[0.5, 1.0])
+            assert sol.grid.tolist() == [0.5, 1.0]
+            assert np.max(np.abs(sol.states[:, 0] - [0.5, 1.0])) < 1e-12
+            for t_eval in ([0.0, 2.0], [0.0, 0.5, 0.4]):
+                with pytest.raises(ValueError):
+                    solve_ivp(lambda t, y: [1.0], [0.0], (0.0, 1.0), method,
+                              step=0.1, t_eval=t_eval)
+
     def test_nan_rhs_raises(self):
         with pytest.raises(SolverError):
             solve_ivp(lambda t, y: [y[0] * math.nan], [1.0], (0, 1),
