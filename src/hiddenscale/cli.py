@@ -749,6 +749,10 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
+    except (ftflow.FTError, pertsym.DeterminingError,
+            exprcore.OutOfClassError) as exc:
+        print(f"method does not apply: {exc}", file=sys.stderr)
+        return 3
     except numlab.SolverError as exc:
         print(f"oracle error: the numeric check could not run: {exc}",
               file=sys.stderr)

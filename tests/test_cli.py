@@ -82,10 +82,18 @@ def test_higher_order_derives_are_pinned(tmp_path):
      r"@order 2 does not vanish$"),
     ("underdamped", DeterminingError, r"\(residual 1/16\)$"),
 ])
-def test_higher_order_failures_are_pinned(tmp_path, name, error, match):
-    # still reachable at order 3 (not yet reported as a diagnostic)
+def test_higher_order_failures_are_pinned(tmp_path, capsys, name, error,
+                                         match):
+    # reachable at order 3; the command line reports it in one line
+    path = _at_order(tmp_path, name, 3)
     with pytest.raises(error, match=match):
-        cli.run_derive(parse_spec(_at_order(tmp_path, name, 3)), False)
+        cli.run_derive(parse_spec(path), False)
+    assert cli.main(["derive", str(path)]) == 3
+    out = capsys.readouterr()
+    prefix = "method does not apply: "
+    assert out.out == "" and out.err.startswith(prefix)
+    assert re.search(match, out.err[len(prefix):].removesuffix("\n"))
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
 
 
 @pytest.mark.parametrize("order, free", [(2, "A, B, a1, eps"),
