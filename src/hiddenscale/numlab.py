@@ -289,9 +289,10 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     change, and returns a sequence of real numbers.  Both step loops run on
     Python floats, so a list of floats is the fast return.
 
-    ``rk4-fixed`` uses the requested step, snapped so that each output
-    point is hit exactly, from t0 on.  Both methods take ``t_eval`` ordered
-    from t0 to t1 inside the interval, else raise ValueError.  ``rk45-adaptive`` is the Dormand-Prince 5(4) pair with local
+    Both methods start at t0 and take ``t_eval`` ordered from t0 to t1 inside
+    the interval, else raise ValueError.  ``rk4-fixed`` uses the requested
+    step, snapped so that each output point is hit exactly.
+    ``rk45-adaptive`` is the Dormand-Prince 5(4) pair with local
     extrapolation (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
     ODEs I, II.4-II.5), step for step scipy's RK45 at rtol ``tol`` and atol
     ``tol * 1e-2``: the same tableau, first-step guess and RMS error norm
@@ -404,8 +405,9 @@ def solve_burgers_mol(u0, eps: float, t_eval, x_grid,
     """Method-of-lines field for u_t = -eps*u*u_x**2 with initial profile u0.
 
     Central differences in x (one-sided at the edges), Dormand-Prince 5(4)
-    in t at rtol = atol = 1e-9 (``_dopri5`` on an ndarray state); the run is accepted only if a grid-halving Richardson
-    check agrees to ``richardson_tol`` in sup norm at the final time.
+    in t at rtol = atol = 1e-9 (``_dopri5`` on an ndarray state); the run
+    is accepted only if a grid-halving Richardson check agrees to
+    ``richardson_tol`` in sup norm at the final time.
     """
     x = np.asarray(x_grid, dtype=float)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))

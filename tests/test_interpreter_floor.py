@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_sources_parse_as_python_3_10():
-    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert 'requires-python = ">=3.10"' in pyproject
     paths = sorted(p for d in ("src", "tests", "perfbench")
                    for p in (ROOT / d).rglob("*.py"))
     failed = []
