@@ -446,16 +446,13 @@ def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir, seed: int):
 def _switchback_problem(spec: ProblemSpec):
     n = _numbers(spec, "options.n", "2", "i")
     delta = _numbers(spec, "options.delta", "1", "i")
-    # the family switchback.py implements; a default is always inside it
-    for key, inside, want in (
-            ("options.n", n in (2, 3), "2 or 3"),
-            ("options.delta", delta in (0, 1), "0 or 1"),
-            ("method.order", spec.order == 1 or (spec.order, n, delta)
-             == (2, 2, 1), "1, or 2 with options.n = 2, options.delta = 1")):
-        if not inside:
-            text, line = spec.raw[key]
-            raise SpecError(f"line {line}: a switchback {key} takes {want}, "
-                            f"got {text!r}")
+    field = switchback.outside_family(n, delta, spec.order)
+    if field:       # never a default, so the spec has the key
+        key = {"n": "options.n", "delta": "options.delta",
+               "order": "method.order"}[field]
+        text, line = spec.raw[key]
+        raise SpecError(f"line {line}: {key} = {text} is outside the "
+                        f"switchback family: {switchback.FAMILY}")
     return switchback.SwitchbackProblem(
         n, delta, spec.params.get("eps", 1e-4), spec.params.get("a", 1.0),
         spec.order)

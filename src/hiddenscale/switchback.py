@@ -201,6 +201,19 @@ def sw_antiderivative(e: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # The switchback series.
 
+FAMILY = "n = 2 or 3, delta = 0 or 1, order 1, or order 2 at n = 2, delta = 1"
+
+
+def outside_family(n: int, delta: int, order: int) -> Optional[str]:
+    """The first of "n", "delta" and "order" outside the implemented
+    FAMILY, or None when the problem is inside it."""
+    if n not in (2, 3):
+        return "n"
+    if delta not in (0, 1):
+        return "delta"
+    return "order" if order > (2 if (n, delta) == (2, 1) else 1) else None
+
+
 @dataclass
 class SwitchbackProblem:
     n: int                  # space dimension, 2 or 3
@@ -210,8 +223,10 @@ class SwitchbackProblem:
     order: int = 2
 
     def __post_init__(self):
-        if self.n not in (2, 3) or self.delta not in (0, 1):
-            raise ValueError("supported problems have n in {2,3}, delta in {0,1}")
+        field = outside_family(self.n, self.delta, self.order)
+        if field:
+            raise ValueError(f"{field} = {getattr(self, field)} is outside "
+                             f"the implemented family: {FAMILY}")
         if self.eps <= 0:
             raise ValueError("inner radius must be positive")
 
@@ -285,10 +300,6 @@ def _fix_second_order_constants(u2: Poly, eps: float):
 
 def switchback_series(p: SwitchbackProblem) -> SwitchbackSeries:
     """Regular series in a: order 0 is 1, order 1 is -e_{n-1}(x)/e_{n-1}(eps)."""
-    if p.order > 2:
-        raise ValueError("switchback series implemented to order 2")
-    if p.order == 2 and not (p.n == 2 and p.delta == 1):
-        raise ValueError("order 2 is implemented for the n=2, delta=1 problem")
     orders = [Poly.num(1)]
     constants = {}
     if p.order >= 1:

@@ -427,26 +427,24 @@ def test_spec_errors_during_validate_exit_2(tmp_path, capsys, text, message):
     assert out.out == "" and out.err == f"spec error: {message}\n"
 
 
-ORDERS = "1, or 2 with options.n = 2, options.delta = 1"
-
-
-@pytest.mark.parametrize("name, key, value, line, want", [
-    ("bad", "options.n", "4", 6, "2 or 3"),
-    ("bad", "options.n", "1", 6, "2 or 3"),
-    ("bad", "options.delta", "2", 7, "0 or 1"),
-    ("bad", "method.order", "2", 8, ORDERS),
-    ("terrible", "method.order", "3", 8, ORDERS),
+@pytest.mark.parametrize("name, key, value, line", [
+    ("bad", "options.n", "4", 6),
+    ("bad", "options.n", "1", 6),
+    ("bad", "options.delta", "2", 7),
+    ("bad", "method.order", "2", 8),
+    ("terrible", "method.order", "3", 8),
 ])
 def test_switchback_outside_the_family_exits_2(tmp_path, capsys, name, key,
-                                               value, line, want):
+                                               value, line):
     path = tmp_path / "case.spec"
     path.write_text(re.sub(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}",
                            (CORPUS / f"{name}.spec").read_text()))
     assert cli.main(["derive", str(path)]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == (
-        f"spec error: line {line}: a switchback {key} takes {want}, "
-        f"got '{value}'\n")
+        f"spec error: line {line}: {key} = {value} is outside the switchback "
+        "family: n = 2 or 3, delta = 0 or 1, order 1, or order 2 at n = 2, "
+        "delta = 1\n")
 
 
 def test_mathieu_validate_integrates_six_times(monkeypatch):
