@@ -348,7 +348,6 @@ class TestBurgersMOL:
             exact = np.log1p(x0) * np.sqrt(1 + 2 * epsv * t / (1 + x0) ** 2)
             assert np.max(np.abs(field["u"][i] - exact)) <= 1e-4, t
 
-
     def test_field_equals_scipy_rk45(self, monkeypatch):
         # the coarse (401-point) and fine (801-point) runs of validate's
         # field are scipy's RK45 with the same rhs, bit for bit

@@ -72,6 +72,8 @@ class TestExpIntegral:
             exp_integral(1, 0.0)
         with pytest.raises(ValueError):
             exp_integral(1, -1.0)
+        with pytest.raises(ValueError):     # the continued fraction's loop
+            exp_integral(1, [2.0, math.nan])  # would not end on NaN
         with pytest.raises(ValueError):
             exp_integral(0, 1.0)
 
