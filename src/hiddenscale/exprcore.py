@@ -728,7 +728,10 @@ class Expr:
         return Expr(out)
 
     def eval(self, env: Mapping[str, float]) -> complex:
-        return sum((t.eval(env) for t in self.terms), 0j)
+        out = 0j    # a left fold: no sum that an interpreter may compensate
+        for t in self.terms:
+            out = out + t.eval(env)
+        return out
 
     # -- substitution family ------------------------------------------------------
     def rename(self, old: str, new: str) -> "Expr":
@@ -931,10 +934,11 @@ class Expr:
 # thousands of points, so each is turned into Python code once.
 
 # Generated source: names a<i> (arguments), b<i> (locals), k<i> (bound
-# values), the function f and its factory, int literals, operators and
-# ``.real``.  No symbol name, spec text or float literal can pass.
+# values), the function f and its factory, int literals, operators,
+# ``.real`` and ``if`` (a statement only: ``else``, ``elif`` and ``for``
+# stay foreign).  No symbol name, spec text or float literal can pass.
 _TOKEN = r"[A-Za-z_]\w*|\d+|\*\*|\.real\b|\S"
-_NAME = r"[abk][0-9]+|[0-9]+|def|return|try|except|make|f"
+_NAME = r"[abk][0-9]+|[0-9]+|def|return|try|except|if|make|f"
 _SYMBOLS = {"**", ".real", *"-+*/(),:=[]"}
 
 

@@ -3,11 +3,12 @@ and convergence-order fits.
 
 Nothing in here touches the symbolic kernel; these routines provide the
 reference values the symbolic pipeline is judged against, so they must stay
-independent of it.
+independent of it; only ``exprcore``'s code runner (``_Code``) is used.
 
 Both IVP oracles (``solve_ivp``) are step loops on Python floats, and an
 rhs gets and returns its state as a list of floats: the oracles' states have
-2-4 entries, where numpy's per-call cost outweighs its arithmetic.  The
+2-4 entries, where numpy's per-call cost outweighs its arithmetic, and the
+adaptive step is straight-line code generated once per state size.  The
 Burgers method-of-lines solver, whose states have hundreds of entries, runs
 the same Dormand-Prince loop on an ndarray state, in scipy's RK45
 arithmetic.  numpy is the only dependency.
@@ -18,8 +19,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache, partial, reduce
+from itertools import count
+from operator import add
 
 import numpy as np
+
+from .exprcore import _Code
 
 
 class SolverError(RuntimeError):
@@ -37,6 +43,8 @@ class IVPSolution:
     def __call__(self, t, component: int = 0):
         t = np.asarray(t, dtype=float)
         x, y, f = self.grid, self.states[:, component], self.derivs[:, component]
+        if len(x) == 1:     # a solve over a zero-length interval
+            return np.full(t.shape, y[0])
         if x[0] > x[-1]:    # a backward solve: interpolate on x reversed
             x, y, f = x[::-1], y[::-1], f[::-1]
         idx = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
@@ -71,15 +79,13 @@ def _rk4_power(M, h: float, n: int) -> np.ndarray:
     return np.linalg.matrix_power(R, n)
 
 
-def _check_rhs(rhs):
-    """``rhs`` with its values turned into Python floats, each checked for
-    NaN/Inf."""
-    def wrapped(t, y):
-        out = list(map(float, rhs(t, y)))
-        if not all(map(math.isfinite, out)):
-            raise SolverError(f"NaN/Inf in rhs at t={t}")
-        return out
-    return wrapped
+def _finite(t, values) -> list:
+    """``values``, an rhs value at t, as a list of Python floats, each
+    checked for NaN/Inf."""
+    out = list(map(float, values))
+    if not all(map(math.isfinite, out)):
+        raise SolverError(f"NaN/Inf in rhs at t={t}")
+    return out
 
 
 # The Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett &
@@ -116,7 +122,7 @@ _PS = np.insert(np.array(_P, dtype=float), 1, 0.0, axis=0)
 
 
 def _rms(xs) -> float:
-    return math.sqrt(sum([x * x for x in xs])) / len(xs) ** 0.5
+    return math.sqrt(reduce(add, [x * x for x in xs], 0)) / len(xs) ** 0.5
 
 
 def _norm(x) -> float:
@@ -145,39 +151,61 @@ def _initial_step(f, t0, y0, f0, length, d, rtol, atol) -> float:
     return min(100 * h0, h1, length)
 
 
-def _list_steps(f, rtol, atol):
-    """One step attempt (the new state, its rhs, the scaled RMS error and the
-    stages) and the dense output at given times, on a list of floats."""
-    c2, c3, c4, c5, c6 = _C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A
-    b1, b3, b4, b5, b6 = _B
-    e1, e3, e4, e5, e6, e7 = _E
+@cache
+def _dopri_step(n: int):
+    """``step(f, rtol, atol, t, y, k1, h)``: one attempt on a list of n
+    floats, generated once per n, with the float operations of one list
+    comprehension per stage in their order (``yi + (a31 * p + a32 * q) * h``,
+    ``yi + h * (b1 * p + ...)``, ``sqrt(0 + x0 * x0 + ...) / n ** 0.5``).
+    Each stage's values p0, p1, ... are checked as they come back from
+    ``f``: ``p0 - p0 + p1 - p1 + ...`` is 0.0 when all are finite, and
+    cannot overflow; else it is NaN, and ``_finite`` raises."""
+    code, new = _Code(), (f"b{i}" for i in count()).__next__
+    check, vabs, vmax, sqrt = map(code.bind, (_finite, abs, max, math.sqrt))
+    A = [[code.bind(a) for a in row] for row in _A]
+    B, E = [code.bind(b) for b in _B], [code.bind(e) for e in _E]
+    # a0..a6 are f, rtol, atol, t, y, k1, h; ks[s] names the values of
+    # stage s+1, objs[s] the sequence f returned for it
+    y, k1 = [new() for _ in range(n)], [new() for _ in range(n)]
+    ks, objs = [k1], ["a5"]
+    body = [f"{''.join(v + ', ' for v in y)}= a4",
+            f"{''.join(v + ', ' for v in k1)}= a5"]
 
-    def attempt(t, y, k1, h):
-        k2 = f(t + c2 * h, [yi + a21 * p * h for yi, p in zip(y, k1)])
-        k3 = f(t + c3 * h, [yi + (a31 * p + a32 * q) * h
-                            for yi, p, q in zip(y, k1, k2)])
-        k4 = f(t + c4 * h, [yi + (a41 * p + a42 * q + a43 * r) * h
-                            for yi, p, q, r in zip(y, k1, k2, k3)])
-        k5 = f(t + c5 * h,
-               [yi + (a51 * p + a52 * q + a53 * r + a54 * s) * h
-                for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
-        k6 = f(t + c6 * h,
-               [yi + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
-                for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [yi + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
-                 for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
-        k7 = f(t + h, y_new)
-        err = _rms([(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w) * h
-                    / (atol + max(abs(yi), abs(yn)) * rtol)
-                    for yi, yn, p, r, s, u, v, w
-                    in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
-        return y_new, k7, err, (k1, k3, k4, k5, k6, k7)
+    def combo(coeffs, stages, i):
+        return " + ".join(f"{c} * {ks[s][i]}" for c, s in zip(coeffs, stages))
 
+    def stage(at, state):
+        te, obj, k = new(), new(), [new() for _ in range(n)]
+        body.extend([f"{te} = {at}", f"{obj} = a0({te}, [{', '.join(state)}])",
+                     f"{''.join(v + ', ' for v in k)}= {obj}",
+                     f"if {' + '.join(f'{v} - {v}' for v in k)}:",
+                     f"    {check}({te}, {obj})"])
+        ks.append(k)
+        objs.append(obj)
+    for s, (c, a) in enumerate(zip(_C, A), start=1):
+        stage(f"a3 + {code.bind(c)} * a6",
+              [f"{y[i]} + ({combo(a, range(s), i)}) * a6" for i in range(n)])
+    y_new, xs = [new() for _ in range(n)], [new() for _ in range(n)]
+    body += [f"{y_new[i]} = {y[i]} + a6 * ({combo(B, (0, 2, 3, 4, 5), i)})"
+             for i in range(n)]
+    stage("a3 + a6", y_new)
+    body += [f"{xs[i]} = ({combo(E, (0, 2, 3, 4, 5, 6), i)}) * a6 / (a2 + "
+             f"{vmax}({vabs}({y[i]}), {vabs}({y_new[i]})) * a1)"
+             for i in range(n)]
+    body.append(f"return [{', '.join(y_new)}], {objs[6]}, "
+                f"{sqrt}(0 + {' + '.join(x + ' * ' + x for x in xs)}) / "
+                f"{code.bind(n ** 0.5)}, "
+                f"({', '.join(objs[s] for s in (0, 2, 3, 4, 5, 6))})")
+    return code.function(7, body)
+
+
+def _list_steps(f, rtol, atol, n):
+    """The rhs checked by ``_finite``, for the calls outside a step; one step
+    attempt (``_dopri_step``: the new state, its rhs, the scaled RMS error
+    and the stages); and the dense output at given times."""
     def dense(t, y, h, ks, tes):
-        Q = [[sum([k[c] * p[m] for k, p in zip(ks, _P)]) for m in range(4)]
-             for c in range(len(y))]
+        Q = [[reduce(add, [k[c] * p[m] for k, p in zip(ks, _P)], 0)
+              for m in range(4)] for c in range(len(y))]
         out = []
         for te in tes:
             x = (te - t) / h
@@ -186,12 +214,13 @@ def _list_steps(f, rtol, atol):
             out.append([yi + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x))
                         for yi, (q1, q2, q3, q4) in zip(y, Q)])
         return out
-    return attempt, dense
+    return (lambda t, y: _finite(t, f(t, y)),
+            partial(_dopri_step(n), f, rtol, atol), dense)
 
 
 def _array_steps(f, rtol, atol):
-    """The same two on an ndarray state, in scipy RK45's operations on its
-    zero-padded tableau (``_BS``, ``_ES``, ``_PS``): BLAS calls per stage."""
+    """The same three on an ndarray state (the rhs unchecked), in scipy
+    RK45's operations on its zero-padded tableau: BLAS calls per stage."""
     def attempt(t, y, k1, h):
         K = np.empty((7, len(y)))
         K[0] = k1
@@ -207,7 +236,7 @@ def _array_steps(f, rtol, atol):
         out = h * np.dot(K.T.dot(_PS), p)
         out += y[:, None]
         return list(out.T)
-    return attempt, dense
+    return f, attempt, dense
 
 
 def _eval_points(t0: float, t1: float, t_eval):
@@ -233,8 +262,9 @@ def _dopri5(f, t0: float, t1: float, y0, rtol: float, atol: float, t_eval):
     and None.  Raises SolverError when the step falls below ten times the
     float spacing at t.
     """
-    attempt, dense = (_array_steps if isinstance(y0, np.ndarray)
-                      else _list_steps)(f, rtol, atol)
+    f, attempt, dense = (_array_steps(f, rtol, atol)
+                         if isinstance(y0, np.ndarray)
+                         else _list_steps(f, rtol, atol, len(y0)))
     d = 1.0 if t1 >= t0 else -1.0
     if t_eval is None:
         ts, ys = [t0], [y0]
@@ -285,9 +315,10 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
               t_eval=None) -> IVPSolution:
     """Integrate y' = rhs(t, y) over ``interval``.
 
-    ``rhs`` gets the state as a list of Python floats, which it must not
-    change, and returns a sequence of real numbers.  Both step loops run on
-    Python floats, so a list of floats is the fast return.
+    ``rhs`` gets the state as a list, which it must not change, and returns
+    a sequence of real numbers.  Both step loops do their arithmetic on the
+    returned values as they are, so an rhs that returns Python floats gets
+    Python floats, and a list of floats is the fast return.
 
     Both methods start at t0 and take ``t_eval`` ordered from t0 to t1 inside
     the interval, else raise ValueError.  ``rk4-fixed`` uses the requested
@@ -305,10 +336,12 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     Either method raises SolverError on a NaN/Inf: ``rk45-adaptive`` checks
     every rhs value, ``rk4-fixed`` checks the state once per output
     interval, which a non-finite stage value always leaves non-finite.  The
-    rk45 check runs once per rhs call, not once per accepted step: a step
-    with a non-finite stage would be rejected and retried shorter, so the
-    accepted states stay finite and the integrator would stop on a
-    step-size underflow instead.
+    rk45 check runs on each stage inside the generated step
+    (``_dopri_step``), not once per accepted step: a step with a non-finite
+    stage would be rejected and retried shorter, so the accepted states
+    stay finite and the integrator would stop on a step-size underflow
+    instead.  On a zero-length interval both return the one node t0, whose
+    dense output is y0 at every t.
 
     For a ``LinearRHS`` M, ``rk4-fixed`` advances each output interval of
     ``n_sub`` steps of size ``h`` by y <- R(hM)^n_sub @ y, where
@@ -320,15 +353,14 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     """
     t0, t1 = float(interval[0]), float(interval[1])
     y0 = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
-    f = _check_rhs(rhs)
     if method == "rk45-adaptive":
-        ts, ys, fs = _dopri5(f, t0, t1, y0, tol, tol * 1e-2, t_eval)
+        ts, ys, fs = _dopri5(rhs, t0, t1, y0, tol, tol * 1e-2, t_eval)
     elif method == "rk4-fixed":
         if t_eval is not None:
             ts = _eval_points(t0, t1, t_eval)[0]
         else:
             n = max(1, int(round((t1 - t0) / step)))
-            ts = np.linspace(t0, t1, n + 1).tolist()
+            ts = np.linspace(t0, t1, n + 1).tolist() if t1 != t0 else [t0]
         grid = ts if ts[:1] == [t0] else [t0] + ts     # from t0 on
         y, ys, fs = y0, [y0] if grid is ts else [], None
         powers = {}     # (h, n_sub) -> R(hM)^n_sub, for a LinearRHS
@@ -357,7 +389,7 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     else:
         raise ValueError(f"unknown method {method!r}")
     if fs is None:      # the rhs at each output point
-        fs = [f(t, y) for t, y in zip(ts, ys)]
+        fs = [_finite(t, rhs(t, y)) for t, y in zip(ts, ys)]
     return IVPSolution(np.array(ts), np.array(ys), np.array(fs))
 
 

@@ -660,8 +660,14 @@ def test_real_evaluator_overflow_gives_evals_values():
 def test_compile_function_refuses_foreign_tokens():
     f = compile_function(2, ["return [a0 + k0 * a1**2]"], [3.0])
     assert f(1.0, 2.0) == [13.0]
+    # ``if`` opens a statement; it cannot pick a value or filter a loop
+    g = compile_function(1, ["if a0 - a0:", "    return k0", "return a0"],
+                         [0.0])
+    assert g(2.0) == 2.0 and g(math.inf) == 0.0
     for line in ("return open", "return a0.__class__", "return 1.5",
                  "return 'x'", "return 1j", "return 0x1", "return 1e5",
-                 "return a0.real.imag", "return a0  # x", "return b\u0663"):
+                 "return a0.real.imag", "return a0  # x", "return b\u0663",
+                 "return a0 if a0 else k0", "return [b0 for b0 in a0 if b0]",
+                 "elif a0:"):
         with pytest.raises(ValueError, match="foreign token"):
             compile_function(1, [line], [])

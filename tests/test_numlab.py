@@ -1,6 +1,7 @@
 """Numeric oracle properties: solver orders, shooting, the Burgers field."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,41 @@ class TestIVP:
             solve_ivp(lambda t, y: [y[0] * (math.nan if 0.42 < t < 0.43
                                             else math.cos(20 * t))],
                       [1.0], (0, 1), "rk45-adaptive", tol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_nan_at_each_stage_names_its_time(self, n):
+        # A solve calls the rhs at t0, at the first-step guess, then at
+        # stages 2..7 of its first attempt.  One non-finite entry in stage
+        # s's values stops it with that stage's t (stages 6 and 7 share it).
+        def rhs(t, y):
+            return [-(i + 1) * v for i, v in enumerate(y)]
+        times = []
+        solve_ivp(lambda t, y: times.append(t) or rhs(t, y), [1.0] * n,
+                  (0.0, 1.0))
+        for s in range(2, 8):
+            calls = []
+
+            def broken(t, y):
+                calls.append(t)
+                out = rhs(t, y)
+                if len(calls) == s + 1:
+                    out[s % n] = math.nan if s % 2 else -math.inf
+                return out
+            with pytest.raises(SolverError, match="^" + re.escape(
+                    f"NaN/Inf in rhs at t={times[s]}") + "$"):
+                solve_ivp(broken, [1.0] * n, (0.0, 1.0))
+
+    def test_huge_rhs_values_are_finite(self):
+        # four entries of 1e308 add up to inf: the check must not add them
+        sol = solve_ivp(lambda t, y: [1e308] * 4, [-1e308] * 4, (0.0, 1.0))
+        assert np.all(np.isfinite(sol.states)) and np.all(sol.derivs == 1e308)
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_zero_length_interval(self, method):
+        sol = solve_ivp(lambda t, y: [-y[0]], [1.0], (0.0, 0.0), method)
+        assert sol.grid.tolist() == [0.0] and sol.states.tolist() == [[1.0]]
+        assert sol(0.0) == 1.0
+        assert sol(np.zeros((2, 3))).tolist() == [[1.0] * 3] * 2
 
 
 class TestRHSContract:
@@ -184,6 +220,46 @@ def _rk45_case(name):
             [2.0, 0.0], (10.0, 0.0), 1e-12, np.linspace(10.0, 0.0, 51))
 
 
+def _comprehension_attempt(f, rtol, atol):
+    """The step attempt as one list comprehension per stage, which the
+    generated step replaces: the reference it equals bit for bit."""
+    c2, c3, c4, c5, c6 = numlab._C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = numlab._A
+    b1, b3, b4, b5, b6 = numlab._B
+    e1, e3, e4, e5, e6, e7 = numlab._E
+
+    def attempt(t, y, k1, h):
+        k2 = f(t + c2 * h, [yi + a21 * p * h for yi, p in zip(y, k1)])
+        k3 = f(t + c3 * h, [yi + (a31 * p + a32 * q) * h
+                            for yi, p, q in zip(y, k1, k2)])
+        k4 = f(t + c4 * h, [yi + (a41 * p + a42 * q + a43 * r) * h
+                            for yi, p, q, r in zip(y, k1, k2, k3)])
+        k5 = f(t + c5 * h,
+               [yi + (a51 * p + a52 * q + a53 * r + a54 * s) * h
+                for yi, p, q, r, s in zip(y, k1, k2, k3, k4)])
+        k6 = f(t + c6 * h,
+               [yi + (a61 * p + a62 * q + a63 * r + a64 * s + a65 * u) * h
+                for yi, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [yi + h * (b1 * p + b3 * r + b4 * s + b5 * u + b6 * v)
+                 for yi, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(t + h, y_new)
+        err = numlab._rms(
+            [(e1 * p + e3 * r + e4 * s + e5 * u + e6 * v + e7 * w) * h
+             / (atol + max(abs(yi), abs(yn)) * rtol)
+             for yi, yn, p, r, s, u, v, w
+             in zip(y, y_new, k1, k3, k4, k5, k6, k7)])
+        return y_new, k7, err, (k1, k3, k4, k5, k6, k7)
+    return attempt
+
+
+def _hex(attempt):
+    """``float.hex`` of an attempt's new state, rhs, error and stages."""
+    y_new, k7, err, stages = attempt
+    return ([float.hex(v) for v in y_new], [float.hex(v) for v in k7],
+            float.hex(err), [[float.hex(v) for v in k] for k in stages])
+
+
 def _scipy_rk45(rhs, y0, interval, tol, t_eval=None):
     # scipy hands the rhs an ndarray; the oracles' rhs take lists
     from scipy.integrate import solve_ivp as scipy_ivp
@@ -217,6 +293,29 @@ class TestRK45AgainstScipy:
                               tol=tol).grid) - 1
         ref_steps = len(_scipy_rk45(rhs, y0, interval, tol).t) - 1
         assert abs(steps - ref_steps) <= 0.01 * ref_steps
+
+    @pytest.mark.parametrize("name", ["kdv", "mathieu", "switchback",
+                                      "backward"])
+    def test_generated_step_equals_the_comprehensions(self, name,
+                                                      monkeypatch):
+        # every attempt of the solve, rejected ones included
+        rhs, y0, interval, tol, t_eval = _rk45_case(name)
+        list_steps, attempts = numlab._list_steps, []
+
+        def comparing(f, rtol, atol, n):
+            first, attempt, dense = list_steps(f, rtol, atol, n)
+            reference = _comprehension_attempt(f, rtol, atol)
+
+            def both(*args):
+                got = attempt(*args)
+                attempts.append((_hex(got), _hex(reference(*args))))
+                return got
+            return first, both, dense
+        monkeypatch.setattr(numlab, "_list_steps", comparing)
+        solve_ivp(rhs, y0, interval, "rk45-adaptive", tol=tol, t_eval=t_eval)
+        assert len(attempts) > 100
+        assert next((i for i, (got, want) in enumerate(attempts)
+                     if got != want), None) is None
 
     def test_step_size_underflow(self):
         # y' = y^2, y(0) = 1 blows up at t = 1
