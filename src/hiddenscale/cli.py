@@ -3,8 +3,9 @@
 ``derive`` runs the symbolic pipeline and prints (or checks against a golden
 file) the canonical text of every stage.  ``validate`` additionally runs the
 numeric oracles, writes CSV tables and evaluates the spec's tolerance checks.
-``sweep`` repeats the core error measurement across a parameter list.  Exit
-code 0 means every check passed.
+``sweep`` validates at each value of a parameter list, doing the work that
+does not read ``params.*`` once for all of them.  Exit code 0 means every
+check passed.
 """
 
 from __future__ import annotations
@@ -257,11 +258,12 @@ def _ic_vector(spec, uniform, env, x0: float, nord: int):
     return _jet(lambda x: uniform.evaluate(x, env), x0)[:nord]
 
 
-def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int):
+def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int,
+                 shared: dict):
     prob, series, painted, ft, flows, uniform = derived
     grid = np.linspace(*_numbers(spec, "validate.grid", "0 15 301", "ffi"))
     if "scaling_order" in spec.validate:
-        return _validate_scaling(spec, rep, csv_dir, grid, series)
+        return _validate_scaling(spec, rep, csv_dir, grid, series, shared)
     params = dict(spec.params)
     env = _uniform_env(spec, params)
     missing = [(f.name, s) for f in flows.flows.values()
@@ -331,16 +333,19 @@ def _fit_tildes_to_ics(uniform, env, ics):
     return dict(zip(names, vals))
 
 
-def _validate_scaling(spec, rep, csv_dir, grid, series):
+def _validate_scaling(spec, rep, csv_dir, grid, series, shared: dict):
     """Error-order fit for the overdamped family.
 
     The scaling bands refer to the solution one order higher than the
     displayed closed form, so the pipeline is re-run at
-    validate.scaling_order before fitting the convergence order.
+    validate.scaling_order before fitting the convergence order.  That
+    pipeline and, per eps and initial state, the oracle and the uniform
+    values are kept in ``shared``: none of them reads params.*.
     """
-    spec2 = dataclasses.replace(spec, order=_numbers(
-        spec, "validate.scaling_order", "", "i"))
-    uniform2 = hidden_scale_pipeline(spec2)[-1]
+    if "scaling" not in shared:
+        shared["scaling"] = hidden_scale_pipeline(dataclasses.replace(
+            spec, order=_numbers(spec, "validate.scaling_order", "", "i")))[-1]
+    uniform2 = shared["scaling"]
     epsv = spec.params[spec.parameter]
     ics = _ic_floats(spec, 2)
     if ics is None:
@@ -353,14 +358,16 @@ def _validate_scaling(spec, rep, csv_dir, grid, series):
     table_rows = None
     bare_end = uni_end = None
     for ev in sorted(set(sweep + [epsv])):
-        env = {spec.parameter: ev}
-        tvals = _fit_tildes_to_ics(uniform2, env, ics)
-        env.update(tvals)
-        rhs, _n = _ode_rhs(spec, {spec.parameter: ev})
-        yref = numlab.solve_ivp(
-            rhs, ics, (float(grid[0]), float(grid[-1])), "rk4-fixed",
-            step=step, t_eval=grid).states[:, 0]
-        uvals = uniform2.evaluate(grid, env)
+        key = ("oracle", ev, *ics)
+        if key not in shared:
+            env = {spec.parameter: ev}
+            env.update(_fit_tildes_to_ics(uniform2, env, ics))
+            rhs, _n = _ode_rhs(spec, {spec.parameter: ev})
+            yref = numlab.solve_ivp(
+                rhs, ics, (float(grid[0]), float(grid[-1])), "rk4-fixed",
+                step=step, t_eval=grid).states[:, 0]
+            shared[key] = yref, uniform2.evaluate(grid, env)
+        yref, uvals = shared[key]
         sup = float(np.max(np.abs(uvals - yref)))
         if ev in sweep:
             errs.append((ev, sup))
@@ -429,7 +436,8 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
               f"{_fmt(sup)} <= {ratio_max} * {_fmt(terr)}")
 
 
-def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir, seed: int):
+def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir, seed: int,
+                      shared: dict):
     for a, rhs in d.amplitude_rhs.items():
         target = filament_mod.amplitude_target(a, spec.parameter)
         rep.check(f"amplitude equation {a}'' exact", rhs == target)
@@ -485,7 +493,7 @@ def derive_switchback(spec: ProblemSpec, rep: Report):
 
 
 def validate_switchback(spec: ProblemSpec, rep: Report, derived, csv_dir,
-                        seed: int):
+                        seed: int, shared: dict):
     p, series = derived
     x_max = _numbers(spec, "validate.x_max", "50", "f")
     npts = _numbers(spec, "validate.grid_points", "100", "i")
@@ -563,7 +571,7 @@ def derive_pertsym(spec: ProblemSpec, rep: Report):
 
 
 def validate_pertsym(spec: ProblemSpec, rep: Report, derived, csv_dir,
-                     seed: int):
+                     seed: int, shared: dict):
     grid = np.linspace(*_numbers(spec, "validate.grid", "0 20 201", "ffi"))
     amp = _numbers(spec, "options.amplitude", "1", "f")
     off = _numbers(spec, "options.offset", "0.4", "f")
@@ -608,7 +616,7 @@ def derive_burgers(spec: ProblemSpec, rep: Report):
 
 
 def validate_burgers(spec: ProblemSpec, rep: Report, derived, csv_dir,
-                     seed: int):
+                     seed: int, shared: dict):
     epsv = spec.params.get("eps", 0.1)
     times = _numbers(spec, "validate.times", "1 10 20")
     lo, hi, npts = _numbers(spec, "validate.x_range", "0 5 201", "ffi")
@@ -657,13 +665,15 @@ def validate_burgers(spec: ProblemSpec, rep: Report, derived, csv_dir,
 # Command drivers.
 
 # spec kind, or the scripted derivation named by options.scripted ->
-# (derive(spec, rep) -> derived, check(spec, rep, derived, csv_dir, seed))
+# (derive(spec, rep) -> derived,
+#  check(spec, rep, derived, csv_dir, seed, shared),
+#  whether derive reads params.*, so that a sweep derives at every point)
 HANDLERS = {
-    "ode-hidden-scale": (derive_ode, validate_ode),
-    "filament": (derive_filament, validate_filament),
-    "switchback": (derive_switchback, validate_switchback),
-    "perturbation-symmetry": (derive_pertsym, validate_pertsym),
-    "burgers": (derive_burgers, validate_burgers),
+    "ode-hidden-scale": (derive_ode, validate_ode, False),
+    "filament": (derive_filament, validate_filament, False),
+    "switchback": (derive_switchback, validate_switchback, True),
+    "perturbation-symmetry": (derive_pertsym, validate_pertsym, False),
+    "burgers": (derive_burgers, validate_burgers, False),
 }
 
 
@@ -688,12 +698,33 @@ def run_derive(spec: ProblemSpec, check: bool) -> Report:
 
 
 def run_validate(spec: ProblemSpec, csv_dir, seed: int = 0) -> Report:
+    return _validate(spec, csv_dir, seed, {})
+
+
+def _validate(spec: ProblemSpec, csv_dir, seed: int, shared: dict) -> Report:
+    """run_validate's report, with the work that does not read params.*
+    kept in ``shared`` for the next call: the derive (value, report lines
+    and checks) unless the kind's derive reads them, and what the checks
+    keep there."""
+    derive, check, per_point = _handlers(spec)
     rep = Report(spec)
-    derive, check = _handlers(spec)
-    derived = derive(spec, rep)
+    if per_point or "derive" not in shared:
+        shared["derive"] = derive(spec, rep), rep.lines[:], rep.checks[:]
+    derived, lines, checks = shared["derive"]
+    rep.lines, rep.checks = lines[:], checks[:]
     rep.add("-- validation --")
-    check(spec, rep, derived, csv_dir, seed)
+    check(spec, rep, derived, csv_dir, seed, shared)
     return rep
+
+
+def sweep_reports(spec: ProblemSpec, csv_dir, sweep):
+    """(value, run_validate's report at that value of the parameter) for
+    each value of ``sweep``; the points share one ``shared``."""
+    shared = {}
+    for ev in sweep:
+        yield ev, _validate(dataclasses.replace(
+            spec, params={**spec.params, spec.parameter: ev}), csv_dir, 0,
+            shared)
 
 
 def run_sweep(spec: ProblemSpec, csv_dir) -> Report:
@@ -705,10 +736,7 @@ def run_sweep(spec: ProblemSpec, csv_dir) -> Report:
         return rep
     rep.add(f"sweep over {spec.parameter}: "
             + " ".join(_fmt(s) for s in sweep))
-    for ev in sweep:
-        sub = dataclasses.replace(
-            spec, params={**spec.params, spec.parameter: ev})
-        subrep = run_validate(sub, csv_dir)
+    for ev, subrep in sweep_reports(spec, csv_dir, sweep):
         status = "PASS" if subrep.ok else "FAIL"
         rep.add(f"{spec.parameter} = {ev:g}: {status}")
         rep.checks.append((f"sweep point {ev:g}", subrep.ok, ""))

@@ -942,9 +942,12 @@ _NAME = r"[abk][0-9]+|[0-9]+|def|return|try|except|if|make|f"
 _SYMBOLS = {"**", ".real", *"-+*/(),:=[]"}
 
 
-def compile_function(nargs: int, body: Sequence[str], values: Sequence):
+def compile_function(nargs: int, body: Sequence[str], values: Sequence,
+                     role: str):
     """The function ``f(a0, ..., a<nargs-1>)`` whose body is the statements
     ``body``, one per line, with ``values`` bound to the names k0, k1, ...
+    Its code's filename is ``<role>``, so that a profile tells the generated
+    functions apart.
 
     The code sees no builtins and no globals: everything it uses beyond its
     arguments, numbers included, is one of ``values``.
@@ -958,7 +961,7 @@ def compile_function(nargs: int, body: Sequence[str], values: Sequence):
                for tok in findall(_TOKEN, src)):
         raise ValueError("generated source holds a foreign token")
     scope = {"__builtins__": {}}
-    exec(compile(src, "<straight-line>", "exec"), scope)
+    exec(compile(src, f"<{role}>", "exec"), scope)
     return scope["make"](*values)
 
 
@@ -972,8 +975,8 @@ class _Code:
         self.values.append(value)
         return f"k{len(self.values) - 1}"
 
-    def function(self, nargs: int, body: Sequence[str]):
-        return compile_function(nargs, body, self.values)
+    def function(self, nargs: int, body: Sequence[str], role: str):
+        return compile_function(nargs, body, self.values, role)
 
 
 class _Folder(_Code):
@@ -1069,7 +1072,7 @@ def real_evaluator(exprs: Sequence[Expr], args: Sequence[str],
             f"    return [{', '.join(outs)}]",
             f"except {fold.bind((OverflowError, ValueError))}:",
             f"    return {fold.bind(slow)}({params})"]
-    return fold.function(len(args), body)
+    return fold.function(len(args), body, "real_evaluator")
 
 
 def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
@@ -1111,7 +1114,7 @@ def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
              f"{code.bind(coeffs[-1])}]",
              f"except {code.bind(OverflowError)}:",
              f"    return [{shift}{code.bind(inf)}]"]
-    return code.function(2, body)
+    return code.function(2, body, "explicit_ode_rhs")
 
 
 def _expand_param_exponents(t: Term, param: str, jmax: int):

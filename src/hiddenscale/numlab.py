@@ -196,7 +196,7 @@ def _dopri_step(n: int):
                 f"{sqrt}(0 + {' + '.join(x + ' * ' + x for x in xs)}) / "
                 f"{code.bind(n ** 0.5)}, "
                 f"({', '.join(objs[s] for s in (0, 2, 3, 4, 5, 6))})")
-    return code.function(7, body)
+    return code.function(7, body, f"dopri_step n={n}")
 
 
 def _list_steps(f, rtol, atol, n):
@@ -354,7 +354,10 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     t0, t1 = float(interval[0]), float(interval[1])
     y0 = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
     if method == "rk45-adaptive":
-        ts, ys, fs = _dopri5(rhs, t0, t1, y0, tol, tol * 1e-2, t_eval)
+        # an rhs may return numpy scalars: the step's stage check then does
+        # numpy's inf - inf, which warns before _finite raises SolverError
+        with np.errstate(invalid="ignore"):
+            ts, ys, fs = _dopri5(rhs, t0, t1, y0, tol, tol * 1e-2, t_eval)
     elif method == "rk4-fixed":
         if t_eval is not None:
             ts = _eval_points(t0, t1, t_eval)[0]

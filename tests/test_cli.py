@@ -1,5 +1,8 @@
 """Command driver: golden comparison, determinism, CSV output, exit codes."""
 
+import collections
+import dataclasses
+import filecmp
 import hashlib
 import re
 import subprocess
@@ -9,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiddenscale import cli, numlab
+from hiddenscale import cli, numlab, pertsym
 from hiddenscale.exprcore import Expr
 from hiddenscale.ftflow import FTInconsistent
 from hiddenscale.pertsym import DeterminingError
@@ -226,8 +229,10 @@ def test_exit_codes(tmp_path):
 
 def test_every_kind_has_handlers():
     for kind in KINDS:
-        derive, check = cli.HANDLERS[kind]
+        derive, check, per_point = cli.HANDLERS[kind]
         assert callable(derive) and callable(check)
+        # only the switchback derive reads params.*
+        assert per_point is (kind == "switchback")
 
 
 # rhs calls of each validate's oracles: the step control and the
@@ -295,6 +300,77 @@ def test_sweep_command():
                                  "eps = 0.05: PASS", "eps = 0.1: PASS",
                                  "eps = 0.2: PASS"], name
         assert rep.ok, name
+
+
+# every corpus spec with a sweep, its own where it has one, and burgers with
+# its failing point first: a check of one point must not reach the next
+SWEPT = [(name, "0.05 0.1 0.2") for name in ALL_SPECS] \
+    + [("burgers", "0.2 0.05 0.1")]
+
+
+def _swept_copy(tmp_path, name, sweep):
+    text = (CORPUS / f"{name}.spec").read_text()
+    if "validate.sweep" not in text:
+        text += f"validate.sweep = {sweep}\n"
+    path = tmp_path / f"{name}.spec"
+    path.write_text(text)
+    return parse_spec(path)
+
+
+@pytest.mark.parametrize("name, sweep", SWEPT)
+def test_sweep_points_equal_validate(tmp_path, name, sweep):
+    # a sweep derives and integrates once for all its points; each point
+    # still reports and writes what run_validate does at that point
+    spec = _swept_copy(tmp_path, name, sweep)
+    values = [float(v) for v in spec.validate["sweep"].split()]
+    fast, slow = tmp_path / "fast", tmp_path / "slow"
+    got = cli.run_sweep(spec, str(fast))
+    want = cli.Report(spec)
+    want.add(f"sweep over {spec.parameter}: "
+             + " ".join(cli._fmt(v) for v in values))
+    points = cli.sweep_reports(spec, None, values)
+    for ev, (ev2, rep) in zip(values, points):
+        ref = cli.run_validate(dataclasses.replace(
+            spec, params={**spec.params, spec.parameter: ev}), str(slow))
+        assert ev2 == ev and (rep.lines, rep.checks) == (ref.lines,
+                                                         ref.checks), ev
+        want.add(f"{spec.parameter} = {ev:g}: {'PASS' if ref.ok else 'FAIL'}")
+        want.checks.append((f"sweep point {ev:g}", ref.ok, ""))
+    assert (got.lines, got.checks) == (want.lines, want.checks)
+    names = sorted(p.name for p in fast.glob("*"))
+    assert names == sorted(p.name for p in slow.glob("*"))
+    assert filecmp.cmpfiles(fast, slow, names, shallow=False)[0] == names
+
+
+def _count_calls(monkeypatch, owner, attr, counts, when=None):
+    fn = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] += when is None or when(*args, **kwargs)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, counted)
+
+
+def test_sweep_runs_point_independent_work_once(tmp_path, monkeypatch):
+    counts = collections.Counter()
+    _count_calls(monkeypatch, pertsym, "solve_determining", counts)
+    _count_calls(monkeypatch, cli, "hidden_scale_pipeline", counts)
+    _count_calls(monkeypatch, numlab, "solve_ivp", counts,
+                 lambda *args, **kwargs: args[3:4] == ("rk4-fixed",))
+    _count_calls(monkeypatch, cli, "_switchback_problem", counts)
+    # underdamped: one determining-equation solve, and its stacked oracle
+    # once per point; overdamped: the pipeline at its order 1 and at the
+    # scaling order 2, and one oracle per eps, not per eps and point; the
+    # switchback derive reads params.eps, so it runs at every point
+    for name, want in [("underdamped", {"solve_determining": 1,
+                                        "solve_ivp": 3}),
+                       ("overdamped", {"hidden_scale_pipeline": 2,
+                                       "solve_ivp": 3}),
+                       ("bad", {"_switchback_problem": 3})]:
+        counts.clear()
+        assert cli.run_sweep(_swept_copy(tmp_path, name, "0.005 0.01 0.02"),
+                             None).ok, name
+        assert +counts == want, name
 
 
 def test_ode_rhs_linear_only_when_constant_coefficient():

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hiddenscale import numlab
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                   _qadd, _qdiv, _qmul, _qnum, _qpow, _rat_text,
                                   classify_divergent, compile_function,
-                                  div_exact, paint_term, product_upto,
-                                  real_evaluator, solve_linear_system)
+                                  div_exact, explicit_ode_rhs, paint_term,
+                                  product_upto, real_evaluator,
+                                  solve_linear_system)
 from hiddenscale.textform import expr_text, parse_expr
 
 
@@ -658,11 +660,11 @@ def test_real_evaluator_overflow_gives_evals_values():
 
 
 def test_compile_function_refuses_foreign_tokens():
-    f = compile_function(2, ["return [a0 + k0 * a1**2]"], [3.0])
+    f = compile_function(2, ["return [a0 + k0 * a1**2]"], [3.0], "f")
     assert f(1.0, 2.0) == [13.0]
     # ``if`` opens a statement; it cannot pick a value or filter a loop
     g = compile_function(1, ["if a0 - a0:", "    return k0", "return a0"],
-                         [0.0])
+                         [0.0], "g")
     assert g(2.0) == 2.0 and g(math.inf) == 0.0
     for line in ("return open", "return a0.__class__", "return 1.5",
                  "return 'x'", "return 1j", "return 0x1", "return 1e5",
@@ -670,4 +672,13 @@ def test_compile_function_refuses_foreign_tokens():
                  "return a0 if a0 else k0", "return [b0 for b0 in a0 if b0]",
                  "elif a0:"):
         with pytest.raises(ValueError, match="foreign token"):
-            compile_function(1, [line], [])
+            compile_function(1, [line], [], "h")
+
+
+def test_generated_functions_name_their_role():
+    # a profile keeps the step, the oracle rhs and the evaluators apart
+    g = real_evaluator([Expr.var("x", 2)], ["x"], {})
+    rhs = explicit_ode_rhs([1.0, 0.0, 1.0], [], "t", {})
+    assert g.__code__.co_filename == "<real_evaluator>"
+    assert rhs.__code__.co_filename == "<explicit_ode_rhs>"
+    assert numlab._dopri_step(3).__code__.co_filename == "<dopri_step n=3>"

@@ -92,6 +92,14 @@ class TestIVP:
                                             else math.cos(20 * t))],
                       [1.0], (0, 1), "rk45-adaptive", tol=1e-10)
 
+    def test_numpy_inf_rhs_raises(self):
+        # numpy scalars in a stage: the step's finiteness check does numpy's
+        # inf - inf, which must not warn (an error under this suite's
+        # filterwarnings) before the SolverError
+        with pytest.raises(SolverError, match=r"^NaN/Inf in rhs at t=0\.5"):
+            solve_ivp(lambda t, y: np.array([np.inf if t > 0.5 else -y[0]]),
+                      [1.0], (0, 1))
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_nan_at_each_stage_names_its_time(self, n):
         # A solve calls the rhs at t0, at the first-step guess, then at
