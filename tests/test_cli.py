@@ -68,12 +68,27 @@ HIGHER_ORDERS = {
     # present: eps)"
     ("overdamped", 5):
         "35c32aa75d4b84ac019830f0390f87bfa32cea5e622d7ae932457a7a1ea459b6",
+    # grid specs (GRID_ORDERS); which unknowns the solver's pivot order
+    # leaves free shows in these
+    ("duffing", 3):
+        "4c0131e36dcf22635827c75d37517938dc45b5491100ba25dc23514b57b5993a",
+    ("vanderpol", 3):
+        "37e40c178f000fd282a358523b12b4f3f7328859ddd8b076d47e9c2f29608454",
 }
+# name -> (operator, perturbation) of a grid spec with amp-cos-A0 start values
+GRID_ORDERS = {"duffing": ("D2 + D0", "eps*y^3"),
+               "vanderpol": ("D2 + D0", "eps*Dy - eps*y^2*Dy")}
 
 
 def test_higher_order_derives_are_pinned(tmp_path):
     for (name, order), want in HIGHER_ORDERS.items():
-        spec = parse_spec(_at_order(tmp_path, name, order))
+        if name in GRID_ORDERS:
+            path = tmp_path / f"{name}{order}.spec"
+            path.write_text(specgrid.spec_text(*GRID_ORDERS[name],
+                                               "amp-cos-A0", order, False))
+        else:
+            path = _at_order(tmp_path, name, order)
+        spec = parse_spec(path)
         text = cli.run_derive(spec, False).text()
         assert hashlib.sha256(text.encode()).hexdigest() == want, (name, order)
 
