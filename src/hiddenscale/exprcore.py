@@ -751,9 +751,9 @@ class Expr:
         term), the symbol must not occur in rates or phases, each power of
         the replacement is formed once and the result is built in one pass.
         With ``upto = (param, k)`` the products keep only what
-        ``collect_order(param, j)`` reads for j <= k, as ``product_upto``
-        does; chained substitutions stay exact at those orders when every
-        replacement is polynomial in ``param``.
+        ``orders(param, k)`` reads, as ``product_upto`` does; chained
+        substitutions stay exact at those orders when every replacement is
+        polynomial in ``param``.
         """
         if isinstance(value, (int, Fraction)):
             return self.subs_num({sym: value})
@@ -846,31 +846,41 @@ class Expr:
         return Expr(out)
 
     # -- order bookkeeping ---------------------------------------------------------
-    def collect_order(self, param: str, j: int) -> "Expr":
-        """Coefficient of param**j, series-expanding exponents that carry param.
+    def orders(self, param: str, k: int) -> list:
+        """The coefficients of param**0 .. param**k, in one pass.
 
-        Coefficients must be polynomial (no negative powers) in ``param``.
+        Each term's exponents that carry ``param`` are series-expanded once,
+        to order k, and each coefficient monomial goes to the order of its
+        ``param``-degree.  Coefficients must be polynomial (no negative
+        powers) in ``param``.
         """
-        out = []
+        out = [[] for _ in range(k + 1)]
         for t in self.terms:
-            lo, _hi = t.coeff.order_range(param)
-            if lo < 0:
+            if t.coeff.order_range(param)[0] < 0:
                 raise OutOfClassError(
                     f"coefficient is not polynomial in {param!r}")
-            for min_order, term in _expand_param_exponents(t, param, j):
-                if min_order > j:
-                    continue
-                c = term.coeff.coeff_of(param, j)
-                if not c.is_zero():
-                    out.append(term.with_coeff(c))
-        return Expr(out)
+            for _order, term in _expand_param_exponents(t, param, k):
+                by_degree: dict = {}
+                for pows, q in term.coeff.monos:
+                    d = _lookup(pows, param)
+                    if d <= k:
+                        by_degree.setdefault(d, []).append(
+                            (_without(pows, param), q))
+                for d, monos in by_degree.items():
+                    out[d].append(term.with_coeff(Poly(monos)))
+        return [Expr(terms) for terms in out]
+
+    def collect_order(self, param: str, j: int) -> "Expr":
+        """``orders(param, j)[j]``; no derive calls it, and
+        ``perfbench/tracer.py`` wraps it by name."""
+        return self.orders(param, j)[j]
 
     def truncate_order(self, param: str, k: int) -> "Expr":
-        """Sum of param**j * collect_order(j) for j = 0..k."""
+        """Sum of param**j * orders(param, k)[j] for j = 0..k."""
         out = Expr.zero()
         p = Expr.sym(param)
-        for j in range(k + 1):
-            out = out + (p ** j) * self.collect_order(param, j)
+        for j, c in enumerate(self.orders(param, k)):
+            out = out + (p ** j) * c
         return out
 
     # -- structure helpers -----------------------------------------------------------
@@ -1120,9 +1130,11 @@ def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
 def _expand_param_exponents(t: Term, param: str, jmax: int):
     """Expand exp factors whose rate contains ``param``.
 
-    Yields (order_consumed, Term) pairs with the param-dependent exponent
+    Returns (order_consumed, Term) pairs with the param-dependent exponent
     pieces replaced by their series truncated at total order jmax.
     """
+    if all(p.order_range(param) == (0, 0) for _, p in t.rates):
+        return [(0, t)]
     pieces = [(0, Term(t.coeff, t.vpows, (), t.offs))]
     for v, p in t.rates:
         free, dep = p.split_by(param)
@@ -1176,9 +1188,9 @@ def product_upto(factors: Sequence[Expr], param: str, k: int) -> Expr:
 
     Coefficient monomials are dropped as they are formed once their
     ``param``-degree, plus the lowest degrees of the factors still to come,
-    exceeds ``k``; negative powers are kept.  ``collect_order(param, j)``
-    of the result equals that of the full product for every j <= k:
-    series-expanding an exponent only raises the degree.
+    exceeds ``k``; negative powers are kept.  ``orders(param, k)`` of the
+    result equals that of the full product: series-expanding an exponent
+    only raises the degree.
     """
     lows = [min((t.coeff.order_range(param)[0] for t in f.terms), default=0)
             for f in factors]
@@ -1226,7 +1238,12 @@ def paint_term(t: Term, v: str, mu: str) -> Term:
 # Exact linear systems with Expr coefficients.
 
 def _div_single(e: Expr, t: Term) -> Expr:
-    """e divided term by term by t, whose coefficient is one monomial."""
+    """e divided term by term by t, whose coefficient is one monomial; by a
+    number, each coefficient is scaled in place of a rebuilt term."""
+    q = _term_number(t)
+    if q is not None:
+        inv = _qdiv(Q_ONE, q)
+        return Expr([a.with_coeff(a.coeff.times(inv)) for a in e.terms])
     inv_c = t.coeff ** -1
     out = []
     for a in e.terms:
@@ -1302,19 +1319,19 @@ class LinEq:
         self.const = const
         self.label = label
 
-    def prune(self):
-        self.coeffs = {k: c for k, c in self.coeffs.items() if not c.is_zero()}
-        return self
+
+def _term_number(t: Term):
+    """The Gaussian-rational triple of t if t is a number, else None."""
+    if t.vpows or t.rates or t.offs:
+        return None
+    return t.coeff.is_number()
 
 
 def _pivot_quality(c: Expr):
     t = c.single_term()
     if t is None:
         return (2, len(c.terms))
-    if not t.vpows and not t.rates and not t.offs \
-            and t.coeff.is_number() is not None:
-        return (0, 0)
-    return (1, 0)
+    return (0, 0) if _term_number(t) is not None else (1, 0)
 
 
 def solve_linear_system(eqs: Sequence[LinEq]):
@@ -1327,29 +1344,43 @@ def solve_linear_system(eqs: Sequence[LinEq]):
     bare nonzero constant.  Pivots prefer rational numbers, then invertible
     single terms; otherwise a fraction-free step keeps everything polynomial
     and exact division is used at back-substitution.
+
+    The pivot is the coefficient with the least (``_pivot_quality``, number
+    of unknowns in its row, ``str`` of its key, row position); rows keep
+    their order, so the choice, and with it ``free``, is the same on every
+    run.  A row is scored once, when it is built, and a row without the
+    pivot's unknown is left as it is.
     """
-    eqs = [LinEq(dict(e.coeffs), e.const, e.label).prune() for e in eqs]
+    text: dict = {}       # key -> str(key)
+
+    def row(coeffs: dict, const: Expr, label: str):
+        """[equation, (quality, str(key), key) of its best pivot or None]"""
+        e = LinEq({k: c for k, c in coeffs.items() if c.terms}, const, label)
+        best = None
+        for k, c in e.coeffs.items():
+            s = text.get(k) or text.setdefault(k, str(k))
+            cand = (_pivot_quality(c), s)
+            if best is None or cand < best[:2]:
+                best = (*cand, k)
+        return [e, best]
+
+    rows = [row(e.coeffs, e.const, e.label) for e in eqs]
     solved_rows = []          # (key, coeffs-of-others, const, pivot Expr)
     while True:
-        best = None
-        for i, e in enumerate(eqs):
-            for k, c in e.coeffs.items():
-                q = _pivot_quality(c)
-                cand = (q, len(e.coeffs), str(k), i)
-                if best is None or cand < best[0]:
-                    best = (cand, i, k)
-        if best is None:
+        pick = None
+        for i, (e, best) in enumerate(rows):
+            if best is not None:
+                cand = (best[0], len(e.coeffs), best[1], i)
+                if pick is None or cand < pick:
+                    pick, k = cand, best[2]
+        if pick is None:
             break
-        (_q, _n, _s, _i), i, k = best
-        pivot_eq = eqs.pop(i)
+        pivot_eq = rows.pop(pick[3])[0]
         pivot_c = pivot_eq.coeffs.pop(k)
-        solved_rows.append((k, pivot_eq.coeffs, pivot_eq.const, pivot_c,
-                            pivot_eq.label))
-        new_eqs = []
-        for e in eqs:
+        solved_rows.append((k, pivot_eq.coeffs, pivot_eq.const, pivot_c))
+        for n, (e, _best) in enumerate(rows):
             c = e.coeffs.pop(k, None)
-            if c is None or c.is_zero():
-                new_eqs.append(e.prune())
+            if c is None:
                 continue
             try:
                 factor = div_exact(c, pivot_c)
@@ -1362,11 +1393,10 @@ def solve_linear_system(eqs: Sequence[LinEq]):
                           - c * pivot_eq.coeffs.get(kk, Expr.zero())
                           for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
                 const = pivot_c * e.const - c * pivot_eq.const
-            new_eqs.append(LinEq(coeffs, const, e.label).prune())
-        eqs = new_eqs
+            rows[n] = row(coeffs, const, e.label)
     solution = {}
     free = set()
-    for k, others, const, pivot_c, _label in reversed(solved_rows):
+    for k, others, const, pivot_c in reversed(solved_rows):
         val = const
         for kk, c in others.items():
             if kk in solution:
@@ -1374,5 +1404,5 @@ def solve_linear_system(eqs: Sequence[LinEq]):
             elif not c.is_zero():
                 free.add(kk)
         solution[k] = -div_exact(val, pivot_c)
-    leftovers = [e for e in eqs if not e.const.is_zero()]
+    leftovers = [e for e, _best in rows if not e.const.is_zero()]
     return solution, sorted(free, key=str), leftovers

@@ -196,11 +196,11 @@ def derive_ft_system(ps: PaintedSeries, k: int,
     lineqs = []
     for eq, label in scalar:
         coeffs, rest = _split_linear_in_primes(eq, list(primes.values()))
-        parts = {cname: [_grade_parts(coeffs[pname].collect_order(eps, i),
-                                      grades) for i in range(k + 1)]
+        parts = {cname: [_grade_parts(c, grades)
+                         for c in coeffs[pname].orders(eps, k)]
                  for cname, pname in primes.items() if pname in coeffs}
-        for m in range(k + 1):
-            consts = _grade_parts(rest.collect_order(eps, m), grades)
+        for m, rest_m in enumerate(rest.orders(eps, k)):
+            consts = _grade_parts(rest_m, grades)
             for g in lattice:
                 if m + g > k:
                     break
@@ -269,8 +269,8 @@ def _verify_ft(ft: FTSystem):
         for c in ft.unknowns:
             res = res.subs_param(c.name + PRIME_SUFFIX, ft.equations[c.name],
                                  upto=(ft.parameter, top))
-        for m in range(top + 1):
-            parts = _grade_parts(res.collect_order(ft.parameter, m), ft.grades)
+        for m, res_m in enumerate(res.orders(ft.parameter, top)):
+            parts = _grade_parts(res_m, ft.grades)
             for h, r in parts.items():
                 if m + h <= top and not r.is_zero():
                     from . import textform
@@ -538,8 +538,8 @@ def _match_flow(ft, n, rhs, solved, flows, starts, offsets, x_symbol):
                                 inner=Expr.from_poly(cp) * flows[m].start)
     # (iv) frozen quadrature: the right side is of high enough order that the
     # constants' own variation contributes only beyond the truncation
-    p_min = next((m for m in range(k + 2)
-                  if not rhs.collect_order(eps, m).is_zero()), None)
+    p_min = next((m for m, c in enumerate(rhs.orders(eps, k + 1))
+                  if not c.is_zero()), None)
     if p_min is not None and 2 * p_min >= k + 2:
         frozen = _start_freeze(rhs, starts, offsets)
         if mu in frozen.symbols():

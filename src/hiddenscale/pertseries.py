@@ -211,8 +211,8 @@ class ODEProblem:
         k = self.order
         res = (self.operator.apply(full)
                + self.apply_perturbation(self.truncated(full, k - 1), k))
-        return [self.truncated(res.collect_order(self.parameter, j), k - j)
-                for j in range(k + 1)]
+        return [self.truncated(c, k - j)
+                for j, c in enumerate(res.orders(self.parameter, k))]
 
 
 @dataclass
@@ -411,7 +411,7 @@ def _forcing_at_order(p: ODEProblem, orders, j: int) -> Expr:
     # param**1 or more, the lower orders enter up to total grade k - 1
     partial = PerturbationSeries(list(orders), [], p.parameter, p.variable).full()
     f = -p.apply_perturbation(p.truncated(partial, p.order - 1), j)
-    return p.truncated(f.collect_order(p.parameter, j), p.order - j)
+    return p.truncated(f.orders(p.parameter, j)[j], p.order - j)
 
 
 def expand_hierarchy(p: ODEProblem):

@@ -167,8 +167,8 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
         E = E - dseries[sw]
 
     eqs = []
-    for j in range(k + 1):
-        eqs.extend(_collect_rows(E.collect_order(parameter, j), weights))
+    for part in E.orders(parameter, k):
+        eqs.extend(_collect_rows(part, weights))
     solution, _, leftovers = solve_linear_system(eqs)
     if leftovers:
         raise DeterminingError(
@@ -191,8 +191,8 @@ def solve_determining(series_with_s: Expr, ansatz: GeneratorAnsatz, k: int,
 
 def _verify_generator(E: Expr, sol: dict, parameter, k):
     res = E.subs_num(sol)
-    for j in range(k + 1):
-        if not res.collect_order(parameter, j).is_zero():
+    for j, part in enumerate(res.orders(parameter, k)):
+        if not part.is_zero():
             raise DeterminingError(
                 f"generator verification failed at order {j}")
 

@@ -2,19 +2,22 @@
 
 import math
 import random
+from pathlib import Path
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiddenscale import numlab
-from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
-                                  _qadd, _qdiv, _qmul, _qnum, _qpow, _rat_text,
-                                  classify_divergent, compile_function,
-                                  div_exact, explicit_ode_rhs, paint_term,
-                                  product_upto, real_evaluator,
-                                  solve_linear_system)
+from hiddenscale import cli, exprcore, ftflow, numlab, pertseries, pertsym
+from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
+                                  _merge, _negated, _qadd, _qdiv, _qmul, _qnum,
+                                  _qpow, _rat_text, _series_mul, _slot_make,
+                                  _without, classify_divergent,
+                                  compile_function, div_exact,
+                                  explicit_ode_rhs, paint_term, product_upto,
+                                  real_evaluator, solve_linear_system)
+from hiddenscale.specfile import parse_spec
 from hiddenscale.textform import expr_text, parse_expr
 
 
@@ -419,7 +422,7 @@ def _outcome(f):
 
 
 def _orders(e: Expr, k: int):
-    return _outcome(lambda: [e.collect_order("eps", j) for j in range(k + 1)])
+    return _outcome(lambda: e.orders("eps", k))
 
 
 def _chained(e: Expr, env: dict) -> Expr:
@@ -571,6 +574,235 @@ def test_div_exact_rejects_a_single_atom_remainder(seed):
     r = Expr([t.with_coeff(Poly([rng.choice(t.coeff.monos)]))])
     with pytest.raises(OutOfClassError):
         div_exact(a * b + r, b)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass order collection, the once-scored solver and division by a
+# number against the code they replaced: collect_order's per-order
+# expansion, the solver that re-scored every coefficient at every step, and
+# the term-by-term division.
+
+def _expand_reference(t: Term, param: str, jmax: int):
+    pieces = [(0, Term(t.coeff, t.vpows, (), t.offs))]
+    for v, p in t.rates:
+        free, dep = p.split_by(param)
+        base = Term(Poly.num(1), (), _slot_make({v: free}), ())
+        pieces = [(o, pt.mul(base)) for o, pt in pieces]
+        if not dep.is_zero():
+            pieces = _series_mul(pieces, v, dep, param, jmax)
+    return pieces
+
+
+def _collect_order_reference(e: Expr, param: str, j: int) -> Expr:
+    out = []
+    for t in e.terms:
+        if t.coeff.order_range(param)[0] < 0:
+            raise OutOfClassError(
+                f"coefficient is not polynomial in {param!r}")
+        for min_order, term in _expand_reference(t, param, j):
+            if min_order > j:
+                continue
+            c = term.coeff.coeff_of(param, j)
+            if not c.is_zero():
+                out.append(term.with_coeff(c))
+    return Expr(out)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 4))
+@settings(max_examples=120, deadline=None)
+def test_orders_match_per_order_collection(seed, k):
+    rng = random.Random(seed)
+    e = _eps_expr(rng, lowest=rng.choice([0, 0, -1]))
+    if rng.random() < 0.2:
+        # eps**-1 in a rate: the exponent is no power series in eps
+        e = e + Expr.exp("x", Poly.num(1) + Poly.sym("eps", -1))
+    want = _outcome(lambda: [_collect_order_reference(e, "eps", j)
+                             for j in range(k + 1)])
+    assert _orders(e, k) == want
+    assert _outcome(lambda: e.collect_order("eps", k)) \
+        == (want if isinstance(want, str) else want[k])
+    if not isinstance(want, str):
+        assert e.truncate_order("eps", k) == sum(
+            (Expr.sym("eps", j) * c for j, c in enumerate(want)), Expr.zero())
+
+
+def _pivot_quality_reference(c: Expr):
+    t = c.single_term()
+    if t is None:
+        return (2, len(c.terms))
+    if not t.vpows and not t.rates and not t.offs \
+            and t.coeff.is_number() is not None:
+        return (0, 0)
+    return (1, 0)
+
+
+def _solve_reference(eqs):
+    """Elimination that scores every coefficient of every row at each step."""
+    def prune(e):
+        e.coeffs = {k: c for k, c in e.coeffs.items() if not c.is_zero()}
+        return e
+
+    eqs = [prune(LinEq(dict(e.coeffs), e.const, e.label)) for e in eqs]
+    solved_rows = []
+    while True:
+        best = None
+        for i, e in enumerate(eqs):
+            for k, c in e.coeffs.items():
+                cand = (_pivot_quality_reference(c), len(e.coeffs), str(k), i)
+                if best is None or cand < best[0]:
+                    best = (cand, i, k)
+        if best is None:
+            break
+        _cand, i, k = best
+        pivot_eq = eqs.pop(i)
+        pivot_c = pivot_eq.coeffs.pop(k)
+        solved_rows.append((k, pivot_eq.coeffs, pivot_eq.const, pivot_c))
+        new_eqs = []
+        for e in eqs:
+            c = e.coeffs.pop(k, None)
+            if c is None or c.is_zero():
+                new_eqs.append(prune(e))
+                continue
+            try:
+                factor = div_exact(c, pivot_c)
+                coeffs = {kk: e.coeffs.get(kk, Expr.zero())
+                          - factor * pivot_eq.coeffs.get(kk, Expr.zero())
+                          for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
+                const = e.const - factor * pivot_eq.const
+            except OutOfClassError:
+                coeffs = {kk: pivot_c * e.coeffs.get(kk, Expr.zero())
+                          - c * pivot_eq.coeffs.get(kk, Expr.zero())
+                          for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
+                const = pivot_c * e.const - c * pivot_eq.const
+            new_eqs.append(prune(LinEq(coeffs, const, e.label)))
+        eqs = new_eqs
+    solution = {}
+    free = set()
+    for k, others, const, pivot_c in reversed(solved_rows):
+        val = const
+        for kk, c in others.items():
+            if kk in solution:
+                val = val + c * solution[kk]
+            elif not c.is_zero():
+                free.add(kk)
+        solution[k] = -div_exact(val, pivot_c)
+    leftovers = [e for e in eqs if not e.const.is_zero()]
+    return solution, sorted(free, key=str), leftovers
+
+
+def _solved(solve, eqs):
+    """solve's outcome with the solution in pivot order and each leftover as
+    (label, const); the equations are left unchanged."""
+    before = [(dict(e.coeffs), e.const, e.label) for e in eqs]
+
+    def run():
+        sol, free, left = solve(eqs)
+        return list(sol.items()), free, [(e.label, e.const) for e in left]
+    out = _outcome(run)
+    assert [(e.coeffs, e.const, e.label) for e in eqs] == before
+    return out
+
+
+def test_solver_matches_rescan_on_corpus_systems(monkeypatch):
+    systems = []
+
+    def capture(eqs):
+        systems.append(list(eqs))
+        return solve_linear_system(eqs)
+    for mod in (ftflow, pertseries, pertsym):
+        monkeypatch.setattr(mod, "solve_linear_system", capture)
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    for path in sorted(corpus.glob("*.spec")):
+        cli.run_derive(parse_spec(path), False)
+    # every kind that solves: ode-hidden-scale (flows, cgo, ics),
+    # filament's graded flows, the determining equations, Burgers
+    assert len(systems) >= 8 and max(map(len, systems)) == 242
+    for eqs in systems:
+        assert _solved(solve_linear_system, eqs) \
+            == _solved(_solve_reference, eqs)
+
+
+def _random_system(rng: random.Random, entry):
+    n = rng.randint(1, 5)
+    keys = [rng.choice([f"x{i}", ("C", i, F(i, 2))]) for i in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        # a key and a string that prints alike: row order and the order of
+        # each row's unknowns break the tie, the same in both solvers
+        keys[1] = str(keys[0])
+    eqs = []
+    for r in range(rng.randint(1, n + 1)):
+        coeffs = {k: entry(rng) for k in rng.sample(keys, rng.randint(1, n))}
+        eqs.append(LinEq(coeffs, entry(rng), f"row {r}"))
+    if rng.random() < 0.3:
+        # the sum of two rows with another constant: inconsistent
+        a, b = rng.choice(eqs), rng.choice(eqs)
+        coeffs = {k: a.coeffs.get(k, Expr.zero()) + b.coeffs.get(k,
+                                                                 Expr.zero())
+                  for k in set(a.coeffs) | set(b.coeffs)}
+        eqs.append(LinEq(coeffs, a.const + b.const + Expr.num(1), "sum"))
+    return eqs
+
+
+def _rational_entry(rng: random.Random) -> Expr:
+    return Expr.num(F(rng.randint(-3, 3), rng.randint(1, 2))) \
+        if rng.random() < 0.7 else Expr.zero()
+
+
+def _expr_entry(rng: random.Random) -> Expr:
+    r = rng.random()
+    if r < 0.4:
+        return _rational_entry(rng)
+    if r < 0.65:
+        return Expr.sym("A", rng.randint(1, 2)) * rng.randint(1, 2)
+    if r < 0.8:
+        return Expr.exp("x", rng.choice([-1, F(1, 2)])) * Expr.var(
+            "x", rng.randint(0, 1))
+    return _small_expr(rng)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_solver_matches_rescan_on_random_rational_systems(seed):
+    eqs = _random_system(random.Random(seed), _rational_entry)
+    assert _solved(solve_linear_system, eqs) == _solved(_solve_reference, eqs)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_solver_matches_rescan_on_random_expr_systems(seed):
+    eqs = _random_system(random.Random(seed), _expr_entry)
+    assert _solved(solve_linear_system, eqs) == _solved(_solve_reference, eqs)
+
+
+def _div_term_by_term(e: Expr, t: Term) -> Expr:
+    inv_c = t.coeff ** -1
+    out = []
+    for a in e.terms:
+        vpows = _merge(a.vpows, _negated(t.vpows))
+        if any(p < 0 for _, p in vpows):
+            raise OutOfClassError("inexact division by variable power")
+        out.append(Term(a.coeff * inv_c, vpows,
+                        _merge(a.rates, _negated(t.rates)),
+                        _merge(a.offs, _negated(t.offs))))
+    return Expr(out)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_division_by_a_number_matches_term_by_term(seed):
+    rng = random.Random(seed)
+    e = _eps_expr(rng, lowest=-1) * rng.choice(
+        [Expr.num(1), Expr.sym("B"), Expr.num(F(1, 3), -2)])
+    while True:
+        q = Expr.num(F(rng.randint(-5, 5), rng.randint(1, 4)),
+                     F(rng.randint(-2, 2), rng.randint(1, 3)))
+        if not q.is_zero():
+            break
+    t = q.single_term()
+    want = _div_term_by_term(e, t)
+    assert exprcore._div_single(e, t) == want
+    assert div_exact(e, q) == want
+    assert want * q == e
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,10 @@ TEST_FACING = {
     "radius_of_convergence": "method the tests compare against the closed "
                              "form's convergence radius",
     "truncate_order": "method criterion 9 and the kernel-battery benchmark "
-                      "workload check against collect_order",
+                      "workload check orders with",
+    "collect_order": "method the benchmark's tracer wraps by name "
+                     "(perfbench/tracer.py); the tests read single orders "
+                     "with it",
     "component": "method the generator tests read solved components with",
 }
 
