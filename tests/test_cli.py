@@ -373,12 +373,12 @@ def test_sweep_runs_point_independent_work_once(tmp_path, monkeypatch):
     _count_calls(monkeypatch, numlab, "solve_ivp", counts,
                  lambda *args, **kwargs: args[3:4] == ("rk4-fixed",))
     _count_calls(monkeypatch, cli, "_switchback_problem", counts)
-    # underdamped: one determining-equation solve, and its stacked oracle
-    # once per point; overdamped: the pipeline at its order 1 and at the
-    # scaling order 2, and one oracle per eps, not per eps and point; the
-    # switchback derive reads params.eps, so it runs at every point
+    # underdamped: one determining-equation solve and one stacked oracle,
+    # which read no params.*; overdamped: the pipeline at its order 1 and at
+    # the scaling order 2, and one oracle per eps, not per eps and point;
+    # the switchback derive reads params.eps, so it runs at every point
     for name, want in [("underdamped", {"solve_determining": 1,
-                                        "solve_ivp": 3}),
+                                        "solve_ivp": 1}),
                        ("overdamped", {"hidden_scale_pipeline": 2,
                                        "solve_ivp": 3}),
                        ("bad", {"_switchback_problem": 3})]:
