@@ -1354,7 +1354,7 @@ def solve_linear_system(eqs: Sequence[LinEq]):
     text: dict = {}       # key -> str(key)
 
     def row(coeffs: dict, const: Expr, label: str):
-        """[equation, (quality, str(key), key) of its best pivot or None]"""
+        """(equation, (quality, str(key), key) of its best pivot or None)"""
         e = LinEq({k: c for k, c in coeffs.items() if c.terms}, const, label)
         best = None
         for k, c in e.coeffs.items():
@@ -1362,7 +1362,7 @@ def solve_linear_system(eqs: Sequence[LinEq]):
             cand = (_pivot_quality(c), s)
             if best is None or cand < best[:2]:
                 best = (*cand, k)
-        return [e, best]
+        return e, best
 
     rows = [row(e.coeffs, e.const, e.label) for e in eqs]
     solved_rows = []          # (key, coeffs-of-others, const, pivot Expr)
