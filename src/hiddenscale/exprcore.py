@@ -944,12 +944,13 @@ class Expr:
 # thousands of points, so each is turned into Python code once.
 
 # Generated source: names a<i> (arguments), b<i> (locals), k<i> (bound
-# values), the function f and its factory, int literals, operators,
-# ``.real`` and ``if`` (a statement only: ``else``, ``elif`` and ``for``
-# stay foreign).  No symbol name, spec text or float literal can pass.
+# values), the function f and its factory, int literals, operators (``<``
+# the only comparison), ``.real`` and the statements ``if``, ``while`` and
+# ``break`` (``else``, ``elif`` and ``for`` stay foreign).  No symbol name,
+# spec text or float literal can pass.
 _TOKEN = r"[A-Za-z_]\w*|\d+|\*\*|\.real\b|\S"
-_NAME = r"[abk][0-9]+|[0-9]+|def|return|try|except|if|make|f"
-_SYMBOLS = {"**", ".real", *"-+*/(),:=[]"}
+_NAME = r"[abk][0-9]+|[0-9]+|def|return|try|except|if|while|break|make|f"
+_SYMBOLS = {"**", ".real", *"-+*/(),:=[]<"}
 
 
 def compile_function(nargs: int, body: Sequence[str], values: Sequence,

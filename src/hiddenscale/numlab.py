@@ -8,9 +8,10 @@ independent of it; only ``exprcore``'s code runner (``_Code``) is used.
 Both IVP oracles (``solve_ivp``) are step loops on Python floats, and an
 rhs gets and returns its state as a list of floats: the oracles' states have
 2-4 entries, where numpy's per-call cost outweighs its arithmetic, and the
-adaptive step is straight-line code generated once per state size.  The
-Burgers method-of-lines solver, whose states have hundreds of entries, runs
-the same Dormand-Prince loop on an ndarray state, in scipy's RK45
+adaptive loop, with its stages, step control and dense output, is
+straight-line code generated once per state size.  The Burgers
+method-of-lines solver, whose states have hundreds of entries, runs the same
+generated Dormand-Prince loop on an ndarray state, in scipy's RK45
 arithmetic.  numpy is the only dependency.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from itertools import count
 from operator import add
 
@@ -151,92 +152,138 @@ def _initial_step(f, t0, y0, f0, length, d, rtol, atol) -> float:
     return min(100 * h0, h1, length)
 
 
+def _array_attempt(f, rtol, atol, t, y, k1, h):
+    """One attempt on an ndarray state (the rhs unchecked), in scipy
+    RK45's operations on its zero-padded tableau, BLAS calls per stage: the
+    new state, its rhs, the scaled RMS error and the stages."""
+    K = np.empty((7, len(y)))
+    K[0] = k1
+    for s, (a, c) in enumerate(zip(_A, _C), start=1):
+        K[s] = f(t + c * h, y + np.dot(K[:s].T, a) * h)
+    y_new = y + h * np.dot(K[:-1].T, _BS)
+    K[6] = k7 = f(t + h, y_new)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    return y_new, k7, _norm(np.dot(K.T, _ES) * h / scale), K
+
+
+def _array_dense(t, y, h, K, tes):
+    """The dense output of that step at the times ``tes``, as states."""
+    p = np.cumprod(np.tile((np.array(tes) - t) / h, (4, 1)), axis=0)
+    out = h * np.dot(K.T.dot(_PS), p)
+    out += y[:, None]
+    return list(out.T)
+
+
 @cache
-def _dopri_step(n: int):
-    """``step(f, rtol, atol, t, y, k1, h)``: one attempt on a list of n
-    floats, generated once per n, with the float operations of one list
-    comprehension per stage in their order (``yi + (a31 * p + a32 * q) * h``,
-    ``yi + h * (b1 * p + ...)``, ``sqrt(0 + x0 * x0 + ...) / n ** 0.5``).
-    Each stage's values p0, p1, ... are checked as they come back from
-    ``f``: ``p0 - p0 + p1 - p1 + ...`` is 0.0 when all are finite, and
-    cannot overflow; else it is NaN, and ``_finite`` raises."""
+def _dopri_loop(n):
+    """``loop(f, rtol, atol, t, y, k1, h_abs, t1, d, ts, ys, fs, keys, i)``:
+    ``_dopri5``'s accept/reject loop from (t, y, k1) to t1, generated once
+    per list state size n (None for an ndarray state).  Each accepted step
+    adds its node, state and last stage to ``ts``, ``ys`` and ``fs`` if
+    ``fs`` is a list, and the dense output at each point ``ts[i]`` whose key
+    it passes to ``ys``.  Returns 1 when the step falls below ten float
+    spacings at t.
+
+    On a list state the stages, the error norm and the dense output are
+    local scalars, with the float operations of one list comprehension per
+    stage in their order (``yi + (a31 * p + a32 * q) * h``, ``yi + h * (b1
+    * p + ...)``, ``sqrt(0 + x0 * x0 + ...) / n ** 0.5``, ``0 + k1 * p1 + k3
+    * p3 + ...`` per dense coefficient).  Each stage's values p0, p1, ...
+    are checked as they come back from ``f``: ``p0 - p0 + p1 - p1 + ...``
+    is 0.0 when all are finite, and cannot overflow; else it is NaN, and
+    ``_finite`` raises.  An ndarray state calls ``_array_attempt`` and
+    ``_array_dense`` instead.
+    """
     code, new = _Code(), (f"b{i}" for i in count()).__next__
-    check, vabs, vmax, sqrt = map(code.bind, (_finite, abs, max, math.sqrt))
-    A = [[code.bind(a) for a in row] for row in _A]
-    B, E = [code.bind(b) for b in _B], [code.bind(e) for e in _E]
-    # a0..a6 are f, rtol, atol, t, y, k1, h; ks[s] names the values of
-    # stage s+1, objs[s] the sequence f returned for it
-    y, k1 = [new() for _ in range(n)], [new() for _ in range(n)]
-    ks, objs = [k1], ["a5"]
-    body = [f"{''.join(v + ', ' for v in y)}= a4",
-            f"{''.join(v + ', ' for v in k1)}= a5"]
+    vabs, vmax, vmin, safety, exponent, max_factor = map(
+        code.bind, (abs, max, min, _SAFETY, _EXPONENT, _MAX_FACTOR))
+    t, h_abs, rejected, min_step, t_new, h, err, factor, i, j = (
+        new() for _ in range(10))
+    if n is None:
+        y, k1, y_new, k7, stages = [new()], [new()], [new()], [new()], new()
+        attempt = [f"{y_new[0]}, {k7[0]}, {err}, {stages} = "
+                   f"{code.bind(_array_attempt)}(a0, a1, a2, {t}, {y[0]}, "
+                   f"{k1[0]}, {h})"]
+        y_row, k7_obj = y_new[0], k7[0]
+        dense = [f"a10 += {code.bind(_array_dense)}({t}, {y[0]}, {h}, "
+                 f"{stages}, a9[{i}:{j}])", f"{i} = {j}"]
+    else:
+        check, sqrt = code.bind(_finite), code.bind(math.sqrt)
+        A = [[code.bind(a) for a in row] for row in _A]
+        B, E = [code.bind(b) for b in _B], [code.bind(e) for e in _E]
+        P = [[code.bind(p) for p in row] for row in _P]
+        y, k1 = [new() for _ in range(n)], [new() for _ in range(n)]
+        ks, attempt = [k1], []
 
-    def combo(coeffs, stages, i):
-        return " + ".join(f"{c} * {ks[s][i]}" for c, s in zip(coeffs, stages))
+        def combo(coeffs, stages, c):
+            return " + ".join(f"{a} * {ks[s][c]}"
+                              for a, s in zip(coeffs, stages))
 
-    def stage(at, state):
-        te, obj, k = new(), new(), [new() for _ in range(n)]
-        body.extend([f"{te} = {at}", f"{obj} = a0({te}, [{', '.join(state)}])",
-                     f"{''.join(v + ', ' for v in k)}= {obj}",
-                     f"if {' + '.join(f'{v} - {v}' for v in k)}:",
-                     f"    {check}({te}, {obj})"])
-        ks.append(k)
-        objs.append(obj)
-    for s, (c, a) in enumerate(zip(_C, A), start=1):
-        stage(f"a3 + {code.bind(c)} * a6",
-              [f"{y[i]} + ({combo(a, range(s), i)}) * a6" for i in range(n)])
-    y_new, xs = [new() for _ in range(n)], [new() for _ in range(n)]
-    body += [f"{y_new[i]} = {y[i]} + a6 * ({combo(B, (0, 2, 3, 4, 5), i)})"
-             for i in range(n)]
-    stage("a3 + a6", y_new)
-    body += [f"{xs[i]} = ({combo(E, (0, 2, 3, 4, 5, 6), i)}) * a6 / (a2 + "
-             f"{vmax}({vabs}({y[i]}), {vabs}({y_new[i]})) * a1)"
-             for i in range(n)]
-    body.append(f"return [{', '.join(y_new)}], {objs[6]}, "
-                f"{sqrt}(0 + {' + '.join(x + ' * ' + x for x in xs)}) / "
-                f"{code.bind(n ** 0.5)}, "
-                f"({', '.join(objs[s] for s in (0, 2, 3, 4, 5, 6))})")
-    return code.function(7, body, f"dopri_step n={n}")
-
-
-def _list_steps(f, rtol, atol, n):
-    """The rhs checked by ``_finite``, for the calls outside a step; one step
-    attempt (``_dopri_step``: the new state, its rhs, the scaled RMS error
-    and the stages); and the dense output at given times."""
-    def dense(t, y, h, ks, tes):
-        Q = [[reduce(add, [k[c] * p[m] for k, p in zip(ks, _P)], 0)
-              for m in range(4)] for c in range(len(y))]
-        out = []
-        for te in tes:
-            x = (te - t) / h
-            x2 = x * x
-            x3 = x2 * x
-            out.append([yi + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x))
-                        for yi, (q1, q2, q3, q4) in zip(y, Q)])
-        return out
-    return (lambda t, y: _finite(t, f(t, y)),
-            partial(_dopri_step(n), f, rtol, atol), dense)
-
-
-def _array_steps(f, rtol, atol):
-    """The same three on an ndarray state (the rhs unchecked), in scipy
-    RK45's operations on its zero-padded tableau: BLAS calls per stage."""
-    def attempt(t, y, k1, h):
-        K = np.empty((7, len(y)))
-        K[0] = k1
-        for s, (a, c) in enumerate(zip(_A, _C), start=1):
-            K[s] = f(t + c * h, y + np.dot(K[:s].T, a) * h)
-        y_new = y + h * np.dot(K[:-1].T, _BS)
-        K[6] = k7 = f(t + h, y_new)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        return y_new, k7, _norm(np.dot(K.T, _ES) * h / scale), K
-
-    def dense(t, y, h, K, tes):
-        p = np.cumprod(np.tile((np.array(tes) - t) / h, (4, 1)), axis=0)
-        out = h * np.dot(K.T.dot(_PS), p)
-        out += y[:, None]
-        return list(out.T)
-    return f, attempt, dense
+        def stage(at, state):
+            te, obj, k = new(), new(), [new() for _ in range(n)]
+            attempt.extend([
+                f"{te} = {at}", f"{obj} = a0({te}, [{', '.join(state)}])",
+                f"{''.join(v + ', ' for v in k)}= {obj}",
+                f"if {' + '.join(f'{v} - {v}' for v in k)}:",
+                f"    {check}({te}, {obj})"])
+            ks.append(k)
+            return obj
+        for s, (c, a) in enumerate(zip(_C, A), start=1):
+            stage(f"{t} + {code.bind(c)} * {h}",
+                  [f"{y[c]} + ({combo(a, range(s), c)}) * {h}"
+                   for c in range(n)])
+        y_new, xs = [new() for _ in range(n)], [new() for _ in range(n)]
+        attempt += [f"{y_new[c]} = {y[c]} + {h} * "
+                    f"({combo(B, (0, 2, 3, 4, 5), c)})" for c in range(n)]
+        k7_obj, k7 = stage(f"{t} + {h}", y_new), ks[6]
+        attempt += [f"{xs[c]} = ({combo(E, (0, 2, 3, 4, 5, 6), c)}) * {h} / "
+                    f"(a2 + {vmax}({vabs}({y[c]}), {vabs}({y_new[c]})) * a1)"
+                    for c in range(n)]
+        attempt.append(f"{err} = {sqrt}(0 + "
+                       f"{' + '.join(x + ' * ' + x for x in xs)}) / "
+                       f"{code.bind(n ** 0.5)}")
+        y_row = f"[{', '.join(y_new)}]"
+        Q = [[new() for _ in range(4)] for _ in range(n)]
+        x, x2, x3 = new(), new(), new()
+        dense = [f"{Q[c][m]} = 0 + " + " + ".join(
+            f"{ks[s][c]} * {p[m]}" for s, p in zip((0, 2, 3, 4, 5, 6), P))
+            for c in range(n) for m in range(4)]
+        dense += [f"while {i} < {j}:", f"    {x} = (a9[{i}] - {t}) / {h}",
+                  f"    {x2} = {x} * {x}", f"    {x3} = {x2} * {x}",
+                  "    a10 += [[" + ", ".join(
+                      f"{y[c]} + {h} * ({Q[c][0]} * {x} + {Q[c][1]} * {x2} "
+                      f"+ {Q[c][2]} * {x3} + {Q[c][3]} * ({x3} * {x}))"
+                      for c in range(n)) + "]]", f"    {i} += 1"]
+    tail = "," if n else ""     # a list state is unpacked into scalars
+    body = [
+        f"{t}, {h_abs}, {i} = a3, a6, a13", f"{', '.join(y)}{tail} = a4",
+        f"{', '.join(k1)}{tail} = a5", f"while a8 * ({t} - a7) < 0:",
+        f"    {min_step} = 10 * {vabs}({code.bind(math.nextafter)}({t}, "
+        f"a8 * {code.bind(math.inf)}) - {t})",
+        f"    {h_abs} = {vmax}({h_abs}, {min_step})", f"    {rejected} = 0",
+        "    while 1:",
+        f"        if {h_abs} < {min_step}:", "            return 1",
+        f"        {t_new} = {t} + {h_abs} * a8",
+        f"        if 0 < a8 * ({t_new} - a7):", f"            {t_new} = a7",
+        f"        {h} = {t_new} - {t}", f"        {h_abs} = {vabs}({h})",
+        *("        " + line for line in attempt),
+        f"        if {err} < 1:",
+        f"            {factor} = {max_factor}",
+        f"            if 0 < {err}:",
+        f"                {factor} = {vmin}({max_factor}, "
+        f"{safety} * {err} ** {exponent})",
+        f"            if {rejected}:",
+        f"                {factor} = {vmin}(1, {factor})",
+        f"            {h_abs} *= {factor}", "            break",
+        f"        {h_abs} *= {vmax}({code.bind(_MIN_FACTOR)}, "
+        f"{safety} * {err} ** {exponent})", f"        {rejected} = 1",
+        "    if a11:", f"        a9 += [{t_new}]", f"        a10 += [{y_row}]",
+        f"        a11 += [{k7_obj}]", "    if a12:",
+        f"        {j} = {code.bind(bisect_right)}(a12, a8 * {t_new})",
+        f"        if {i} < {j}:", *("            " + line for line in dense),
+        f"    {', '.join([t, *y, *k1])} = {', '.join([t_new, *y_new, *k7])}"]
+    return code.function(14, body, f"dopri_loop n={n}" if n
+                         else "dopri_loop ndarray")
 
 
 def _eval_points(t0: float, t1: float, t_eval):
@@ -256,58 +303,26 @@ def _dopri5(f, t0: float, t1: float, y0, rtol: float, atol: float, t_eval):
     """Adaptive Dormand-Prince 5(4) from t0 to t1 (either direction).
 
     ``f(t, y)`` takes and returns the state's type, a list of floats or an
-    ndarray, which picks the arithmetic (``_list_steps``, ``_array_steps``).
-    Returns the abscissae, states and rhs values: every accepted step from
-    t0 on with its last stage, or the quartic dense output at ``t_eval``
-    and None.  Raises SolverError when the step falls below ten times the
-    float spacing at t.
+    ndarray, which picks the loop (``_dopri_loop``).  This sets it up: the
+    output points, the first rhs value and the first step, whose rhs calls
+    ``_finite`` checks on a list state.  Returns the abscissae, states and
+    rhs values: every accepted step from t0 on with its last stage, or the
+    quartic dense output at ``t_eval`` and None.  Raises SolverError when
+    the step falls below ten times the float spacing at t.
     """
-    f, attempt, dense = (_array_steps(f, rtol, atol)
-                         if isinstance(y0, np.ndarray)
-                         else _list_steps(f, rtol, atol, len(y0)))
+    array = isinstance(y0, np.ndarray)
+    checked = f if array else lambda t, y: _finite(t, f(t, y))
     d = 1.0 if t1 >= t0 else -1.0
-    if t_eval is None:
-        ts, ys = [t0], [y0]
-    else:
-        ts, keys = _eval_points(t0, t1, t_eval)
-        i = bisect_right(keys, d * t0)
-        ys = [y0] * i
-    t, y, k1 = t0, y0, f(t0, y0)
-    fs = [k1]
-    h_abs = _initial_step(f, t0, y0, k1, abs(t1 - t0), d, rtol, atol)
-    while d * (t - t1) < 0:
-        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:     # shrink the step until its error is accepted
-            if h_abs < min_step:
-                raise SolverError("adaptive integration failed: Required "
-                                  "step size is less than spacing between "
-                                  "numbers.")
-            t_new = t + h_abs * d
-            if d * (t_new - t1) > 0:
-                t_new = t1
-            h = t_new - t
-            h_abs = abs(h)
-            y_new, k7, err, stages = attempt(t, y, k1, h)
-            if err < 1:
-                factor = (_MAX_FACTOR if err == 0 else
-                          min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT))
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
-            rejected = True
-        if t_eval is None:
-            ts.append(t_new)
-            ys.append(y_new)
-            fs.append(k7)
-        else:
-            j = bisect_right(keys, d * t_new)
-            if j > i:
-                ys += dense(t, y, h, stages, ts[i:j])
-                i = j
-        t, y, k1 = t_new, y_new, k7
-    return ts, ys, fs if t_eval is None else None
+    ts, keys = ([t0], []) if t_eval is None else _eval_points(t0, t1, t_eval)
+    k1 = checked(t0, y0)
+    i = bisect_right(keys, d * t0)
+    ys, fs = ([y0], [k1]) if t_eval is None else ([y0] * i, None)
+    h_abs = _initial_step(checked, t0, y0, k1, abs(t1 - t0), d, rtol, atol)
+    if _dopri_loop(None if array else len(y0))(
+            f, rtol, atol, t0, y0, k1, h_abs, t1, d, ts, ys, fs, keys, i):
+        raise SolverError("adaptive integration failed: Required step size "
+                          "is less than spacing between numbers.")
+    return ts, ys, fs
 
 
 def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
@@ -325,19 +340,19 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     step, snapped so that each output point is hit exactly.
     ``rk45-adaptive`` is the Dormand-Prince 5(4) pair with local
     extrapolation (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
-    ODEs I, II.4-II.5), step for step scipy's RK45 at rtol ``tol`` and atol
-    ``tol * 1e-2``: the same tableau, first-step guess and RMS error norm
-    with scale atol + max(|y|, |y_new|)*rtol; a new step of 0.9*err^(-1/5)
-    times the old, bounded to [0.2, 10] and not grown right after a
-    rejection; a minimum step of 10 float spacings at t; the last stage's
-    rhs reused as the next step's first; quartic dense output at
-    ``t_eval``.
+    ODEs I, II.4-II.5), step for step and rhs call for rhs call scipy's
+    RK45 at rtol ``tol`` and atol ``tol * 1e-2``: the same tableau,
+    first-step guess and RMS error norm with scale atol + max(|y|,
+    |y_new|)*rtol; a new step of 0.9*err^(-1/5) times the old, bounded to
+    [0.2, 10] and not grown right after a rejection; a minimum step of 10
+    float spacings at t; the last stage's rhs reused as the next step's
+    first; quartic dense output at ``t_eval``.
 
     Either method raises SolverError on a NaN/Inf: ``rk45-adaptive`` checks
     every rhs value, ``rk4-fixed`` checks the state once per output
     interval, which a non-finite stage value always leaves non-finite.  The
-    rk45 check runs on each stage inside the generated step
-    (``_dopri_step``), not once per accepted step: a step with a non-finite
+    rk45 check runs on each stage inside the generated loop
+    (``_dopri_loop``), not once per accepted step: a step with a non-finite
     stage would be rejected and retried shorter, so the accepted states
     stay finite and the integrator would stop on a step-size underflow
     instead.  On a zero-length interval both return the one node t0, whose

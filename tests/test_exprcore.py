@@ -898,19 +898,27 @@ def test_compile_function_refuses_foreign_tokens():
     g = compile_function(1, ["if a0 - a0:", "    return k0", "return a0"],
                          [0.0], "g")
     assert g(2.0) == 2.0 and g(math.inf) == 0.0
+    # ``while`` and ``break`` make a loop, ``<`` its only comparison
+    h = compile_function(1, ["b0 = 0", "while b0 < a0:", "    b0 += 1",
+                             "    if k0 < b0:", "        break",
+                             "return b0"], [2], "h")
+    assert h(2.5) == 3 and h(7) == 3
     for line in ("return open", "return a0.__class__", "return 1.5",
                  "return 'x'", "return 1j", "return 0x1", "return 1e5",
                  "return a0.real.imag", "return a0  # x", "return b\u0663",
                  "return a0 if a0 else k0", "return [b0 for b0 in a0 if b0]",
-                 "elif a0:"):
+                 "elif a0:", "for b0 in a0:", "else:", "return lambda: a0",
+                 "import os", "return k0 > a0"):
         with pytest.raises(ValueError, match="foreign token"):
             compile_function(1, [line], [], "h")
 
 
 def test_generated_functions_name_their_role():
-    # a profile keeps the step, the oracle rhs and the evaluators apart
+    # a profile keeps the loop, the oracle rhs and the evaluators apart
     g = real_evaluator([Expr.var("x", 2)], ["x"], {})
     rhs = explicit_ode_rhs([1.0, 0.0, 1.0], [], "t", {})
     assert g.__code__.co_filename == "<real_evaluator>"
     assert rhs.__code__.co_filename == "<explicit_ode_rhs>"
-    assert numlab._dopri_step(3).__code__.co_filename == "<dopri_step n=3>"
+    assert numlab._dopri_loop(3).__code__.co_filename == "<dopri_loop n=3>"
+    assert numlab._dopri_loop(None).__code__.co_filename == \
+        "<dopri_loop ndarray>"

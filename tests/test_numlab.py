@@ -2,6 +2,10 @@
 
 import math
 import re
+from bisect import bisect_right
+from functools import partial, reduce
+from itertools import count
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -230,7 +234,7 @@ def _rk45_case(name):
 
 def _comprehension_attempt(f, rtol, atol):
     """The step attempt as one list comprehension per stage, which the
-    generated step replaces: the reference it equals bit for bit."""
+    generated loop replaces: the reference it equals bit for bit."""
     c2, c3, c4, c5, c6 = numlab._C
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = numlab._A
@@ -261,11 +265,106 @@ def _comprehension_attempt(f, rtol, atol):
     return attempt
 
 
-def _hex(attempt):
-    """``float.hex`` of an attempt's new state, rhs, error and stages."""
-    y_new, k7, err, stages = attempt
-    return ([float.hex(v) for v in y_new], [float.hex(v) for v in k7],
-            float.hex(err), [[float.hex(v) for v in k] for k in stages])
+def _comprehension_dense(t, y, h, ks, tes):
+    """The quartic dense output at ``tes``, its coefficients as ``reduce``
+    left folds over the stages."""
+    Q = [[reduce(add, [k[c] * p[m] for k, p in zip(ks, numlab._P)], 0)
+          for m in range(4)] for c in range(len(y))]
+    out = []
+    for te in tes:
+        x = (te - t) / h
+        x2 = x * x
+        x3 = x2 * x
+        out.append([yi + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * (x3 * x))
+                    for yi, (q1, q2, q3, q4) in zip(y, Q)])
+    return out
+
+
+def _python_dopri5(f, t0, t1, y0, rtol, atol, t_eval):
+    """``numlab._dopri5`` as a Python step loop, which the generated loop
+    replaces: on a list state the comprehensions above, with every rhs
+    value checked by ``_finite``; on an ndarray state the same
+    ``_array_attempt`` and ``_array_dense`` calls."""
+    if isinstance(y0, np.ndarray):
+        attempt = partial(numlab._array_attempt, f, rtol, atol)
+        dense = numlab._array_dense
+    else:
+        f = partial(lambda g, t, y: numlab._finite(t, g(t, y)), f)
+        attempt = _comprehension_attempt(f, rtol, atol)
+        dense = _comprehension_dense
+    d = 1.0 if t1 >= t0 else -1.0
+    if t_eval is None:
+        ts, ys = [t0], [y0]
+    else:
+        ts, keys = numlab._eval_points(t0, t1, t_eval)
+        i = bisect_right(keys, d * t0)
+        ys = [y0] * i
+    t, y, k1 = t0, y0, f(t0, y0)
+    fs = [k1]
+    h_abs = numlab._initial_step(f, t0, y0, k1, abs(t1 - t0), d, rtol, atol)
+    while d * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, d * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:     # shrink the step until its error is accepted
+            if h_abs < min_step:
+                raise SolverError("adaptive integration failed: Required "
+                                  "step size is less than spacing between "
+                                  "numbers.")
+            t_new = t + h_abs * d
+            if d * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, k7, err, stages = attempt(t, y, k1, h)
+            if err < 1:
+                factor = (numlab._MAX_FACTOR if err == 0 else
+                          min(numlab._MAX_FACTOR,
+                              numlab._SAFETY * err ** numlab._EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(numlab._MIN_FACTOR,
+                         numlab._SAFETY * err ** numlab._EXPONENT)
+            rejected = True
+        if t_eval is None:
+            ts.append(t_new)
+            ys.append(y_new)
+            fs.append(k7)
+        else:
+            j = bisect_right(keys, d * t_new)
+            if j > i:
+                ys += dense(t, y, h, stages, ts[i:j])
+                i = j
+        t, y, k1 = t_new, y_new, k7
+    return ts, ys, fs if t_eval is None else None
+
+
+def _hex(rows):
+    """``float.hex`` of every value in a list of states or rhs values."""
+    return [[float.hex(float(v)) for v in row] for row in rows]
+
+
+def _both_loops(make_rhs, y0, interval, tol, t_eval):
+    """The generated and the Python loop on one solve, each with a fresh
+    ``make_rhs()``: its times, states and rhs values as hex and the times of
+    its rhs calls, or its SolverError text."""
+    out = []
+    for loop in (numlab._dopri5, _python_dopri5):
+        calls, rhs = [], make_rhs()
+
+        def f(t, y):
+            calls.append(float.hex(t))
+            return rhs(t, y)
+        try:
+            ts, ys, fs = loop(f, float(interval[0]), float(interval[1]),
+                              [float(v) for v in y0], tol, tol * 1e-2,
+                              t_eval)
+        except SolverError as e:
+            out.append(str(e))
+        else:
+            out.append((list(map(float.hex, ts)), _hex(ys),
+                        fs and _hex(fs), calls))
+    return out
 
 
 def _scipy_rk45(rhs, y0, interval, tol, t_eval=None):
@@ -280,7 +379,8 @@ def _scipy_rk45(rhs, y0, interval, tol, t_eval=None):
 
 class TestRK45AgainstScipy:
     """The Dormand-Prince step loop against scipy's RK45, which it replaces:
-    the same algorithm, so the same steps up to rounding."""
+    the same algorithm, so the same steps and rhs calls, and the same
+    states up to rounding."""
 
     @pytest.mark.parametrize("name", ["kdv", "mathieu", "switchback",
                                       "backward"])
@@ -296,34 +396,74 @@ class TestRK45AgainstScipy:
             got, want = ours.states[-1], ref.y[:, -1]
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
         # t_eval only picks output points: without it, the grid is the
-        # accepted steps
-        steps = len(solve_ivp(rhs, y0, interval, "rk45-adaptive",
-                              tol=tol).grid) - 1
-        ref_steps = len(_scipy_rk45(rhs, y0, interval, tol).t) - 1
-        assert abs(steps - ref_steps) <= 0.01 * ref_steps
+        # accepted steps, and the rhs calls are scipy's nfev
+        calls = []
+        steps = len(solve_ivp(lambda t, y: calls.append(t) or rhs(t, y), y0,
+                              interval, "rk45-adaptive", tol=tol).grid) - 1
+        ref = _scipy_rk45(rhs, y0, interval, tol)
+        assert (steps, len(calls)) == (len(ref.t) - 1, ref.nfev)
 
     @pytest.mark.parametrize("name", ["kdv", "mathieu", "switchback",
-                                      "backward"])
-    def test_generated_step_equals_the_comprehensions(self, name,
-                                                      monkeypatch):
-        # every attempt of the solve, rejected ones included
-        rhs, y0, interval, tol, t_eval = _rk45_case(name)
-        list_steps, attempts = numlab._list_steps, []
+                                      "backward", "vanderpol-mu5",
+                                      "zero-length"])
+    def test_generated_loop_equals_the_python_loop(self, name):
+        # with and without t_eval; van der Pol at mu = 5 and tol 1e-6
+        # rejects many steps
+        if name == "vanderpol-mu5":
+            case = (lambda t, y: [y[1], 5 * (1 - y[0] ** 2) * y[1] - y[0]],
+                    [2.0, 0.0], (0.0, 20.0), 1e-6, np.linspace(0, 20, 41))
+        elif name == "zero-length":
+            case = (lambda t, y: [-y[0]], [1.0], (0.5, 0.5), 1e-10, [0.5])
+        else:
+            case = _rk45_case(name)
+        rhs, y0, interval, tol, t_eval = case
+        runs = [_both_loops(lambda: rhs, y0, interval, tol, points)
+                for points in (None, t_eval)]
+        assert all(got == want for got, want in runs)
+        if name == "vanderpol-mu5":
+            # two rhs calls before the first attempt and six per attempt:
+            # more than 30 attempts were rejected
+            ts, _ys, _fs, calls = runs[0][0]
+            assert (len(calls) - 2) // 6 - (len(ts) - 1) > 30
 
-        def comparing(f, rtol, atol, n):
-            first, attempt, dense = list_steps(f, rtol, atol, n)
-            reference = _comprehension_attempt(f, rtol, atol)
+    def test_generated_loop_errors_equal_the_python_loop(self):
+        # a step-size underflow (y' = y^2 blows up at t = 1), and a NaN or
+        # inf at each stage of the first attempt, in states of 1 and 4
+        got, want = _both_loops(lambda: lambda t, y: [y[0] * y[0]], [1.0],
+                                (0.0, 2.0), 1e-10, None)
+        assert got == want and got.startswith("adaptive integration failed")
 
-            def both(*args):
-                got = attempt(*args)
-                attempts.append((_hex(got), _hex(reference(*args))))
-                return got
-            return first, both, dense
-        monkeypatch.setattr(numlab, "_list_steps", comparing)
-        solve_ivp(rhs, y0, interval, "rk45-adaptive", tol=tol, t_eval=t_eval)
-        assert len(attempts) > 100
-        assert next((i for i, (got, want) in enumerate(attempts)
-                     if got != want), None) is None
+        def broken(s, n, calls, t, y):
+            # call 0 is at t0, call 1 at the first-step guess
+            out = [-(i + 1) * v for i, v in enumerate(y)]
+            if next(calls) == s:
+                out[s % n] = math.nan if s % 2 else -math.inf
+            return out
+        for n in (1, 4):
+            for s in range(2, 8):
+                got, want = _both_loops(
+                    lambda: partial(broken, s, n, count()), [1.0] * n,
+                    (0.0, 1.0), 1e-10, None)
+                assert got == want and got.startswith("NaN/Inf in rhs at t=")
+
+    def test_ndarray_loop_equals_the_python_loop(self, monkeypatch):
+        # both runs of validate's Burgers field, in the generated loop's
+        # ndarray flavour and in the Python loop
+        runs = []
+        dopri5 = numlab._dopri5
+
+        def both(f, t0, t1, y0, rtol, atol, t_eval):
+            got = dopri5(f, t0, t1, y0, rtol, atol, t_eval)
+            want = _python_dopri5(f, t0, t1, y0, rtol, atol, t_eval)
+            runs.append((got[0] == want[0] and got[2] is want[2] is None,
+                         np.array(got[1]).tobytes(),
+                         np.array(want[1]).tobytes()))
+            return got
+        monkeypatch.setattr(numlab, "_dopri5", both)
+        solve_burgers_mol(lambda x: np.log1p(x), 0.1, [1.0, 10.0, 20.0],
+                          np.linspace(0.0, 5.0, 401))
+        assert len(runs) == 2
+        assert all(same and got == want for same, got, want in runs)
 
     def test_step_size_underflow(self):
         # y' = y^2, y(0) = 1 blows up at t = 1
