@@ -1,15 +1,15 @@
-"""Source guard: an AST scan of ``numlab`` and ``exprcore`` for the builtin
-``sum``.
+"""Source guard: an AST scan of every module of ``src/hiddenscale`` for
+the builtin ``sum``.
 
 From Python 3.12 on, ``sum`` adds floats with compensation, so a float total
 computed by ``sum`` is not the left-to-right total that 3.11 computes.  The
-float paths of these two modules (the oracles, ``Expr.eval`` and the
-evaluators built from it) write their sums as left folds, with
-``functools.reduce(operator.add, ...)`` or a loop, which every interpreter
-computes the same way.  A ``sum`` of exact values is the same everywhere;
-the allowlist names the function of each such use, with the reason.  Any
-other use of ``sum``, called or only named, fails, and so does an allowlist
-entry that no longer matches.
+float paths (the oracles, ``Expr.eval`` and the evaluators built from it)
+write their sums as left folds, with ``functools.reduce(operator.add, ...)``,
+generated code or a loop, which every interpreter computes the same way.  A
+``sum`` of exact values is the same everywhere; the allowlist names the
+function of each such use, with the reason.  Any other use of ``sum``,
+called or only named, fails, and so does an allowlist entry that no longer
+matches.
 """
 
 import ast
@@ -20,11 +20,16 @@ from hiddenscale import numlab
 from hiddenscale.exprcore import Expr
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hiddenscale"
-MODULES = ("numlab", "exprcore")
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 # module.function -> why its sum is exact
 ALLOWED = {
+    "cli._ode_rhs": "adds a term's int exponents",
     "exprcore.product_upto": "adds the factors' lowest int exponents",
+    "ftflow.derive_ft_system": "adds the exact Exprs of a flow's orders",
+    "pertseries.LinearOperator.char_roots": "adds the roots' int "
+                                            "multiplicities",
+    "pertseries._grade_parts": "adds a monomial's Fraction grades",
 }
 
 
