@@ -289,7 +289,8 @@ def _python_dopri5(f, t0, t1, y0, rtol, atol, t_eval):
         attempt = partial(numlab._array_attempt, f, rtol, atol)
         dense = numlab._array_dense
     else:
-        f = partial(lambda g, t, y: numlab._finite(t, g(t, y)), f)
+        rhs = f
+        f = lambda t, y: numlab._finite(t, rhs(t, y))
         attempt = _comprehension_attempt(f, rtol, atol)
         dense = _comprehension_dense
     d = 1.0 if t1 >= t0 else -1.0
