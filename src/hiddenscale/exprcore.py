@@ -945,7 +945,7 @@ class Expr:
 
 # Generated source: names a<i> (arguments), b<i> (locals), k<i> (bound
 # values), the function f and its factory, int literals, operators (``<``
-# the only comparison), ``.real`` and the statements ``if``, ``while`` and
+# but not ``>``), ``.real`` and the statements ``if``, ``while`` and
 # ``break`` (``else``, ``elif`` and ``for`` stay foreign).  No symbol name,
 # spec text or float literal can pass.
 _TOKEN = r"[A-Za-z_]\w*|\d+|\*\*|\.real\b|\S"
