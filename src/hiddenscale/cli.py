@@ -277,34 +277,31 @@ def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int,
         if c.name not in [u.name for u in ft.unknowns]:
             env.setdefault(c.name, 0.0)
 
-    rhs, nord = _ode_rhs(spec, params)
-    y0 = _ic_vector(spec, uniform, env, float(grid[0]), nord)
-    ref = numlab.solve_ivp(rhs, y0, (float(grid[0]), float(grid[-1])),
-                           "rk45-adaptive", tol=1e-11, t_eval=grid)
-    uvals = uniform.evaluate(grid, env)
-    abs_err = np.abs(ref.states[:, 0] - uvals)
+    def oracle_run(ev):
+        """The oracle's y and the uniform solution on the grid at eps = ev."""
+        p, e = {**params, spec.parameter: ev}, {**env, spec.parameter: ev}
+        rhs, nord = _ode_rhs(spec, p)
+        ref = numlab.solve_ivp(
+            rhs, _ic_vector(spec, uniform, e, float(grid[0]), nord),
+            (float(grid[0]), float(grid[-1])), "rk45-adaptive", tol=1e-11,
+            t_eval=grid)
+        return ref.states[:, 0], uniform.evaluate(grid, e)
+
+    epsv = params[spec.parameter]
+    yref, uvals = oracle_run(epsv)
+    abs_err = np.abs(yref - uvals)
     sup = float(abs_err.max())
     rep.add(f"sup error vs oracle: {_fmt(sup)}")
     _write_csv(csv_dir, f"{spec.name}_uniform.csv",
                [spec.variable, "y_numeric", "y_uniform", "abs_error"],
-               np.column_stack([grid, ref.states[:, 0], uvals, abs_err]))
+               np.column_stack([grid, yref, uvals, abs_err]))
 
-    epsv = params[spec.parameter]
     if "c_drift_max" in spec.validate:
         cmax = _numbers(spec, "validate.c_drift_max", "", "f")
         kk = spec.order + 1        # uniform solutions are O(eps^(k+1))
-        p2 = dict(params)
-        p2[spec.parameter] = epsv / 2
-        e2 = dict(env)
-        e2[spec.parameter] = epsv / 2
-        rhs2, _ = _ode_rhs(spec, p2)
-        z0 = _ic_vector(spec, uniform, e2, float(grid[0]), nord)
-        ref2 = numlab.solve_ivp(rhs2, z0, (float(grid[0]), float(grid[-1])),
-                                "rk45-adaptive", tol=1e-11, t_eval=grid)
-        u2 = uniform.evaluate(grid, e2)
+        y2, u2 = oracle_run(epsv / 2)
         c_full = sup / epsv ** kk
-        c_half = float(np.max(np.abs(u2 - ref2.states[:, 0]))) \
-            / (epsv / 2) ** kk
+        c_half = float(np.max(np.abs(u2 - y2))) / (epsv / 2) ** kk
         drift = max(c_full, c_half) / min(c_full, c_half)
         rep.check("error constant stable under eps halving", drift <= cmax,
                   f"C values {_fmt(c_full)}, {_fmt(c_half)}, "
@@ -315,22 +312,19 @@ def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int,
                   f"* eps^{kk}")
     if "textbook_ratio_max" in spec.validate:
         _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows,
-                               env, ref, uvals, sup)
+                               env, yref, uvals, sup)
 
 
-def _fit_tildes_to_ics(uniform, env, ics):
-    """Solve the two tilde constants from y(0) and y'(0) (linear fit)."""
-    names = [n for n in (uniform.symbolic.symbols() if uniform.symbolic
-             is not None else []) if n.endswith(ftflow.TILDE_SUFFIX)]
-    names = sorted(names)
-    cols = []
-    for n in names:
-        e = {**env, **{m: 0.0 for m in names}}
-        e[n] = 1.0
-        cols.append(_jet(lambda x: uniform.evaluate(x, e), 0.0)[:2])
-    M = np.array(cols).T
-    vals = np.linalg.solve(M, np.array(ics))
-    return dict(zip(names, vals))
+def _fit_to_ics(names, env, values, ics) -> dict:
+    """The constants ``names`` that fit [y(0), y'(0)] = ``ics``.
+
+    The solution is linear in them: column n of the matrix is ``values(e)``,
+    the [y(0), y'(0)] at ``env`` with n = 1 and every other constant 0.
+    """
+    cols = [values({**env, **{m: float(m == n) for m in names}})
+            for n in names]
+    return dict(zip(names, np.linalg.solve(np.array(cols).T,
+                                           np.array(ics))))
 
 
 def _validate_scaling(spec, rep, csv_dir, grid, series, shared: dict):
@@ -354,6 +348,9 @@ def _validate_scaling(spec, rep, csv_dir, grid, series, shared: dict):
     sweep = _numbers(spec, "validate.sweep", "0.05 0.1 0.2")
     step = _numbers(spec, "validate.oracle_step", "1e-3", "f")
     bare = series.full()
+    dbare = bare.diff(spec.variable)
+    tildes = sorted(n for n in uniform2.symbolic.symbols()
+                    if n.endswith(ftflow.TILDE_SUFFIX))
     errs = []
     table_rows = None
     bare_end = uni_end = None
@@ -361,7 +358,8 @@ def _validate_scaling(spec, rep, csv_dir, grid, series, shared: dict):
         key = ("oracle", ev, *ics)
         if key not in shared:
             env = {spec.parameter: ev}
-            env.update(_fit_tildes_to_ics(uniform2, env, ics))
+            env.update(_fit_to_ics(tildes, env, lambda e: _jet(
+                lambda x: uniform2.evaluate(x, e), 0.0)[:2], ics))
             rhs, _n = _ode_rhs(spec, {spec.parameter: ev})
             yref = numlab.solve_ivp(
                 rhs, ics, (float(grid[0]), float(grid[-1])), "rk4-fixed",
@@ -374,15 +372,9 @@ def _validate_scaling(spec, rep, csv_dir, grid, series, shared: dict):
         if abs(ev - epsv) < 1e-15:
             # bare-series constants from the same initial conditions
             benv = {spec.parameter: ev, spec.variable: 0.0}
-            names = [c.name for c in series.constants]
-            cols = []
-            dbare = bare.diff(spec.variable)
-            for n in names:
-                e = {**benv, **{m: 0.0 for m in names}}
-                e[n] = 1.0
-                cols.append([bare.eval(e).real, dbare.eval(e).real])
-            AB = np.linalg.solve(np.array(cols).T, np.array(ics))
-            benv.update(dict(zip(names, AB)))
+            benv.update(_fit_to_ics(
+                [c.name for c in series.constants], benv,
+                lambda e: [bare.eval(e).real, dbare.eval(e).real], ics))
             bvals = bare.eval({**benv, spec.variable: grid}).real
             table_rows = np.column_stack(
                 [grid, yref, bvals, uvals, np.abs(bvals - yref),
@@ -417,7 +409,7 @@ def _check_eps_sweep(spec, rep, errs, name: str, band: str) -> dict:
 
 
 def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
-                           ref, uvals, sup):
+                           yref, uvals, sup):
     """Compare against the strained coordinate with the textbook exponent."""
     qp = (Poly.sym("A1", 2) * Poly.sym("eps", 2) * Poly.sym("k", -5)
           * Poly.sym("delta", -4)).scale(Fraction(27, 16))
@@ -425,12 +417,12 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
     textbook = ftflow.assemble_uniform(painted, dataclasses.replace(
         flows, flows={**flows.flows, "phi": phi}))
     tvals = textbook.evaluate(grid, env)
-    terr = float(np.max(np.abs(tvals - ref.states[:, 0])))
+    terr = float(np.max(np.abs(tvals - yref)))
     ratio_max = _numbers(spec, "validate.textbook_ratio_max", "0.5", "f")
     rep.add(f"textbook-exponent sup error: {_fmt(terr)}")
     _write_csv(csv_dir, f"{spec.name}_fig5.csv",
                [spec.variable, "W_numeric", "W_hidden", "W_textbook"],
-               np.column_stack([grid, ref.states[:, 0], uvals, tvals]))
+               np.column_stack([grid, yref, uvals, tvals]))
     rep.check("hidden-scale error at most half the textbook error",
               sup <= ratio_max * terr,
               f"{_fmt(sup)} <= {ratio_max} * {_fmt(terr)}")

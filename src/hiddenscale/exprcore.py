@@ -815,11 +815,10 @@ class Expr:
         return res
 
     def shift_phase(self, sym: str, offs: Mapping[str, RatLike] = (),
-                    freqs: Mapping[str, "Poly | RatLike"] = (),
-                    pi_halves: int = 0) -> "Expr":
-        """Replace phase offset ``sym`` by a linear form plus a multiple of pi/2.
+                    freqs: Mapping[str, "Poly | RatLike"] = ()) -> "Expr":
+        """Replace phase offset ``sym`` by a linear form.
 
-        sym -> sum(offs) + sum(freqs * var) + pi_halves * pi/2.
+        sym -> sum(offs) + sum(freqs * var).
         """
         offs = {s: Fraction(c) for s, c in dict(offs or {}).items()}
         freqs = {v: (p if isinstance(p, Poly) else Poly.num(p))
@@ -831,18 +830,13 @@ class Expr:
             if c is None:
                 out.append(t)
                 continue
-            rot = c * pi_halves
-            if rot.denominator != 1:
-                raise OutOfClassError(
-                    "phase shift leaves the class: non-integer multiple of pi/2")
-            coeff = t.coeff.times(_I_POWERS[int(rot) % 4])
             for s, w in offs.items():
                 od[s] = od.get(s, 0) + c * w
             rd = dict(t.rates)
             for v, p in freqs.items():
                 add = p.scale(0, c)
                 rd[v] = rd[v] + add if v in rd else add
-            out.append(Term(coeff, t.vpows, _slot_make(rd), _offs_make(od)))
+            out.append(Term(t.coeff, t.vpows, _slot_make(rd), _offs_make(od)))
         return Expr(out)
 
     # -- order bookkeeping ---------------------------------------------------------

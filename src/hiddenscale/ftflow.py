@@ -325,7 +325,6 @@ class ConstantFlows:
     ft: FTSystem
     flows: dict                  # name -> Flow
     x_symbol: str
-    _cache: dict = field(default_factory=dict)
 
     def values(self, x, env: dict) -> dict:
         """Constant values at mu = 0 for start point ``x``: floats for a
@@ -356,20 +355,14 @@ class ConstantFlows:
         from .numlab import solve_ivp
         names = self.ft.unknown_names()
         y0 = [self.flows[n].start.eval(env).real for n in names]
+        f = self.ft.rhs_callable(env)
         if self.ft.is_autonomous():
             # the mu=0 value as a function of the start point satisfies the
             # time-inverted autonomous system; one trajectory covers all x
-            key = tuple(sorted((kk, round(float(v), 14))
-                               for kk, v in env.items()))
-            traj = self._cache.get(key)
-            if traj is None or traj.grid[-1] < np.max(x):
-                xmax = float(np.max(np.abs(x))) * 1.5 + 1.0
-                f = self.ft.rhs_callable(env)
-                traj = solve_ivp(lambda t, y: [-v for v in f(t, y)], y0,
-                                 (0.0, xmax), "rk45-adaptive", tol=1e-12)
-                self._cache[key] = traj
+            xmax = float(np.max(np.abs(x))) * 1.5 + 1.0
+            traj = solve_ivp(lambda t, y: [-v for v in f(t, y)], y0,
+                             (0.0, xmax), "rk45-adaptive", tol=1e-12)
             return {n: traj(x, i) for i, n in enumerate(names)}
-        f = self.ft.rhs_callable(env)
         ends = np.array([solve_ivp(f, y0, (xv, 0.0), "rk45-adaptive",
                                    tol=1e-12).states[-1] if xv != 0 else y0
                          for xv in np.ravel(x).tolist()])

@@ -412,15 +412,14 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
 
 
 def solve_bvp_shooting(rhs, x_left: float, u_left: float, x_right: float,
-                       u_right: float, slope_guess: float,
-                       max_iter: int = 100):
+                       u_right: float, slope_guess: float):
     """Secant shooting on the missing left slope for a scalar 2nd-order BVP.
 
     ``rhs`` is the first-order system rhs(t, [u, u']).  Each shot is an RK45
     solve at tolerance 1e-11; a miss below 1e-10 at the right end converges,
     and so does a secant step below 1e-13 in the slope if its miss is below
-    1e-10 too.  Returns the converged IVPSolution; raises SolverError after
-    ``max_iter`` iterations.
+    1e-10 too.  Returns the converged IVPSolution; raises SolverError when
+    the secant stalls short of that, or after 100 iterations.
     """
     tol, tol_slope = 1e-10, 1e-13
 
@@ -431,33 +430,29 @@ def solve_bvp_shooting(rhs, x_left: float, u_left: float, x_right: float,
 
     s0, s1 = slope_guess, slope_guess * 1.01 + 1e-8
     f0, sol = boundary_miss(s0)
-    for _ in range(max_iter):
+    for _ in range(100):
         if abs(f0) < tol:
             return sol
         f1, sol1 = boundary_miss(s1)
         if f1 == f0 or abs(s1 - s0) < tol_slope:
-            s0, f0, sol = s1, f1, sol1
-            if abs(f0) < tol:
-                return sol
+            f0, sol = f1, sol1
             break
-        s2 = s1 - f1 * (s1 - s0) / (f1 - f0)
-        s0, f0 = s1, f1
-        s1 = s2
-        sol = sol1
-    f0, sol = boundary_miss(s1)
+        s0, s1 = s1, s1 - f1 * (s1 - s0) / (f1 - f0)
+        f0, sol = f1, sol1
+    else:
+        f0, sol = boundary_miss(s1)
     if abs(f0) < tol:
         return sol
     raise SolverError(f"shooting did not converge: residual {f0:.3e}")
 
 
-def solve_burgers_mol(u0, eps: float, t_eval, x_grid,
-                      richardson_tol: float = 1e-4):
+def solve_burgers_mol(u0, eps: float, t_eval, x_grid):
     """Method-of-lines field for u_t = -eps*u*u_x**2 with initial profile u0.
 
     Central differences in x (one-sided at the edges), Dormand-Prince 5(4)
     in t at rtol = atol = 1e-9 (``_dopri5`` on an ndarray state); the run
-    is accepted only if a grid-halving Richardson check agrees to
-    ``richardson_tol`` in sup norm at the final time.
+    is accepted only if a grid-halving Richardson check agrees to 1e-4 in
+    sup norm at the final time.
     """
     x = np.asarray(x_grid, dtype=float)
     t_eval = np.atleast_1d(np.asarray(t_eval, dtype=float))
@@ -480,10 +475,9 @@ def solve_burgers_mol(u0, eps: float, t_eval, x_grid,
     fine_x = np.linspace(x[0], x[-1], 2 * (len(x) - 1) + 1)
     fine = run(fine_x)[:, ::2]
     drift = float(np.max(np.abs(fine - coarse)))
-    if drift > richardson_tol:
+    if drift > 1e-4:
         raise SolverError(
-            f"Richardson check failed: grids differ by {drift:.3e} "
-            f"(> {richardson_tol:g})")
+            f"Richardson check failed: grids differ by {drift:.3e} (> 0.0001)")
     return {"x": x, "t": t_eval, "u": fine, "richardson_drift": drift}
 
 

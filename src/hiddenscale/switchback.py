@@ -252,8 +252,8 @@ class SwitchbackSeries:
     orders: list                  # basis Polys; n=3's order 1 is a callable
     constants: dict               # fixed constant values per order
 
-    def evaluate(self, x, a: Optional[float] = None):
-        a = self.problem.a if a is None else a
+    def evaluate(self, x):
+        a = self.problem.a
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
         for j, term in enumerate(self.orders):

@@ -64,6 +64,9 @@ def test_criterion_2_overdamped_error_scaling():
         _p, _s, _ps, _ft, _fl, uniform = cli.hidden_scale_pipeline(spec2)
         series = build_bare_series(ode_problem(spec))
         bare = series.full()
+        dbare, duni = bare.diff("tau"), uniform.symbolic.diff("tau")
+        tildes = sorted(n for n in uniform.symbolic.symbols()
+                        if n.endswith(ftflow.TILDE_SUFFIX))
         grid = np.linspace(0.0, 15.0, 301)
         ics = np.array([3.0, 1.0])
         sweep = np.array([0.05, 0.1, 0.2])
@@ -86,7 +89,12 @@ def test_criterion_2_overdamped_error_scaling():
         bare_end = uni_end = None
         for i, ev in enumerate(sweep):
             env = {"eps": float(ev)}
-            env.update(cli._fit_tildes_to_ics(uniform, env, ics))
+            env.update(cli._fit_to_ics(tildes, env, lambda e: cli._jet(
+                lambda x: uniform.evaluate(x, e), 0.0)[:2], ics))
+            # the fitted constants reproduce y(0) and y'(0)
+            assert np.allclose([uniform.evaluate(0.0, env),
+                                duni.eval({**env, "tau": 0.0}).real], ics,
+                               rtol=0, atol=1e-9)
             uvals = np.array([uniform.evaluate(float(t), env) for t in grid])
             errs.append((float(ev), float(np.max(np.abs(
                 uvals - ref.states[:, 2 * i])))))
@@ -94,6 +102,16 @@ def test_criterion_2_overdamped_error_scaling():
                 A_B = np.linalg.solve(np.array([[1.0, 1.0],
                                                 [-ev, -1.0 + ev]]), ics)
                 benv = {"eps": float(ev), "A": A_B[0], "B": A_B[1]}
+                # the bare fit of validate agrees and reproduces the ics
+                fit = cli._fit_to_ics(
+                    ["A", "B"], {"eps": float(ev), "tau": 0.0},
+                    lambda e: [bare.eval(e).real, dbare.eval(e).real], ics)
+                assert np.allclose([fit["A"], fit["B"]], A_B, rtol=0,
+                                   atol=1e-9)
+                at0 = {**benv, **fit, "tau": 0.0}
+                assert np.allclose([bare.eval(at0).real,
+                                    dbare.eval(at0).real], ics, rtol=0,
+                                   atol=1e-9)
                 b_end = bare.eval({**benv, "tau": 15.0}).real
                 bare_end = abs(b_end - ref.states[-1, 2 * i])
                 uni_end = abs(uvals[-1] - ref.states[-1, 2 * i])
@@ -127,7 +145,7 @@ def test_criterion_3_mathieu():
 
             ref = numlab.solve_ivp(rhs, y0, (0.0, 30.0), "rk4-fixed",
                                    step=1e-3, t_eval=grid)
-            uvals = np.array([uniform.evaluate(float(t), env) for t in grid])
+            uvals = uniform.evaluate(grid, env)
             cs.append(float(np.max(np.abs(uvals - ref.states[:, 0])))
                       / ev ** 2)
         drift = max(cs) / min(cs)

@@ -87,10 +87,6 @@ class TestSubstitute:
         painted = paint_term(term, "tau", "mu")
         assert Expr([painted]) == Expr.sym("eps") * Expr.var("mu") * exp_t()
 
-    def test_phase_shift_by_pi(self):
-        e = Expr.sin({}, {"theta": 1, "phi": 1})
-        assert e.shift_phase("phi", offs={"phi": 1}, pi_halves=2) == -e
-
     def test_out_of_class_rejected(self):
         e = Expr.sym("A") * Expr.exp("tau", Poly.sym("k"))
         with pytest.raises(OutOfClassError):

@@ -473,9 +473,6 @@ class TestUniform:
             before = len(calls)
             uni.evaluate(grid, env)
             assert len(calls) == before + 1
-            for t in grid:
-                uni.evaluate(float(t), env)
-            assert len(calls) == before + 1
 
     def test_nonautonomous_numeric_flow_on_a_grid(self):
         # A' = eps*mu*A depends on mu, so each start point x is integrated

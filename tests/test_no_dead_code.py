@@ -19,11 +19,12 @@ each with its reason; a listed name must still be defined in ``src/`` and
 still be unused there.
 
 A keyword default of a function or method in ``src/`` must be overridden by
-some call in ``src/`` or ``tests/``, by position or by keyword; a default no
-caller changes is a constant.  Calls are matched by name (a bare name or an
-attribute), and a call with ``*args`` or ``**kwargs`` counts as setting
-every parameter.  ``UNSET_DEFAULTS`` lists the exceptions, as
-``fnmatch`` patterns on ``function(parameter)``, each with its reason.
+some call in ``src/``, by position or by keyword; a default that only the
+tests change is an option no program sets, and a default no caller changes
+is a constant.  Calls are matched by name (a bare name or an attribute), and
+a call with ``*args`` or ``**kwargs`` counts as setting every parameter.
+``UNSET_DEFAULTS`` lists the exceptions, as ``fnmatch`` patterns on
+``function(parameter)``, each with its reason.
 """
 
 import ast
@@ -32,7 +33,6 @@ from fnmatch import fnmatch
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hiddenscale"
-TESTS = Path(__file__).resolve().parent
 
 # Definitions kept only for the tests, name -> why.
 TEST_FACING = {
@@ -50,11 +50,13 @@ TEST_FACING = {
     "component": "method the generator tests read solved components with",
 }
 
-# Keyword defaults no call sets by name, pattern -> why.
+# Keyword defaults no call in src/ sets by name, pattern -> why.
 UNSET_DEFAULTS = {
     "__*__(*)": "dunder methods are called by the language, not by name",
-    "cis(offs)": "textform's parser passes it through the builder it picks "
-                 "from its cos/sin/cis table",
+    "cis(*)": "textform's parser passes both through the builder it picks "
+              "from its cos/sin/cis table",
+    "main(argv)": "the console entry point calls main() and argparse reads "
+                  "sys.argv; the tests pass argv",
 }
 
 
@@ -263,9 +265,8 @@ def _calls(trees):
 
 def unset_defaults():
     """``module.py:line function(parameter)`` for every keyword default in
-    ``src/`` that no call in ``src/`` or ``tests/`` overrides."""
-    calls = _calls(_parse(p) for p in [*sorted(SRC.glob("*.py")),
-                                       *sorted(TESTS.glob("*.py"))])
+    ``src/`` that no call in ``src/`` overrides."""
+    calls = _calls(_parse(p) for p in sorted(SRC.glob("*.py")))
     out = []
     for path in sorted(SRC.glob("*.py")):
         for line, func, param, pos in _keyword_defaults(_parse(path)):

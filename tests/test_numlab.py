@@ -556,8 +556,7 @@ class TestShooting:
         # target unreachable: u'' = 0 from u(0)=0 cannot reach both ends
         with pytest.raises(SolverError):
             solve_bvp_shooting(lambda t, y: [0.0 * y[1], 0.0 * y[0]],
-                               0.0, 0.0, 1.0, 1.0, slope_guess=0.0,
-                               max_iter=5)
+                               0.0, 0.0, 1.0, 1.0, slope_guess=0.0)
 
 
 class TestBurgersMOL:
@@ -574,8 +573,7 @@ class TestBurgersMOL:
     def test_richardson_gate(self):
         xs = np.linspace(0, 5, 21)    # deliberately coarse
         with pytest.raises(SolverError):
-            solve_burgers_mol(lambda x: np.log1p(x), 0.1, [20.0], xs,
-                              richardson_tol=1e-9)
+            solve_burgers_mol(lambda x: np.log1p(x), 0.1, [20.0], xs)
 
     def test_matches_characteristic_solution(self):
         # Hamilton-Jacobi characteristics of u_t + eps*u*u_x^2 = 0 from
