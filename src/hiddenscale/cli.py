@@ -340,6 +340,12 @@ def _validate_scaling(spec, rep, csv_dir, grid, series, shared: dict):
         shared["scaling"] = hidden_scale_pipeline(dataclasses.replace(
             spec, order=_numbers(spec, "validate.scaling_order", "", "i")))[-1]
     uniform2 = shared["scaling"]
+    if uniform2.symbolic is None:
+        # the fit below takes the solution as linear in its tilde constants
+        raise ftflow.FTError(
+            f"validate.scaling_order = {spec.validate['scaling_order']} "
+            f"needs a closed-form uniform solution; at that order it is "
+            f"{uniform2.text()}")
     epsv = spec.params[spec.parameter]
     ics = _ic_floats(spec, 2)
     if ics is None:

@@ -947,6 +947,9 @@ _NAME = r"[abk][0-9]+|[0-9]+|def|return|try|except|if|while|break|make|f"
 _SYMBOLS = {"**", ".real", *"-+*/(),:=[]<"}
 
 
+_MAKERS: dict = {}     # (role, source) -> its ``make``, once checked
+
+
 def compile_function(nargs: int, body: Sequence[str], values: Sequence,
                      role: str):
     """The function ``f(a0, ..., a<nargs-1>)`` whose body is the statements
@@ -955,19 +958,24 @@ def compile_function(nargs: int, body: Sequence[str], values: Sequence,
     functions apart.
 
     The code sees no builtins and no globals: everything it uses beyond its
-    arguments, numbers included, is one of ``values``.
+    arguments, numbers included, is one of ``values``.  Each distinct source
+    is checked token by token and compiled once; calls with the same source
+    and other values reuse it.
     """
     params = ", ".join(f"a{i}" for i in range(nargs))
     src = (f"def make({', '.join(f'k{i}' for i in range(len(values)))}):\n"
            f"    def f({params}):\n"
            + "".join(f"        {line}\n" for line in body)
            + "    return f\n")
-    if not all(tok in _SYMBOLS or fullmatch(_NAME, tok)
-               for tok in findall(_TOKEN, src)):
-        raise ValueError("generated source holds a foreign token")
-    scope = {"__builtins__": {}}
-    exec(compile(src, f"<{role}>", "exec"), scope)
-    return scope["make"](*values)
+    make = _MAKERS.get((role, src))
+    if make is None:
+        if not all(tok in _SYMBOLS or fullmatch(_NAME, tok)
+                   for tok in findall(_TOKEN, src)):
+            raise ValueError("generated source holds a foreign token")
+        scope = {"__builtins__": {}}
+        exec(compile(src, f"<{role}>", "exec"), scope)
+        make = _MAKERS[role, src] = scope["make"]
+    return make(*values)
 
 
 class _Code:
@@ -982,6 +990,24 @@ class _Code:
 
     def function(self, nargs: int, body: Sequence[str], role: str):
         return compile_function(nargs, body, self.values, role)
+
+    def list_rhs(self, n: int, lines: Sequence[str], role: str):
+        """An rhs ``f(t, y)`` on a list state ``y`` of ``n`` floats, written
+        as straight-line code that a step loop can inline.
+
+        ``lines`` compute the rhs value from a0 (t) and a1, ..., an (the
+        entries of y), in locals b0, b1, ... and the bound values; each
+        ``return`` in them returns the value as a list display of n entries
+        or as a call that returns a list.  ``f`` unpacks y into a1, ..., an
+        and runs ``lines``.  ``f.straight_line`` is ``((role, lines),
+        values)``: the source that ``numlab._dopri_loop`` inlines, keyed by
+        its text, and the values its names k0, k1, ... stand for.
+        """
+        lines = tuple(lines)
+        unpack = "".join(f"a{c}, " for c in range(1, n + 1))
+        f = self.function(2, [f"{unpack}= a1", *lines], role)
+        f.straight_line = (role, lines), tuple(self.values)
+        return f
 
 
 class _Folder(_Code):
@@ -1053,6 +1079,26 @@ class _Folder(_Code):
         return self.bind(node[1].real) if node[0] else f"{node[1]}.real"
 
 
+def _evaluator_code(exprs: Sequence[Expr], args: Sequence[str],
+                    fixed: Mapping, negated: bool):
+    """The code of ``real_evaluator`` and its lines, with every value
+    negated if ``negated``."""
+    env = dict(fixed)
+    fold = _Folder(args, env)
+    sign = "-" if negated else ""
+    outs = [sign + fold.real(e) for e in exprs]
+    params = ", ".join(f"a{i}" for i in range(len(args)))
+
+    def slow(*values):
+        at = {**env, **dict(zip(args, values))}
+        vals = [e.eval(at).real for e in exprs]
+        return [-v for v in vals] if negated else vals
+    return fold, ["try:",
+                  f"    return [{', '.join(outs)}]",
+                  f"except {fold.bind((OverflowError, ValueError))}:",
+                  f"    return {fold.bind(slow)}({params})"]
+
+
 def real_evaluator(exprs: Sequence[Expr], args: Sequence[str],
                    fixed: Mapping):
     """``g(*values)``: the list ``[e.eval(env).real for e in exprs]`` with
@@ -1065,19 +1111,17 @@ def real_evaluator(exprs: Sequence[Expr], args: Sequence[str],
     KeyError here.  Where ``cmath.exp`` overflows (``np.exp`` gives inf or
     NaN), ``g`` returns ``Expr.eval``'s values.
     """
-    env = dict(fixed)
-    fold = _Folder(args, env)
-    outs = [fold.real(e) for e in exprs]
-    params = ", ".join(f"a{i}" for i in range(len(args)))
+    fold, lines = _evaluator_code(exprs, args, fixed, False)
+    return fold.function(len(args), lines, "real_evaluator")
 
-    def slow(*values):
-        at = {**env, **dict(zip(args, values))}
-        return [e.eval(at).real for e in exprs]
-    body = ["try:",
-            f"    return [{', '.join(outs)}]",
-            f"except {fold.bind((OverflowError, ValueError))}:",
-            f"    return {fold.bind(slow)}({params})"]
-    return fold.function(len(args), body, "real_evaluator")
+
+def evaluator_rhs(exprs: Sequence[Expr], t: str, ys: Sequence[str],
+                  fixed: Mapping, negated: bool):
+    """The rhs ``f(t, y)``: ``real_evaluator(exprs, [t, *ys], fixed)(t,
+    *y)``, each value negated if ``negated``, as a ``_Code.list_rhs`` that a
+    step loop inlines."""
+    fold, lines = _evaluator_code(exprs, [t, *ys], fixed, negated)
+    return fold.list_rhs(len(ys), lines, "evaluator_rhs")
 
 
 def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
@@ -1091,15 +1135,16 @@ def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
     in that order.  A term ``(coeff, factor, powers)`` is
     ``factor * y[m0]**q0 * ...`` for ``(m, q)`` in ``powers``, or, when
     ``coeff`` is an Expr, ``coeff(t) * factor * ...`` with ``coeff``
-    evaluated as ``real_evaluator([coeff], [var], fixed)`` does.  Where a
-    ``y[m]**q`` overflows (a Python float raises, numpy gives inf), the
-    last entry is inf.
+    evaluated as ``real_evaluator([coeff], [var], fixed)`` does, in one
+    call.  Where a ``y[m]**q`` overflows (a Python float raises, numpy
+    gives inf), the last entry is inf.  ``f`` is a ``_Code.list_rhs``, which
+    a step loop inlines.
     """
     code = _Code()
     n = len(coeffs) - 1
-    ys = [f"b{m}" for m in range(n)]
+    ys = [f"a{m + 1}" for m in range(n)]
     timed = [c for c, _f, _p in terms if c is not None]
-    cs = [f"b{n + j}" for j in range(len(timed))]
+    cs = [f"b{j}" for j in range(len(timed))]
     next_c = iter(cs)
     top = [code.bind(0.0)] + [f"{code.bind(c)}*{y}"
                               for c, y in zip(coeffs, ys)]
@@ -1111,15 +1156,15 @@ def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
         top.append(val + "".join(f"*{ys[m]}" + (f"**{q}" if q != 1 else "")
                                  for m, q in powers))
     shift = "".join(f"{y}, " for y in ys[1:])
-    body = [f"{''.join(y + ', ' for y in ys)}= a1", "try:"]
+    lines = ["try:"]
     if timed:
         g = code.bind(real_evaluator(timed, [var], fixed))
-        body.append(f"    {''.join(c + ', ' for c in cs)}= {g}(a0)")
-    body += [f"    return [{shift}-({' + '.join(top)}) / "
-             f"{code.bind(coeffs[-1])}]",
-             f"except {code.bind(OverflowError)}:",
-             f"    return [{shift}{code.bind(inf)}]"]
-    return code.function(2, body, "explicit_ode_rhs")
+        lines.append(f"    {''.join(c + ', ' for c in cs)}= {g}(a0)")
+    lines += [f"    return [{shift}-({' + '.join(top)}) / "
+              f"{code.bind(coeffs[-1])}]",
+              f"except {code.bind(OverflowError)}:",
+              f"    return [{shift}{code.bind(inf)}]"]
+    return code.list_rhs(n, lines, "explicit_ode_rhs")
 
 
 def _expand_param_exponents(t: Term, param: str, jmax: int):

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
-                       classify_divergent, div_exact, paint_term,
-                       real_evaluator, solve_linear_system)
+                       classify_divergent, div_exact, evaluator_rhs,
+                       paint_term, solve_linear_system)
 from .pertseries import (PerturbationSeries, LinearOperator, SolveError,
                          _grade_parts, grade_truncate, particular_integral)
 
@@ -131,13 +131,13 @@ class FTSystem:
     def unknown_names(self):
         return [c.name for c in self.unknowns]
 
-    def rhs_callable(self, param_values: dict):
+    def rhs_callable(self, param_values: dict, negated: bool = False):
         """``f(mu, y)``: the flows' values, as ``Expr.eval`` gives them, at
-        the parameter values read here, once."""
+        the parameter values read here, once; negated, the rhs of the
+        time-inverted system, if ``negated``."""
         names = self.unknown_names()
-        g = real_evaluator([self.equations[n] for n in names],
-                           [self.mu, *names], param_values)
-        return lambda mu_val, y: g(float(mu_val), *y)
+        return evaluator_rhs([self.equations[n] for n in names], self.mu,
+                             names, param_values, negated)
 
     def is_autonomous(self) -> bool:
         return all(self.mu not in e.symbols() for e in self.equations.values())
@@ -355,14 +355,14 @@ class ConstantFlows:
         from .numlab import solve_ivp
         names = self.ft.unknown_names()
         y0 = [self.flows[n].start.eval(env).real for n in names]
-        f = self.ft.rhs_callable(env)
         if self.ft.is_autonomous():
             # the mu=0 value as a function of the start point satisfies the
             # time-inverted autonomous system; one trajectory covers all x
             xmax = float(np.max(np.abs(x))) * 1.5 + 1.0
-            traj = solve_ivp(lambda t, y: [-v for v in f(t, y)], y0,
+            traj = solve_ivp(self.ft.rhs_callable(env, negated=True), y0,
                              (0.0, xmax), "rk45-adaptive", tol=1e-12)
             return {n: traj(x, i) for i, n in enumerate(names)}
+        f = self.ft.rhs_callable(env)
         ends = np.array([solve_ivp(f, y0, (xv, 0.0), "rk45-adaptive",
                                    tol=1e-12).states[-1] if xv != 0 else y0
                          for xv in np.ravel(x).tolist()])

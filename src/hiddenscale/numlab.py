@@ -9,7 +9,11 @@ Both IVP oracles (``solve_ivp``) are step loops on Python floats, and an
 rhs gets and returns its state as a list of floats: the oracles' states have
 2-4 entries, where numpy's per-call cost outweighs its arithmetic, and the
 adaptive loop, with its stages, step control and dense output, is
-straight-line code generated once per state size.  The Burgers
+straight-line code generated once per state size.  An rhs that is itself
+straight-line code (``exprcore._Code.list_rhs``: the ODE oracles'
+``explicit_ode_rhs``, the numeric flows' ``evaluator_rhs`` and the
+switchback shooting rhs) is inlined into the stages of a loop generated once
+per state size and rhs source; any other rhs is called.  The Burgers
 method-of-lines solver, whose states have hundreds of entries, runs the same
 generated Dormand-Prince loop on an ndarray state, in scipy's RK45
 arithmetic.  numpy is the only dependency.
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import count
 from operator import add
+from re import findall, sub
 
 import numpy as np
 
@@ -175,22 +180,28 @@ def _array_dense(t, y, h, K, tes):
 
 
 @cache
-def _dopri_loop(n):
+def _dopri_loop(n, inline=None):
     """``loop(f, rtol, atol, t, y, k1, h_abs, t1, d, ts, ys, fs, keys, i)``:
     ``_dopri5``'s accept/reject loop from (t, y, k1) to t1, generated once
-    per list state size n (None for an ndarray state).  Each accepted step
-    adds its node, state and last stage to ``ts``, ``ys`` and ``fs`` if
-    ``fs`` is a list, and the dense output at each point ``ts[i]`` whose key
-    it passes to ``ys``.  Returns 1 when the step falls below ten float
-    spacings at t.
+    per list state size n (None for an ndarray state) and inlined rhs.
+    Each accepted step adds its node, state and last stage to ``ts``,
+    ``ys`` and ``fs`` if ``fs`` is a list, and the dense output at each
+    point ``ts[i]`` whose key it passes to ``ys``.  Returns 1 when the step
+    falls below ten float spacings at t.
 
     On a list state the stages, the error norm and the dense output are
     local scalars, with the float operations of one list comprehension per
     stage in their order (``yi + (a31 * p + a32 * q) * h``, ``yi + h * (b1
     * p + ...)``, ``sqrt(0 + x0 * x0 + ...) / n ** 0.5``, ``0 + k1 * p1 + k3
-    * p3 + ...`` per dense coefficient).  Each stage's values p0, p1, ...
-    are checked as they come back from ``f``: ``p0 - p0 + p1 - p1 + ...``
-    is 0.0 when all are finite, and cannot overflow; else it is NaN, and
+    * p3 + ...`` per dense coefficient); |y| is carried from the step that
+    accepted y, and ``<`` picks max(|y|, |y_new|) as ``max`` does.  A stage
+    calls ``f`` on its state as a list, or, when ``inline`` is the ``(role,
+    lines)`` of a ``_Code.list_rhs``, runs its lines in place, renamed into
+    the loop and each ``return`` made an assignment of the stage's values;
+    ``f`` is then the rhs's bound values, which the lines read as locals,
+    so one loop serves every rhs of that source.  Each stage's values p0,
+    p1, ... are checked as they come: ``p0 - p0 + p1 - p1 + ...`` is 0.0
+    when all are finite, and cannot overflow; else it is NaN, and
     ``_finite`` raises.  An ndarray state calls ``_array_attempt`` and
     ``_array_dense`` instead.
     """
@@ -199,12 +210,13 @@ def _dopri_loop(n):
         code.bind, (abs, max, min, _SAFETY, _EXPONENT, _MAX_FACTOR))
     t, h_abs, rejected, min_step, t_new, h, err, factor, i, j = (
         new() for _ in range(10))
+    setup, carry, carried = [], [], []  # before the loop; kept across steps
     if n is None:
         y, k1, y_new, k7, stages = [new()], [new()], [new()], [new()], new()
         attempt = [f"{y_new[0]}, {k7[0]}, {err}, {stages} = "
                    f"{code.bind(_array_attempt)}(a0, a1, a2, {t}, {y[0]}, "
                    f"{k1[0]}, {h})"]
-        y_row, k7_obj = y_new[0], k7[0]
+        y_row, k7_row = y_new[0], k7[0]
         dense = [f"a10 += {code.bind(_array_dense)}({t}, {y[0]}, {h}, "
                  f"{stages}, a9[{i}:{j}])", f"{i} = {j}"]
     else:
@@ -213,36 +225,76 @@ def _dopri_loop(n):
         B, E = [code.bind(b) for b in _B], [code.bind(e) for e in _E]
         P = [[code.bind(p) for p in row] for row in _P]
         y, k1 = [new() for _ in range(n)], [new() for _ in range(n)]
+        state = [new() for _ in range(n)]
         ks, attempt = [k1], []
+        if inline:
+            # the rhs's bound values k<m> become locals read from a0 once,
+            # its locals b<m> locals shared by the stages
+            shared = {}
+            for m in sorted({int(k) for line in inline[1]
+                             for k in findall(r"\bk(\d+)\b", line)}):
+                shared[f"k{m}"] = new()
+                setup.append(f"{shared[f'k{m}']} = a0[{m}]")
 
         def combo(coeffs, stages, c):
             return " + ".join(f"{a} * {ks[s][c]}"
                               for a, s in zip(coeffs, stages))
 
+        def run_rhs(te, state, k):
+            """The lines that set the stage values k from f at (te, state)."""
+            if not inline:
+                return [f"{''.join(v + ', ' for v in k)}= "
+                        f"a0({te}, [{', '.join(state)}])"]
+            names = {"a0": te, **{f"a{c + 1}": v for c, v in
+                                  enumerate(state)}}
+
+            def rename(m):
+                if m[0] in names:
+                    return names[m[0]]
+                if m[0] not in shared:
+                    shared[m[0]] = new()
+                return shared[m[0]]
+            out = []
+            for line in inline[1]:
+                line = sub(r"\b[abk]\d+\b", rename, line)
+                lead, ret, value = line.partition("return ")
+                if ret:     # a list display's entries, or a call's list
+                    line = (f"{lead}{', '.join(k)} = {value[1:-1]}"
+                            if value[0] == "[" else
+                            f"{lead}{''.join(v + ', ' for v in k)}= {value}")
+                out.append(line)
+            return out
+
         def stage(at, state):
-            te, obj, k = new(), new(), [new() for _ in range(n)]
-            attempt.extend([
-                f"{te} = {at}", f"{obj} = a0({te}, [{', '.join(state)}])",
-                f"{''.join(v + ', ' for v in k)}= {obj}",
-                f"if {' + '.join(f'{v} - {v}' for v in k)}:",
-                f"    {check}({te}, {obj})"])
+            te, k = new(), [new() for _ in range(n)]
+            attempt.append(f"{te} = {at}")
+            attempt.extend(run_rhs(te, state, k))
+            attempt.extend([f"if {' + '.join(f'{v} - {v}' for v in k)}:",
+                            f"    {check}({te}, [{', '.join(k)}])"])
             ks.append(k)
-            return obj
         for s, (c, a) in enumerate(zip(_C, A), start=1):
-            stage(f"{t} + {code.bind(c)} * {h}",
-                  [f"{y[c]} + ({combo(a, range(s), c)}) * {h}"
-                   for c in range(n)])
+            attempt += [f"{state[c]} = {y[c]} + ({combo(a, range(s), c)}) "
+                        f"* {h}" for c in range(n)]
+            stage(f"{t} + {code.bind(c)} * {h}", state)
         y_new, xs = [new() for _ in range(n)], [new() for _ in range(n)]
+        abs_y, abs_new, big = ([new() for _ in range(n)] for _ in range(3))
         attempt += [f"{y_new[c]} = {y[c]} + {h} * "
                     f"({combo(B, (0, 2, 3, 4, 5), c)})" for c in range(n)]
-        k7_obj, k7 = stage(f"{t} + {h}", y_new), ks[6]
-        attempt += [f"{xs[c]} = ({combo(E, (0, 2, 3, 4, 5, 6), c)}) * {h} / "
-                    f"(a2 + {vmax}({vabs}({y[c]}), {vabs}({y_new[c]})) * a1)"
-                    for c in range(n)]
+        stage(f"{t} + {h}", y_new)
+        k7 = ks[6]
+        for c in range(n):
+            attempt += [f"{abs_new[c]} = {vabs}({y_new[c]})",
+                        f"{big[c]} = {abs_y[c]}",
+                        f"if {abs_y[c]} < {abs_new[c]}:",
+                        f"    {big[c]} = {abs_new[c]}",
+                        f"{xs[c]} = ({combo(E, (0, 2, 3, 4, 5, 6), c)}) * "
+                        f"{h} / (a2 + {big[c]} * a1)"]
         attempt.append(f"{err} = {sqrt}(0 + "
                        f"{' + '.join(x + ' * ' + x for x in xs)}) / "
                        f"{code.bind(n ** 0.5)}")
-        y_row = f"[{', '.join(y_new)}]"
+        y_row, k7_row = f"[{', '.join(y_new)}]", f"[{', '.join(k7)}]"
+        setup += [f"{a} = {vabs}({v})" for a, v in zip(abs_y, y)]
+        carry, carried = abs_y, abs_new     # |y| <- |y_new|
         Q = [[new() for _ in range(4)] for _ in range(n)]
         x, x2, x3 = new(), new(), new()
         dense = [f"{Q[c][m]} = 0 + " + " + ".join(
@@ -257,7 +309,7 @@ def _dopri_loop(n):
     tail = "," if n else ""     # a list state is unpacked into scalars
     body = [
         f"{t}, {h_abs}, {i} = a3, a6, a13", f"{', '.join(y)}{tail} = a4",
-        f"{', '.join(k1)}{tail} = a5", f"while a8 * ({t} - a7) < 0:",
+        f"{', '.join(k1)}{tail} = a5", *setup, f"while a8 * ({t} - a7) < 0:",
         f"    {min_step} = 10 * {vabs}({code.bind(math.nextafter)}({t}, "
         f"a8 * {code.bind(math.inf)}) - {t})",
         f"    {h_abs} = {vmax}({h_abs}, {min_step})", f"    {rejected} = 0",
@@ -278,12 +330,14 @@ def _dopri_loop(n):
         f"        {h_abs} *= {vmax}({code.bind(_MIN_FACTOR)}, "
         f"{safety} * {err} ** {exponent})", f"        {rejected} = 1",
         "    if a11:", f"        a9 += [{t_new}]", f"        a10 += [{y_row}]",
-        f"        a11 += [{k7_obj}]", "    if a12:",
+        f"        a11 += [{k7_row}]", "    if a12:",
         f"        {j} = {code.bind(bisect_right)}(a12, a8 * {t_new})",
         f"        if {i} < {j}:", *("            " + line for line in dense),
-        f"    {', '.join([t, *y, *k1])} = {', '.join([t_new, *y_new, *k7])}"]
-    return code.function(14, body, f"dopri_loop n={n}" if n
-                         else "dopri_loop ndarray")
+        f"    {', '.join([t, *y, *k1, *carry])} = "
+        f"{', '.join([t_new, *y_new, *k7, *carried])}"]
+    role = ("dopri_loop ndarray" if n is None else f"dopri_loop n={n}"
+            + (f" {inline[0]}" if inline else ""))
+    return code.function(14, body, role)
 
 
 def _eval_points(t0: float, t1: float, t_eval):
@@ -303,12 +357,14 @@ def _dopri5(f, t0: float, t1: float, y0, rtol: float, atol: float, t_eval):
     """Adaptive Dormand-Prince 5(4) from t0 to t1 (either direction).
 
     ``f(t, y)`` takes and returns the state's type, a list of floats or an
-    ndarray, which picks the loop (``_dopri_loop``).  This sets it up: the
-    output points, the first rhs value and the first step, whose rhs calls
-    ``_finite`` checks on a list state.  Returns the abscissae, states and
-    rhs values: every accepted step from t0 on with its last stage, or the
-    quartic dense output at ``t_eval`` and None.  Raises SolverError when
-    the step falls below ten times the float spacing at t.
+    ndarray, which picks the loop (``_dopri_loop``); on a list state, the
+    ``straight_line`` of a ``_Code.list_rhs`` picks the loop that inlines
+    it, and the loop gets its bound values in place of f.  This sets it up:
+    the output points, the first rhs value and the first step, whose rhs
+    calls ``_finite`` checks on a list state.  Returns the abscissae, states
+    and rhs values: every accepted step from t0 on with its last stage, or
+    the quartic dense output at ``t_eval`` and None.  Raises SolverError
+    when the step falls below ten times the float spacing at t.
     """
     array = isinstance(y0, np.ndarray)
     checked = f if array else lambda t, y: _finite(t, f(t, y))
@@ -318,8 +374,10 @@ def _dopri5(f, t0: float, t1: float, y0, rtol: float, atol: float, t_eval):
     i = bisect_right(keys, d * t0)
     ys, fs = ([y0], [k1]) if t_eval is None else ([y0] * i, None)
     h_abs = _initial_step(checked, t0, y0, k1, abs(t1 - t0), d, rtol, atol)
-    if _dopri_loop(None if array else len(y0))(
-            f, rtol, atol, t0, y0, k1, h_abs, t1, d, ts, ys, fs, keys, i):
+    inline, arg = (None, f) if array else getattr(f, "straight_line",
+                                                  (None, f))
+    if _dopri_loop(None if array else len(y0), inline)(
+            arg, rtol, atol, t0, y0, k1, h_abs, t1, d, ts, ys, fs, keys, i):
         raise SolverError("adaptive integration failed: Required step size "
                           "is less than spacing between numbers.")
     return ts, ys, fs
@@ -357,6 +415,14 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
     stay finite and the integrator would stop on a step-size underflow
     instead.  On a zero-length interval both return the one node t0, whose
     dense output is y0 at every t.
+
+    ``rk45-adaptive`` runs an rhs built by ``exprcore._Code.list_rhs``
+    (``explicit_ode_rhs``, ``evaluator_rhs``, ``SwitchbackProblem.rhs_log``)
+    inside its loop, in the rhs's float operations, and calls any other rhs
+    (a plain function, a wrapper around one of those): the times, states,
+    rhs values and errors are the same either way.  The loop is compiled
+    once per state size and rhs source, and the rhs's bound values are
+    passed to it per solve.
 
     For a ``LinearRHS`` M, ``rk4-fixed`` advances each output interval of
     ``n_sub`` steps of size ``h`` by y <- R(hM)^n_sub @ y, where

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .exprcore import Expr, Poly
+from .exprcore import Expr, Poly, _Code
 from .pertseries import ConstantInfo, PerturbationSeries
 from .textform import atom_text, join_signed
 from . import ftflow
@@ -36,9 +37,17 @@ def exp_integral(n: int, x):
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):    # NaN included
         raise ValueError("exp_integral requires x > 0")
-    en = np.array([_expn(n, v) for v in x.ravel().tolist()]).reshape(x.shape)
-    out = x ** (1 - n) * en
+    en = np.array([_expn_once(n, v) for v in x.ravel().tolist()])
+    out = x ** (1 - n) * en.reshape(x.shape)
     return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=1024)
+def _expn_once(n: int, x: float) -> float:
+    """``_expn(n, x)``, computed once per argument among the last 1024: a
+    validate evaluates the orders of a series and its closed form on the
+    same grid."""
+    return _expn(n, x)
 
 
 _EULER, _MACHEP, _BIG = 0.5772156649015329, 2.0 ** -53, 1.44115188075855872e17
@@ -234,14 +243,17 @@ class SwitchbackProblem:
         """First-order system in the log coordinate xi = ln(x).
 
         u_xixi + x*u*u_xi + delta*u_xi**2 + (n-2)*u_xi = 0, removing the 1/x
-        singularity for the shooting oracle.
+        singularity for the shooting oracle.  Its rhs is hand-written
+        straight-line code (``_Code.list_rhs``), which the RK45 loop inlines,
+        with no symbolic code: the oracle stays independent of the series it
+        checks.
         """
-        n, delta = self.n, self.delta
-        def rhs(xi, y):
-            x = math.exp(xi)
-            u, up = y
-            return [up, -(x * u * up + delta * up * up + (n - 2) * up)]
-        return rhs
+        code = _Code()
+        exp, delta, drift = map(code.bind, (math.exp, self.delta, self.n - 2))
+        # b0 = x = exp(xi), a1 = u, a2 = u_xi
+        return code.list_rhs(2, [f"b0 = {exp}(a0)",
+                                 f"return [a2, -(b0 * a1 * a2 + {delta} * a2 "
+                                 f"* a2 + {drift} * a2)]"], "rhs_log")
 
 
 @dataclass

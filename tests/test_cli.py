@@ -518,6 +518,25 @@ def test_spec_errors_during_validate_exit_2(tmp_path, capsys, text, message):
     assert out.out == "" and out.err == f"spec error: {message}\n"
 
 
+@pytest.mark.parametrize("perturbation", ["eps*y^2", "eps*y^3"])
+def test_scaling_order_needs_a_closed_form(tmp_path, capsys, perturbation):
+    # the scaling check fits the tilde constants as if the solution were
+    # linear in them; at order 2 these flows are numeric
+    path = tmp_path / "case.spec"
+    path.write_text(re.sub(r"(?m)^equation\.perturbation = .*$",
+                           f"equation.perturbation = {perturbation}",
+                           (CORPUS / "overdamped.spec").read_text()))
+    assert cli.main(["derive", str(path)]) == 0
+    capsys.readouterr()
+    for command in ("validate", "sweep"):
+        assert cli.main([command, str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "method does not apply: validate.scaling_order = 2 needs a "
+            "closed-form uniform solution; at that order it is <numeric "
+            "uniform solution: A=numeric, B=numeric>\n")
+
+
 @pytest.mark.parametrize("name, key, value, line", [
     ("bad", "options.n", "4", 6),
     ("bad", "options.n", "1", 6),

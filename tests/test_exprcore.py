@@ -15,9 +15,11 @@ from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
                                   _qpow, _rat_text, _series_mul, _slot_make,
                                   _without, classify_divergent,
                                   compile_function, div_exact,
-                                  explicit_ode_rhs, paint_term, product_upto,
+                                  evaluator_rhs, explicit_ode_rhs, paint_term,
+                                  product_upto,
                                   real_evaluator, solve_linear_system)
 from hiddenscale.specfile import parse_spec
+from hiddenscale.switchback import SwitchbackProblem
 from hiddenscale.textform import expr_text, parse_expr
 
 
@@ -909,12 +911,34 @@ def test_compile_function_refuses_foreign_tokens():
             compile_function(1, [line], [], "h")
 
 
+def test_compile_function_compiles_each_source_once():
+    # one source, other values: one compiled factory, each function with
+    # its own values; a foreign source is refused every time, never cached
+    f, g = (compile_function(1, ["return a0 * k0"], [c], "scale")
+            for c in (2.0, 3.0))
+    assert (f(1.5), g(1.5)) == (3.0, 4.5)
+    assert f.__code__ is g.__code__ and f is not g
+    for _ in range(2):
+        with pytest.raises(ValueError, match="foreign token"):
+            compile_function(1, ["return a0.__class__"], [], "scale")
+    assert not [src for role, src in exprcore._MAKERS if "__class__" in src]
+
+
 def test_generated_functions_name_their_role():
-    # a profile keeps the loop, the oracle rhs and the evaluators apart
+    # a profile keeps the loops, the oracle rhs and the evaluators apart
     g = real_evaluator([Expr.var("x", 2)], ["x"], {})
     rhs = explicit_ode_rhs([1.0, 0.0, 1.0], [], "t", {})
+    flow = evaluator_rhs([Expr.var("x", 2)], "t", ["x"], {}, False)
+    shot = SwitchbackProblem(2, 1, 0.1).rhs_log()
     assert g.__code__.co_filename == "<real_evaluator>"
     assert rhs.__code__.co_filename == "<explicit_ode_rhs>"
+    assert flow.__code__.co_filename == "<evaluator_rhs>"
+    assert shot.__code__.co_filename == "<rhs_log>"
     assert numlab._dopri_loop(3).__code__.co_filename == "<dopri_loop n=3>"
     assert numlab._dopri_loop(None).__code__.co_filename == \
         "<dopri_loop ndarray>"
+    # a loop with an rhs inlined names both
+    for f, n, role in ((rhs, 2, "explicit_ode_rhs"),
+                       (flow, 1, "evaluator_rhs"), (shot, 2, "rhs_log")):
+        assert numlab._dopri_loop(n, f.straight_line[0]).__code__ \
+            .co_filename == f"<dopri_loop n={n} {role}>"

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from bisect import bisect_right
 from functools import partial, reduce
 from itertools import count
@@ -13,7 +14,10 @@ import pytest
 
 from scipy.linalg import block_diag
 
-from hiddenscale import cli, numlab
+from hiddenscale import cli, exprcore, numlab
+from hiddenscale.exprcore import Expr, explicit_ode_rhs
+from hiddenscale.ftflow import FTSystem
+from hiddenscale.pertseries import ConstantInfo
 from hiddenscale.numlab import (LinearRHS, SolverError, convergence_order,
                                 solve_bvp_shooting, solve_burgers_mol,
                                 solve_ivp)
@@ -479,6 +483,162 @@ class TestRK45AgainstScipy:
             with pytest.raises(ValueError):
                 solve_ivp(lambda t, y: [-y[0]], [1.0], (0, 1),
                           "rk45-adaptive", t_eval=t_eval)
+
+
+def _solved(rhs, y0, interval, tol, t_eval):
+    """An rk45 solve's grid, states and rhs values as hex, or its
+    SolverError text."""
+    try:
+        sol = solve_ivp(rhs, y0, interval, "rk45-adaptive", tol=tol,
+                        t_eval=t_eval)
+    except SolverError as e:
+        return str(e)
+    return (list(map(float.hex, sol.grid.tolist())), _hex(sol.states),
+            _hex(sol.derivs))
+
+
+def _called(rhs):
+    """``rhs`` behind a plain function, which the loop calls."""
+    return lambda t, y: rhs(t, y)
+
+
+def _mathieu_flows():
+    """The Mathieu validate's numeric flows: their system, start state and
+    parameters."""
+    spec = parse_spec(CORPUS / "mathieu.spec")
+    _p, _s, _ps, ft, flows, _u = cli.hidden_scale_pipeline(spec)
+    env = cli._uniform_env(spec, dict(spec.params))
+    return ft, [flows.flows[n].start.eval(env).real
+                for n in ft.unknown_names()], env
+
+
+def _stage_rhs(n, s):
+    """y_i' = -(i + 1) * y_i as straight-line lines whose call s (from 0)
+    makes entry s % n NaN (s odd) or inf (s even)."""
+    code, calls = exprcore._Code(), count()
+
+    def scale(t):
+        if next(calls) == s:
+            return math.nan if s % 2 else -math.inf
+        return 1.0
+    entries = [f"{code.bind(-(i + 1.0))} * a{i + 1}" for i in range(n)]
+    entries[s % n] = f"{code.bind(scale)}(a0) * {entries[s % n]}"
+    return code.list_rhs(n, [f"return [{', '.join(entries)}]"], "stage_rhs")
+
+
+class TestInlinedRHS:
+    """A straight-line rhs runs inside the generated loop: the same times,
+    states, rhs values and errors as when the loop calls it."""
+
+    @pytest.mark.parametrize("name", ["kdv", "mathieu"])
+    def test_oracles(self, name):
+        rhs, y0, (t0, t1), tol, t_eval = _rk45_case(name)
+        assert numlab._dopri_loop(len(y0), rhs.straight_line[0]).__code__ \
+            .co_filename == "<dopri_loop n=%d explicit_ode_rhs>" % len(y0)
+        for interval, points in (((t0, t1), None), ((t0, t1), t_eval),
+                                 ((t1, t0), None), ((t1, t0), t_eval[::-1])):
+            got = _solved(rhs, y0, interval, tol, points)
+            assert got == _solved(_called(rhs), y0, interval, tol, points)
+            assert len(got[0]) > 100
+
+    def test_mathieu_numeric_flows(self):
+        # forwards, negated, as the autonomous fallback runs them, and
+        # backwards from a point to 0, as a non-autonomous one would
+        ft, y0, env = _mathieu_flows()
+        for negated, interval in ((True, (0.0, 46.0)), (False, (30.0, 0.0))):
+            rhs = ft.rhs_callable(env, negated=negated)
+            for points in (None, np.linspace(*interval, 61)):
+                got = _solved(rhs, y0, interval, 1e-12, points)
+                assert got == _solved(_called(rhs), y0, interval, 1e-12,
+                                      points)
+                assert len(got[0]) > 60
+        plus, minus = (ft.rhs_callable(env, negated=m)(0.5, y0)
+                       for m in (False, True))
+        assert minus == [-v for v in plus] and plus != minus
+
+    @pytest.mark.parametrize("name", ["terrible", "bad"])
+    def test_switchback_shooting(self, name):
+        p = cli._switchback_problem(parse_spec(CORPUS / f"{name}.spec"))
+        rhs = p.rhs_log()
+        args = (math.log(p.eps), 1.0 - p.a, math.log(50.0), 1.0, 0.1)
+        got, want = (solve_bvp_shooting(f, *args) for f in (rhs, _called(rhs)))
+        for a, b in ((got.grid, want.grid), (got.states, want.states),
+                     (got.derivs, want.derivs)):
+            assert a.tobytes() == b.tobytes()
+        for interval in ((args[0], args[2]), (args[2], args[0])):
+            for points in (None, np.linspace(*interval, 41)):
+                assert _solved(rhs, [0.0, 0.1], interval, 1e-11, points) \
+                    == _solved(_called(rhs), [0.0, 0.1], interval, 1e-11,
+                               points)
+
+    def test_power_overflow(self):
+        # y' = y**5 from y = 10: a stage of the first attempt overflows
+        rhs = explicit_ode_rhs([0.0, 1.0], [(None, -1.0, ((0, 5),))], "t", {})
+        calls = []
+        got = _solved(rhs, [10.0], (0.0, 1.0), 1e-10, None)
+        assert got == _solved(lambda t, y: calls.append(t) or rhs(t, y),
+                              [10.0], (0.0, 1.0), 1e-10, None)
+        assert got == f"NaN/Inf in rhs at t={calls[-1]}" and len(calls) > 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_evaluator_fallback(self):
+        # cmath.exp(100*mu) raises past mu = 7.0978, and the rhs falls back
+        # to Expr.eval, whose np.exp gives inf: the first stage past it stops
+        # the solve
+        ft = FTSystem("mu", "x", "eps", 1, [ConstantInfo("A", 0, "param")],
+                      {"A": Expr.sym("eps") * Expr.exp("mu", 100)}, {"A": 1})
+        rhs = ft.rhs_callable({"eps": 1e-300})
+        calls = []
+        got = _solved(rhs, [1.0], (0.0, 10.0), 1e-10, None)
+        assert got == _solved(lambda t, y: calls.append(t) or rhs(t, y),
+                              [1.0], (0.0, 10.0), 1e-10, None)
+        assert got == f"NaN/Inf in rhs at t={calls[-1]}"
+        assert max(calls[:-1]) < math.log(sys.float_info.max) / 100 \
+            < calls[-1]
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_nan_at_each_stage_names_its_time(self, n):
+        # calls 0 and 1 are at t0 and the first-step guess; a NaN or inf in
+        # stage s = 2..7 of the first attempt stops the solve at its time
+        times = []
+        solve_ivp(lambda t, y: times.append(t) or
+                  [-(i + 1) * v for i, v in enumerate(y)], [1.0] * n,
+                  (0.0, 1.0))
+        for s in range(2, 8):
+            for rhs in (_stage_rhs(n, s), _called(_stage_rhs(n, s))):
+                with pytest.raises(SolverError, match="^" + re.escape(
+                        f"NaN/Inf in rhs at t={times[s]}") + "$"):
+                    solve_ivp(rhs, [1.0] * n, (0.0, 1.0))
+
+    def test_one_loop_per_source(self):
+        # two oracles of one form: one compiled loop, each its own values
+        a, b = (explicit_ode_rhs([c, 0.1, 1.0], [(None, f, ((0, 3),))], "t",
+                                 {}) for c, f in ((1.0, 0.1), (2.0, -0.3)))
+        assert a.straight_line[0] == b.straight_line[0]
+        before = numlab._dopri_loop.cache_info()
+        runs = [_solved(f, [1.0, 0.0], (0.0, 20.0), 1e-10, None)
+                for f in (a, b)]
+        after = numlab._dopri_loop.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 1
+        assert runs == [_solved(_called(f), [1.0, 0.0], (0.0, 20.0), 1e-10,
+                                None) for f in (a, b)]
+        assert runs[0][1] != runs[1][1]
+
+    def test_negative_zero_state(self):
+        # backwards, y0' = 0 keeps y0 at -0.0 (h * 0.0 is -0.0), whose |y|
+        # is 0.0 as the loop carries it
+        code = exprcore._Code()
+        rhs = code.list_rhs(2, [f"return [{code.bind(0.0)}, -a2]"],
+                            "zero_rhs")
+        for points in (None, np.linspace(1.0, 0.0, 11)):
+            got = _solved(rhs, [-0.0, 1.0], (1.0, 0.0), 1e-10, points)
+            assert got == _solved(_called(rhs), [-0.0, 1.0], (1.0, 0.0),
+                                  1e-10, points)
+            assert {y0 for y0, _y1 in got[1]} == {"-0x0.0p+0"}
+            got, want = _both_loops(lambda: _called(rhs), [-0.0, 1.0],
+                                    (1.0, 0.0), 1e-10, points)
+            assert got == want
 
 
 class TestLinearRHS:

@@ -67,6 +67,20 @@ class TestExpIntegral:
             assert np.array_equal(exp_integral(n, x),
                                   x ** (1 - n) * expn(n, x)), (n, x)
 
+    @pytest.mark.parametrize("name", ["terrible", "bad"])
+    def test_validate_evaluates_each_argument_once(self, monkeypatch, name):
+        # the series orders and the closed form share their grids' e_n
+        args, expn_ = [], switchback._expn
+
+        def counted(n, x):
+            args.append((n, x))
+            return expn_(n, x)
+        monkeypatch.setattr(switchback, "_expn", counted)
+        switchback._expn_once.cache_clear()
+        assert cli.run_validate(parse_spec(CORPUS / f"{name}.spec"),
+                                None).ok
+        assert len(args) == len(set(args)) > 100
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             exp_integral(1, 0.0)
