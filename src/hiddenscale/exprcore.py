@@ -997,8 +997,9 @@ class _Code:
 
         ``lines`` compute the rhs value from a0 (t) and a1, ..., an (the
         entries of y), in locals b0, b1, ... and the bound values; each
-        ``return`` in them returns the value as a list display of n entries
-        or as a call that returns a list.  ``f`` unpacks y into a1, ..., an
+        ``return`` in them is the last statement its branch runs, and
+        returns the value as a list display of n entries or as a call that
+        returns a list.  ``f`` unpacks y into a1, ..., an
         and runs ``lines``.  ``f.straight_line`` is ``((role, lines),
         values)``: the source that ``numlab._dopri_loop`` inlines, keyed by
         its text, and the values its names k0, k1, ... stand for.

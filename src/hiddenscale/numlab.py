@@ -195,21 +195,21 @@ def _dopri_loop(n, inline=None):
     * p + ...)``, ``sqrt(0 + x0 * x0 + ...) / n ** 0.5``, ``0 + k1 * p1 + k3
     * p3 + ...`` per dense coefficient); |y| is carried from the step that
     accepted y, and ``<`` picks max(|y|, |y_new|) as ``max`` does.  A stage
-    calls ``f`` on its state as a list, or, when ``inline`` is the ``(role,
-    lines)`` of a ``_Code.list_rhs``, runs its lines in place, renamed into
-    the loop and each ``return`` made an assignment of the stage's values;
-    ``f`` is then the rhs's bound values, which the lines read as locals,
-    so one loop serves every rhs of that source.  Each stage's values p0,
-    p1, ... are checked as they come: ``p0 - p0 + p1 - p1 + ...`` is 0.0
-    when all are finite, and cannot overflow; else it is NaN, and
-    ``_finite`` raises.  An ndarray state calls ``_array_attempt`` and
-    ``_array_dense`` instead.
+    runs the rhs's lines in place, renamed into the loop, each ``return``
+    made an assignment of the stage's values: when ``inline`` is the
+    ``(role, lines)`` of a ``_Code.list_rhs``, its lines, with ``f`` its
+    bound values, which the loop reads into locals, so one loop serves every
+    rhs of that source; else the one line that calls ``f`` on the stage's
+    state as a list.  Each stage's values p0, p1, ... are checked as they
+    come: ``p0 - p0 + p1 - p1 + ...`` is 0.0 when all are finite, and
+    cannot overflow; else it is NaN, and ``_finite`` raises.  An ndarray
+    state calls ``_array_attempt`` and ``_array_dense`` instead.
     """
     code, new = _Code(), (f"b{i}" for i in count()).__next__
     vabs, vmax, vmin, safety, exponent, max_factor = map(
         code.bind, (abs, max, min, _SAFETY, _EXPONENT, _MAX_FACTOR))
-    t, h_abs, rejected, min_step, t_new, h, err, factor, i, j = (
-        new() for _ in range(10))
+    t, h_abs, rejected, min_step, t_new, h, err, factor, grow, i, j, d_inf = (
+        new() for _ in range(12))
     setup, carry, carried = [], [], []  # before the loop; kept across steps
     if n is None:
         y, k1, y_new, k7, stages = [new()], [new()], [new()], [new()], new()
@@ -228,47 +228,38 @@ def _dopri_loop(n, inline=None):
         state = [new() for _ in range(n)]
         ks, attempt = [k1], []
         if inline:
-            # the rhs's bound values k<m> become locals read from a0 once,
-            # its locals b<m> locals shared by the stages
-            shared = {}
-            for m in sorted({int(k) for line in inline[1]
-                             for k in findall(r"\bk(\d+)\b", line)}):
-                shared[f"k{m}"] = new()
-                setup.append(f"{shared[f'k{m}']} = a0[{m}]")
+            # the rhs's locals and bound values become loop locals shared
+            # by the stages; bound value m is read from a0[m] once
+            lines = inline[1]
+            shared = {v: new() for v in sorted(set(findall(
+                r"\b[bk]\d+\b", "\n".join(lines))))}
+            setup += [f"{b} = a0[{v[1:]}]" for v, b in shared.items()
+                      if v[0] == "k"]
+        else:   # f, the loop's a0, called in the rhs's one line
+            args = ", ".join(f"a{c + 1}" for c in range(n))
+            lines, shared = [f"return k0(a0, [{args}])"], {"k0": "a0"}
 
         def combo(coeffs, stages, c):
             return " + ".join(f"{a} * {ks[s][c]}"
                               for a, s in zip(coeffs, stages))
 
-        def run_rhs(te, state, k):
-            """The lines that set the stage values k from f at (te, state)."""
-            if not inline:
-                return [f"{''.join(v + ', ' for v in k)}= "
-                        f"a0({te}, [{', '.join(state)}])"]
-            names = {"a0": te, **{f"a{c + 1}": v for c, v in
-                                  enumerate(state)}}
-
-            def rename(m):
-                if m[0] in names:
-                    return names[m[0]]
-                if m[0] not in shared:
-                    shared[m[0]] = new()
-                return shared[m[0]]
-            out = []
-            for line in inline[1]:
-                line = sub(r"\b[abk]\d+\b", rename, line)
-                lead, ret, value = line.partition("return ")
-                if ret:     # a list display's entries, or a call's list
-                    line = (f"{lead}{', '.join(k)} = {value[1:-1]}"
-                            if value[0] == "[" else
-                            f"{lead}{''.join(v + ', ' for v in k)}= {value}")
-                out.append(line)
-            return out
-
         def stage(at, state):
+            """The stage's time te, its values k from the rhs lines renamed
+            into the loop, each ``return`` made an assignment to k, and
+            their check."""
             te, k = new(), [new() for _ in range(n)]
+            names = {**shared, "a0": te,
+                     **{f"a{c + 1}": v for c, v in enumerate(state)}}
             attempt.append(f"{te} = {at}")
-            attempt.extend(run_rhs(te, state, k))
+            for line in lines:
+                lead, ret, value = sub(r"\b[abk]\d+\b",
+                                       lambda m: names[m[0]],
+                                       line).partition("return ")
+                if ret:     # a list display's entries, or a call's list
+                    lead += (f"{', '.join(k)} = {value[1:-1]}"
+                             if value[0] == "[" else
+                             f"{''.join(v + ', ' for v in k)}= {value}")
+                attempt.append(lead)
             attempt.extend([f"if {' + '.join(f'{v} - {v}' for v in k)}:",
                             f"    {check}({te}, [{', '.join(k)}])"])
             ks.append(k)
@@ -283,7 +274,11 @@ def _dopri_loop(n, inline=None):
         stage(f"{t} + {h}", y_new)
         k7 = ks[6]
         for c in range(n):
-            attempt += [f"{abs_new[c]} = {vabs}({y_new[c]})",
+            # |y_new| by a comparison keeps -0.0, which scales the error as
+            # 0.0 does
+            attempt += [f"{abs_new[c]} = {y_new[c]}",
+                        f"if {y_new[c]} < 0:",
+                        f"    {abs_new[c]} = -{y_new[c]}",
                         f"{big[c]} = {abs_y[c]}",
                         f"if {abs_y[c]} < {abs_new[c]}:",
                         f"    {big[c]} = {abs_new[c]}",
@@ -309,21 +304,24 @@ def _dopri_loop(n, inline=None):
     tail = "," if n else ""     # a list state is unpacked into scalars
     body = [
         f"{t}, {h_abs}, {i} = a3, a6, a13", f"{', '.join(y)}{tail} = a4",
-        f"{', '.join(k1)}{tail} = a5", *setup, f"while a8 * ({t} - a7) < 0:",
-        f"    {min_step} = 10 * {vabs}({code.bind(math.nextafter)}({t}, "
-        f"a8 * {code.bind(math.inf)}) - {t})",
-        f"    {h_abs} = {vmax}({h_abs}, {min_step})", f"    {rejected} = 0",
-        "    while 1:",
+        f"{', '.join(k1)}{tail} = a5", *setup,
+        f"{d_inf} = a8 * {code.bind(math.inf)}", f"while a8 * ({t} - a7) < 0:",
+        # the spacing has the sign of d, the step h too: times d is |.|
+        f"    {min_step} = 10 * (({code.bind(math.nextafter)}({t}, {d_inf}) "
+        f"- {t}) * a8)",
+        f"    if {h_abs} < {min_step}:", f"        {h_abs} = {min_step}",
+        f"    {rejected} = 0", "    while 1:",
         f"        if {h_abs} < {min_step}:", "            return 1",
         f"        {t_new} = {t} + {h_abs} * a8",
         f"        if 0 < a8 * ({t_new} - a7):", f"            {t_new} = a7",
-        f"        {h} = {t_new} - {t}", f"        {h_abs} = {vabs}({h})",
+        f"        {h} = {t_new} - {t}", f"        {h_abs} = {h} * a8",
         *("        " + line for line in attempt),
         f"        if {err} < 1:",
         f"            {factor} = {max_factor}",
         f"            if 0 < {err}:",
-        f"                {factor} = {vmin}({max_factor}, "
-        f"{safety} * {err} ** {exponent})",
+        f"                {grow} = {safety} * {err} ** {exponent}",
+        f"                if {grow} < {max_factor}:",
+        f"                    {factor} = {grow}",
         f"            if {rejected}:",
         f"                {factor} = {vmin}(1, {factor})",
         f"            {h_abs} *= {factor}", "            break",

@@ -37,26 +37,21 @@ def exp_integral(n: int, x):
     x = np.asarray(x, dtype=float)
     if not np.all(x > 0):    # NaN included
         raise ValueError("exp_integral requires x > 0")
-    en = np.array([_expn_once(n, v) for v in x.ravel().tolist()])
-    out = x ** (1 - n) * en.reshape(x.shape)
+    en = np.array([_expn(n, v) for v in x.ravel().tolist()]).reshape(x.shape)
+    out = x ** (1 - n) * en
     return float(out) if out.ndim == 0 else out
-
-
-@lru_cache(maxsize=1024)
-def _expn_once(n: int, x: float) -> float:
-    """``_expn(n, x)``, computed once per argument among the last 1024: a
-    validate evaluates the orders of a series and its closed form on the
-    same grid."""
-    return _expn(n, x)
 
 
 _EULER, _MACHEP, _BIG = 0.5772156649015329, 2.0 ** -53, 1.44115188075855872e17
 
 
+@lru_cache(maxsize=1024)
 def _expn(n: int, x: float) -> float:
     """E_n(x) for n >= 1, x > 0: 0 past exp's underflow, the power series
     for x <= 1 (DLMF 8.19.8) and the continued fraction above (DLMF
-    8.19.17), each until a term moves the value by at most 2^-53 relative."""
+    8.19.17), each until a term moves the value by at most 2^-53 relative.
+    Computed once per argument among the last 1024: a validate evaluates
+    the orders of a series and its closed form on the same grid."""
     if x > 709.782712893384:
         return 0.0
     if x <= 1.0:
