@@ -67,21 +67,35 @@ def _write_csv(csv_dir, name, header, rows):
     return path
 
 
-def _numbers(spec: ProblemSpec, key: str, default: str, kinds=None):
+# (test, what a value failing it needs): the ranges _numbers refuses
+_ABOVE_0 = (lambda v: v > 0, "must be above 0")
+_ALL_ABOVE_0 = (lambda vs: all(v > 0 for v in vs), "must all be above 0")
+_GRID = (lambda v: v[2] >= 2, "needs a count of at least 2")
+_FIT = (lambda vs: len(vs) >= 3, "needs at least 3 values to fit an error "
+       "order")
+
+
+def _numbers(spec: ProblemSpec, key: str, default: str, kinds=None,
+             need=None):
     """The numbers of ``key`` (e.g. "validate.grid"), or of ``default`` when
     the spec gives none: a list of floats, or one value per letter of
     ``kinds`` ("f" a float, "i" a whole number; one letter gives the value
-    itself).  A malformed value is a SpecError that names its line."""
+    itself).  A malformed value is a SpecError that names its line, and so
+    is one that fails the test of ``need`` (e.g. ``_ABOVE_0``), which a
+    default passes."""
     text, line = spec.raw.get(key, ("", 0))
     vals = [parse_float(s, key, line) for s in (text or default).split()]
-    if kinds is None:
-        return vals
-    if len(vals) != len(kinds) or any(
-            k == "i" and not v.is_integer() for k, v in zip(kinds, vals)):
-        want = " ".join("<number>" if k == "f" else "<count>" for k in kinds)
-        raise SpecError(f"line {line}: {key} takes {want}, got {text!r}")
-    vals = [int(v) if k == "i" else v for k, v in zip(kinds, vals)]
-    return vals[0] if len(kinds) == 1 else vals
+    if kinds is not None:
+        if len(vals) != len(kinds) or any(
+                k == "i" and not v.is_integer() for k, v in zip(kinds, vals)):
+            want = " ".join("<number>" if k == "f" else "<count>"
+                            for k in kinds)
+            raise SpecError(f"line {line}: {key} takes {want}, got {text!r}")
+        vals = [int(v) if k == "i" else v for k, v in zip(kinds, vals)]
+        vals = vals[0] if len(kinds) == 1 else vals
+    if need and not need[0](vals):
+        raise SpecError(f"line {line}: {key} = {text} {need[1]}")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +272,11 @@ def _ic_vector(spec, uniform, env, x0: float, nord: int):
     return _jet(lambda x: uniform.evaluate(x, env), x0)[:nord]
 
 
-def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir, seed: int,
+def validate_ode(spec: ProblemSpec, rep: Report, derived, csv_dir,
                  shared: dict):
     prob, series, painted, ft, flows, uniform = derived
-    grid = np.linspace(*_numbers(spec, "validate.grid", "0 15 301", "ffi"))
+    grid = np.linspace(*_numbers(spec, "validate.grid", "0 15 301", "ffi",
+                                 _GRID))
     if "scaling_order" in spec.validate:
         return _validate_scaling(spec, rep, csv_dir, grid, series, shared)
     params = dict(spec.params)
@@ -351,8 +366,8 @@ def _validate_scaling(spec, rep, csv_dir, grid, series, shared: dict):
     if ics is None:
         raise SpecError("validate.scaling_order needs ics.* values that "
                         "are numbers or have params.*")
-    sweep = _numbers(spec, "validate.sweep", "0.05 0.1 0.2")
-    step = _numbers(spec, "validate.oracle_step", "1e-3", "f")
+    sweep = _numbers(spec, "validate.sweep", "0.05 0.1 0.2", need=_FIT)
+    step = _numbers(spec, "validate.oracle_step", "1e-3", "f", _ABOVE_0)
     bare = series.full()
     dbare = bare.diff(spec.variable)
     tildes = sorted(n for n in uniform2.symbolic.symbols()
@@ -434,7 +449,7 @@ def _validate_kdv_textbook(spec, rep, csv_dir, grid, painted, flows, env,
               f"{_fmt(sup)} <= {ratio_max} * {_fmt(terr)}")
 
 
-def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir, seed: int,
+def validate_filament(spec: ProblemSpec, rep: Report, d, csv_dir,
                       shared: dict):
     for a, rhs in d.amplitude_rhs.items():
         target = filament_mod.amplitude_target(a, spec.parameter)
@@ -491,10 +506,12 @@ def derive_switchback(spec: ProblemSpec, rep: Report):
 
 
 def validate_switchback(spec: ProblemSpec, rep: Report, derived, csv_dir,
-                        seed: int, shared: dict):
+                        shared: dict):
     p, series = derived
-    x_max = _numbers(spec, "validate.x_max", "50", "f")
-    npts = _numbers(spec, "validate.grid_points", "100", "i")
+    x_max = _numbers(spec, "validate.x_max", "50", "f", _ABOVE_0)
+    # a profile from eps to 10
+    npts = _numbers(spec, "validate.grid_points", "100", "i",
+                    (lambda n: n >= 2, "must be at least 2"))
     tol = _numbers(spec, "validate.tolerance", "2e-2", "f")
 
     def oracle(eps, a):
@@ -530,7 +547,8 @@ def validate_switchback(spec: ProblemSpec, rep: Report, derived, csv_dir,
                   f"{_fmt(e2)} < {_fmt(e1)}")
         rep.check("asymptotic form best at small eps", ea < e2,
                   f"{_fmt(ea)} < {_fmt(e2)}")
-        cross_eps = _numbers(spec, "validate.crossover_eps", "0.1", "f")
+        cross_eps = _numbers(spec, "validate.crossover_eps", "0.1", "f",
+                             _ABOVE_0)
         xs2, uref2 = oracle(cross_eps, p.a)
         p2 = dataclasses.replace(p, eps=cross_eps, order=2)
         u22 = switchback.switchback_series(p2).evaluate(xs2)
@@ -569,7 +587,7 @@ def derive_pertsym(spec: ProblemSpec, rep: Report):
 
 
 def validate_pertsym(spec: ProblemSpec, rep: Report, derived, csv_dir,
-                     seed: int, shared: dict):
+                     shared: dict):
     """Closed-form error order over validate.sweep.  The errors read no
     params.*, so a sweep's points share them through ``shared``."""
     if "errors" not in shared:
@@ -586,11 +604,12 @@ def validate_pertsym(spec: ProblemSpec, rep: Report, derived, csv_dir,
 def _pertsym_errors(spec: ProblemSpec) -> list:
     """(eps, sup error of the closed form against the oracle) per sweep
     value."""
-    grid = np.linspace(*_numbers(spec, "validate.grid", "0 20 201", "ffi"))
+    grid = np.linspace(*_numbers(spec, "validate.grid", "0 20 201", "ffi",
+                                 _GRID))
     amp = _numbers(spec, "options.amplitude", "1", "f")
     off = _numbers(spec, "options.offset", "0.4", "f")
-    sweep = _numbers(spec, "validate.sweep", "0.05 0.1 0.2")
-    step = _numbers(spec, "validate.oracle_step", "1e-4", "f")
+    sweep = _numbers(spec, "validate.sweep", "0.05 0.1 0.2", need=_FIT)
+    step = _numbers(spec, "validate.oracle_step", "1e-4", "f", _ABOVE_0)
     # one stacked fixed-step integration covers the whole sweep
     uforms = [pertsym.underdamped_uniform(ev, amp, off) for ev in sweep]
     y0 = []
@@ -622,14 +641,14 @@ def derive_burgers(spec: ProblemSpec, rep: Report):
 
 
 def validate_burgers(spec: ProblemSpec, rep: Report, derived, csv_dir,
-                     seed: int, shared: dict):
+                     shared: dict):
     epsv = spec.params.get("eps", 0.1)
-    times = _numbers(spec, "validate.times", "1 10 20")
-    lo, hi, npts = _numbers(spec, "validate.x_range", "0 5 201", "ffi")
+    times = _numbers(spec, "validate.times", "1 10 20", need=_ALL_ABOVE_0)
+    lo, hi, npts = _numbers(spec, "validate.x_range", "0 5 201", "ffi", _GRID)
     xs = np.linspace(lo, hi, npts)
     prof = pertsym.Log1pProfile()
 
-    rng = np.random.default_rng(seed or 7)
+    rng = np.random.default_rng(7)
     agree_tol = _numbers(spec, "validate.agree_tol", "1e-10", "f")
     worst = 0.0
     for _ in range(100):
@@ -672,7 +691,7 @@ def validate_burgers(spec: ProblemSpec, rep: Report, derived, csv_dir,
 
 # spec kind, or the scripted derivation named by options.scripted ->
 # (derive(spec, rep) -> derived,
-#  check(spec, rep, derived, csv_dir, seed, shared),
+#  check(spec, rep, derived, csv_dir, shared),
 #  whether derive reads params.*, so that a sweep derives at every point)
 HANDLERS = {
     "ode-hidden-scale": (derive_ode, validate_ode, False),
@@ -703,15 +722,12 @@ def run_derive(spec: ProblemSpec, check: bool) -> Report:
     return rep
 
 
-def run_validate(spec: ProblemSpec, csv_dir, seed: int = 0) -> Report:
-    return _validate(spec, csv_dir, seed, {})
-
-
-def _validate(spec: ProblemSpec, csv_dir, seed: int, shared: dict) -> Report:
-    """run_validate's report, with the work that does not read params.*
-    kept in ``shared`` for the next call: the derive (value, report lines
-    and checks) unless the kind's derive reads them, and what the checks
-    keep there."""
+def run_validate(spec: ProblemSpec, csv_dir, shared=None) -> Report:
+    """The validate report.  With ``shared``, a dict that a sweep passes to
+    each of its points, the work that does not read params.* is kept there
+    for the next call: the derive (value, report lines and checks) unless
+    the kind's derive reads them, and what the checks keep there."""
+    shared = {} if shared is None else shared
     derive, check, per_point = _handlers(spec)
     rep = Report(spec)
     if per_point or "derive" not in shared:
@@ -719,7 +735,7 @@ def _validate(spec: ProblemSpec, csv_dir, seed: int, shared: dict) -> Report:
     derived, lines, checks = shared["derive"]
     rep.lines, rep.checks = lines[:], checks[:]
     rep.add("-- validation --")
-    check(spec, rep, derived, csv_dir, seed, shared)
+    check(spec, rep, derived, csv_dir, shared)
     return rep
 
 
@@ -728,8 +744,8 @@ def sweep_reports(spec: ProblemSpec, csv_dir, sweep):
     each value of ``sweep``; the points share one ``shared``."""
     shared = {}
     for ev in sweep:
-        yield ev, _validate(dataclasses.replace(
-            spec, params={**spec.params, spec.parameter: ev}), csv_dir, 0,
+        yield ev, run_validate(dataclasses.replace(
+            spec, params={**spec.params, spec.parameter: ev}), csv_dir,
             shared)
 
 
@@ -764,9 +780,6 @@ def main(argv=None) -> int:
         else:
             p.add_argument("--csv-dir", default=None,
                            help="directory for CSV tables")
-        if cmd == "validate":
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for randomized checks")
     args = ap.parse_args(argv)
     try:
         spec = parse_spec(args.spec)
@@ -774,7 +787,7 @@ def main(argv=None) -> int:
         if args.command == "derive":
             rep = run_derive(spec, args.check)
         elif args.command == "validate":
-            rep = run_validate(spec, args.csv_dir, args.seed)
+            rep = run_validate(spec, args.csv_dir)
         else:
             rep = run_sweep(spec, args.csv_dir)
     except SpecError as exc:

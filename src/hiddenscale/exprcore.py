@@ -1023,7 +1023,7 @@ class _Folder(_Code):
     def __init__(self, args: Sequence[str], fixed: Mapping):
         super().__init__()
         self.args = {s: f"a{i}" for i, s in enumerate(args)}
-        self.fixed = fixed
+        self.fixed = dict(fixed)
 
     def code(self, node) -> str:
         return self.bind(node[1]) if node[0] else node[1]
@@ -1075,54 +1075,42 @@ class _Folder(_Code):
         return self.chain([val, (False, f"{self.bind(cmath.exp)}({arg[1]})")],
                           "*")
 
-    def real(self, e: Expr) -> str:
-        node = self.chain([(True, 0j)] + [self.term(t) for t in e.terms], "+")
-        return self.bind(node[1].real) if node[0] else f"{node[1]}.real"
+    def reals(self, exprs: Sequence[Expr], lead: str) -> list:
+        """Lines that run ``lead`` on the list ``[e.eval(env).real for e in
+        exprs]``, env = {**fixed, arg i: a<i>}, equal to it bit for bit.
 
+        The powers of fixed symbols, the coefficients and the offset
+        factors are computed here; the lines do the remaining float
+        operations of ``Expr.eval`` in its order, with ``cmath.exp`` for
+        ``np.exp``.  Where ``cmath.exp`` raises (``np.exp`` gives inf or
+        NaN), every entry is ``Expr.eval``'s.  A missing symbol raises
+        ``Expr.eval``'s KeyError here.
+        """
+        outs = []
+        for e in exprs:
+            node = self.chain([(True, 0j)] + [self.term(t) for t in e.terms],
+                              "+")
+            outs.append(self.bind(node[1].real) if node[0]
+                        else f"{node[1]}.real")
+        args, fixed = list(self.args), self.fixed
 
-def _evaluator_code(exprs: Sequence[Expr], args: Sequence[str],
-                    fixed: Mapping, negated: bool):
-    """The code of ``real_evaluator`` and its lines, with every value
-    negated if ``negated``."""
-    env = dict(fixed)
-    fold = _Folder(args, env)
-    sign = "-" if negated else ""
-    outs = [sign + fold.real(e) for e in exprs]
-    params = ", ".join(f"a{i}" for i in range(len(args)))
-
-    def slow(*values):
-        at = {**env, **dict(zip(args, values))}
-        vals = [e.eval(at).real for e in exprs]
-        return [-v for v in vals] if negated else vals
-    return fold, ["try:",
-                  f"    return [{', '.join(outs)}]",
-                  f"except {fold.bind((OverflowError, ValueError))}:",
-                  f"    return {fold.bind(slow)}({params})"]
-
-
-def real_evaluator(exprs: Sequence[Expr], args: Sequence[str],
-                   fixed: Mapping):
-    """``g(*values)``: the list ``[e.eval(env).real for e in exprs]`` with
-    env = {**fixed, **dict(zip(args, values))}, equal to it bit for bit.
-
-    ``g`` is straight-line code built once: the powers of fixed symbols,
-    the coefficients and the offset factors are computed here, and ``g``
-    does the remaining float operations of ``Expr.eval`` in its order.
-    ``fixed`` is read here, once.  A missing symbol raises ``Expr.eval``'s
-    KeyError here.  Where ``cmath.exp`` overflows (``np.exp`` gives inf or
-    NaN), ``g`` returns ``Expr.eval``'s values.
-    """
-    fold, lines = _evaluator_code(exprs, args, fixed, False)
-    return fold.function(len(args), lines, "real_evaluator")
+        def slow(*values):
+            at = {**fixed, **dict(zip(args, values))}
+            return [e.eval(at).real for e in exprs]
+        return ["try:", f"    {lead}[{', '.join(outs)}]",
+                f"except {self.bind((OverflowError, ValueError))}:",
+                f"    {lead}{self.bind(slow)}({', '.join(self.args.values())})"]
 
 
 def evaluator_rhs(exprs: Sequence[Expr], t: str, ys: Sequence[str],
-                  fixed: Mapping, negated: bool):
-    """The rhs ``f(t, y)``: ``real_evaluator(exprs, [t, *ys], fixed)(t,
-    *y)``, each value negated if ``negated``, as a ``_Code.list_rhs`` that a
-    step loop inlines."""
-    fold, lines = _evaluator_code(exprs, [t, *ys], fixed, negated)
-    return fold.list_rhs(len(ys), lines, "evaluator_rhs")
+                  fixed: Mapping):
+    """The rhs ``f(t, y)``: the list ``[e.eval(env).real for e in exprs]``
+    with env = {**fixed, t: t, ys[i]: y[i]}, bit for bit, as a
+    ``_Code.list_rhs`` that a step loop inlines.  ``fixed`` is read here,
+    once (``_Folder.reals``)."""
+    fold = _Folder([t, *ys], fixed)
+    return fold.list_rhs(len(ys), fold.reals(exprs, "return "),
+                         "evaluator_rhs")
 
 
 def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
@@ -1135,22 +1123,24 @@ def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
 
     in that order.  A term ``(coeff, factor, powers)`` is
     ``factor * y[m0]**q0 * ...`` for ``(m, q)`` in ``powers``, or, when
-    ``coeff`` is an Expr, ``coeff(t) * factor * ...`` with ``coeff``
-    evaluated as ``real_evaluator([coeff], [var], fixed)`` does, in one
-    call.  Where a ``y[m]**q`` overflows (a Python float raises, numpy
-    gives inf), the last entry is inf.  ``f`` is a ``_Code.list_rhs``, which
-    a step loop inlines.
+    ``coeff`` is an Expr in ``var`` and ``fixed``, ``coeff(t) * factor *
+    ...``.  Each such coefficient is ``coeff.eval(env).real`` bit for bit,
+    folded into the lines ahead of ``top`` (``_Folder.reals``), with
+    ``Expr.eval``'s value for all of them where ``cmath.exp`` raises.  Where
+    a ``y[m]**q`` overflows (a Python float raises, numpy gives inf), the
+    last entry is inf.  ``f`` is a ``_Code.list_rhs``, which a step loop
+    inlines.
     """
-    code = _Code()
+    fold = _Folder([var], fixed)
     n = len(coeffs) - 1
     ys = [f"a{m + 1}" for m in range(n)]
     timed = [c for c, _f, _p in terms if c is not None]
     cs = [f"b{j}" for j in range(len(timed))]
     next_c = iter(cs)
-    top = [code.bind(0.0)] + [f"{code.bind(c)}*{y}"
+    top = [fold.bind(0.0)] + [f"{fold.bind(c)}*{y}"
                               for c, y in zip(coeffs, ys)]
     for coeff, factor, powers in terms:
-        val = code.bind(factor)
+        val = fold.bind(factor)
         if coeff is not None:
             val = f"{next(next_c)}*{val}"
         # y**1 is y, bit for bit
@@ -1159,13 +1149,13 @@ def explicit_ode_rhs(coeffs: Sequence[float], terms: Sequence,
     shift = "".join(f"{y}, " for y in ys[1:])
     lines = ["try:"]
     if timed:
-        g = code.bind(real_evaluator(timed, [var], fixed))
-        lines.append(f"    {''.join(c + ', ' for c in cs)}= {g}(a0)")
+        lines += ["    " + line for line in
+                  fold.reals(timed, "".join(c + ", " for c in cs) + "= ")]
     lines += [f"    return [{shift}-({' + '.join(top)}) / "
-              f"{code.bind(coeffs[-1])}]",
-              f"except {code.bind(OverflowError)}:",
-              f"    return [{shift}{code.bind(inf)}]"]
-    return code.list_rhs(n, lines, "explicit_ode_rhs")
+              f"{fold.bind(coeffs[-1])}]",
+              f"except {fold.bind(OverflowError)}:",
+              f"    return [{shift}{fold.bind(inf)}]"]
+    return fold.list_rhs(n, lines, "explicit_ode_rhs")
 
 
 def _expand_param_exponents(t: Term, param: str, jmax: int):

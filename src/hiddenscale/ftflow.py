@@ -131,14 +131,6 @@ class FTSystem:
     def unknown_names(self):
         return [c.name for c in self.unknowns]
 
-    def rhs_callable(self, param_values: dict, negated: bool = False):
-        """``f(mu, y)``: the flows' values, as ``Expr.eval`` gives them, at
-        the parameter values read here, once; negated, the rhs of the
-        time-inverted system, if ``negated``."""
-        names = self.unknown_names()
-        return evaluator_rhs([self.equations[n] for n in names], self.mu,
-                             names, param_values, negated)
-
     def is_autonomous(self) -> bool:
         return all(self.mu not in e.symbols() for e in self.equations.values())
 
@@ -355,14 +347,15 @@ class ConstantFlows:
         from .numlab import solve_ivp
         names = self.ft.unknown_names()
         y0 = [self.flows[n].start.eval(env).real for n in names]
+        eqs = [self.ft.equations[n] for n in names]
         if self.ft.is_autonomous():
             # the mu=0 value as a function of the start point satisfies the
             # time-inverted autonomous system; one trajectory covers all x
             xmax = float(np.max(np.abs(x))) * 1.5 + 1.0
-            traj = solve_ivp(self.ft.rhs_callable(env, negated=True), y0,
-                             (0.0, xmax), "rk45-adaptive", tol=1e-12)
+            rhs = evaluator_rhs([-e for e in eqs], self.ft.mu, names, env)
+            traj = solve_ivp(rhs, y0, (0.0, xmax), "rk45-adaptive", tol=1e-12)
             return {n: traj(x, i) for i, n in enumerate(names)}
-        f = self.ft.rhs_callable(env)
+        f = evaluator_rhs(eqs, self.ft.mu, names, env)
         ends = np.array([solve_ivp(f, y0, (xv, 0.0), "rk45-adaptive",
                                    tol=1e-12).states[-1] if xv != 0 else y0
                          for xv in np.ravel(x).tolist()])
@@ -660,26 +653,21 @@ class CGOResult:
 
 
 def cgo_rg_equation(split_series: Expr, derivs: Sequence[Expr], x: str,
-                    x0: str, constants: Sequence[str],
-                    truncate_order: Optional[int] = None,
-                    parameter: str = "eps") -> CGOResult:
+                    x0: str, constants: Sequence[str], truncate_order: int,
+                    parameter: str) -> CGOResult:
     """Apply d/dx0 + sum A_i' d/dA_i in the limit x -> x0.
 
     The caller supplies the splitting; underdetermination is reported, not
-    fatal.  One equation is produced per supplied expression.  With
-    ``truncate_order`` the equations are truncated at that order counting
-    each flow derivative as first order, which is how they are written down
-    in hand calculations.
+    fatal.  One equation is produced per supplied expression, truncated at
+    ``truncate_order`` in ``parameter`` counting each flow derivative as
+    first order, which is how they are written down in hand calculations.
     """
     primes = [c + PRIME_SUFFIX for c in constants]
     chain = dict(zip(constants, primes))
-    eqs = []
-    for e in [split_series] + list(derivs):
-        d = e.diff(x0, chain).rename(x, x0)
-        if truncate_order is not None:
-            d = grade_truncate(d, {p: 1 for p in primes}, parameter,
-                               truncate_order)
-        eqs.append(d)
+    grades = dict.fromkeys(primes, 1)
+    eqs = [grade_truncate(e.diff(x0, chain).rename(x, x0), grades, parameter,
+                          truncate_order)
+           for e in [split_series] + list(derivs)]
     under = False
     msg = ""
     try:

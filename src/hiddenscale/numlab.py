@@ -11,9 +11,10 @@ rhs gets and returns its state as a list of floats: the oracles' states have
 adaptive loop, with its stages, step control and dense output, is
 straight-line code generated once per state size.  An rhs that is itself
 straight-line code (``exprcore._Code.list_rhs``: the ODE oracles'
-``explicit_ode_rhs``, the numeric flows' ``evaluator_rhs`` and the
-switchback shooting rhs) is inlined into the stages of a loop generated once
-per state size and rhs source; any other rhs is called.  The Burgers
+``explicit_ode_rhs``, its time-dependent coefficients folded in, the numeric
+flows' ``evaluator_rhs`` and the switchback shooting ``rhs_log``) is inlined
+into the stages of a loop generated once per state size and rhs source; any
+other rhs (a plain function, a wrapper) is called.  The Burgers
 method-of-lines solver, whose states have hundreds of entries, runs the same
 generated Dormand-Prince loop on an ndarray state, in scipy's RK45
 arithmetic.  numpy is the only dependency.
@@ -416,11 +417,11 @@ def solve_ivp(rhs, y0, interval, method: str = "rk45-adaptive",
 
     ``rk45-adaptive`` runs an rhs built by ``exprcore._Code.list_rhs``
     (``explicit_ode_rhs``, ``evaluator_rhs``, ``SwitchbackProblem.rhs_log``)
-    inside its loop, in the rhs's float operations, and calls any other rhs
-    (a plain function, a wrapper around one of those): the times, states,
-    rhs values and errors are the same either way.  The loop is compiled
-    once per state size and rhs source, and the rhs's bound values are
-    passed to it per solve.
+    inside its loop, in its float operations and exception branches, and
+    calls any other rhs (a plain function, a wrapper around one of those):
+    the times, states, rhs values and errors are the same either way.  The
+    loop is compiled once per state size and rhs source, and the rhs's
+    bound values are passed to it per solve.
 
     For a ``LinearRHS`` M, ``rk4-fixed`` advances each output interval of
     ``n_sub`` steps of size ``h`` by y <- R(hM)^n_sub @ y, where

@@ -240,6 +240,31 @@ def test_exit_codes(tmp_path):
     fixed.write_text(filament + "method.fix.c1 = 0\n")
     r15 = run_cli("derive", str(fixed))
     assert r15.returncode == 0, r15.stderr
+    # a well-formed validate.* value out of its range, refused where it is
+    # read: one line naming it, exit 2
+    count, above = "needs a count of at least 2", "must be above 0"
+    fit = "needs at least 3 values to fit an error order"
+    for name, key, value, need in (
+            ("overdamped", "validate.grid", "0 15 1", count),
+            ("mathieu", "validate.grid", "0 30 0", count),
+            ("overdamped", "validate.sweep", "0.05 0.1", fit),
+            ("underdamped", "validate.sweep", "0.1 0.2", fit),
+            ("bad", "validate.grid_points", "0", "must be at least 2"),
+            ("terrible", "validate.x_max", "-1", above),
+            ("terrible", "validate.crossover_eps", "0", above),
+            ("overdamped", "validate.oracle_step", "0", above),
+            ("underdamped", "validate.oracle_step", "-1e-4", above),
+            ("burgers", "validate.x_range", "0 5 1", count),
+            ("burgers", "validate.times", "0 10", "must all be above 0")):
+        lines = (CORPUS / f"{name}.spec").read_text().splitlines()
+        n = next((i for i, text in enumerate(lines, 1)
+                  if text.startswith(key + " = ")), len(lines) + 1)
+        lines[n - 1:n] = [f"{key} = {value}"]     # replaced or appended
+        path = tmp_path / "range.spec"
+        path.write_text("\n".join(lines) + "\n")
+        r16 = run_cli("validate", str(path))
+        assert (r16.returncode, r16.stdout, r16.stderr) == (
+            2, "", f"spec error: line {n}: {key} = {value} {need}\n")
 
 
 def test_every_kind_has_handlers():
@@ -609,6 +634,8 @@ tr.begin_pass(0)
 for name in ("overdamped", "mathieu", "bad"):
     tr.op = ("cli.run_validate", name)
     cli.run_validate(parse_spec(Path(sys.argv[2]) / f"{name}.spec"), None)
+tr.op = ("cli.run_sweep", "overdamped")
+cli.run_sweep(parse_spec(Path(sys.argv[2]) / "overdamped.spec"), None)
 counts = tr.end_pass()
 for key in sys.argv[3:]:
     print(key, counts[key])
@@ -622,7 +649,8 @@ def test_benchmark_tracer_finds_what_it_wraps():
             "cli.run_validate.overdamped.rk4_steps",
             "ftflow.flows.numeric", "cli.run_validate.mathieu.numeric_flows",
             "numlab.solve_bvp_shooting.iterations",
-            "cli.run_validate.bad.shoot_iterations"]
+            "cli.run_validate.bad.shoot_iterations",
+            "cli.run_sweep.overdamped.validate_calls"]
     perfbench = CORPUS.parent / "perfbench"
     r = subprocess.run([sys.executable, "-c", TRACED, str(perfbench),
                         str(CORPUS), *keys], capture_output=True, text=True)
@@ -630,6 +658,8 @@ def test_benchmark_tracer_finds_what_it_wraps():
     counts = dict(line.split() for line in r.stdout.splitlines())
     assert sorted(counts) == sorted(keys)
     assert all(float(v) > 0 for v in counts.values()), counts
+    # every sweep point runs through run_validate
+    assert counts["cli.run_sweep.overdamped.validate_calls"] == "3"
 
 
 def test_ics_start_values_reach_numeric_flows(tmp_path, capsys):

@@ -16,8 +16,7 @@ from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
                                   _without, classify_divergent,
                                   compile_function, div_exact,
                                   evaluator_rhs, explicit_ode_rhs, paint_term,
-                                  product_upto,
-                                  real_evaluator, solve_linear_system)
+                                  product_upto, solve_linear_system)
 from hiddenscale.specfile import parse_spec
 from hiddenscale.switchback import SwitchbackProblem
 from hiddenscale.textform import expr_text, parse_expr
@@ -844,7 +843,18 @@ def _eval_expr(rng: random.Random) -> Expr:
     return out
 
 
+def _evaluator(exprs, args, fixed):
+    """``g(*values)``: the values of ``evaluator_rhs`` with ``args`` as its
+    state.  No expression reads the time "t" or the state's last entry,
+    which lets ``args`` be empty."""
+    f = evaluator_rhs(exprs, "t", [*args, "unread"], fixed)
+    return lambda *values: f(0.0, [*values, 0.0])
+
+
 def test_real_evaluator_matches_eval_bit_for_bit():
+    # evaluator_rhs, the numeric flows' rhs, against Expr.eval; with one
+    # argument, also explicit_ode_rhs's coefficients in the time, each in
+    # y' = -(0.0 + 0.0*y + c(t)*1.0*y) / 1.0 at y = 1
     rng = random.Random(2025)
     symbols = ["eps", "R~", "x", "th", ODD]
     for _ in range(300):
@@ -853,7 +863,10 @@ def test_real_evaluator_matches_eval_bit_for_bit():
             exprs.append(Expr.zero())
         args = rng.sample(symbols, rng.randint(0, len(symbols)))
         fixed = {s: rng.uniform(0.1, 1.5) for s in symbols if s not in args}
-        g = real_evaluator(exprs, args, fixed)
+        g = _evaluator(exprs, args, fixed)
+        timed = [explicit_ode_rhs([0.0, 1.0], [(e, 1.0, ((0, 1),))], args[0],
+                                  fixed)
+                 for e in exprs] if len(args) == 1 else []
         for _ in range(20):
             # zeros check the signs of zero sums and products
             values = [rng.uniform(0.1, 1.5) if s in ("eps", "R~")
@@ -864,6 +877,10 @@ def test_real_evaluator_matches_eval_bit_for_bit():
             got = g(*values)
             assert all(type(v) is float for v in got)
             assert [float.hex(v) for v in got] == want, (exprs, env)
+            for e, rhs in zip(exprs, timed):
+                c = e.eval(env).real
+                assert float.hex(rhs(values[0], [1.0])[0]) == float.hex(
+                    -(0.0 + 0.0 * 1.0 + c * 1.0 * 1.0) / 1.0), (e, env)
 
 
 @pytest.mark.parametrize("e, args, message", [
@@ -876,17 +893,22 @@ def test_real_evaluator_missing_symbol_is_evals_key_error(e, args, message):
     with pytest.raises(KeyError) as want:
         e.eval(dict.fromkeys(args, 0.5))
     with pytest.raises(KeyError) as got:
-        real_evaluator([e], args, {})
-    assert str(got.value) == str(want.value) == repr(message)
+        _evaluator([e], args, {})
+    with pytest.raises(KeyError) as timed:
+        explicit_ode_rhs([0.0, 1.0], [(e, 1.0, ((0, 1),))], args[0], {})
+    assert str(got.value) == str(timed.value) == str(want.value) \
+        == repr(message)
 
 
 def test_real_evaluator_overflow_gives_evals_values():
     # cmath.exp raises where np.exp gives inf; the evaluator then returns
     # Expr.eval's values
     e = Expr.exp("x", 1) + Expr.num(2)
-    g = real_evaluator([e], ["x"], {})
+    g = _evaluator([e], ["x"], {})
+    rhs = explicit_ode_rhs([0.0, 1.0], [(e, 1.0, ((0, 1),))], "x", {})
     with np.errstate(over="ignore", invalid="ignore"):
         assert g(800.0) == [math.inf] and g(1.0) == [e.eval({"x": 1.0}).real]
+        assert rhs(800.0, [1.0]) == [-math.inf]
 
 
 def test_compile_function_refuses_foreign_tokens():
@@ -926,11 +948,9 @@ def test_compile_function_compiles_each_source_once():
 
 def test_generated_functions_name_their_role():
     # a profile keeps the loops, the oracle rhs and the evaluators apart
-    g = real_evaluator([Expr.var("x", 2)], ["x"], {})
     rhs = explicit_ode_rhs([1.0, 0.0, 1.0], [], "t", {})
-    flow = evaluator_rhs([Expr.var("x", 2)], "t", ["x"], {}, False)
+    flow = evaluator_rhs([Expr.var("x", 2)], "t", ["x"], {})
     shot = SwitchbackProblem(2, 1, 0.1).rhs_log()
-    assert g.__code__.co_filename == "<real_evaluator>"
     assert rhs.__code__.co_filename == "<explicit_ode_rhs>"
     assert flow.__code__.co_filename == "<evaluator_rhs>"
     assert shot.__code__.co_filename == "<rhs_log>"

@@ -10,7 +10,8 @@ import pytest
 
 from hiddenscale import cli, filament, numlab
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
-                                 div_exact, solve_linear_system)
+                                 div_exact, evaluator_rhs,
+                                 solve_linear_system)
 from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
                                 _verify_ft, assemble_uniform, cgo_rg_equation,
                                 derive_ft_system, integrate_orbits,
@@ -24,6 +25,13 @@ from hiddenscale.textform import parse_expr
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 # kdv's start values: R from the parameter A1, the phase from 0
 KDV_STARTS = {"R": Expr.sym("A1"), "phi": Expr.zero()}
+
+
+def flow_rhs(ft: FTSystem, env: dict):
+    """The flows' rhs f(mu, y) at the values ``env``, as the numeric flows
+    build it."""
+    names = ft.unknown_names()
+    return evaluator_rhs([ft.equations[n] for n in names], ft.mu, names, env)
 
 
 def overdamped_series(order=1):
@@ -240,7 +248,7 @@ class TestOrbits:
         env = {"eps": 0.15, "a1": 1.2, "R~": 1.0, "theta~": 0.3}
         vals = flows.values(6.0, env)
         from hiddenscale.numlab import solve_ivp
-        f = ft.rhs_callable(env)
+        f = flow_rhs(ft, env)
         direct = solve_ivp(f, [1.0, 0.3], (6.0, 0.0), "rk45-adaptive",
                            tol=1e-12)
         assert abs(vals["R"] - direct.states[-1, 0]) < 1e-8
@@ -270,7 +278,7 @@ class TestOrbits:
             e[ft.mu] = float(mu_val)
             e.update({n: float(v) for n, v in zip(names, y)})
             return np.array([x.eval(e).real for x in exprs])
-        f = ft.rhs_callable(env)
+        f = flow_rhs(ft, env)
         rng = np.random.default_rng(23)
         mus = np.repeat(rng.uniform(-10.0, 40.0, 50), 2)
         for mu in mus.tolist():
@@ -282,7 +290,7 @@ class TestOrbits:
         # flow reports either as a non-finite rhs
         ft = FTSystem("mu", "x", "eps", 1, [ConstantInfo("A", 0, "param")],
                       {"A": Expr.sym("eps") * Expr.exp("A", 1)}, {"A": 1})
-        f = ft.rhs_callable({"eps": 0.1})
+        f = flow_rhs(ft, {"eps": 0.1})
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(numlab.SolverError,
                               match=r"^NaN/Inf in rhs at t=0.0$"):
@@ -525,7 +533,7 @@ class TestCGO:
     def test_zero_splitting_gives_determined_pair(self):
         y = self._split(0)
         res = cgo_rg_equation(y, [y.diff("tau")], "tau", "tau0", ["A", "B"],
-                              truncate_order=1)
+                              truncate_order=1, parameter="eps")
         A, B, eps = Expr.sym("A"), Expr.sym("B"), Expr.sym("eps")
         Ap, Bp = Expr.sym("A'"), Expr.sym("B'")
         e_t0 = Expr.exp("tau0", -1)
@@ -535,14 +543,17 @@ class TestCGO:
 
     def test_general_splitting_underdetermined(self):
         res = cgo_rg_equation(self._split("s"), [], "tau", "tau0",
-                              ["A", "B"], truncate_order=1)
+                              ["A", "B"], truncate_order=1, parameter="eps")
         assert res.underdetermined
         assert "s" in res.diagnostic
 
     def test_no_divergence_constant_flows(self):
+        # with no secular term the equations are the flows alone, which
+        # the truncation at order 1 keeps whole
         A, B = Expr.sym("A"), Expr.sym("B")
         y = A + B * Expr.exp("tau", -1)
-        res = cgo_rg_equation(y, [y.diff("tau")], "tau", "tau0", ["A", "B"])
+        res = cgo_rg_equation(y, [y.diff("tau")], "tau", "tau0", ["A", "B"],
+                              truncate_order=1, parameter="eps")
         assert res.equations[0] == Expr.sym("A'") \
             + Expr.sym("B'") * Expr.exp("tau0", -1)
         assert not res.underdetermined

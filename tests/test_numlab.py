@@ -15,9 +15,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from hiddenscale import cli, exprcore, numlab
-from hiddenscale.exprcore import Expr, explicit_ode_rhs
-from hiddenscale.ftflow import FTSystem
-from hiddenscale.pertseries import ConstantInfo
+from hiddenscale.exprcore import Expr, evaluator_rhs, explicit_ode_rhs
 from hiddenscale.numlab import (LinearRHS, SolverError, convergence_order,
                                 solve_bvp_shooting, solve_burgers_mol,
                                 solve_ivp)
@@ -545,15 +543,18 @@ class TestInlinedRHS:
         # forwards, negated, as the autonomous fallback runs them, and
         # backwards from a point to 0, as a non-autonomous one would
         ft, y0, env = _mathieu_flows()
-        for negated, interval in ((True, (0.0, 46.0)), (False, (30.0, 0.0))):
-            rhs = ft.rhs_callable(env, negated=negated)
+        names = ft.unknown_names()
+        eqs = [ft.equations[n] for n in names]
+        negated = [-e for e in eqs]
+        for exprs, interval in ((negated, (0.0, 46.0)), (eqs, (30.0, 0.0))):
+            rhs = evaluator_rhs(exprs, ft.mu, names, env)
             for points in (None, np.linspace(*interval, 61)):
                 got = _solved(rhs, y0, interval, 1e-12, points)
                 assert got == _solved(_called(rhs), y0, interval, 1e-12,
                                       points)
                 assert len(got[0]) > 60
-        plus, minus = (ft.rhs_callable(env, negated=m)(0.5, y0)
-                       for m in (False, True))
+        plus, minus = (evaluator_rhs(exprs, ft.mu, names, env)(0.5, y0)
+                       for exprs in (eqs, negated))
         assert minus == [-v for v in plus] and plus != minus
 
     @pytest.mark.parametrize("name", ["terrible", "bad"])
@@ -584,17 +585,23 @@ class TestInlinedRHS:
     def test_evaluator_fallback(self):
         # cmath.exp(100*mu) raises past mu = 7.0978, and the rhs falls back
         # to Expr.eval, whose np.exp gives inf: the first stage past it stops
-        # the solve
-        ft = FTSystem("mu", "x", "eps", 1, [ConstantInfo("A", 0, "param")],
-                      {"A": Expr.sym("eps") * Expr.exp("mu", 100)}, {"A": 1})
-        rhs = ft.rhs_callable({"eps": 1e-300})
-        calls = []
-        got = _solved(rhs, [1.0], (0.0, 10.0), 1e-10, None)
-        assert got == _solved(lambda t, y: calls.append(t) or rhs(t, y),
-                              [1.0], (0.0, 10.0), 1e-10, None)
-        assert got == f"NaN/Inf in rhs at t={calls[-1]}"
-        assert max(calls[:-1]) < math.log(sys.float_info.max) / 100 \
-            < calls[-1]
+        # the solve.  A numeric flow's rhs, and an oracle's with the timed
+        # coefficient in y' = -eps*exp(100*mu)*y, whose fallback gives
+        # -inf*y where its overflow branch would give inf
+        coeff, fixed = Expr.sym("eps") * Expr.exp("mu", 100), {"eps": 1e-300}
+        flow = evaluator_rhs([coeff], "mu", ["A"], fixed)
+        oracle = explicit_ode_rhs([0.0, 1.0], [(coeff, 1.0, ((0, 1),))], "mu",
+                                  fixed)
+        for rhs, last in ((flow, math.inf), (oracle, -math.inf)):
+            calls = []
+            got = _solved(rhs, [1.0], (0.0, 10.0), 1e-10, None)
+            assert got == _solved(lambda t, y: calls.append(t) or rhs(t, y),
+                                  [1.0], (0.0, 10.0), 1e-10, None)
+            assert got == f"NaN/Inf in rhs at t={calls[-1]}"
+            assert max(calls[:-1]) < math.log(sys.float_info.max) / 100 \
+                < calls[-1]
+            with np.errstate(invalid="ignore"):
+                assert rhs(calls[-1], [1.0]) == [last]
 
     @pytest.mark.parametrize("n", [1, 4])
     def test_nan_at_each_stage_names_its_time(self, n):
@@ -624,6 +631,28 @@ class TestInlinedRHS:
         assert runs == [_solved(_called(f), [1.0, 0.0], (0.0, 20.0), 1e-10,
                                 None) for f in (a, b)]
         assert runs[0][1] != runs[1][1]
+
+    def test_corpus_oracles_stay_inlined(self, monkeypatch):
+        # the rhs source each corpus validate's list-state loops inline, or
+        # "called" for a loop that calls its rhs: a wrapper that sent an
+        # oracle down the called path would show here.  filament's
+        # amplitude fit integrates a plain function.
+        loops, roles = numlab._dopri_loop, {}
+
+        def recorded(n, inline=None):
+            if n is not None:
+                roles[name].add(inline[0] if inline else "called")
+            return loops(n, inline)
+        monkeypatch.setattr(numlab, "_dopri_loop", recorded)
+        for name in sorted(p.stem for p in CORPUS.glob("*.spec")):
+            roles[name] = set()
+            cli.run_validate(parse_spec(CORPUS / f"{name}.spec"), None)
+        assert roles == {
+            "bad": {"rhs_log"}, "burgers": set(), "filament": {"called"},
+            "kdv": {"explicit_ode_rhs"},
+            "mathieu": {"explicit_ode_rhs", "evaluator_rhs"},
+            "overdamped": set(), "terrible": {"rhs_log"},
+            "underdamped": set()}
 
     def test_negative_zero_state(self):
         # backwards, y0' = 0 keeps y0 at -0.0 (h * 0.0 is -0.0), whose |y|
