@@ -508,8 +508,11 @@ def derive_switchback(spec: ProblemSpec, rep: Report):
 def validate_switchback(spec: ProblemSpec, rep: Report, derived, csv_dir,
                         shared: dict):
     p, series = derived
-    x_max = _numbers(spec, "validate.x_max", "50", "f", _ABOVE_0)
-    # a profile from eps to 10
+    # the profiles run from eps to 10 and the shooting to x_max; below 10
+    # they would extrapolate the shooting's last interval
+    x_max = _numbers(spec, "validate.x_max", "50", "f",
+                     (lambda v: v >= 10, "must be at least 10, where the "
+                      "profiles end"))
     npts = _numbers(spec, "validate.grid_points", "100", "i",
                     (lambda n: n >= 2, "must be at least 2"))
     tol = _numbers(spec, "validate.tolerance", "2e-2", "f")

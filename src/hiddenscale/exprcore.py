@@ -743,25 +743,17 @@ class Expr:
                           _renamed(t.offs, old, new))
                      for t in self.terms])
 
-    def subs_param(self, sym: str, value, upto: tuple = ()) -> "Expr":
+    def subs_param(self, sym: str, value) -> "Expr":
         """Replace a parameter symbol by an in-class expression.
 
         A rational number goes through ``subs_num``.  Otherwise negative
         powers of ``sym`` require the replacement to be invertible (a single
         term), the symbol must not occur in rates or phases, each power of
         the replacement is formed once and the result is built in one pass.
-        With ``upto = (param, k)`` the products keep only what
-        ``orders(param, k)`` reads, as ``product_upto`` does; chained
-        substitutions stay exact at those orders when every replacement is
-        polynomial in ``param``.
         """
         if isinstance(value, (int, Fraction)):
             return self.subs_num({sym: value})
         value = _as_expr(value)
-        if upto:
-            param, k = upto
-            kpow = k - min((t.coeff.order_range(param)[0] for t in self.terms),
-                           default=0)
         powers: dict = {}
         out = []
         for t in self.terms:
@@ -777,11 +769,9 @@ class Expr:
                     continue
                 if j not in powers:
                     base = value if j >= 0 else value.inverse()
-                    powers[j] = (product_upto([base] * abs(j), param, kpow)
-                                 if upto else base ** abs(j))
+                    powers[j] = base ** abs(j)
                 piece = t.with_coeff(c)
-                out += (_mul_upto((piece,), powers[j].terms, param, k) if upto
-                        else [piece.mul(b) for b in powers[j].terms])
+                out += [piece.mul(b) for b in powers[j].terms]
         return Expr(out)
 
     def subs_num(self, env: Mapping[str, RatLike]) -> "Expr":
@@ -1365,75 +1355,112 @@ def _pivot_quality(c: Expr):
     return (0, 0) if _term_number(t) is not None else (1, 0)
 
 
-def solve_linear_system(eqs: Sequence[LinEq]):
-    """Solve sum(coeff*unknown) + const = 0 by symbolic elimination.
+class Elimination:
+    """The elimination of a linear system's coefficients, kept to be
+    replayed on any right side.
 
-    Returns (solution, free, leftovers): the solution dict, the unknowns that
-    enter a pivot row but are never determined (the solution takes them as
-    zero; sorted by ``str``), and the inconsistent equations.  Elimination
-    runs until no equation has a coefficient left, so every leftover is a
-    bare nonzero constant.  Pivots prefer rational numbers, then invertible
-    single terms; otherwise a fraction-free step keeps everything polynomial
-    and exact division is used at back-substitution.
-
+    ``rows`` maps each row's unknown keys to their ``Expr`` coefficients.
     The pivot is the coefficient with the least (``_pivot_quality``, number
     of unknowns in its row, ``str`` of its key, row position); rows keep
     their order, so the choice, and with it ``free``, is the same on every
     run.  A row is scored once, when it is built, and a row without the
-    pivot's unknown is left as it is.
+    pivot's unknown is left as it is.  Each step records, per row it
+    rebuilds, its quotient by the pivot when ``div_exact`` finds one, and
+    otherwise the fraction-free cross multiplication that keeps everything
+    polynomial.  ``pivots`` lists the unknowns solved for, in pivot order.
     """
-    text: dict = {}       # key -> str(key)
 
-    def row(coeffs: dict, const: Expr, label: str):
-        """(equation, (quality, str(key), key) of its best pivot or None)"""
-        e = LinEq({k: c for k, c in coeffs.items() if c.terms}, const, label)
-        best = None
-        for k, c in e.coeffs.items():
-            s = text.get(k) or text.setdefault(k, str(k))
-            cand = (_pivot_quality(c), s)
-            if best is None or cand < best[:2]:
-                best = (*cand, k)
-        return e, best
+    def __init__(self, rows: Sequence[dict]):
+        text: dict = {}       # key -> str(key)
 
-    rows = [row(e.coeffs, e.const, e.label) for e in eqs]
-    solved_rows = []          # (key, coeffs-of-others, const, pivot Expr)
-    while True:
-        pick = None
-        for i, (e, best) in enumerate(rows):
-            if best is not None:
-                cand = (best[0], len(e.coeffs), best[1], i)
-                if pick is None or cand < pick:
-                    pick, k = cand, best[2]
-        if pick is None:
-            break
-        pivot_eq = rows.pop(pick[3])[0]
-        pivot_c = pivot_eq.coeffs.pop(k)
-        solved_rows.append((k, pivot_eq.coeffs, pivot_eq.const, pivot_c))
-        for n, (e, _best) in enumerate(rows):
-            c = e.coeffs.pop(k, None)
-            if c is None:
-                continue
-            try:
-                factor = div_exact(c, pivot_c)
-                coeffs = {kk: e.coeffs.get(kk, Expr.zero())
-                          - factor * pivot_eq.coeffs.get(kk, Expr.zero())
-                          for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
-                const = e.const - factor * pivot_eq.const
-            except OutOfClassError:
-                coeffs = {kk: pivot_c * e.coeffs.get(kk, Expr.zero())
-                          - c * pivot_eq.coeffs.get(kk, Expr.zero())
-                          for kk in set(e.coeffs) | set(pivot_eq.coeffs)}
-                const = pivot_c * e.const - c * pivot_eq.const
-            rows[n] = row(coeffs, const, e.label)
-    solution = {}
-    free = set()
-    for k, others, const, pivot_c in reversed(solved_rows):
-        val = const
-        for kk, c in others.items():
-            if kk in solution:
-                val = val + c * solution[kk]
-            elif not c.is_zero():
-                free.add(kk)
-        solution[k] = -div_exact(val, pivot_c)
-    leftovers = [e for e, _best in rows if not e.const.is_zero()]
-    return solution, sorted(free, key=str), leftovers
+        def scored(n: int, coeffs: dict):
+            """(row index, coeffs, (quality, str(key), key) of its best pivot
+            or None)"""
+            coeffs = {k: c for k, c in coeffs.items() if c.terms}
+            best = None
+            for k, c in coeffs.items():
+                s = text.get(k) or text.setdefault(k, str(k))
+                cand = (_pivot_quality(c), s)
+                if best is None or cand < best[:2]:
+                    best = (*cand, k)
+            return n, coeffs, best
+
+        live = [scored(n, coeffs) for n, coeffs in enumerate(rows)]
+        self.steps = []       # (key, row, coeffs of others, pivot, updates)
+        while True:
+            pick = None
+            for i, (_n, coeffs, best) in enumerate(live):
+                if best is not None:
+                    cand = (best[0], len(coeffs), best[1], i)
+                    if pick is None or cand < pick:
+                        pick, k = cand, best[2]
+            if pick is None:
+                break
+            p, others, _best = live.pop(pick[3])
+            pivot_c = others.pop(k)
+            updates = []      # (row, quotient or None, its coefficient)
+            for i, (n, coeffs, best) in enumerate(live):
+                c = coeffs.pop(k, None)
+                if c is None:
+                    continue
+                keys = set(coeffs) | set(others)
+                try:
+                    factor = div_exact(c, pivot_c)
+                    new = {kk: coeffs.get(kk, Expr.zero())
+                           - factor * others.get(kk, Expr.zero())
+                           for kk in keys}
+                except OutOfClassError:
+                    factor = None
+                    new = {kk: pivot_c * coeffs.get(kk, Expr.zero())
+                           - c * others.get(kk, Expr.zero()) for kk in keys}
+                updates.append((n, factor, c))
+                live[i] = scored(n, new)
+            self.steps.append((k, p, others, pivot_c, updates))
+        self.rest = [n for n, _coeffs, _best in live]
+        self.pivots = [step[0] for step in self.steps]
+
+    def solve(self, consts: Sequence[Expr]):
+        """Replay the elimination on the right side ``consts`` (row i reads
+        sum(coeff*unknown) + consts[i] = 0) and back-substitute.
+
+        Returns (solution, free, leftovers): the solution dict, the unknowns
+        that enter a pivot row but are never determined (the solution takes
+        them as zero; sorted by ``str``), and (row, constant) for each row
+        left with no unknown and a nonzero constant.
+        """
+        b = list(consts)
+        for _k, p, _others, pivot_c, updates in self.steps:
+            for n, factor, c in updates:
+                b[n] = (b[n] - factor * b[p] if factor is not None
+                        else pivot_c * b[n] - c * b[p])
+        solution = {}
+        free = set()
+        for k, p, others, pivot_c, _updates in reversed(self.steps):
+            val = b[p]
+            for kk, c in others.items():
+                if kk in solution:
+                    val = val + c * solution[kk]
+                else:
+                    free.add(kk)
+            solution[k] = -div_exact(val, pivot_c)
+        leftovers = [(n, b[n]) for n in self.rest if not b[n].is_zero()]
+        return solution, sorted(free, key=str), leftovers
+
+
+def solve_linear_system(eqs: Sequence[LinEq]):
+    """Solve sum(coeff*unknown) + const = 0 by symbolic elimination: the
+    coefficients' ``Elimination`` replayed on the constants.
+
+    Returns (solution, free, leftovers): the solution dict, the unknowns that
+    enter a pivot row but are never determined (the solution takes them as
+    zero; sorted by ``str``), and the inconsistent equations, each with no
+    unknown and its reduced constant.  Elimination runs until no equation
+    has a coefficient left, so every leftover is a bare nonzero constant.
+    Pivots prefer rational numbers, then invertible single terms; otherwise
+    a fraction-free step keeps everything polynomial and exact division is
+    used at back-substitution.
+    """
+    solution, free, leftovers = Elimination([e.coeffs for e in eqs]).solve(
+        [e.const for e in eqs])
+    return solution, free, [LinEq({}, const, eqs[n].label)
+                            for n, const in leftovers]

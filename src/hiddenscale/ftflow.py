@@ -17,9 +17,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
-                       classify_divergent, div_exact, evaluator_rhs,
-                       paint_term, solve_linear_system)
+from .exprcore import (Elimination, Expr, LinEq, OutOfClassError, Poly,
+                       Term, _without, classify_divergent, div_exact,
+                       evaluator_rhs, paint_term, product_upto,
+                       solve_linear_system)
 from .pertseries import (PerturbationSeries, LinearOperator, SolveError,
                          _grade_parts, grade_truncate, particular_integral)
 
@@ -153,13 +154,27 @@ def _scalar_equations(ps: PaintedSeries, unknowns):
 
 
 def _split_linear_in_primes(eq: Expr, primes):
-    coeffs = {}
-    rest = eq
-    for p in primes:
-        c, rest = rest.coeff_linear(p)
-        if not c.is_zero():
-            coeffs[p] = c
-    return coeffs, rest
+    """({p: c_p}, rest) with eq = sum(c_p * p) + rest, for the primes p with
+    a nonzero c_p, in one pass over eq's monomials.  Each monomial may hold
+    one prime, to the first power."""
+    ps = set(primes)
+    split: dict = {}          # prime, or None for the rest -> [Term]
+    for t in eq.terms:
+        by: dict = {}
+        for pows, q in t.coeff.monos:
+            hit = [(s, e) for s, e in pows if s in ps]
+            if not hit:
+                by.setdefault(None, []).append((pows, q))
+            elif len(hit) == 1 and hit[0][1] == 1:
+                by.setdefault(hit[0][0], []).append(
+                    (_without(pows, hit[0][0]), q))
+            else:
+                raise OutOfClassError(
+                    f"symbol {hit[0][0]!r} does not occur linearly")
+        for p, monos in by.items():
+            split.setdefault(p, []).append(t.with_coeff(Poly(monos)))
+    return ({p: Expr(split[p]) for p in primes if p in split},
+            Expr(split.get(None, ())))
 
 
 def derive_ft_system(ps: PaintedSeries, k: int,
@@ -171,7 +186,9 @@ def derive_ft_system(ps: PaintedSeries, k: int,
     the original variable to vanish order-by-order.  ``grades`` declares the
     order in the parameter of some symbols (alpha: 1/2 for alpha =
     O(eps^(1/2))); each order j is then split further by declared grade h
-    (see ``_grade_parts``), and the parts with j + h <= k are solved for.
+    (see ``_grade_parts``), and the parts with j + h <= k are solved for,
+    one part at a time by ``_block_solve`` when it can, else all at once
+    (``_solve_flow_rows``).
     Raises FTInconsistent when no flow satisfies an equation and
     FTUnderdetermined when the stored derivatives do not close the system.
     """
@@ -182,39 +199,18 @@ def derive_ft_system(ps: PaintedSeries, k: int,
     eps = ps.parameter
     primes = {c.name: c.name + PRIME_SUFFIX for c in unknowns}
     scalar = _scalar_equations(ps, unknowns)
-    lattice = _grade_lattice(grades, k)
 
-    # one unknown slot (name, j, h) per constant, order j and grade h
-    lineqs = []
+    # one row per scalar equation: its prime coefficients and its rest,
+    # each split by order and then by grade
+    rows = []
     for eq, label in scalar:
         coeffs, rest = _split_linear_in_primes(eq, list(primes.values()))
         parts = {cname: [_grade_parts(c, grades)
                          for c in coeffs[pname].orders(eps, k)]
                  for cname, pname in primes.items() if pname in coeffs}
-        for m, rest_m in enumerate(rest.orders(eps, k)):
-            consts = _grade_parts(rest_m, grades)
-            for g in lattice:
-                if m + g > k:
-                    break
-                slot_coeffs = {}
-                for cname, cparts in parts.items():
-                    for j in range(m + 1):
-                        for hc, cm in cparts[m - j].items():
-                            if hc <= g and not cm.is_zero():
-                                slot_coeffs[(cname, j, g - hc)] = cm
-                const = consts.get(g, Expr.zero())
-                if slot_coeffs or not const.is_zero():
-                    lineqs.append(LinEq(slot_coeffs, const,
-                                        f"{label} @{_part_text(m, g)}"))
-    solution, free, leftovers = solve_linear_system(lineqs)
-    if free:
-        raise FTUnderdetermined(
-            f"unknowns {free} enter a pivot row but were never determined; "
-            "add painted derivatives to close the system")
-    if leftovers:
-        raise FTInconsistent(
-            f"no hidden-scale symmetry for this painting: residual "
-            f"equation {leftovers[0].label} does not vanish")
+        consts = [_grade_parts(r, grades) for r in rest.orders(eps, k)]
+        rows.append((label, parts, consts))
+    solution = _solve_flow_rows(rows, _grade_lattice(grades, k), k)
 
     determined = {}
     equations = {}
@@ -235,6 +231,101 @@ def derive_ft_system(ps: PaintedSeries, k: int,
     return ft
 
 
+# A flow row is (label, parts, consts): parts[c][j][h] is the coefficient of
+# the prime of constant c at order j and grade h, consts[m][g] the part of
+# the rest.  Its part (m, g) is the equation
+#     sum over c, j <= m, h <= g of parts[c][m - j][h] * (c, j, g - h)
+#         + consts[m][g] = 0
+# in the slots (c, j, h): the order-j, grade-h piece of the flow of c.
+
+def _part_coeffs(parts: dict, m: int, g) -> dict:
+    """The slot coefficients of a flow row's part (m, g)."""
+    out = {}
+    for cname, cparts in parts.items():
+        for j in range(m + 1):
+            for hc, cm in cparts[m - j].items():
+                if hc <= g and not cm.is_zero():
+                    out[(cname, j, g - hc)] = cm
+    return out
+
+
+def _flow_parts(lattice: list, k: int) -> list:
+    """The parts (m, g) with m + g <= k, by order and then by grade."""
+    return [(m, g) for m in range(k + 1) for g in lattice if m + g <= k]
+
+
+def _flow_lineqs(rows: list, lattice: list, k: int) -> list:
+    """The whole flow system: each row's parts, row by row, skipping a part
+    with no slot and no constant."""
+    out = []
+    for label, parts, consts in rows:
+        for m, g in _flow_parts(lattice, k):
+            coeffs = _part_coeffs(parts, m, g)
+            const = consts[m].get(g, Expr.zero())
+            if coeffs or not const.is_zero():
+                out.append(LinEq(coeffs, const,
+                                 f"{label} @{_part_text(m, g)}"))
+    return out
+
+
+def _block_solve(rows: list, lattice: list, k: int) -> Optional[dict]:
+    """The flow system solved part by part, or None where that cannot be.
+
+    A00, the order-0, grade-0 prime coefficients, is the only block that
+    meets a part's own slots; every other coefficient meets slots of a
+    lower order plus grade.  So A00 is eliminated once, and each part, in
+    order of m + g, replays that elimination on its constants plus the
+    solved lower slots.  None when A00 leaves a constant unsolved, a part
+    meets a slot not yet solved, or a part leaves a row nonzero; the
+    generic solve then decides, with its messages.  The solution found is
+    the system's only one.
+    """
+    a00 = [{c: cparts[0][0] for c, cparts in parts.items()
+            if 0 in cparts[0]} for _label, parts, _consts in rows]
+    names = {c for _label, parts, _consts in rows for c in parts}
+    elim = Elimination(a00)
+    if len(elim.pivots) < len(names):
+        return None
+    solution = {}
+    for m, g in sorted(_flow_parts(lattice, k), key=lambda mg: mg[0] + mg[1]):
+        rhs = []
+        for _label, parts, consts in rows:
+            b = consts[m].get(g, Expr.zero())
+            for key, c in _part_coeffs(parts, m, g).items():
+                if key[1:] != (m, g):
+                    if key not in solution:
+                        return None
+                    b = b + c * solution[key]
+            rhs.append(b)
+        try:
+            part, free, leftovers = elim.solve(rhs)
+        except OutOfClassError:
+            return None
+        if free or leftovers:
+            return None
+        solution.update(((c, m, g), v) for c, v in part.items())
+    return solution
+
+
+def _solve_flow_rows(rows: list, lattice: list, k: int) -> dict:
+    """The slots' solution: ``_block_solve``'s, or ``solve_linear_system``'s
+    on the whole system when the block solve cannot decide."""
+    solution = _block_solve(rows, lattice, k)
+    if solution is not None:
+        return solution
+    solution, free, leftovers = solve_linear_system(
+        _flow_lineqs(rows, lattice, k))
+    if free:
+        raise FTUnderdetermined(
+            f"unknowns {free} enter a pivot row but were never determined; "
+            "add painted derivatives to close the system")
+    if leftovers:
+        raise FTInconsistent(
+            f"no hidden-scale symmetry for this painting: residual "
+            f"equation {leftovers[0].label} does not vanish")
+    return solution
+
+
 def _grade_lattice(grades: dict, k: int) -> list:
     """The sums of the declared (positive) grades up to ``k``, in increasing
     order: [0] when none is declared."""
@@ -251,16 +342,20 @@ def _part_text(m: int, h) -> str:
 
 def _verify_ft(ft: FTSystem):
     """Substituting the flows back must kill every determined part: the
-    orders m and grades h with m + h up to the checked order."""
+    orders m and grades h with m + h up to the checked order.
+
+    Each raw equation is split afresh into rest + sum of c_p * p over the
+    primes p, and each product c_p * F_p with the flow F_p is formed only
+    up to the checked order (``product_upto``): each flow is a polynomial
+    in the parameter, so the orders above it cannot reach the checked
+    ones."""
     kmax = min(ft.determined_orders.values()) if ft.determined_orders else -1
     top = min(ft.order, kmax + 1)
-    # each flow is a polynomial in the parameter, so the substitutions
-    # may drop every order above the checked ones
+    flows = {c.name + PRIME_SUFFIX: ft.equations[c.name] for c in ft.unknowns}
     for eq in ft.raw_equations:
-        res = eq
-        for c in ft.unknowns:
-            res = res.subs_param(c.name + PRIME_SUFFIX, ft.equations[c.name],
-                                 upto=(ft.parameter, top))
+        coeffs, res = _split_linear_in_primes(eq, list(flows))
+        for p, c in coeffs.items():
+            res = res + product_upto([c, flows[p]], ft.parameter, top)
         for m, res_m in enumerate(res.orders(ft.parameter, top)):
             parts = _grade_parts(res_m, ft.grades)
             for h, r in parts.items():

@@ -6,11 +6,17 @@ parameter eps = 0.05, the extra symbol A0 = 0.7 and the constants C0..C(n-1)
 at order 0.  An outcome is the report's text, or the exception's type and
 message.
 
-Run as a script to write every spec's outcome to a JSON file, so that two
-trees can be compared spec by spec::
+Run as a script to write every spec's outcome to a JSON file, and to
+compare two such files, say of a parent tree and of a change, spec by
+spec::
 
     PYTHONPATH=src python tests/specgrid.py derive out.json
     PYTHONPATH=src python tests/specgrid.py validate out.json
+    PYTHONPATH=src python tests/specgrid.py compare PARENT.json CHANGE.json
+
+``compare`` prints each (operator, perturbation, setup) class whose
+outcomes differ, with its count of differing specs, then a total, and
+exits 1 on any difference (a spec missing from one file differs).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import itertools
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from hiddenscale import cli
@@ -90,7 +97,24 @@ def outcome(path: Path, command: str) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def compare(parent: Path, change: Path) -> int:
+    """Print the classes whose outcomes differ between two outcome files,
+    each with its count of differing specs; 1 on any difference."""
+    a, b = (json.loads(p.read_text()) for p in (parent, change))
+    keys = set(a) | set(b)
+    differ = Counter(" | ".join(key.split(" | ")[:3]) for key in keys
+                     if a.get(key) != b.get(key))
+    for cls, n in sorted(differ.items()):
+        print(f"{cls}: {n}")
+    classes = {" | ".join(key.split(" | ")[:3]) for key in keys}
+    print(f"{sum(differ.values())} of {len(keys)} outcomes differ, in "
+          f"{len(differ)} of {len(classes)} classes")
+    return 1 if differ else 0
+
+
 def main(argv) -> int:
+    if argv[0] == "compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     command, out = argv[0], Path(argv[1])
     results = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -244,13 +244,16 @@ def test_exit_codes(tmp_path):
     # read: one line naming it, exit 2
     count, above = "needs a count of at least 2", "must be above 0"
     fit = "needs at least 3 values to fit an error order"
+    profiles = "must be at least 10, where the profiles end"
     for name, key, value, need in (
             ("overdamped", "validate.grid", "0 15 1", count),
             ("mathieu", "validate.grid", "0 30 0", count),
             ("overdamped", "validate.sweep", "0.05 0.1", fit),
             ("underdamped", "validate.sweep", "0.1 0.2", fit),
             ("bad", "validate.grid_points", "0", "must be at least 2"),
-            ("terrible", "validate.x_max", "-1", above),
+            ("terrible", "validate.x_max", "-1", profiles),
+            ("terrible", "validate.x_max", "5", profiles),
+            ("terrible", "validate.x_max", "1e-5", profiles),
             ("terrible", "validate.crossover_eps", "0", above),
             ("overdamped", "validate.oracle_step", "0", above),
             ("underdamped", "validate.oracle_step", "-1e-4", above),

@@ -495,6 +495,23 @@ def test_truncated_product_with_negative_eps_powers(seed, k):
     assert isinstance(_orders(c * inv, k), str)
 
 
+def _subs_upto(e: Expr, sym: str, value: Expr, k: int) -> Expr:
+    """e with sym -> value, the part of each power j of sym multiplied by
+    value**j through ``product_upto`` to order k in eps, as ``_verify_ft``
+    substitutes the flows for the primes."""
+    pieces: dict = {}
+    for t in e.terms:
+        lo, hi = t.coeff.order_range(sym)
+        for j in range(lo, hi + 1):
+            c = t.coeff.coeff_of(sym, j)
+            if not c.is_zero():
+                pieces.setdefault(j, []).append(t.with_coeff(c))
+    return sum((product_upto([Expr(ts)] + [value if j >= 0
+                                           else value.inverse()] * abs(j),
+                             "eps", k)
+                for j, ts in pieces.items()), Expr.zero())
+
+
 @given(st.integers(0, 10 ** 6), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_truncated_substitution_keeps_every_kept_order(seed, k):
@@ -502,22 +519,19 @@ def test_truncated_substitution_keeps_every_kept_order(seed, k):
     e = _eps_expr(rng) * (Expr.sym("P") + Expr.sym("P", 2)) + Expr.sym("P") \
         + _eps_expr(rng)
     value = Expr.sym("eps") * _eps_expr(rng) + Expr.sym("B")
-    full = _outcome(lambda: e.subs_param("P", value))
-    if isinstance(full, str):
-        assert _outcome(lambda: e.subs_param("P", value, upto=("eps", k))) \
-            == full
-        return
-    cut = e.subs_param("P", value, upto=("eps", k))
-    assert _orders(cut, k) == _orders(full, k)
+    # no exponent holds P and no power of it is negative: subs_param
+    # cannot raise here
+    full = e.subs_param("P", value)
+    assert _orders(_subs_upto(e, "P", value, k), k) == _orders(full, k)
     # eps**-1 in the expression brings order k + 1 of the powers down to k
     e = Expr.sym("eps", -1) * Expr.sym("P", 2) * _eps_expr(rng)
     value = Expr.sym("eps") * (_eps_expr(rng) + Expr.sym("B"))
-    assert _orders(e.subs_param("P", value, upto=("eps", k)), k) \
+    assert _orders(_subs_upto(e, "P", value, k), k) \
         == _orders(e.subs_param("P", value), k)
     # an invertible replacement for a negative power
     e = _eps_expr(rng) * Expr.sym("P", -2)
     value = Expr.sym("eps") * Expr.sym("B") * Expr.exp("x", -1)
-    assert _orders(e.subs_param("P", value, upto=("eps", k)), k) \
+    assert _orders(_subs_upto(e, "P", value, k), k) \
         == _orders(e.subs_param("P", value), k)
 
 
@@ -701,22 +715,48 @@ def _solved(solve, eqs):
 
 
 def test_solver_matches_rescan_on_corpus_systems(monkeypatch):
-    systems = []
+    # every system a corpus derive solves: the flow systems as
+    # derive_ft_system builds them (its block solve never calls
+    # solve_linear_system), every other one where it is solved
+    systems, flows = [], []
 
     def capture(eqs):
         systems.append(list(eqs))
         return solve_linear_system(eqs)
+
+    def capture_flows(rows, lattice, k):
+        flows.append((name, rows, lattice, k))
+        systems.append(ftflow._flow_lineqs(rows, lattice, k))
+        return solve_flow_rows(rows, lattice, k)
+    solve_flow_rows = ftflow._solve_flow_rows
+    monkeypatch.setattr(ftflow, "_solve_flow_rows", capture_flows)
     for mod in (ftflow, pertseries, pertsym):
         monkeypatch.setattr(mod, "solve_linear_system", capture)
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     for path in sorted(corpus.glob("*.spec")):
+        name = path.stem
         cli.run_derive(parse_spec(path), False)
     # every kind that solves: ode-hidden-scale (flows, cgo, ics),
-    # filament's graded flows, the determining equations, Burgers
+    # filament's graded flows, the determining equations, Burgers; a flow
+    # system that falls back is captured twice
     assert len(systems) >= 8 and max(map(len, systems)) == 242
     for eqs in systems:
         assert _solved(solve_linear_system, eqs) \
             == _solved(_solve_reference, eqs)
+    # the block solve gives the generic solution, keys and values, or
+    # leaves the system to it
+    fast = []
+    for name, rows, lattice, k in flows:
+        solution = ftflow._block_solve(rows, lattice, k)
+        if solution is not None:
+            fast.append(name)
+            generic, free, leftovers = solve_linear_system(
+                ftflow._flow_lineqs(rows, lattice, k))
+            assert (solution, free, leftovers) == (generic, [], [])
+    assert sorted(name for name, *_ in flows) \
+        == ["filament", "kdv", "mathieu", "overdamped", "terrible"]
+    # terrible's order-0 block is singular: its switchback flows fall back
+    assert fast == ["filament", "kdv", "mathieu", "overdamped"]
 
 
 def _random_system(rng: random.Random, entry):

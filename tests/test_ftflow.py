@@ -1,14 +1,17 @@
 """Painting, flow-equation derivation, orbits and uniform solutions."""
 
 import dataclasses
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hiddenscale import cli, filament, numlab
+from hiddenscale import cli, filament, ftflow, numlab
 from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
                                  div_exact, evaluator_rhs,
                                  solve_linear_system)
@@ -595,3 +598,98 @@ class TestLinearSolver:
         assert sol[y] == Expr.num(-2)
         assert free == []
         assert not leftovers
+
+
+# ---------------------------------------------------------------------------
+# The block solve against the generic solve of the whole flow system.
+
+def _flow_entry(rng: random.Random) -> Expr:
+    # numbers, single terms and, rarely, a sum that no entry divides
+    r = rng.random()
+    if r < 0.2:
+        return Expr.zero()
+    if r < 0.65:
+        return Expr.num(F(rng.randint(-3, 3), rng.randint(1, 2)))
+    if r < 0.8:
+        return Expr.sym("A", rng.randint(1, 2)) * rng.randint(1, 2)
+    if r < 0.95:
+        return Expr.exp("x", -1) * rng.randint(1, 2)
+    return Expr.exp("x", -1) + Expr.num(rng.randint(1, 2))
+
+
+def _random_flow_rows(rng: random.Random, graded: bool):
+    """(rows, lattice, k) in ``derive_ft_system``'s row form: a random
+    order-0 block, singular at times (a zero entry, a zero row, fewer rows
+    than constants), random higher blocks, sometimes a coefficient at a
+    grade no part solves, and constants made for a random solution, then
+    at times perturbed or drawn at random."""
+    names = [f"C{i}" for i in range(rng.randint(1, 3))]
+    k = rng.randint(0, 1 if graded else 2)
+    lattice = ftflow._grade_lattice({"a": F(1, 2)} if graded else {}, k)
+    off = [F(1, 3)] if graded and rng.random() < 0.2 else []
+    rows = []
+    for r in range(rng.randint(1, len(names) + 1)):
+        zero_row = rng.random() < 0.15
+        parts = {}
+        for c in names:
+            if rng.random() < 0.1:
+                continue
+            parts[c] = [{h: _flow_entry(rng) for h in lattice + off
+                         if j + h <= k and (j, h) != (0, 0)
+                         and rng.random() < 0.5} for j in range(k + 1)]
+            if not zero_row:
+                parts[c][0][0] = _flow_entry(rng)
+        rows.append((f"row {r}", parts, [{} for _ in range(k + 1)]))
+    values: dict = {}
+    for _label, parts, consts in rows:
+        for m, g in ftflow._flow_parts(lattice, k):
+            if rng.random() < 0.1:
+                consts[m][g] = _flow_entry(rng)
+                continue
+            b = Expr.zero()
+            for key, c in ftflow._part_coeffs(parts, m, g).items():
+                if key not in values:
+                    values[key] = _flow_entry(rng)
+                b = b - c * values[key]
+            if rng.random() < 0.1:
+                b = b + Expr.num(1)
+            consts[m][g] = b
+    return rows, lattice, k
+
+
+def _flow_outcome(rows, lattice, k):
+    try:
+        return ftflow._solve_flow_rows(rows, lattice, k)
+    except (FTInconsistent, FTUnderdetermined, OutOfClassError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@hypothesis.seed(34)
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_block_solve_matches_generic_solve(seed, graded):
+    # derive_ft_system's solve, block by block, against the same solve with
+    # the block path off: the solution, or the exception's type and message
+    rows, lattice, k = _random_flow_rows(random.Random(seed), graded)
+    fast = _flow_outcome(rows, lattice, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ftflow, "_block_solve", lambda *args: None)
+        slow = _flow_outcome(rows, lattice, k)
+    assert fast == slow
+
+
+def test_random_flow_systems_take_both_paths():
+    # with and without grades, the systems above reach the block solve,
+    # its fallback with a solution, and the generic solve's exceptions
+    kinds = set()
+    for seed in range(100):
+        for graded in (False, True):
+            rows, lattice, k = _random_flow_rows(random.Random(seed), graded)
+            block = ftflow._block_solve(rows, lattice, k) is not None
+            out = _flow_outcome(rows, lattice, k)
+            kinds.add((graded, block, out.split(":")[0]
+                       if isinstance(out, str) else "solution"))
+    for graded in (False, True):
+        assert {(graded, True, "solution"), (graded, False, "solution"),
+                (graded, False, "FTInconsistent"),
+                (graded, False, "FTUnderdetermined")} <= kinds

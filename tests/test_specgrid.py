@@ -2,6 +2,7 @@
 specgrid.py."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -32,3 +33,21 @@ def test_generated_outcomes_are_pinned(tmp_path, command):
         path.write_text(text)
         digest.update(specgrid.outcome(path, command).encode())
     assert digest.hexdigest() == PINNED[command]
+
+
+def test_compare_counts_differing_outcomes_per_class(tmp_path, capsys):
+    keys = [key for key, _text in SAMPLE[:3]]
+    parent = {key: "report" for key in keys}
+    change = {**parent, keys[1]: "FTInconsistent: ..."}
+    del change[keys[2]]
+    a, b = tmp_path / "parent.json", tmp_path / "change.json"
+    a.write_text(json.dumps(parent))
+    b.write_text(json.dumps(change))
+    assert specgrid.main(["compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out == "0 of 3 outcomes differ, in 0 of 3 " \
+        "classes\n"
+    assert specgrid.main(["compare", str(a), str(b)]) == 1
+    classes = [" | ".join(key.split(" | ")[:3]) for key in keys]
+    assert capsys.readouterr().out.splitlines() == sorted(
+        f"{cls}: 1" for cls in classes[1:]) + [
+        "2 of 3 outcomes differ, in 2 of 3 classes"]
