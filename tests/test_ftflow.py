@@ -223,6 +223,30 @@ class TestDeriveFT:
             else:
                 _verify_ft(changed)
 
+    @pytest.mark.parametrize("case", [overdamped_series, mathieu_series,
+                                      kdv_series, "filament"])
+    def test_prime_split_matches_chained_coeff_linear(self, case):
+        # the one-pass split of each flow equation against one coeff_linear
+        # per prime, as the primes were split before it
+        if case == "filament":
+            ft = filament.derive(ode_problem(
+                parse_spec(CORPUS / "filament.spec"))).ft
+        else:
+            ft = derive_ft_system(paint(most_divergent_filter(case()), 1), 1)
+        primes = [c.name + "'" for c in ft.unknowns]
+        for eq in ft.raw_equations:
+            want, rest = {}, eq
+            for p in primes:
+                c, rest = rest.coeff_linear(p)
+                if not c.is_zero():
+                    want[p] = c
+            assert ftflow._split_linear_in_primes(eq, primes) == (want, rest)
+        # a prime squared, or two primes in one monomial, is refused
+        p, q = (Expr.sym(s) for s in primes[:2])
+        for bad in (p * p, p * q + Expr.num(1)):
+            with pytest.raises(OutOfClassError, match="does not occur"):
+                ftflow._split_linear_in_primes(bad, primes)
+
 
 class TestOrbits:
     def test_overdamped_exponential_flows(self):
