@@ -672,11 +672,17 @@ class Expr:
     def conj(self) -> "Expr":
         return Expr([t.conj() for t in self.terms])
 
-    def real(self) -> "Expr":
-        return (self + self.conj()).scale(Fraction(1, 2))
-
-    def imag(self) -> "Expr":
-        return (self - self.conj()).scale(0, Fraction(-1, 2))
+    def parts(self):
+        """(real part, imaginary part), symbols taken real: (e + conj e)/2
+        and (e - conj e)*(-i/2), both built in one pass over the terms."""
+        re, im = [], []
+        for t in self.terms:
+            c = t.conj()
+            re += [t.with_coeff(t.coeff.times((1, 0, 2))),
+                   c.with_coeff(c.coeff.times((1, 0, 2)))]
+            im += [t.with_coeff(t.coeff.times((0, -1, 2))),
+                   c.with_coeff(c.coeff.times((0, 1, 2)))]
+        return Expr(re), Expr(im)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Expr) and self.terms == other.terms

@@ -22,7 +22,8 @@ from .exprcore import (Elimination, Expr, LinEq, OutOfClassError, Poly,
                        evaluator_rhs, paint_term, product_upto,
                        solve_linear_system)
 from .pertseries import (PerturbationSeries, LinearOperator, SolveError,
-                         _grade_parts, grade_truncate, particular_integral)
+                         _grade_parts, _grade_units, grade_truncate,
+                         particular_integral)
 
 
 class FTError(RuntimeError):
@@ -137,19 +138,18 @@ class FTSystem:
 
 
 def _scalar_equations(ps: PaintedSeries, unknowns):
-    """Basis-split, phase-normalized real scalar equations, linear in primes."""
+    """Basis-split, phase-normalized real scalar equations, linear in primes,
+    each with its label (expression index, basis term, "re" or "im"), printed
+    only in ``_solve_flow_rows``'s message."""
     x = ps.variable
-    from . import textform
     eqs = []
     for r, e in enumerate(ps.exprs()):
         de = e.diff(ps.mu, {c.name: c.name + PRIME_SUFFIX for c in unknowns})
         for basis, coeff in de.split_basis([x]):
-            norm = coeff.factor_out_unit_phase()
-            label = (f"expr {r}, basis "
-                     f"{textform.expr_text(Expr([basis]))}")
-            for part, tag in ((norm.real(), "re"), (norm.imag(), "im")):
+            parts = coeff.factor_out_unit_phase().parts()
+            for part, tag in zip(parts, ("re", "im")):
                 if not part.is_zero():
-                    eqs.append((part, f"{label} [{tag}]"))
+                    eqs.append((part, (r, basis, tag)))
     return eqs
 
 
@@ -188,7 +188,8 @@ def derive_ft_system(ps: PaintedSeries, k: int,
     O(eps^(1/2))); each order j is then split further by declared grade h
     (see ``_grade_parts``), and the parts with j + h <= k are solved for,
     one part at a time by ``_block_solve`` when it can, else all at once
-    (``_solve_flow_rows``).
+    (``_solve_flow_rows``), grades in int units (``_grade_units``).  The
+    solve and ``_verify_ft`` share one prime split per scalar equation.
     Raises FTInconsistent when no flow satisfies an equation and
     FTUnderdetermined when the stored derivatives do not close the system.
     """
@@ -199,18 +200,21 @@ def derive_ft_system(ps: PaintedSeries, k: int,
     eps = ps.parameter
     primes = {c.name: c.name + PRIME_SUFFIX for c in unknowns}
     scalar = _scalar_equations(ps, unknowns)
+    splits = [_split_linear_in_primes(eq, list(primes.values()))
+              for eq, _label in scalar]
+    unit, units = _grade_units(grades)
 
     # one row per scalar equation: its prime coefficients and its rest,
     # each split by order and then by grade
     rows = []
-    for eq, label in scalar:
-        coeffs, rest = _split_linear_in_primes(eq, list(primes.values()))
-        parts = {cname: [_grade_parts(c, grades)
+    for (_eq, label), (coeffs, rest) in zip(scalar, splits):
+        parts = {cname: [_grade_parts(c, units)
                          for c in coeffs[pname].orders(eps, k)]
                  for cname, pname in primes.items() if pname in coeffs}
-        consts = [_grade_parts(r, grades) for r in rest.orders(eps, k)]
+        consts = [_grade_parts(r, units) for r in rest.orders(eps, k)]
         rows.append((label, parts, consts))
-    solution = _solve_flow_rows(rows, _grade_lattice(grades, k), k)
+    flow_parts = _flow_parts(_grade_lattice(units, k * unit), k, unit)
+    solution = _solve_flow_rows(rows, flow_parts, unit)
 
     determined = {}
     equations = {}
@@ -227,7 +231,7 @@ def derive_ft_system(ps: PaintedSeries, k: int,
         determined[c.name] = len(js) - 1
     ft = FTSystem(ps.mu, ps.variable, eps, k, list(unknowns), equations,
                   determined, [eq for eq, _ in scalar], grades)
-    _verify_ft(ft)
+    _verify_ft(ft, splits)
     return ft
 
 
@@ -237,6 +241,7 @@ def derive_ft_system(ps: PaintedSeries, k: int,
 #     sum over c, j <= m, h <= g of parts[c][m - j][h] * (c, j, g - h)
 #         + consts[m][g] = 0
 # in the slots (c, j, h): the order-j, grade-h piece of the flow of c.
+# Grades are ints, in units of 1/unit: a grade h is h/unit in the parameter.
 
 def _part_coeffs(parts: dict, m: int, g) -> dict:
     """The slot coefficients of a flow row's part (m, g)."""
@@ -249,26 +254,26 @@ def _part_coeffs(parts: dict, m: int, g) -> dict:
     return out
 
 
-def _flow_parts(lattice: list, k: int) -> list:
-    """The parts (m, g) with m + g <= k, by order and then by grade."""
-    return [(m, g) for m in range(k + 1) for g in lattice if m + g <= k]
+def _flow_parts(lattice: list, k: int, unit: int) -> list:
+    """The parts (m, g) with m + g/unit <= k, by order and then by grade."""
+    return [(m, g) for m in range(k + 1) for g in lattice
+            if m * unit + g <= k * unit]
 
 
-def _flow_lineqs(rows: list, lattice: list, k: int) -> list:
+def _flow_lineqs(rows: list, flow_parts: list) -> list:
     """The whole flow system: each row's parts, row by row, skipping a part
-    with no slot and no constant."""
+    with no slot and no constant; each labelled (row label, m, g)."""
     out = []
     for label, parts, consts in rows:
-        for m, g in _flow_parts(lattice, k):
+        for m, g in flow_parts:
             coeffs = _part_coeffs(parts, m, g)
             const = consts[m].get(g, Expr.zero())
             if coeffs or not const.is_zero():
-                out.append(LinEq(coeffs, const,
-                                 f"{label} @{_part_text(m, g)}"))
+                out.append(LinEq(coeffs, const, (label, m, g)))
     return out
 
 
-def _block_solve(rows: list, lattice: list, k: int) -> Optional[dict]:
+def _block_solve(rows: list, flow_parts: list, unit: int) -> Optional[dict]:
     """The flow system solved part by part, or None where that cannot be.
 
     A00, the order-0, grade-0 prime coefficients, is the only block that
@@ -287,7 +292,7 @@ def _block_solve(rows: list, lattice: list, k: int) -> Optional[dict]:
     if len(elim.pivots) < len(names):
         return None
     solution = {}
-    for m, g in sorted(_flow_parts(lattice, k), key=lambda mg: mg[0] + mg[1]):
+    for m, g in sorted(flow_parts, key=lambda mg: mg[0] * unit + mg[1]):
         rhs = []
         for _label, parts, consts in rows:
             b = consts[m].get(g, Expr.zero())
@@ -307,63 +312,68 @@ def _block_solve(rows: list, lattice: list, k: int) -> Optional[dict]:
     return solution
 
 
-def _solve_flow_rows(rows: list, lattice: list, k: int) -> dict:
+def _solve_flow_rows(rows: list, flow_parts: list, unit: int) -> dict:
     """The slots' solution: ``_block_solve``'s, or ``solve_linear_system``'s
     on the whole system when the block solve cannot decide."""
-    solution = _block_solve(rows, lattice, k)
+    solution = _block_solve(rows, flow_parts, unit)
     if solution is not None:
         return solution
     solution, free, leftovers = solve_linear_system(
-        _flow_lineqs(rows, lattice, k))
+        _flow_lineqs(rows, flow_parts))
     if free:
         raise FTUnderdetermined(
             f"unknowns {free} enter a pivot row but were never determined; "
             "add painted derivatives to close the system")
     if leftovers:
+        from . import textform
+        (r, basis, tag), m, g = leftovers[0].label
         raise FTInconsistent(
-            f"no hidden-scale symmetry for this painting: residual "
-            f"equation {leftovers[0].label} does not vanish")
+            f"no hidden-scale symmetry for this painting: residual equation "
+            f"expr {r}, basis {textform.expr_text(Expr([basis]))} [{tag}] "
+            f"@{_part_text(m, g, unit)} does not vanish")
     return solution
 
 
-def _grade_lattice(grades: dict, k: int) -> list:
-    """The sums of the declared (positive) grades up to ``k``, in increasing
-    order: [0] when none is declared."""
+def _grade_lattice(units: dict, top: int) -> list:
+    """The sums of the declared (positive) int grades up to ``top``, in
+    increasing order: [0] when none is declared."""
     out = {0}
-    for g in map(Fraction, grades.values()):
-        out |= {h + n * g for h in out for n in range(1, int(k / g) + 1)
-                if h + n * g <= k}
+    for g in units.values():
+        out |= {h + n * g for h in out for n in range(1, top // g + 1)
+                if h + n * g <= top}
     return sorted(out)
 
 
-def _part_text(m: int, h) -> str:
-    return f"order {m}" + (f", grade {h}" if h else "")
+def _part_text(m: int, h: int, unit: int) -> str:
+    return f"order {m}" + (f", grade {Fraction(h, unit)}" if h else "")
 
 
-def _verify_ft(ft: FTSystem):
+def _verify_ft(ft: FTSystem, splits: Optional[list] = None):
     """Substituting the flows back must kill every determined part: the
     orders m and grades h with m + h up to the checked order.
 
-    Each raw equation is split afresh into rest + sum of c_p * p over the
-    primes p, and each product c_p * F_p with the flow F_p is formed only
-    up to the checked order (``product_upto``): each flow is a polynomial
-    in the parameter, so the orders above it cannot reach the checked
-    ones."""
+    ``splits`` holds derive_ft_system's split of each raw equation into
+    rest + sum of c_p * p over the primes p; without it they are split
+    here.  Each c_p * F_p with the flow F_p is formed only up to the checked
+    order (``product_upto``): each flow is a polynomial in the parameter,
+    so the orders above it cannot reach the checked ones."""
     kmax = min(ft.determined_orders.values()) if ft.determined_orders else -1
     top = min(ft.order, kmax + 1)
+    unit, units = _grade_units(ft.grades)
     flows = {c.name + PRIME_SUFFIX: ft.equations[c.name] for c in ft.unknowns}
-    for eq in ft.raw_equations:
-        coeffs, res = _split_linear_in_primes(eq, list(flows))
+    if splits is None:
+        splits = [_split_linear_in_primes(eq, list(flows))
+                  for eq in ft.raw_equations]
+    for coeffs, res in splits:
         for p, c in coeffs.items():
             res = res + product_upto([c, flows[p]], ft.parameter, top)
         for m, res_m in enumerate(res.orders(ft.parameter, top)):
-            parts = _grade_parts(res_m, ft.grades)
-            for h, r in parts.items():
-                if m + h <= top and not r.is_zero():
+            for h, r in _grade_parts(res_m, units).items():
+                if m * unit + h <= top * unit and not r.is_zero():
                     from . import textform
                     raise FTInconsistent(
-                        f"flow verification failed at {_part_text(m, h)}: "
-                        f"{textform.expr_text(r)}")
+                        f"flow verification failed at "
+                        f"{_part_text(m, h, unit)}: {textform.expr_text(r)}")
 
 
 # ---------------------------------------------------------------------------

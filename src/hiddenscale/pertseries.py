@@ -5,20 +5,22 @@ solves each order exactly by undetermined coefficients (with resonant trials
 promoted by the minimal variable power), and assembles the bare series with
 symbolic integration constants.  Every solve is verified by substituting back
 into the operator.  Declared grades cut each order at total grade k.
+A ``LinearOperator`` computes its roots, its data per forcing rate and the
+elimination of its Wronskian at 0 once; each zero-start order replays that
+elimination on its particular integral's jet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .exprcore import (Expr, LinEq, Poly, Q_ONE, Q_ZERO, Term, _qadd, _qdiv,
-                       _qmul, _qnum, _qpow, _qreduce, product_upto,
-                       solve_linear_system)
+from .exprcore import (Elimination, Expr, Poly, Q_ONE, Q_ZERO, Term, _qadd,
+                       _qdiv, _qmul, _qnum, _qpow, _qreduce, product_upto)
 
 
 class SolveError(RuntimeError):
@@ -27,7 +29,9 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Constant rational-coefficient operator sum(c_m * D^m) in ``var``."""
+    """Constant rational-coefficient operator sum(c_m * D^m) in ``var``.
+    Frozen, so ``char_roots``, ``mode`` and ``zero_start`` keep their
+    results in the instance's ``__dict__``; == and hash see the fields."""
 
     coeffs: tuple          # coeffs[m] is a Fraction
     var: str
@@ -55,20 +59,21 @@ class LinearOperator:
                 out = out + d.scale(c)
         return out
 
-    def multiplicity(self, z) -> int:
-        """Multiplicity of the Gaussian rational z as a characteristic root
-        (0 if not a root)."""
-        coeffs = list(self.coeffs)
-        mult = 0
-        while coeffs and len(coeffs) > 1:
-            val = Q_ZERO
-            for m, c in enumerate(coeffs):
-                val = _qadd(val, _qmul(_qnum(c), _qpow(z, m)))
-            if val != Q_ZERO:
-                break
-            mult += 1
-            coeffs = [m * c for m, c in enumerate(coeffs)][1:]
-        return mult
+    def mode(self, z):
+        """(multiplicity, betas) for the Gaussian rational z, once per z:
+        betas[j] = p^(j)(z)/j! are the coefficients of L(D + z), and the
+        first nonzero one is at z's multiplicity as a characteristic root
+        (0 if z is none)."""
+        modes = self.__dict__.setdefault("_modes", {})
+        if z not in modes:
+            betas = [Q_ZERO] * (self.order + 1)
+            for m, c in enumerate(self.coeffs):
+                for j in range(m + 1):
+                    betas[j] = _qadd(betas[j], _qmul(_qnum(c * comb(m, j)),
+                                                     _qpow(z, m - j)))
+            modes[z] = (next(j for j, b in enumerate(betas) if b != Q_ZERO),
+                        betas)
+        return modes[z]
 
     def char_roots(self):
         """All characteristic roots as (Gaussian rational, multiplicity).
@@ -79,8 +84,12 @@ class LinearOperator:
         With integer coefficients, the rational root theorem in the Gaussian
         integers puts lead * z in Z[i] for every Gaussian-rational root z, so
         each candidate is rounded to multiples of 1/lead and kept only when
-        the exact ``multiplicity`` is nonzero.  Any other root is rejected.
+        its exact multiplicity (``mode``) is nonzero.  Any other root is
+        rejected.  Computed once per operator; every call returns the same
+        list.
         """
+        if "_roots" in self.__dict__:
+            return self.__dict__["_roots"]
         scale = lcm(*(c.denominator for c in self.coeffs))
         poly = [int(c * scale) for c in self.coeffs]
         den = abs(poly[-1])
@@ -88,16 +97,39 @@ class LinearOperator:
         for _ in range(self.order):
             for w in np.roots([float(c) for c in reversed(poly)]):
                 z = _qreduce(round(w.real * den), round(w.imag * den), den)
-                if z not in found and (mult := self.multiplicity(z)):
+                if z not in found and (mult := self.mode(z)[0]):
                     found[z] = mult
             poly = [m * c for m, c in enumerate(poly)][1:]
         if sum(found.values()) != self.order:
             raise SolveError("operator has non-rational characteristic roots")
         # real roots first, then by decreasing real and increasing
         # imaginary part
-        return sorted(found.items(), key=lambda zm: (
+        roots = sorted(found.items(), key=lambda zm: (
             zm[0][1] != 0, Fraction(-zm[0][0], zm[0][2]),
             Fraction(zm[0][1], zm[0][2])))
+        self.__dict__["_roots"] = roots
+        return roots
+
+    def zero_start(self):
+        """(basis, wronskian), built once: the rect fundamental basis b_i and
+        the ``Elimination`` of its jet rows [D^m b_i(0)], which replayed on
+        p's jet gives the c_i that make p + sum(c_i * b_i) start at zero."""
+        if "_zero_start" not in self.__dict__:
+            names = [f"_c{i}" for i in range(self.order)]
+            cf, _, _ = complementary(self, names, "rect")
+            basis = [cf.coeff_linear(c)[0] for c in names]
+            rows = zip(*map(self.jet, basis))    # row m: D^m b_i(0)
+            self.__dict__["_zero_start"] = (
+                basis, Elimination([dict(enumerate(row)) for row in rows]))
+        return self.__dict__["_zero_start"]
+
+    def jet(self, e: Expr) -> list:
+        """[D^m e at var = 0 for m < order]."""
+        out = [e.subs_param(self.var, 0)]
+        for _ in range(1, self.order):
+            e = e.diff(self.var)
+            out.append(e.subs_param(self.var, 0))
+        return out
 
 
 @dataclass(frozen=True)
@@ -124,17 +156,24 @@ class ConstantInfo:
     kind: str            # "param" or "offset"
 
 
-def _grade_parts(e: Expr, grades: dict) -> dict:
-    """``e`` split by declared grade: {h: part}.  The grade of a monomial is
-    the sum of grade*power over its symbols in ``grades``; with none
-    declared the one part is ``e`` itself, at grade 0."""
-    if not grades:
+def _grade_units(grades: dict):
+    """(unit, units): the lcm of the grades' denominators, and each grade
+    as an int multiple of 1/unit ({} and 1 when none is declared)."""
+    unit = lcm(*(Fraction(g).denominator for g in grades.values()))
+    return unit, {s: int(g * unit) for s, g in grades.items()}
+
+
+def _grade_parts(e: Expr, units: dict) -> dict:
+    """``e`` split by declared grade: {h: part}, with ``units`` the int
+    grades of ``_grade_units``.  The grade of a monomial is the sum of
+    grade*power over its symbols in ``units``; with none declared the one
+    part is ``e`` itself, at grade 0."""
+    if not units:
         return {0: e}
     parts: dict = {}
     for t in e.terms:
         for m in t.coeff.monos:
-            h = sum((grades[s] * p for s, p in m[0] if s in grades),
-                    Fraction(0))
+            h = sum(units[s] * p for s, p in m[0] if s in units)
             parts.setdefault(h, []).append(t.with_coeff(Poly([m])))
     return {h: Expr(ts) for h, ts in parts.items()}
 
@@ -143,8 +182,9 @@ def grade_truncate(e: Expr, grades: dict, param: str, max_grade) -> Expr:
     """``e`` without the terms of total grade above ``max_grade``: the power
     of ``param`` plus the declared grades (a constant of grade 1/2 is of the
     order param**(1/2))."""
-    parts = _grade_parts(e, {**grades, param: 1})
-    return Expr([t for h, part in parts.items() if h <= max_grade
+    unit, units = _grade_units({**grades, param: 1})
+    parts = _grade_parts(e, units)
+    return Expr([t for h, part in parts.items() if h <= max_grade * unit
                  for t in part.terms])
 
 
@@ -252,31 +292,13 @@ def _term_mode(t: Term, var: str):
     return z, d, Term(t.coeff, vpows, rates, t.offs)
 
 
-def _shifted_coeffs(L: LinearOperator, z):
-    """Coefficients beta_j of L(D + z) as Gaussian rationals."""
-    from math import comb
-    n = L.order
-    betas = []
-    for j in range(n + 1):
-        b = Q_ZERO
-        for m in range(j, n + 1):
-            c = _qnum(L.coeffs[m] * comb(m, j))
-            b = _qadd(b, _qmul(c, _qpow(z, m - j)))
-        betas.append(b)
-    return betas
-
-
 def particular_integral(L: LinearOperator, f: Expr) -> Expr:
     """Exact particular integral of L[y] = f by undetermined coefficients."""
     var = L.var
     out = Expr.zero()
     for t in f.terms:
         z, d, factor = _term_mode(t, var)
-        mult = L.multiplicity(z)
-        betas = _shifted_coeffs(L, z)
-        if any(betas[j] != Q_ZERO for j in range(mult)) or \
-                betas[mult] == Q_ZERO:
-            raise SolveError("resonance classification failed (internal)")
+        mult, betas = L.mode(z)
         # solve L(D+z)[sum_e u_e v^(e+mult)] = v^d
         fact = [1]
         for i in range(1, d + mult + 1):
@@ -368,7 +390,10 @@ def solve_order(L: LinearOperator, f: Expr, ics=None,
     """Solve L[y] = f exactly: complementary function plus particular integral.
 
     ``ics`` is None (keep fresh constants) or "zero" (y and its first n-1
-    derivatives vanish at 0, and the fresh constants are solved out).
+    derivatives vanish at 0).  For "zero" only the particular integral's
+    jet at 0 is formed: the operator's cached Wronskian elimination
+    (``LinearOperator.zero_start``) is replayed on it, and the solved
+    multiples of the fundamental basis are added.
     Returns (Expr, [ConstantInfo], offsets).
     """
     n = L.order
@@ -377,27 +402,14 @@ def solve_order(L: LinearOperator, f: Expr, ics=None,
         names = names if names is not None else [f"C{i+1}" for i in range(n)]
         cf, infos, offsets = complementary(L, names, style, base_offsets)
         return cf + pi, infos, offsets
-    cf, infos, _ = complementary(L, [f"_c{i}" for i in range(n)], "rect")
-    y = cf + pi
-    consts = [c.name for c in infos]
-    eqs = []
-    d = y
-    for m in range(n):
-        if m:
-            d = d.diff(L.var)
-        rest = d.subs_param(L.var, 0)
-        coeffs = {}
-        for cn in consts:
-            coeffs[cn], rest = rest.coeff_linear(cn)
-        eqs.append(LinEq(coeffs, rest))
-    sol, free, leftovers = solve_linear_system(eqs)
+    basis, wronskian = L.zero_start()
+    sol, free, leftovers = wronskian.solve(L.jet(pi))
     if free:
         raise SolveError("underdetermined initial conditions")
     if leftovers:
         raise SolveError("inconsistent initial conditions")
-    out = y
-    for c in consts:
-        out = out.subs_param(c, sol.get(c, Expr.zero()))
+    out = Expr([t for i, c in sol.items() for t in (c * basis[i]).terms]
+               + list(pi.terms))
     if not (L.apply(out) - f).is_zero():
         raise SolveError("ic solve failed verification")
     return out, [], {}

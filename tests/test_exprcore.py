@@ -319,7 +319,11 @@ def test_mixed_growth_and_phase_round_trip():
     for _ in range(1000):
         e = _criterion9_expr(rng) * _criterion9_expr(rng)
         assert parse_expr(expr_text(e), {"x"}) == e, expr_text(e)
-        assert e.real() + Expr.num(0, 1) * e.imag() == e
+        re, im = e.parts()
+        assert re + Expr.num(0, 1) * im == e
+        # the former two-pass real and imaginary parts
+        assert (re, im) == ((e + e.conj()).scale(F(1, 2)),
+                            (e - e.conj()).scale(0, F(-1, 2)))
         mixed += any(p.parts()[0] and p.parts()[1]
                      for t in e.terms for _, p in t.rates)
     assert mixed
@@ -724,20 +728,21 @@ def test_solver_matches_rescan_on_corpus_systems(monkeypatch):
         systems.append(list(eqs))
         return solve_linear_system(eqs)
 
-    def capture_flows(rows, lattice, k):
-        flows.append((name, rows, lattice, k))
-        systems.append(ftflow._flow_lineqs(rows, lattice, k))
-        return solve_flow_rows(rows, lattice, k)
+    def capture_flows(rows, flow_parts, unit):
+        flows.append((name, rows, flow_parts, unit))
+        systems.append(ftflow._flow_lineqs(rows, flow_parts))
+        return solve_flow_rows(rows, flow_parts, unit)
     solve_flow_rows = ftflow._solve_flow_rows
     monkeypatch.setattr(ftflow, "_solve_flow_rows", capture_flows)
-    for mod in (ftflow, pertseries, pertsym):
+    for mod in (ftflow, pertsym):
         monkeypatch.setattr(mod, "solve_linear_system", capture)
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     for path in sorted(corpus.glob("*.spec")):
         name = path.stem
         cli.run_derive(parse_spec(path), False)
-    # every kind that solves: ode-hidden-scale (flows, cgo, ics),
-    # filament's graded flows, the determining equations, Burgers; a flow
+    # every kind that solves: ode-hidden-scale (flows, cgo; its zero
+    # initial values replay the operator's own elimination), filament's
+    # graded flows, the determining equations, Burgers; a flow
     # system that falls back is captured twice
     assert len(systems) >= 8 and max(map(len, systems)) == 242
     for eqs in systems:
@@ -746,12 +751,12 @@ def test_solver_matches_rescan_on_corpus_systems(monkeypatch):
     # the block solve gives the generic solution, keys and values, or
     # leaves the system to it
     fast = []
-    for name, rows, lattice, k in flows:
-        solution = ftflow._block_solve(rows, lattice, k)
+    for name, rows, flow_parts, unit in flows:
+        solution = ftflow._block_solve(rows, flow_parts, unit)
         if solution is not None:
             fast.append(name)
             generic, free, leftovers = solve_linear_system(
-                ftflow._flow_lineqs(rows, lattice, k))
+                ftflow._flow_lineqs(rows, flow_parts))
             assert (solution, free, leftovers) == (generic, [], [])
     assert sorted(name for name, *_ in flows) \
         == ["filament", "kdv", "mathieu", "overdamped", "terrible"]

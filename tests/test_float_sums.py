@@ -29,7 +29,7 @@ ALLOWED = {
     "ftflow.derive_ft_system": "adds the exact Exprs of a flow's orders",
     "pertseries.LinearOperator.char_roots": "adds the roots' int "
                                             "multiplicities",
-    "pertseries._grade_parts": "adds a monomial's Fraction grades",
+    "pertseries._grade_parts": "adds a monomial's int grade units",
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hiddenscale import cli, filament, ftflow, numlab
-from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly,
+from hiddenscale.exprcore import (Expr, LinEq, OutOfClassError, Poly, Term,
                                  div_exact, evaluator_rhs,
                                  solve_linear_system)
 from hiddenscale.ftflow import (FTInconsistent, FTSystem, FTUnderdetermined,
@@ -627,6 +627,82 @@ class TestLinearSolver:
 # ---------------------------------------------------------------------------
 # The block solve against the generic solve of the whole flow system.
 
+ODE_SPECS = sorted(p.stem for p in CORPUS.glob("*.spec")
+                   if "kind = ode-hidden-scale" in p.read_text())
+
+
+@pytest.mark.parametrize("name", ODE_SPECS)
+def test_derive_computes_each_intermediate_once(monkeypatch, name):
+    # calls counted over the parse and two derives of one parsed spec: the
+    # roots and the zero-start elimination are the operator's, computed
+    # once (the parse checks each operator it reads, a scripted spec's
+    # text too); each scalar equation is split into primes once, and no
+    # label is printed where nothing fails
+    from hiddenscale import pertseries, specfile, textform
+    counts = dict.fromkeys(("ops", "roots", "elim", "scalar", "split",
+                            "text"), 0)
+    inside = [0]
+
+    def counting(key, f, size=lambda out: 1, only_inside=False):
+        def wrapped(*args, **kwargs):
+            out = f(*args, **kwargs)
+            if inside[0] or not only_inside:
+                counts[key] += size(out)
+            return out
+        return wrapped
+
+    def derive_ft_system(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return derive(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+    derive = ftflow.derive_ft_system
+    monkeypatch.setattr(ftflow, "derive_ft_system", derive_ft_system)
+    monkeypatch.setattr(np, "roots", counting("roots", np.roots))
+    monkeypatch.setattr(specfile, "parse_operator",
+                        counting("ops", specfile.parse_operator))
+    monkeypatch.setattr(pertseries, "Elimination",
+                        counting("elim", pertseries.Elimination))
+    monkeypatch.setattr(ftflow, "_scalar_equations",
+                        counting("scalar", ftflow._scalar_equations, len))
+    monkeypatch.setattr(ftflow, "_split_linear_in_primes", counting(
+        "split", ftflow._split_linear_in_primes, only_inside=True))
+    monkeypatch.setattr(textform, "expr_text", counting(
+        "text", textform.expr_text, only_inside=True))
+    spec = parse_spec(CORPUS / f"{name}.spec")
+    parsed = dict(counts)
+    cli.run_derive(spec, False)
+    once = dict(counts)
+    cli.run_derive(spec, False)
+    n = spec.operator.order
+    zero_start = spec.constants_policy == "fresh-at-zeroth-order"
+    assert 0 < parsed["roots"] <= n * parsed["ops"]
+    assert counts["roots"] == parsed["roots"]
+    assert once["elim"] == counts["elim"] == int(zero_start)
+    assert once["split"] == once["scalar"] > 0
+    assert counts["split"] == counts["scalar"] == 2 * once["scalar"]
+    assert counts["text"] == 0
+    assert name != "kdv" or zero_start
+
+
+def test_verify_ft_splits_what_it_is_not_given():
+    # a caller with only the FTSystem gets the split of its raw equations
+    ft = derive_ft_system(paint(most_divergent_filter(kdv_series()), 1), 1)
+    primes = [c.name + "'" for c in ft.unknowns]
+    splits = [ftflow._split_linear_in_primes(eq, primes)
+              for eq in ft.raw_equations]
+    _verify_ft(ft)
+    _verify_ft(ft, splits)
+    name = ft.unknowns[0].name
+    changed = dataclasses.replace(
+        ft, equations={**ft.equations,
+                       name: ft.equations[name] + Expr.var(ft.variable)})
+    for args in ((changed,), (changed, splits)):
+        with pytest.raises(FTInconsistent, match="flow verification failed"):
+            _verify_ft(*args)
+
+
 def _flow_entry(rng: random.Random) -> Expr:
     # numbers, single terms and, rarely, a sum that no entry divides
     r = rng.random()
@@ -642,15 +718,17 @@ def _flow_entry(rng: random.Random) -> Expr:
 
 
 def _random_flow_rows(rng: random.Random, graded: bool):
-    """(rows, lattice, k) in ``derive_ft_system``'s row form: a random
+    """(rows, flow parts, unit) in ``derive_ft_system``'s row form, grades
+    in sixths (unit 6) with a declared grade of 1/2: a random
     order-0 block, singular at times (a zero entry, a zero row, fewer rows
     than constants), random higher blocks, sometimes a coefficient at a
     grade no part solves, and constants made for a random solution, then
     at times perturbed or drawn at random."""
     names = [f"C{i}" for i in range(rng.randint(1, 3))]
     k = rng.randint(0, 1 if graded else 2)
-    lattice = ftflow._grade_lattice({"a": F(1, 2)} if graded else {}, k)
-    off = [F(1, 3)] if graded and rng.random() < 0.2 else []
+    unit = 6
+    lattice = ftflow._grade_lattice({"a": 3} if graded else {}, k * unit)
+    off = [2] if graded and rng.random() < 0.2 else []
     rows = []
     for r in range(rng.randint(1, len(names) + 1)):
         zero_row = rng.random() < 0.15
@@ -659,14 +737,16 @@ def _random_flow_rows(rng: random.Random, graded: bool):
             if rng.random() < 0.1:
                 continue
             parts[c] = [{h: _flow_entry(rng) for h in lattice + off
-                         if j + h <= k and (j, h) != (0, 0)
+                         if j * unit + h <= k * unit and (j, h) != (0, 0)
                          and rng.random() < 0.5} for j in range(k + 1)]
             if not zero_row:
                 parts[c][0][0] = _flow_entry(rng)
-        rows.append((f"row {r}", parts, [{} for _ in range(k + 1)]))
+        rows.append(((r, Term(Poly.num(1)), "re"), parts,
+                     [{} for _ in range(k + 1)]))
+    flow_parts = ftflow._flow_parts(lattice, k, unit)
     values: dict = {}
     for _label, parts, consts in rows:
-        for m, g in ftflow._flow_parts(lattice, k):
+        for m, g in flow_parts:
             if rng.random() < 0.1:
                 consts[m][g] = _flow_entry(rng)
                 continue
@@ -678,12 +758,12 @@ def _random_flow_rows(rng: random.Random, graded: bool):
             if rng.random() < 0.1:
                 b = b + Expr.num(1)
             consts[m][g] = b
-    return rows, lattice, k
+    return rows, flow_parts, unit
 
 
-def _flow_outcome(rows, lattice, k):
+def _flow_outcome(rows, flow_parts, unit):
     try:
-        return ftflow._solve_flow_rows(rows, lattice, k)
+        return ftflow._solve_flow_rows(rows, flow_parts, unit)
     except (FTInconsistent, FTUnderdetermined, OutOfClassError) as err:
         return f"{type(err).__name__}: {err}"
 
@@ -694,11 +774,11 @@ def _flow_outcome(rows, lattice, k):
 def test_block_solve_matches_generic_solve(seed, graded):
     # derive_ft_system's solve, block by block, against the same solve with
     # the block path off: the solution, or the exception's type and message
-    rows, lattice, k = _random_flow_rows(random.Random(seed), graded)
-    fast = _flow_outcome(rows, lattice, k)
+    rows, flow_parts, unit = _random_flow_rows(random.Random(seed), graded)
+    fast = _flow_outcome(rows, flow_parts, unit)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ftflow, "_block_solve", lambda *args: None)
-        slow = _flow_outcome(rows, lattice, k)
+        slow = _flow_outcome(rows, flow_parts, unit)
     assert fast == slow
 
 
@@ -708,9 +788,10 @@ def test_random_flow_systems_take_both_paths():
     kinds = set()
     for seed in range(100):
         for graded in (False, True):
-            rows, lattice, k = _random_flow_rows(random.Random(seed), graded)
-            block = ftflow._block_solve(rows, lattice, k) is not None
-            out = _flow_outcome(rows, lattice, k)
+            rows, flow_parts, unit = _random_flow_rows(random.Random(seed),
+                                                       graded)
+            block = ftflow._block_solve(rows, flow_parts, unit) is not None
+            out = _flow_outcome(rows, flow_parts, unit)
             kinds.add((graded, block, out.split(":")[0]
                        if isinstance(out, str) else "solution"))
     for graded in (False, True):

@@ -3,18 +3,22 @@
 import random
 from fractions import Fraction as F
 
+import hypothesis
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dataclasses import replace
 from pathlib import Path
 
-from hiddenscale.exprcore import Expr, Poly, _qnum, classify_divergent
+from hiddenscale.exprcore import (Expr, LinEq, Poly, _qnum,
+                                  classify_divergent, solve_linear_system)
 from hiddenscale.pertseries import (ConstantInfo, LinearOperator, ODEProblem,
                                     PertTerm, SolveError, build_bare_series,
-                                    expand_hierarchy, grade_truncate,
-                                    particular_integral, solve_order)
-from hiddenscale.specfile import ode_problem, parse_spec
+                                    complementary, expand_hierarchy,
+                                    grade_truncate, particular_integral,
+                                    solve_order)
+from hiddenscale.specfile import ode_problem, parse_operator, parse_spec
+import specgrid
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -137,6 +141,85 @@ def test_char_roots_recover_gaussian_rational_factors(seed):
                        match="operator has non-rational characteristic roots"):
         LinearOperator.make(_poly_mul(coeffs, [-F(c), F(0), F(1)]),
                             "x").char_roots()
+
+
+def _zero_start_reference(L: LinearOperator, f: Expr) -> Expr:
+    """The zero-start solve as it was before the operator kept its Wronskian
+    elimination: fresh constants _c0.._c(n-1) in the complementary function,
+    the jet of cf + pi at 0 split by ``coeff_linear``, one symbolic solve,
+    and each constant substituted back."""
+    pi = particular_integral(L, f) if not f.is_zero() else Expr.zero()
+    cf, infos, _ = complementary(L, [f"_c{i}" for i in range(L.order)],
+                                 "rect")
+    y = cf + pi
+    consts = [c.name for c in infos]
+    eqs = []
+    d = y
+    for m in range(L.order):
+        if m:
+            d = d.diff(L.var)
+        rest = d.subs_param(L.var, 0)
+        coeffs = {}
+        for cn in consts:
+            coeffs[cn], rest = rest.coeff_linear(cn)
+        eqs.append(LinEq(coeffs, rest))
+    sol, free, leftovers = solve_linear_system(eqs)
+    assert not free and not leftovers
+    for c in consts:
+        y = y.subs_param(c, sol.get(c, Expr.zero()))
+    return y
+
+
+# the grid's operators, repeated roots (D2 + 2*D1 + D0, D4 + 2*D2 + D0) and
+# complex ones among them; parsed once, so later examples reuse each
+# operator's cached data
+ZERO_START_OPERATORS = [parse_operator(text, "t") for text in
+                        specgrid.OPERATORS + ("D2 + 2*D1 + D0",)]
+
+
+def _random_forcing(rng: random.Random, L: LinearOperator) -> Expr:
+    """A sum of in-class terms: a number, maybe a symbol and a power of t,
+    times a growth and an oscillation at a characteristic root (resonant)
+    or at another rate, the oscillation maybe with a phase offset."""
+    rates = [z for z, _m in L.char_roots()] + [
+        _qnum(0), _qnum(-1), _qnum(F(1, 2), 1), _qnum(0, 2)]
+    f = Expr.zero()
+    for _ in range(rng.randint(1, 3)):
+        t = Expr.num(F(rng.randint(-3, 3), rng.randint(1, 2)))
+        if rng.random() < 0.5:
+            t = t * Expr.sym("A", rng.randint(1, 2))
+        t = t * Expr.var("t", rng.choice([0, 0, 1, 2]))
+        re, im, den = rng.choice(rates)
+        if re:
+            t = t * Expr.exp("t", F(re, den))
+        if im:
+            build = rng.choice([Expr.cos, Expr.sin])
+            t = t * build({"t": F(abs(im), den)},
+                          {"th": 1} if rng.random() < 0.4 else {})
+        f = f + t
+    return f
+
+
+@hypothesis.seed(35)
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_zero_start_matches_fresh_constant_solve(seed):
+    # the replayed Wronskian elimination against the fresh-constant solve
+    # it replaced, on every grid operator with random forcings
+    rng = random.Random(seed)
+    for L in ZERO_START_OPERATORS:
+        f = _random_forcing(rng, L)
+        y, infos, offsets = solve_order(L, f, "zero")
+        assert (infos, offsets) == ([], {})
+        assert y == _zero_start_reference(L, f)
+        assert all(v.is_zero() for v in L.jet(y))
+
+
+def test_zero_start_operators_cover_repeated_and_complex_roots():
+    mults = [dict(L.char_roots()) for L in ZERO_START_OPERATORS]
+    assert any(m > 1 and z[1] == 0 for ms in mults for z, m in ms.items())
+    assert any(m > 1 and z[1] != 0 for ms in mults for z, m in ms.items())
+    assert any(z[0] and z[1] for ms in mults for z in ms)
 
 
 class TestSolveOrder:
